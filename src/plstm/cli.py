@@ -1,8 +1,8 @@
 """Batch command-line surface: stats, train, eval, benchmark.
 
 Exit codes: 0 success, 2 data/I-O error, 3 config error. A fixed seed makes
-every command's file outputs byte-for-byte reproducible. PLSTM_SEED and
-PLSTM_OUT_DIR environment variables override the seed and output directory.
+every command's file outputs byte-for-byte reproducible. The PLSTM_SEED
+environment variable fills in an unset --seed.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import corpus
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -36,7 +34,7 @@ _CONFIG_FIELDS = {
     "dropout_embed": float,
     "dropout_recurrent": float,
     "gate_mode": str,
-    "clip_norm": float,
+    "clip_norm": lambda raw: None if raw.lower() == "none" else float(raw),
     "aggregation": str,
 }
 
@@ -65,7 +63,7 @@ def load_config(path) -> TrainConfig:
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_FIELDS[key](raw) if raw.lower() != "none" else None
+            values[key] = _CONFIG_FIELDS[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key}: {raw!r}") from exc
     if "embedding_dim" in values:
@@ -199,22 +197,17 @@ def cmd_benchmark(args) -> int:
             continue
         datasets.append((name, examples, "unlabeled plain text, no label file"
                          if examples is None else ""))
-    runnable = [(n, ex) for n, ex, _ in datasets]
-    results = benchmark(runnable, config)
-    by_name = {r.dataset: r for r in results}
-    for name, _, reason in datasets:
-        if reason:
-            by_name[name].skipped = reason
+    results = benchmark([(n, ex) for n, ex, _ in datasets], config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_lines = ["dataset,V,branch,mean_train_acc,entire_corpus_acc\n"]
     txt_lines = [f"{'dataset':<16}{'V':>8}{'branch':>10}{'train':>10}{'entire':>10}\n"]
     ok = 0
-    for name, _, _ in datasets:
-        r = by_name[name]
-        if r.skipped:
-            csv_lines.append(f"{name},,,skipped: {r.skipped},\n")
-            txt_lines.append(f"{name:<16} skipped: {r.skipped}\n")
+    for (name, _, reason), r in zip(datasets, results):
+        skipped = reason or r.skipped
+        if skipped:
+            csv_lines.append(f"{name},,,skipped: {skipped},\n")
+            txt_lines.append(f"{name:<16} skipped: {skipped}\n")
             continue
         ok += 1
         for branch in r.mean_train_acc:
@@ -265,8 +258,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "PLSTM_SEED" in os.environ and hasattr(args, "seed") and args.seed is None:
         args.seed = int(os.environ["PLSTM_SEED"])
-    if "PLSTM_OUT_DIR" in os.environ and getattr(args, "out", None) is None:
-        args.out = os.environ["PLSTM_OUT_DIR"]
     return args.func(args)
 
 

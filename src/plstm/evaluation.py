@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import build_vocabulary, make_folds
 from .model import BRANCH_NAMES, init_model
-from .train import EncodedDataset, TrainConfig, encode_dataset, predict_labels, train
+from .train import EncodedDataset, TrainConfig, encode_dataset, epoch_metrics, train
 
 
 @dataclass
@@ -136,9 +136,7 @@ def benchmark(datasets, config: TrainConfig, k: int = 5, train_fraction: float =
             b: float(np.mean([fa[b] for fa in fold_accs])) for b in BRANCH_NAMES
             if b in fold_accs[0]
         }
-        preds = predict_labels(final_model, data)
-        entire = {
-            b: 100.0 * float(np.mean(preds[b] == data.labels)) for b in mean_train
-        }
+        entire_acc = epoch_metrics(final_model, data)
+        entire = {b: entire_acc[b] for b in mean_train}
         results.append(BenchmarkResult(name, vocab.size, mean_train, entire))
     return results

@@ -9,7 +9,7 @@ gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,25 +20,36 @@ GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
 @dataclass
 class LSTMCellParams:
-    W: dict  # gate -> (hidden, embed)
-    U: dict  # gate -> (hidden, hidden)
-    b: dict  # gate -> (hidden,)
+    """One direction's weights with the four gates stacked: rows
+    k*H:(k+1)*H of W, U and b belong to gate GATES[k] (see `gate_rows`).
+    `blocks()` and the gradients of `bptt` are per-gate row views, so writes
+    to them land in the stacked arrays."""
+
+    W: np.ndarray  # (4*hidden, embed)
+    U: np.ndarray  # (4*hidden, hidden)
+    b: np.ndarray  # (4*hidden,)
     gate_activation: str = "sigmoid"
 
     @property
     def hidden(self):
-        return self.W["i"].shape[0]
+        return self.U.shape[1]
 
     @property
     def embed(self):
-        return self.W["i"].shape[1]
+        return self.W.shape[1]
+
+    @property
+    def gate_rows(self):
+        """Gate name -> row slice of the stacked arrays, in GATES order."""
+        h = self.hidden
+        return {g: slice(k * h, (k + 1) * h) for k, g in enumerate(GATES)}
 
     @classmethod
     def zeros(cls, hidden: int, embed: int, gate_activation: str = "sigmoid"):
         return cls(
-            W={g: np.zeros((hidden, embed)) for g in GATES},
-            U={g: np.zeros((hidden, hidden)) for g in GATES},
-            b={g: np.zeros(hidden) for g in GATES},
+            W=np.zeros((4 * hidden, embed)),
+            U=np.zeros((4 * hidden, hidden)),
+            b=np.zeros(4 * hidden),
             gate_activation=gate_activation,
         )
 
@@ -53,19 +64,19 @@ class LSTMCellParams:
         gate_activation: str = "sigmoid",
     ):
         p = cls.zeros(hidden, embed, gate_activation)
-        for g in GATES:
-            p.W[g] = rng.uniform(-scale, scale, (hidden, embed))
-            p.U[g] = rng.uniform(-scale, scale, (hidden, hidden))
-        p.b["f"] = np.full(hidden, forget_bias)
+        for rows in p.gate_rows.values():  # draw order: W then U, gate by gate
+            p.W[rows] = rng.uniform(-scale, scale, (hidden, embed))
+            p.U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
+        p.b[p.gate_rows["f"]] = forget_bias
         return p
 
     def blocks(self, prefix: str):
-        """Parameter blocks in the fixed serialization order."""
+        """Per-gate views in the fixed serialization order."""
         out = []
-        for g in GATES:
-            out.append((f"{prefix}.W_{g}", self.W[g]))
-            out.append((f"{prefix}.U_{g}", self.U[g]))
-            out.append((f"{prefix}.b_{g}", self.b[g]))
+        for g, rows in self.gate_rows.items():
+            out.append((f"{prefix}.W_{g}", self.W[rows]))
+            out.append((f"{prefix}.U_{g}", self.U[rows]))
+            out.append((f"{prefix}.b_{g}", self.b[rows]))
         return out
 
 
@@ -89,13 +100,19 @@ class BidirectionalLayer:
         return self.forward_params.hidden
 
 
-def _gates(params: LSTMCellParams, x: np.ndarray, h_prev: np.ndarray):
-    acts = {}
-    for g in GATES:
-        pre = matmul(x, params.W[g].T) + matmul(h_prev, params.U[g].T) + params.b[g]
-        kind = "tanh" if g == "n" else params.gate_activation
-        acts[g] = activate(kind, pre)
-    return acts
+def _step(params: LSTMCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """The gate maths of cell_step and directional_pass. A softmax gate
+    activation normalises within each gate. Returns (gates (batch, 4,
+    hidden) in GATES order, tanh(c), c, h)."""
+    pre = matmul(x, params.W.T) + matmul(h_prev, params.U.T) + params.b
+    pre = pre.reshape(len(pre), 4, params.hidden)
+    gates = np.concatenate(
+        (activate(params.gate_activation, pre[:, :3]), activate("tanh", pre[:, 3:])), axis=1
+    )
+    i, f, o, n = gates.transpose(1, 0, 2)
+    c = f * c_prev + i * n
+    tanh_c = np.tanh(c)
+    return gates, tanh_c, c, o * tanh_c
 
 
 def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMState:
@@ -109,17 +126,16 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
         raise ShapeError(f"input width {x.shape[1]} != embed {params.embed}")
     if prev.h.shape != (x.shape[0], params.hidden):
         raise ShapeError(f"state shape {prev.h.shape} mismatches batch/hidden")
-    a = _gates(params, x, prev.h)
-    c = a["f"] * prev.c + a["i"] * a["n"]
-    h = a["o"] * np.tanh(c)
+    _, _, c, h = _step(params, x, prev.h, prev.c)
     return LSTMState(h, c)
 
 
 def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str):
     """Run the recurrence over a sequence in one direction from zero state.
 
-    Returns (hs, final_state, cache); hs is in original sequence order for
-    either direction. Masked steps carry the previous state through.
+    Returns (hs, final_state, cache); hs and the cache's per-step arrays
+    are in original sequence order for either direction. Masked steps carry
+    the previous state through.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -134,64 +150,63 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
 
+    hs, h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(4))
+    gates = np.zeros((L, batch, 4, params.hidden))
     state = LSTMState.zero(batch, params.hidden)
-    hs = np.zeros((L, batch, params.hidden))
-    steps = []
     for t in order:
         m = mask[t].astype(np.float64)[:, None]
-        a = _gates(params, xs[t], state.h)
-        c_new = a["f"] * state.c + a["i"] * a["n"]
-        tanh_c = np.tanh(c_new)
-        h_new = a["o"] * tanh_c
-        h = m * h_new + (1.0 - m) * state.h
-        c = m * c_new + (1.0 - m) * state.c
-        steps.append(
-            {"t": t, "x": xs[t], "h_prev": state.h, "c_prev": state.c,
-             "a": a, "tanh_c": tanh_c, "m": m}
-        )
-        state = LSTMState(h, c)
-        hs[t] = h
-    cache = {"steps": steps, "params": params, "shape": (L, batch, xs.shape[2])}
+        h_prev[t], c_prev[t] = state.h, state.c
+        gates[t], tanh_c[t], c_new, h_new = _step(params, xs[t], state.h, state.c)
+        state = LSTMState(m * h_new + (1.0 - m) * state.h, m * c_new + (1.0 - m) * state.c)
+        hs[t] = state.h
+    cache = {"params": params, "order": order, "mask": mask, "x": xs,
+             "h_prev": h_prev, "c_prev": c_prev, "gates": gates, "tanh_c": tanh_c}
     return hs, state, cache
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray):
     params = cache["params"]
-    L, batch, embed = cache["shape"]
-    grads = {f"{k}_{g}": np.zeros_like(v[g]) for k, v in
-             (("W", params.W), ("U", params.U), ("b", params.b)) for g in GATES}
-    dx = np.zeros((L, batch, embed))
+    xs, gates, tanh_cs = cache["x"], cache["gates"], cache["tanh_c"]
+    rows = params.gate_rows
+    dW = np.zeros_like(params.W)
+    dU = np.zeros_like(params.U)
+    db = np.zeros_like(params.b)
+    dx = np.zeros_like(xs)
     dh = np.asarray(d_final_h, dtype=np.float64)
     dc = np.zeros_like(dh)
-    for step in reversed(cache["steps"]):
-        t, m, a = step["t"], step["m"], step["a"]
+    for t in reversed(cache["order"]):
+        m = cache["mask"][t].astype(np.float64)[:, None]
+        i, f, o, n = gates[t].transpose(1, 0, 2)
+        tanh_c = tanh_cs[t]
         dh_new = m * dh
         dh_carry = (1.0 - m) * dh
         dc_new = m * dc
         dc_carry = (1.0 - m) * dc
 
-        do = dh_new * step["tanh_c"]
-        dc_new = dc_new + dh_new * a["o"] * (1.0 - step["tanh_c"] ** 2)
-        df = dc_new * step["c_prev"]
-        di = dc_new * a["n"]
-        dn = dc_new * a["i"]
-        dc_prev = dc_new * a["f"]
+        do = dh_new * tanh_c
+        dc_new = dc_new + dh_new * o * (1.0 - tanh_c ** 2)
+        df = dc_new * cache["c_prev"][t]
+        di = dc_new * n
+        dn = dc_new * i
+        dc_prev = dc_new * f
 
-        dpre = {
-            "i": activate_grad(params.gate_activation, a["i"], di),
-            "f": activate_grad(params.gate_activation, a["f"], df),
-            "o": activate_grad(params.gate_activation, a["o"], do),
-            "n": activate_grad("tanh", a["n"], dn),
-        }
+        dpre = np.concatenate((
+            activate_grad(params.gate_activation, gates[t][:, :3], np.stack((di, df, do), axis=1)),
+            activate_grad("tanh", gates[t][:, 3:], dn[:, None]),
+        ), axis=1).reshape(len(dh), -1)
+        dW += matmul(dpre.T, xs[t])
+        dU += matmul(dpre.T, cache["h_prev"][t])
+        db += dpre.sum(axis=0)
+        # gate by gate in GATES order: one 4H-deep product adds the same
+        # terms in another order, which changes the rounding
         dh_rec = np.zeros_like(dh)
-        for g in GATES:
-            grads[f"W_{g}"] += matmul(dpre[g].T, step["x"])
-            grads[f"U_{g}"] += matmul(dpre[g].T, step["h_prev"])
-            grads[f"b_{g}"] += dpre[g].sum(axis=0)
-            dx[t] += matmul(dpre[g], params.W[g])
-            dh_rec += matmul(dpre[g], params.U[g])
+        for r in rows.values():
+            dx[t] += matmul(dpre[:, r], params.W[r])
+            dh_rec += matmul(dpre[:, r], params.U[r])
         dh = dh_carry + dh_rec
         dc = dc_carry + dc_prev
+    grads = {f"{k}_{g}": arr[rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
+             for g in GATES}
     return grads, dx
 
 

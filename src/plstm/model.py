@@ -8,15 +8,16 @@ beyond the embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor
 from .lstm import BidirectionalLayer, LSTMCellParams, bptt, bidirectional_encode
-from .tensor import RngStream, ShapeError, activate, activate_grad, dropout_mask, matmul
+from .tensor import RngStream, activate, activate_grad, dropout_mask, matmul
 
 BRANCH_NAMES = ("softmax", "sigmoid", "relu", "tanh")
+# literal_eq9 gives each branch's i/f/o gates that branch's own activation
+GATE_MODES = ("standard", "literal_eq9")
 N_CLASSES = 2
 
 DEFAULT_EMBED_DIM = 400
@@ -102,7 +103,7 @@ def init_model(
     substreams, zero biases except forget bias +1, zero pad embedding row."""
     if min(vocab_size, embed_dim, hidden, seq_len) < 1:
         raise ValueError("all model dimensions must be >= 1")
-    if gate_mode not in ("standard", "literal_eq9"):
+    if gate_mode not in GATE_MODES:
         raise ValueError(f"unknown gate_mode {gate_mode!r}")
     embedding = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE, (vocab_size, embed_dim))
     embedding[0, :] = 0.0

@@ -41,12 +41,6 @@ class RngStream:
         return self.gen.permutation(n)
 
 
-def check_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"non-finite entries in {what}")
-    return a
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order.
 
@@ -54,7 +48,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is the same floating-point order as the naive triple loop.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)  # a transposed b reads its rows strided
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:

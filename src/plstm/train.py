@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EncodedSequence, encode, tokenize
-from .model import BRANCH_NAMES, ParallelModel, branch_backward, branch_forward, embed_ids, forward_batch
+from .corpus import encode, tokenize
+from .model import BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward, branch_forward, embed_ids, forward_batch
 from .tensor import RngStream, ShapeError, categorical_cross_entropy
 
 
@@ -37,6 +37,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.gate_mode not in GATE_MODES:
+            raise ValueError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
 
 
 @dataclass
@@ -136,12 +138,9 @@ def epoch_metrics(model: ParallelModel, dataset: EncodedDataset) -> dict:
     """Eval-mode accuracy percent per branch (argmax labels)."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    scores, _ = forward_batch(model, dataset.ids, dataset.mask, training=False)
-    acc = {}
-    for name in BRANCH_NAMES:
-        preds = np.argmax(scores[name], axis=1)
-        acc[name] = 100.0 * float(np.mean(preds == dataset.labels))
-    return acc
+    preds = predict_labels(model, dataset)
+    return {name: 100.0 * float(np.mean(preds[name] == dataset.labels))
+            for name in BRANCH_NAMES}
 
 
 def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:

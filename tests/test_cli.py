@@ -42,6 +42,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    def test_none_disables_clipping_only(self, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("clip_norm=none\n")
+        assert load_config(p).clip_norm is None
+        p.write_text("epochs=none\n")
+        with pytest.raises(ConfigError):
+            load_config(p)
+
 
 class TestStats:
     def test_golden_csv(self, data_dir, tmp_path, capsys):
@@ -77,6 +85,16 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == 3
 
+    @pytest.mark.parametrize("line", ["epochs=none", "gate_mode=bogus"])
+    def test_bad_config_value_exit_3(self, data_dir, tmp_path, line, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE_CFG_TEXT + line + "\n")
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_exit_2(self, tmp_path, smoke_cfg):
         code = main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--config", str(smoke_cfg), "--out", str(tmp_path / "run")])
@@ -109,6 +127,16 @@ class TestEval:
         for line in report.read_text().splitlines()[1:]:
             branch, p, r, f1, acc = line.split(",")
             assert abs(float(acc) * 100.0 - last[branch]) < 0.005 + 1e-9
+
+    def test_report_path_only_from_out(self, data_dir, tmp_path, monkeypatch):
+        # an output-directory variable must not become the report file path
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(64, 4, 3, seed=0, seq_len=8), path)
+        monkeypatch.setenv("PLSTM_OUT_DIR", str(tmp_path))
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
     def test_truncated_checkpoint_exit_2(self, data_dir, tmp_path):
         model = init_model(6, 4, 3, seed=0, seq_len=5)
@@ -174,6 +202,22 @@ class TestBenchmarkCommand:
                          "--out", str(out)]) == 0
             texts.append((out / "benchmark.csv").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_same_stem_datasets_keep_their_own_rows(self, data_dir, tmp_path, smoke_cfg):
+        paths = []
+        for sub, src in (("a", "bench_a.tsv"), ("b", "bench_b.tsv")):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "x.tsv")
+            paths[-1].write_bytes((data_dir / src).read_bytes())
+
+        def rows(out, *datasets):
+            assert main(["benchmark", "--config", str(smoke_cfg), "--datasets",
+                         *map(str, datasets), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "benchmark.csv").read_text().splitlines()[1:]
+
+        alone_a, alone_b = rows("a_out", paths[0]), rows("b_out", paths[1])
+        assert alone_a != alone_b
+        assert rows("both_out", *paths) == alone_a + alone_b
 
     def test_missing_dataset_marked_skipped(self, data_dir, tmp_path, smoke_cfg):
         out = tmp_path / "bench"

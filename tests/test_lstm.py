@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from plstm.lstm import (
-    GATES,
     BidirectionalLayer,
     LSTMCellParams,
     LSTMState,
@@ -16,36 +15,52 @@ from plstm.lstm import (
 from plstm.tensor import RngStream
 
 
-def random_params(hidden, embed, seed, scale=0.5):
+def random_params(hidden, embed, seed, scale=0.5, gate_activation="sigmoid"):
     rng = RngStream(seed)
-    p = LSTMCellParams.zeros(hidden, embed)
-    for g in GATES:
-        p.W[g] = rng.uniform(-scale, scale, (hidden, embed))
-        p.U[g] = rng.uniform(-scale, scale, (hidden, hidden))
-        p.b[g] = rng.uniform(-scale, scale, hidden)
+    p = LSTMCellParams.zeros(hidden, embed, gate_activation)
+    for rows in p.gate_rows.values():
+        p.W[rows] = rng.uniform(-scale, scale, (hidden, embed))
+        p.U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
+        p.b[rows] = rng.uniform(-scale, scale, hidden)
     return p
 
 
+def _softmax(zs):
+    top = max(zs)
+    e = [math.exp(z - top) for z in zs]
+    return [v / math.fsum(e) for v in e]
+
+
+SCALAR_ACTIVATIONS = {
+    "sigmoid": lambda zs: [1.0 / (1.0 + math.exp(-z)) for z in zs],
+    "relu": lambda zs: [max(z, 0.0) for z in zs],
+    "tanh": lambda zs: [math.tanh(z) for z in zs],
+    "softmax": _softmax,  # normalised within one gate's units
+}
+
+
 def cell_step_oracle(p, x, h_prev, c_prev):
-    """Scalar-loop evaluation of the gate equations, one unit at a time."""
+    """Scalar-loop evaluation of the gate equations, one unit at a time,
+    with p.gate_activation on the i/f/o gates and tanh on the candidate."""
 
     def gate(name, act):
-        out = np.zeros(p.hidden)
+        rows = p.gate_rows[name]
+        W, U, b = p.W[rows], p.U[rows], p.b[rows]
+        pre = []
         for j in range(p.hidden):
             acc = 0.0
             for k in range(p.embed):
-                acc += p.W[name][j, k] * x[k]
+                acc += W[j, k] * x[k]
             for k in range(p.hidden):
-                acc += p.U[name][j, k] * h_prev[k]
-            acc += p.b[name][j]
-            out[j] = act(acc)
-        return out
+                acc += U[j, k] * h_prev[k]
+            acc += b[j]
+            pre.append(acc)
+        return SCALAR_ACTIVATIONS[act](pre)
 
-    sig = lambda z: 1.0 / (1.0 + math.exp(-z))
-    i = gate("i", sig)
-    f = gate("f", sig)
-    o = gate("o", sig)
-    n = gate("n", math.tanh)
+    i = gate("i", p.gate_activation)
+    f = gate("f", p.gate_activation)
+    o = gate("o", p.gate_activation)
+    n = gate("n", "tanh")
     c = np.array([f[j] * c_prev[j] + i[j] * n[j] for j in range(p.hidden)])
     h = np.array([o[j] * math.tanh(c[j]) for j in range(p.hidden)])
     return h, c
@@ -67,9 +82,12 @@ class TestCellStep:
         assert abs(out.h[0, 0] - 0.5 * math.tanh(0.5)) < 1e-15
         assert abs(out.h[0, 0] - 0.231059) < 1e-6
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_scalar_oracle(self, seed):
-        p = random_params(3, 2, seed)
+    @pytest.mark.parametrize("seed,gate_activation", [
+        pytest.param(seed, act, id=str(seed) if act == "sigmoid" else f"{act}-{seed}")
+        for act in SCALAR_ACTIVATIONS for seed in range(5)
+    ])
+    def test_matches_scalar_oracle(self, seed, gate_activation):
+        p = random_params(3, 2, seed, gate_activation=gate_activation)
         rng = RngStream(100 + seed)
         x = rng.uniform(-1, 1, (1, 2))
         prev = LSTMState(rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 3)))

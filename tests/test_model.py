@@ -9,6 +9,7 @@ from plstm.model import (
     BRANCH_NAMES,
     Branch,
     aggregate,
+    branch_backward,
     branch_forward,
     embed_ids,
     expected_param_count,
@@ -17,7 +18,7 @@ from plstm.model import (
     model_forward,
     summary,
 )
-from plstm.tensor import RngStream
+from plstm.tensor import RngStream, categorical_cross_entropy, grad_check
 
 
 def encoded(ids, L):
@@ -96,6 +97,29 @@ class TestBranchForward:
             assert abs(scores.sum() - 1.0) < 1e-12
 
 
+class TestBranchBackward:
+    @pytest.mark.parametrize("name", BRANCH_NAMES)
+    def test_literal_gate_mode_matches_finite_differences(self, name):
+        # each branch's i/f/o gates use its own activation, softmax per gate
+        branch = init_model(6, 2, 3, seed=1, gate_mode="literal_eq9").branches[name]
+        rng = RngStream(2)
+        for _, arr in branch.blocks():
+            arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
+        embedded = rng.uniform(-1, 1, (3, 2, 2))
+        mask = np.array([[True, True], [True, True], [True, False]])
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
+
+        def loss(_params):
+            scores, _ = branch_forward(branch, embedded, mask)
+            return categorical_cross_entropy(scores, targets)[0]
+
+        scores, cache = branch_forward(branch, embedded, mask)
+        _, d_scores = categorical_cross_entropy(scores, targets)
+        grads, _ = branch_backward(branch, cache, d_scores)
+        worst, passed = grad_check(loss, dict(branch.blocks()), grads)["all"]
+        assert passed, worst
+
+
 class TestModelForward:
     def test_zero_model_tie_breaks_to_class_zero(self):
         m = init_model(10, 4, 3, seed=0)
@@ -134,7 +158,8 @@ class TestModelForward:
         seq = encoded([2, 3], 4)
         before = {n: model_forward(m, seq).per_branch[n][0] for n in BRANCH_NAMES}
         m.branches["relu"].head_W += 0.5
-        m.branches["relu"].layer.forward_params.W["i"] += 0.1
+        fwd = m.branches["relu"].layer.forward_params
+        fwd.W[fwd.gate_rows["i"]] += 0.1
         after = model_forward(m, seq)
         for name in BRANCH_NAMES:
             if name == "relu":
