@@ -72,8 +72,7 @@ def load_config(path) -> TrainConfig:
 
 
 def dump_config(config: TrainConfig, path):
-    names = [(k, "embedding_dim" if k == "embed_dim" else k)
-             for k in sorted(config.__dict__) if k != "active_branches"]
+    names = [(k, "embedding_dim" if k == "embed_dim" else k) for k in config.__dict__]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for attr, key in sorted(names, key=lambda kv: kv[1]):
             fh.write(f"{key}={getattr(config, attr)}\n")
@@ -136,7 +135,7 @@ def cmd_train(args) -> int:
     )
     model, logs = train(model, data, config)
     save_checkpoint(model, out / "model.ckpt")
-    write_epoch_csv(logs, config.active_branches, out / "epochs.csv")
+    write_epoch_csv(logs, out / "epochs.csv")
     dump_config(config, out / "config_resolved.cfg")
     (out / "summary.txt").write_text(summary(model), encoding="utf-8")
     return EXIT_OK
@@ -257,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if "PLSTM_SEED" in os.environ and hasattr(args, "seed") and args.seed is None:
-        args.seed = int(os.environ["PLSTM_SEED"])
+        raw = os.environ["PLSTM_SEED"]
+        try:
+            args.seed = int(raw)
+        except ValueError:
+            print(f"config error: PLSTM_SEED must be an integer, got {raw!r}", file=sys.stderr)
+            return EXIT_CONFIG
     return args.func(args)
 
 

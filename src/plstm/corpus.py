@@ -62,9 +62,6 @@ class Vocabulary:
     def lookup(self, token: str) -> int:
         return self.word_to_id.get(token, UNK_ID)
 
-    def decode(self, ids) -> list:
-        return [self.id_to_word[i] for i in ids if i not in (PAD_ID, UNK_ID)]
-
 
 @dataclass
 class FrequencyTable:

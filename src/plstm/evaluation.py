@@ -134,9 +134,7 @@ def benchmark(datasets, config: TrainConfig, k: int = 5, train_fraction: float =
             final_model = model
         mean_train = {
             b: float(np.mean([fa[b] for fa in fold_accs])) for b in BRANCH_NAMES
-            if b in fold_accs[0]
         }
-        entire_acc = epoch_metrics(final_model, data)
-        entire = {b: entire_acc[b] for b in mean_train}
+        entire = epoch_metrics(final_model, data)
         results.append(BenchmarkResult(name, vocab.size, mean_train, entire))
     return results

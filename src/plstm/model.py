@@ -18,6 +18,7 @@ from .tensor import RngStream, activate, activate_grad, dropout_mask, matmul
 BRANCH_NAMES = ("softmax", "sigmoid", "relu", "tanh")
 # literal_eq9 gives each branch's i/f/o gates that branch's own activation
 GATE_MODES = ("standard", "literal_eq9")
+AGGREGATIONS = ("primary_branch", "majority_vote")
 N_CLASSES = 2
 
 DEFAULT_EMBED_DIM = 400
@@ -76,12 +77,6 @@ class ParallelModel:
         return sum(arr.size for _, arr in self.blocks())
 
 
-@dataclass
-class Prediction:
-    per_branch: dict  # name -> (scores: (2,) array, label: int)
-    final_label: int
-
-
 def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
     per_direction = 4 * (hidden * embed_dim + hidden * hidden + hidden)
     per_branch = 2 * per_direction + 2 * hidden + 2
@@ -134,23 +129,22 @@ def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
     return model.embedding[ids].transpose(1, 0, 2)
 
 
-def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, training=False):
+def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
 
-    Returns (scores (batch, 2), cache). Dropout masks land in the cache so
-    the backward pass replays them exactly.
+    Training mode is exactly "an rng was given": dropout masks are drawn
+    from it. Returns (scores (batch, 2), cache). The dropout masks land in
+    the cache so the backward pass replays them exactly.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
-    L, batch, _ = embedded.shape
-    if training:
-        if rng is None:
-            raise ValueError("training-mode forward needs an RngStream")
-        m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
-        m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
-    else:
+    batch = embedded.shape[1]
+    if rng is None:
         m_embed = 1.0
         m_pool = 1.0
+    else:
+        m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
+        m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
     x = embedded * m_embed
     pooled, enc_cache = bidirectional_encode(branch.layer, x, mask)
     dropped = pooled * m_pool
@@ -182,48 +176,38 @@ def branch_backward(branch: Branch, cache, d_scores: np.ndarray):
     return grads, d_embedded
 
 
-def forward_batch(model: ParallelModel, ids, mask, rngs=None, training=False):
-    """Shared embedding lookup, then all four branches independently.
+def forward_batch(model: ParallelModel, ids, mask, rngs=None):
+    """Shared embedding lookup, then all four branches independently: the
+    one forward pass behind training, eval and the per-epoch metrics.
 
-    Returns {branch: scores (batch, 2)} plus caches when training.
-    mask is (batch, L) boolean. rngs maps branch name -> RngStream.
+    mask is (batch, L) boolean. rngs maps branch name -> RngStream and
+    selects training mode. Returns ({branch: scores (batch, 2)}, caches):
+    caches maps branch -> backward cache when training and is None in eval,
+    where each branch's cache is freed as soon as its scores exist.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     embedded = embed_ids(model, ids)
-    scores, caches = {}, {}
+    scores = {}
+    caches = None if rngs is None else {}
     for name in BRANCH_NAMES:
-        rng = rngs[name] if rngs else None
-        scores[name], caches[name] = branch_forward(
-            model.branches[name], embedded, mask_tm, rng, training
-        )
-    return (scores, caches) if training else (scores, None)
+        branch = model.branches[name]
+        if rngs is None:
+            scores[name] = branch_forward(branch, embedded, mask_tm)[0]
+        else:
+            scores[name], caches[name] = branch_forward(branch, embedded, mask_tm, rngs[name])
+    return scores, caches
 
 
 def aggregate(per_branch_labels: dict, aggregation: str) -> int:
     """Final label: the softmax branch's call, or a majority vote with ties
     resolved toward class 0."""
-    if aggregation == "primary_branch":
-        return per_branch_labels["softmax"]
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"unknown aggregation {aggregation!r}")
     if aggregation == "majority_vote":
         votes = sum(per_branch_labels[n] for n in BRANCH_NAMES)
         return 1 if votes > len(BRANCH_NAMES) / 2 else 0
-    raise ValueError(f"unknown aggregation {aggregation!r}")
-
-
-def model_forward(model: ParallelModel, encoded, rngs=None, training=False):
-    """Classify one encoded sequence; returns a Prediction (and caches when
-    training). Per-branch labels are argmaxes with ties toward class 0."""
-    ids = encoded.ids[None, :]
-    mask = encoded.mask[None, :]
-    scores, caches = forward_batch(model, ids, mask, rngs, training)
-    per_branch = {}
-    for name in BRANCH_NAMES:
-        row = scores[name][0]
-        per_branch[name] = (row, int(np.argmax(row)))
-    labels = {n: lab for n, (_, lab) in per_branch.items()}
-    pred = Prediction(per_branch, aggregate(labels, model.aggregation))
-    return (pred, caches) if training else pred
+    return per_branch_labels["softmax"]
 
 
 def summary(model: ParallelModel) -> str:

@@ -133,14 +133,6 @@ def dropout_mask(shape, rate: float, rng: RngStream) -> np.ndarray:
     return keep / (1.0 - rate)
 
 
-def dropout(x: np.ndarray, rate: float, rng: RngStream, training: bool) -> np.ndarray:
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate out of range: {rate}")
-    if not training or rate == 0.0:
-        return np.array(x, dtype=np.float64, copy=True)
-    return x * dropout_mask(np.shape(x), rate, rng)
-
-
 def grad_check(loss_fn, params: dict, analytic: dict, h: float = 1e-5, tol: float = 1e-4):
     """Compare analytic gradients against central finite differences.
 

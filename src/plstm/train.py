@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import encode, tokenize
-from .model import BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward, branch_forward, embed_ids, forward_batch
+from .model import AGGREGATIONS, BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward, forward_batch
 from .tensor import RngStream, ShapeError, categorical_cross_entropy
 
 
@@ -30,15 +30,22 @@ class TrainConfig:
     gate_mode: str = "standard"  # or "literal_eq9"
     clip_norm: float = 5.0  # None disables clipping
     aggregation: str = "primary_branch"
-    active_branches: tuple = BRANCH_NAMES
 
     def validate(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for key, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
+                           ("hidden", self.hidden), ("embedding_dim", self.embed_dim),
+                           ("seq_len", self.seq_len)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for name in ("dropout_embed", "dropout_recurrent"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {', '.join(AGGREGATIONS)}")
 
 
 @dataclass
@@ -145,7 +152,7 @@ def epoch_metrics(model: ParallelModel, dataset: EncodedDataset) -> dict:
 
 def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
     """Eval-mode per-branch argmax labels for every example."""
-    scores, _ = forward_batch(model, dataset.ids, dataset.mask, training=False)
+    scores, _ = forward_batch(model, dataset.ids, dataset.mask)
     return {name: np.argmax(scores[name], axis=1) for name in BRANCH_NAMES}
 
 
@@ -154,22 +161,23 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
     """Train in place; returns (model, [EpochLog]).
 
     Each epoch: one seeded shuffle (a pure function of seed and epoch),
-    mini-batches, and per batch an independent forward/backward/Adam update
-    for every active branch. The shared embedding is updated once per batch
-    from the branch gradients summed in fixed branch order; its pad row
-    never moves. Verbose level 1 prints a summary line every 100 epochs.
+    mini-batches, and per batch one training-mode `forward_batch` (each
+    branch's dropout stream keyed by seed, branch, epoch and batch), then
+    an independent loss/backward/clip/Adam update for every branch in
+    BRANCH_NAMES order. The shared embedding is updated once per batch from
+    the branch gradients summed in that order; its pad row never moves.
+    Verbose level 1 prints a summary line every 100 epochs.
     """
     config.validate()
     if len(dataset) == 0:
         raise ValueError("empty training set")
     if len(set(dataset.labels.tolist())) < 2:
         print("warning: training labels contain a single class", file=sys.stderr)
-    active = tuple(config.active_branches)
 
-    branch_opts = {name: AdamState(config.learning_rate) for name in active}
+    branch_opts = {name: AdamState(config.learning_rate) for name in BRANCH_NAMES}
     embed_opt = AdamState(config.learning_rate)
     branch_params = {
-        name: dict(model.branches[name].blocks()) for name in active
+        name: dict(model.branches[name].blocks()) for name in BRANCH_NAMES
     }
 
     n = len(dataset)
@@ -177,26 +185,21 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         order = RngStream(config.seed, 3, epoch).permutation(n)
-        loss_sums = {name: 0.0 for name in active}
+        loss_sums = {name: 0.0 for name in BRANCH_NAMES}
         n_batches = 0
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             ids = dataset.ids[batch]
-            mask = dataset.mask[batch]
             targets = _one_hot(dataset.labels[batch])
-            embedded = embed_ids(model, ids)
-            mask_tm = mask.T
+            rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
+                    for b_idx, name in enumerate(BRANCH_NAMES)}
+            scores, caches = forward_batch(model, ids, dataset.mask[batch], rngs)
             d_embedding = np.zeros_like(model.embedding)
-            for b_idx, name in enumerate(BRANCH_NAMES):
-                if name not in active:
-                    continue
-                rng = RngStream(config.seed, 7, b_idx, epoch, n_batches)
-                scores, cache = branch_forward(
-                    model.branches[name], embedded, mask_tm, rng, training=True
-                )
-                loss, d_scores = categorical_cross_entropy(scores, targets)
+            for name in BRANCH_NAMES:
+                loss, d_scores = categorical_cross_entropy(scores[name], targets)
                 loss_sums[name] += loss
-                grads, d_embedded = branch_backward(model.branches[name], cache, d_scores)
+                grads, d_embedded = branch_backward(model.branches[name], caches.pop(name),
+                                                    d_scores)
                 grads["__embedded__"] = d_embedded
                 _clip(grads, config.clip_norm)
                 d_embedded = grads.pop("__embedded__")
@@ -210,22 +213,21 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
             n_batches += 1
 
         acc = epoch_metrics(model, dataset)
-        loss_means = {name: loss_sums[name] / n_batches for name in active}
-        logs.append(EpochLog(epoch, loss_means, {k: acc[k] for k in active},
-                             time.perf_counter() - t0))
+        loss_means = {name: loss_sums[name] / n_batches for name in BRANCH_NAMES}
+        logs.append(EpochLog(epoch, loss_means, acc, time.perf_counter() - t0))
         if config.verbose >= 1 and (epoch % 100 == 0 or epoch == config.epochs):
             stream = log_stream if log_stream is not None else sys.stdout
-            for name in active:
+            for name in BRANCH_NAMES:
                 print(f"epoch {epoch}, {name}, loss {loss_means[name]:.4f}, "
                       f"acc {acc[name]:.2f}%", file=stream)
     return model, logs
 
 
-def write_epoch_csv(logs, active, path):
+def write_epoch_csv(logs, path):
     """Per-epoch CSV: epoch,branch,loss,accuracy. Deterministic bytes for a
     fixed seed (wall time stays in memory only)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,branch,loss,accuracy\n")
         for log in logs:
-            for name in active:
+            for name in BRANCH_NAMES:
                 fh.write(f"{log.epoch},{name},{log.loss[name]!r},{log.accuracy[name]!r}\n")

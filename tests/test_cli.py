@@ -85,7 +85,10 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == 3
 
-    @pytest.mark.parametrize("line", ["epochs=none", "gate_mode=bogus"])
+    @pytest.mark.parametrize("line", [
+        "epochs=none", "gate_mode=bogus", "hidden=0", "embedding_dim=0", "seq_len=0",
+        "dropout_embed=1.0", "dropout_recurrent=-0.1", "aggregation=bogus",
+    ])
     def test_bad_config_value_exit_3(self, data_dir, tmp_path, line, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text(SMOKE_CFG_TEXT + line + "\n")
@@ -93,6 +96,23 @@ class TestTrain:
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_exit_3(self, data_dir, tmp_path, smoke_cfg, capsys):
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(smoke_cfg), "--seed", "-1", "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    def test_non_integer_env_seed_exit_3(self, data_dir, tmp_path, smoke_cfg, capsys,
+                                         monkeypatch):
+        monkeypatch.setenv("PLSTM_SEED", "x")
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(smoke_cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_missing_data_exit_2(self, tmp_path, smoke_cfg):

@@ -115,7 +115,9 @@ class TestEncode:
         vocab = build_vocabulary(docs("one two three four"))
         tokens = ["three", "one", "four"]
         seq = encode(tokens, vocab, L=6)
-        assert vocab.decode(seq.ids.tolist()) == tokens
+        ids = seq.ids[: seq.length].tolist()
+        assert ids == [vocab.lookup(t) for t in tokens]
+        assert [vocab.id_to_word[i] for i in ids] == tokens
 
 
 class TestLoaders:

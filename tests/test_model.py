@@ -15,7 +15,6 @@ from plstm.model import (
     expected_param_count,
     forward_batch,
     init_model,
-    model_forward,
     summary,
 )
 from plstm.tensor import RngStream, categorical_cross_entropy, grad_check
@@ -120,52 +119,88 @@ class TestBranchBackward:
         assert passed, worst
 
 
+def forward_one(model, seq):
+    scores, _ = forward_batch(model, seq.ids[None, :], seq.mask[None, :])
+    return {name: row[0] for name, row in scores.items()}
+
+
+def branch_rngs(seed):
+    return {name: RngStream(seed, b_idx) for b_idx, name in enumerate(BRANCH_NAMES)}
+
+
 class TestModelForward:
     def test_zero_model_tie_breaks_to_class_zero(self):
         m = init_model(10, 4, 3, seed=0)
         for _, arr in m.blocks():
             arr[...] = 0.0
-        pred = model_forward(m, encoded([2, 3], 5))
-        assert pred.final_label == 0
-        assert np.allclose(pred.per_branch["softmax"][0], [0.5, 0.5])
-        assert pred.per_branch["tanh"][1] == 0
+        scores = forward_one(m, encoded([2, 3], 5))
+        assert np.allclose(scores["softmax"], [0.5, 0.5])
+        for name in BRANCH_NAMES:
+            assert np.argmax(scores[name]) == 0
 
     def test_eval_mode_deterministic(self):
         m = init_model(10, 4, 3, seed=3)
         seq = encoded([2, 5, 7], 6)
-        a = model_forward(m, seq)
-        b = model_forward(m, seq)
+        a = forward_one(m, seq)
+        b = forward_one(m, seq)
         for name in BRANCH_NAMES:
-            assert np.array_equal(a.per_branch[name][0], b.per_branch[name][0])
-        assert a.final_label == b.final_label
+            assert np.array_equal(a[name], b[name])
 
     def test_id_out_of_range(self):
         m = init_model(10, 4, 3, seed=3)
         with pytest.raises(ValueError):
-            model_forward(m, encoded([11], 3))
+            forward_one(m, encoded([11], 3))
 
     def test_pad_invariance_bitwise(self):
         m = init_model(10, 4, 3, seed=4)
-        short = encoded([2, 3, 4], 4)
-        long = encoded([2, 3, 4], 9)
-        a = model_forward(m, short)
-        b = model_forward(m, long)
+        a = forward_one(m, encoded([2, 3, 4], 4))
+        b = forward_one(m, encoded([2, 3, 4], 9))
         for name in BRANCH_NAMES:
-            assert np.array_equal(a.per_branch[name][0], b.per_branch[name][0])
+            assert np.array_equal(a[name], b[name])
 
     def test_branch_independence(self):
         m = init_model(10, 4, 3, seed=6)
         seq = encoded([2, 3], 4)
-        before = {n: model_forward(m, seq).per_branch[n][0] for n in BRANCH_NAMES}
+        before = forward_one(m, seq)
         m.branches["relu"].head_W += 0.5
         fwd = m.branches["relu"].layer.forward_params
         fwd.W[fwd.gate_rows["i"]] += 0.1
-        after = model_forward(m, seq)
+        after = forward_one(m, seq)
         for name in BRANCH_NAMES:
             if name == "relu":
-                assert not np.array_equal(before[name], after.per_branch[name][0])
+                assert not np.array_equal(before[name], after[name])
             else:
-                assert np.array_equal(before[name], after.per_branch[name][0])
+                assert np.array_equal(before[name], after[name])
+
+
+class TestForwardBatchTraining:
+    IDS = np.array([[2, 3, 4, 0], [5, 6, 0, 0]])
+    MASK = IDS > 0
+
+    def test_caches_feed_branch_backward(self):
+        m = init_model(10, 4, 3, seed=8)
+        scores, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        assert list(caches) == list(BRANCH_NAMES)
+        for name in BRANCH_NAMES:
+            grads, d_embedded = branch_backward(m.branches[name], caches[name],
+                                                np.ones_like(scores[name]))
+            assert set(grads) == {key for key, _ in m.branches[name].blocks()}
+            assert d_embedded.shape == (4, 2, 4)
+
+    def test_zero_rates_match_eval_bitwise(self):
+        m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        evaluated, caches = forward_batch(m, self.IDS, self.MASK)
+        assert caches is None
+        for name in BRANCH_NAMES:
+            assert np.array_equal(trained[name], evaluated[name])
+
+    def test_nonzero_rates_change_scores(self):
+        m = init_model(10, 4, 3, seed=8, dropout_embed=0.5, dropout_recurrent=0.5)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        evaluated, _ = forward_batch(m, self.IDS, self.MASK)
+        for name in BRANCH_NAMES:
+            assert not np.array_equal(trained[name], evaluated[name])
 
 
 class TestAggregation:
