@@ -4,7 +4,14 @@ gradient checker.
 
 Everything operates on float64 numpy arrays. The matrix product accumulates
 the inner dimension left to right so results are bitwise reproducible and
-match a scalar triple-loop evaluation exactly.
+match a scalar triple-loop evaluation exactly. While the output is small it
+does so a cache-sized block of inner indices at a time: the block's rank-1
+terms form one (k, M, N) array, the running sum is added into the first
+term, and one numpy reduction over the outer axis adds the terms in index
+order. Float addition is commutative bit for bit, so each output element
+gets the same sum as the one-index-at-a-time loop. That loop is kept where a
+block would hold fewer than two terms, and for a 1x1 output, whose reduction
+numpy would sum pairwise.
 """
 
 from __future__ import annotations
@@ -14,6 +21,10 @@ import numpy as np
 ACTIVATIONS = ("softmax", "sigmoid", "relu", "tanh")
 
 CCE_EPS = 1e-7
+
+# float64 elements in one block of matmul's rank-1 terms: 256 KB, so a block
+# stays in L2 cache while it is reduced.
+_BLOCK_ELEMS = 1 << 15
 
 
 class ShapeError(ValueError):
@@ -45,7 +56,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order.
 
     Accumulates rank-1 terms over the inner dimension in index order, which
-    is the same floating-point order as the naive triple loop.
+    is the same floating-point order as the naive triple loop. Up to
+    _BLOCK_ELEMS // (M*N) terms are built at once as a C-contiguous
+    (k, M, N) array; the running sum is added into its first term and
+    `np.add.reduce` over axis 0 adds the rest one term after another, since
+    the kept M*N axis is the inner loop. Two cases keep the one-term loop:
+    M*N > _BLOCK_ELEMS // 2, where a block would hold fewer than two terms
+    and the reduction is slower, and M*N == 1, where the reduced axis is the
+    only one and numpy sums it pairwise, in a different order.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)  # a transposed b reads its rows strided
@@ -53,9 +71,18 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    (m, inner), n = a.shape, b.shape[1]
+    out = np.zeros((m, n))
+    block = _BLOCK_ELEMS // (m * n) if m * n > 1 else 0
+    if block < 2:
+        for k in range(inner):
+            out += a[:, k : k + 1] * b[k : k + 1, :]
+        return out
+    at = np.ascontiguousarray(a.T)
+    for k0 in range(0, inner, block):
+        terms = at[k0 : k0 + block, :, None] * b[k0 : k0 + block, None, :]
+        terms[0] += out
+        np.add.reduce(terms, axis=0, out=out)
     return out
 
 

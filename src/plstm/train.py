@@ -42,6 +42,10 @@ class TrainConfig:
         for name in ("dropout_embed", "dropout_recurrent"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1)")
+        if not 0.0 < self.learning_rate < np.inf:  # also false for nan
+            raise ValueError("learning_rate must be finite and > 0")
+        if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
+            raise ValueError("clip_norm must be none or finite and > 0")
         if self.gate_mode not in GATE_MODES:
             raise ValueError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
         if self.aggregation not in AGGREGATIONS:

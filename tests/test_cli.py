@@ -88,6 +88,7 @@ class TestTrain:
     @pytest.mark.parametrize("line", [
         "epochs=none", "gate_mode=bogus", "hidden=0", "embedding_dim=0", "seq_len=0",
         "dropout_embed=1.0", "dropout_recurrent=-0.1", "aggregation=bogus",
+        "clip_norm=-1.0", "clip_norm=0", "learning_rate=nan", "learning_rate=-0.01",
     ])
     def test_bad_config_value_exit_3(self, data_dir, tmp_path, line, capsys):
         cfg = tmp_path / "cfg"

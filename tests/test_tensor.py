@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plstm.tensor import (
+    _BLOCK_ELEMS,
     RngStream,
     ShapeError,
     activate,
@@ -25,6 +28,68 @@ def matmul_oracle(a, b):
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def matmul_rank1(a, b):
+    """One rank-1 update per inner index, in index order: the summation
+    `matmul` must reproduce bit for bit on both of its paths."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+def _operand(gen, shape, layout):
+    """Values over many magnitudes with injected 0.0 and -0.0, laid out
+    C-ordered, F-ordered or as the transposed view of a C array."""
+    x = gen.standard_normal(shape) * np.exp2(gen.integers(-20, 21, shape))
+    x[gen.random(shape) < 0.1] = 0.0
+    x[gen.random(shape) < 0.1] = -0.0
+    if layout == "F":
+        return np.asfortranarray(x)
+    if layout == "T":
+        return np.ascontiguousarray(x.T).T
+    return x
+
+
+# (M, K, N): the benchmark's operand shapes, two terms a block with a
+# one-term last block, single-row/column outputs, the 1x1 output that must
+# keep the loop, and zero-size operands.
+MATMUL_CASES = [
+    (8, 16, 16), (16, 128, 128), (128, 16, 128), (512, 32, 128), (128, 9, 128),
+    (1, 128, 1), (1, 37, 1), (64, 128, 1), (1, 128, 64),
+    (0, 5, 3), (3, 5, 0), (0, 0, 0), (4, 0, 6), (1, 0, 1),
+]
+
+
+class TestMatmulBlocked:
+    def _check(self, m, k, n, seed, layouts):
+        gen = np.random.default_rng(seed)
+        a = _operand(gen, (m, k), layouts[0])
+        b = _operand(gen, (k, n), layouts[1])
+        got = matmul(a, b)
+        want = matmul_rank1(a, b)
+        assert got.shape == (m, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layouts", ["CC", "FT", "TF"])
+    @pytest.mark.parametrize("m,k,n", MATMUL_CASES)
+    def test_fixed_shapes_match_rank1_loop_bitwise(self, m, k, n, layouts):
+        self._check(m, k, n, m * 10007 + k * 101 + n, layouts)
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from(["CC", "CF", "FT", "TC", "TT"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_shapes_match_rank1_loop_bitwise(self, m, k, n, seed, layouts):
+        self._check(m, k, n, seed, layouts)
+
+    def test_fixed_shapes_reach_every_path(self):
+        blocks = [(_BLOCK_ELEMS // (m * n), k) for m, k, n in MATMUL_CASES if m * n > 1]
+        assert any(block < 2 for block, _ in blocks)  # rank-1 loop
+        assert any(block == 2 and k % 2 for block, k in blocks)  # one-term last block
+        assert any(2 < block < k for block, k in blocks)  # several wide blocks
 
 
 class TestMatmul:
