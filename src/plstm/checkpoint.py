@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .model import ParallelModel, init_model
+from .model import ParallelModel, expected_param_count, init_model
 
 MAGIC = b"PLSTM\x01"
 _HEADER = struct.Struct("<4I")
@@ -47,14 +47,16 @@ def load_checkpoint(path) -> ParallelModel:
     except struct.error as exc:
         raise CheckpointError("bad checkpoint: truncated header") from exc
     off += _HEADER.size
-    model = init_model(vocab_size, embed_dim, hidden, seed=0, seq_len=seq_len)
-    blocks = model.blocks()
-    expected = sum(arr.size for _, arr in blocks) * 8
+    # checked before the model is built, so a corrupt header allocates nothing
+    if min(vocab_size, embed_dim, hidden, seq_len) < 1:
+        raise CheckpointError("bad checkpoint: header has a zero dimension")
+    expected = expected_param_count(vocab_size, embed_dim, hidden) * 8
     if len(blob) - off != expected:
         raise CheckpointError(
             f"bad checkpoint: payload is {len(blob) - off} bytes, header implies {expected}"
         )
-    for _, arr in blocks:
+    model = init_model(vocab_size, embed_dim, hidden, seed=0, seq_len=seq_len)
+    for _, arr in model.blocks():
         nbytes = arr.size * 8
         flat = np.frombuffer(blob[off : off + nbytes], dtype="<f8")
         arr[...] = flat.reshape(arr.shape)

@@ -1,10 +1,14 @@
 """Bidirectional LSTM layer: per-timestep cell, directional sequence passes
-with mask pass-through, additive bidirectional pooling, and exact
+over packed steps, additive bidirectional pooling, and exact
 backpropagation through time.
 
 All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
-booleans; padded steps copy state through unchanged and contribute no
-gradient.
+booleans. Each step, forward and backward, runs the gate maths on the rows
+its mask marks and on no others: a padded row keeps its state (and its
+carried gradient) as it is, gets a zero input gradient and adds nothing to
+the parameter gradients. A step whose rows are all padding is skipped.
+Every row's matmul output depends only on that row, so the packed rows
+compute bitwise what a full-batch step would.
 """
 
 from __future__ import annotations
@@ -134,8 +138,9 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     """Run the recurrence over a sequence in one direction from zero state.
 
     Returns (hs, final_state, cache); hs and the cache's per-step arrays
-    are in original sequence order for either direction. Masked steps carry
-    the previous state through.
+    are in original sequence order for either direction. Each step runs
+    `_step` on the rows its mask marks only; padded rows are left out and
+    keep their state unchanged, and their `gates`/`tanh_c` entries stay 0.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -153,59 +158,64 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     hs, h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(4))
     gates = np.zeros((L, batch, 4, params.hidden))
     state = LSTMState.zero(batch, params.hidden)
+    h, c = state.h, state.c  # updated in place, row by packed row
     for t in order:
-        m = mask[t].astype(np.float64)[:, None]
-        h_prev[t], c_prev[t] = state.h, state.c
-        gates[t], tanh_c[t], c_new, h_new = _step(params, xs[t], state.h, state.c)
-        state = LSTMState(m * h_new + (1.0 - m) * state.h, m * c_new + (1.0 - m) * state.c)
-        hs[t] = state.h
+        h_prev[t], c_prev[t] = h, c
+        rows = np.flatnonzero(mask[t])
+        if len(rows):
+            gates[t, rows], tanh_c[t, rows], c[rows], h[rows] = _step(
+                params, xs[t, rows], h[rows], c[rows])
+        hs[t] = h
     cache = {"params": params, "order": order, "mask": mask, "x": xs,
              "h_prev": h_prev, "c_prev": c_prev, "gates": gates, "tanh_c": tanh_c}
     return hs, state, cache
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray):
+    """BPTT over the packed steps of `directional_pass`: a padded row's
+    carried dh/dc pass through its step unchanged and its dx stays zero."""
     params = cache["params"]
     xs, gates, tanh_cs = cache["x"], cache["gates"], cache["tanh_c"]
-    rows = params.gate_rows
+    gate_rows = params.gate_rows
     dW = np.zeros_like(params.W)
     dU = np.zeros_like(params.U)
     db = np.zeros_like(params.b)
     dx = np.zeros_like(xs)
-    dh = np.asarray(d_final_h, dtype=np.float64)
+    dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
     dc = np.zeros_like(dh)
     for t in reversed(cache["order"]):
-        m = cache["mask"][t].astype(np.float64)[:, None]
-        i, f, o, n = gates[t].transpose(1, 0, 2)
-        tanh_c = tanh_cs[t]
-        dh_new = m * dh
-        dh_carry = (1.0 - m) * dh
-        dc_new = m * dc
-        dc_carry = (1.0 - m) * dc
+        rows = np.flatnonzero(cache["mask"][t])
+        if not len(rows):
+            continue
+        gates_t = gates[t, rows]
+        i, f, o, n = gates_t.transpose(1, 0, 2)
+        tanh_c = tanh_cs[t, rows]
+        dh_t = dh[rows]
 
-        do = dh_new * tanh_c
-        dc_new = dc_new + dh_new * o * (1.0 - tanh_c ** 2)
-        df = dc_new * cache["c_prev"][t]
-        di = dc_new * n
-        dn = dc_new * i
-        dc_prev = dc_new * f
+        do = dh_t * tanh_c
+        dc_t = dc[rows] + dh_t * o * (1.0 - tanh_c ** 2)
+        df = dc_t * cache["c_prev"][t, rows]
+        di = dc_t * n
+        dn = dc_t * i
 
         dpre = np.concatenate((
-            activate_grad(params.gate_activation, gates[t][:, :3], np.stack((di, df, do), axis=1)),
-            activate_grad("tanh", gates[t][:, 3:], dn[:, None]),
-        ), axis=1).reshape(len(dh), -1)
-        dW += matmul(dpre.T, xs[t])
-        dU += matmul(dpre.T, cache["h_prev"][t])
+            activate_grad(params.gate_activation, gates_t[:, :3], np.stack((di, df, do), axis=1)),
+            activate_grad("tanh", gates_t[:, 3:], dn[:, None]),
+        ), axis=1).reshape(len(rows), -1)
+        dW += matmul(dpre.T, xs[t, rows])
+        dU += matmul(dpre.T, cache["h_prev"][t, rows])
         db += dpre.sum(axis=0)
         # gate by gate in GATES order: one 4H-deep product adds the same
         # terms in another order, which changes the rounding
-        dh_rec = np.zeros_like(dh)
-        for r in rows.values():
-            dx[t] += matmul(dpre[:, r], params.W[r])
+        dx_t = np.zeros((len(rows), xs.shape[2]))
+        dh_rec = np.zeros_like(dh_t)
+        for r in gate_rows.values():
+            dx_t += matmul(dpre[:, r], params.W[r])
             dh_rec += matmul(dpre[:, r], params.U[r])
-        dh = dh_carry + dh_rec
-        dc = dc_carry + dc_prev
-    grads = {f"{k}_{g}": arr[rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
+        dx[t, rows] = dx_t
+        dh[rows] = dh_rec
+        dc[rows] = dc_t * f
+    grads = {f"{k}_{g}": arr[gate_rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
              for g in GATES}
     return grads, dx
 

@@ -194,10 +194,13 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             ids = dataset.ids[batch]
+            mask = dataset.mask[batch]
             targets = _one_hot(dataset.labels[batch])
             rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
                     for b_idx, name in enumerate(BRANCH_NAMES)}
-            scores, caches = forward_batch(model, ids, dataset.mask[batch], rngs)
+            scores, caches = forward_batch(model, ids, mask, rngs)
+            used = mask.T  # unmasked positions, time-major like d_embedded
+            used_ids = ids.T[used]
             d_embedding = np.zeros_like(model.embedding)
             for name in BRANCH_NAMES:
                 loss, d_scores = categorical_cross_entropy(scores[name], targets)
@@ -208,9 +211,10 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
                 _clip(grads, config.clip_norm)
                 d_embedded = grads.pop("__embedded__")
                 adam_step(branch_opts[name], branch_params[name], grads)
-                # scatter-add sequence-position grads back to embedding rows
-                for t in range(ids.shape[1]):
-                    np.add.at(d_embedding, ids[:, t], d_embedded[t])
+                # scatter-add the unmasked positions' grads back to embedding
+                # rows, t-major then batch row, so repeated ids add in step
+                # order; padded positions (gradient +0) are left out
+                np.add.at(d_embedding, used_ids, d_embedded[used])
             d_embedding[0, :] = 0.0  # pad row frozen
             adam_step(embed_opt, {"embedding": model.embedding}, {"embedding": d_embedding})
             model.embedding[0, :] = 0.0

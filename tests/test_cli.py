@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from plstm.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from plstm.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from plstm.cli import ConfigError, load_config, main
 from plstm.model import init_model
 
@@ -167,6 +169,22 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(path),
                      "--data", str(data_dir / "synthetic_train.tsv")])
         assert code == 2
+
+    @pytest.mark.parametrize("dims", [(0, 4, 3, 5), (4_000_000_000, 4_000_000_000, 3, 5)],
+                             ids=["zero_dimension", "huge_dimensions"])
+    def test_corrupt_header_exit_2_before_model_is_built(self, data_dir, tmp_path, monkeypatch,
+                                                          capsys, dims):
+        def no_model(*args, **kwargs):
+            raise AssertionError("init_model called for a corrupt header")
+
+        monkeypatch.setattr("plstm.checkpoint.init_model", no_model)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<4I", *dims) + b"\0" * 64)
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad checkpoint" in err
 
     def test_wrong_magic_exit_2(self, data_dir, tmp_path):
         path = tmp_path / "m.ckpt"

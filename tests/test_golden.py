@@ -1,4 +1,4 @@
-"""Golden hashes of a short training run, one per gate mode.
+"""Golden hashes of short training runs, one per gate mode.
 
 A 4-epoch `plstm train` of `data/train_smoke.cfg` on
 `data/synthetic_train.tsv` must write the same `model.ckpt` and
@@ -7,6 +7,12 @@ hashes were recorded before `tensor.matmul` gained its blocked reduction,
 from the rank-1 loop that sums the inner dimension one index at a time; a
 change that moves one bit of a weight or a loss fails here. `epochs.csv`
 writes each loss with `repr`, so its hash holds for numpy 2.
+
+Every line of `synthetic_train.tsv` has six tokens, so that run never
+trains on a batch whose rows differ in length. The ragged run trains the
+same config on a corpus of 1 to 12 tokens per line at `seq_len=8`, so some
+rows pad and some truncate. Its hashes were recorded while every LSTM step
+still computed the padded rows and blended them away.
 """
 
 import hashlib
@@ -39,3 +45,44 @@ def test_four_epoch_smoke_run_matches_golden(data_dir, tmp_path, monkeypatch, ga
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN[gate_mode]}
     assert got == GOLDEN[gate_mode]
+
+
+RAGGED_GOLDEN = {
+    "standard": {
+        "model.ckpt": "73da1b8b0a9559b67c7fb3fd8bb5f5c559c13b805e2f98eba47cb030699218b8",
+        "epochs.csv": "dd06900447f91d9747b3bcdbdfb0721edb49449fec4d4cb3dfb07bce72ddf5bf",
+    },
+    "literal_eq9": {
+        "model.ckpt": "185daff31c729dad152c4fa1e933868fbd14b804f83d71d36fe53dd0478713e1",
+        "epochs.csv": "81a6507b00890b81ad2bb9dfa6569f109301d269a953b2ccdd9b92b5269b2347",
+    },
+}
+
+SARCASTIC = ("sure", "brilliant", "great", "totally", "fantastic", "wow", "oh", "genius")
+PLAIN = ("the", "report", "train", "invoice", "garden", "bridge", "meeting", "lovely")
+
+
+def ragged_corpus() -> str:
+    """20 labelled lines of 1 + 7d mod 12 tokens (line d from 0)."""
+    lines = []
+    for d in range(20):
+        words = SARCASTIC if d % 2 else PLAIN
+        text = " ".join(words[(3 * d + 5 * k) % len(words)] for k in range(1 + 7 * d % 12))
+        lines.append(f"{d + 1}\t{text}\t{d % 2}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("gate_mode", sorted(RAGGED_GOLDEN))
+def test_four_epoch_ragged_run_matches_golden(data_dir, tmp_path, monkeypatch, gate_mode):
+    monkeypatch.delenv("PLSTM_SEED", raising=False)
+    data = tmp_path / "ragged.tsv"
+    data.write_text(ragged_corpus(), encoding="utf-8")
+    cfg = tmp_path / "cfg"
+    cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "4",
+                 "--out", str(out)])
+    assert code == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in RAGGED_GOLDEN[gate_mode]}
+    assert got == RAGGED_GOLDEN[gate_mode]

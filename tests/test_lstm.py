@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plstm.lstm import (
+    GATES,
     BidirectionalLayer,
     LSTMCellParams,
     LSTMState,
+    _step,
     bidirectional_encode,
     bptt,
     cell_step,
     directional_pass,
 )
-from plstm.tensor import RngStream
+from plstm.tensor import RngStream, activate_grad, matmul
 
 
 def random_params(hidden, embed, seed, scale=0.5, gate_activation="sigmoid"):
@@ -64,6 +68,134 @@ def cell_step_oracle(p, x, h_prev, c_prev):
     c = np.array([f[j] * c_prev[j] + i[j] * n[j] for j in range(p.hidden)])
     h = np.array([o[j] * math.tanh(c[j]) for j in range(p.hidden)])
     return h, c
+
+
+def blend_pass(params, xs, mask, direction):
+    """The recurrence computed on every row at every step, with the padded
+    rows' old state blended back in: what `directional_pass` must equal.
+    Returns (hs, h, c, cache) with the cache `blend_bptt` reads."""
+    L, batch, _ = xs.shape
+    order = range(L) if direction == "forward" else range(L - 1, -1, -1)
+    hs, h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(4))
+    gates = np.zeros((L, batch, 4, params.hidden))
+    h = c = np.zeros((batch, params.hidden))
+    for t in order:
+        m = mask[t].astype(np.float64)[:, None]
+        h_prev[t], c_prev[t] = h, c
+        gates[t], tanh_c[t], c_new, h_new = _step(params, xs[t], h, c)
+        h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
+        hs[t] = h
+    cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
+             "gates": gates, "tanh_c": tanh_c}
+    return hs, h, c, cache
+
+
+def blend_bptt(params, cache, d_final_h):
+    """BPTT of `blend_pass`: full-batch steps whose dh/dc split into the
+    masked part, which goes through the step, and the carried part."""
+    rows = params.gate_rows
+    dW, dU, db = np.zeros_like(params.W), np.zeros_like(params.U), np.zeros_like(params.b)
+    dx = np.zeros_like(cache["x"])
+    dh = np.asarray(d_final_h, dtype=np.float64)
+    dc = np.zeros_like(dh)
+    for t in reversed(cache["order"]):
+        m = cache["mask"][t].astype(np.float64)[:, None]
+        g, tanh_c = cache["gates"][t], cache["tanh_c"][t]
+        i, f, o, n = g.transpose(1, 0, 2)
+        dh_new, dh_carry = m * dh, (1.0 - m) * dh
+        dc_new, dc_carry = m * dc, (1.0 - m) * dc
+        do = dh_new * tanh_c
+        dc_new = dc_new + dh_new * o * (1.0 - tanh_c ** 2)
+        df, di, dn = dc_new * cache["c_prev"][t], dc_new * n, dc_new * i
+        dpre = np.concatenate((
+            activate_grad(params.gate_activation, g[:, :3], np.stack((di, df, do), axis=1)),
+            activate_grad("tanh", g[:, 3:], dn[:, None]),
+        ), axis=1).reshape(len(dh), -1)
+        dW += matmul(dpre.T, cache["x"][t])
+        dU += matmul(dpre.T, cache["h_prev"][t])
+        db += dpre.sum(axis=0)
+        dh_rec = np.zeros_like(dh)
+        for r in rows.values():
+            dx[t] += matmul(dpre[:, r], params.W[r])
+            dh_rec += matmul(dpre[:, r], params.U[r])
+        dh = dh_carry + dh_rec
+        dc = dc_carry + dc_new * f
+    grads = {f"{k}_{g}": arr[rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
+             for g in GATES}
+    return grads, dx
+
+
+def blend_encode_bptt(layer, xs, mask, upstream):
+    """`bptt` of a bidirectional layer, both directions run by the oracle."""
+    grads, dxs = {}, []
+    for prefix, params, direction in (("fwd", layer.forward_params, "forward"),
+                                      ("bwd", layer.backward_params, "backward")):
+        cache = blend_pass(params, xs, mask, direction)[3]
+        g, dx = blend_bptt(params, cache, upstream)
+        grads.update({f"{prefix}.{k}": v for k, v in g.items()})
+        dxs.append(dx)
+    return grads, dxs[0] + dxs[1]
+
+
+@st.composite
+def masked_cases(draw):
+    """(mask (L, B), embed, hidden, gate activation, seed). Masks are
+    tail-padded (lengths 0..L, so never-active rows and all-pad steps
+    occur) or have random holes."""
+    L, batch = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(0, L), min_size=batch, max_size=batch))
+        mask = np.arange(L)[:, None] < np.array(lengths)[None, :]
+    else:
+        cells = draw(st.lists(st.booleans(), min_size=L * batch, max_size=L * batch))
+        mask = np.array(cells).reshape(L, batch)
+    return (mask, draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            draw(st.sampled_from(sorted(SCALAR_ACTIVATIONS))), draw(st.integers(0, 2**32 - 1)))
+
+
+def _with_zeros(gen, shape):
+    x = gen.standard_normal(shape)
+    x[gen.random(shape) < 0.15] = 0.0
+    x[gen.random(shape) < 0.15] = -0.0
+    return x
+
+
+class TestPackedStepsMatchBlendOracle:
+    @given(masked_cases())
+    @example((np.ones((1, 1), dtype=bool), 1, 1, "relu", 0))  # L = B = 1
+    @example((np.zeros((3, 2), dtype=bool), 2, 3, "sigmoid", 1))  # nothing active
+    @example((np.array([[1, 0], [1, 0], [0, 0]], dtype=bool), 2, 2, "softmax", 2))
+    @settings(max_examples=300, deadline=None)
+    def test_states_gradients_and_dx(self, case):
+        mask, embed, hidden, act, seed = case
+        L, batch = mask.shape
+        gen = np.random.default_rng(seed)
+        layer = BidirectionalLayer(random_params(hidden, embed, seed % 2**31, 1.0, act),
+                                   random_params(hidden, embed, seed % 2**31 + 1, 1.0, act))
+        xs = _with_zeros(gen, (L, batch, embed))
+        upstream = _with_zeros(gen, (batch, hidden))
+        upstream_bytes = upstream.tobytes()
+
+        # States by value only: the oracle's blend adds a 0 * state term to
+        # every row, which turns a -0.0 (a relu gate at exactly 0) into
+        # +0.0; the next step's matmul sums from +0.0 and so clears the
+        # sign, which is why gradients and dx still match bit for bit.
+        for params, direction in ((layer.forward_params, "forward"),
+                                  (layer.backward_params, "backward")):
+            hs, final, _ = directional_pass(params, xs, mask, direction)
+            want_hs, want_h, want_c, _ = blend_pass(params, xs, mask, direction)
+            assert np.array_equal(hs, want_hs)
+            assert np.array_equal(final.h, want_h)
+            assert np.array_equal(final.c, want_c)
+
+        _, cache = bidirectional_encode(layer, xs, mask)
+        grads, dx = bptt(layer, cache, upstream)
+        want_grads, want_dx = blend_encode_bptt(layer, xs, mask, upstream)
+        assert list(grads) == list(want_grads)
+        for name in grads:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+        assert dx.tobytes() == want_dx.tobytes()
+        assert upstream.tobytes() == upstream_bytes
 
 
 class TestCellStep:
@@ -138,6 +270,19 @@ class TestDirectionalPass:
         hs_f, _, _ = directional_pass(p, seq, None, "forward")
         hs_b, _, _ = directional_pass(p, seq, None, "backward")
         assert np.allclose(hs_f, hs_b[::-1], atol=1e-14)
+
+    def test_padded_step_keeps_state_when_skipped_maths_overflows(self):
+        # Row 1 is active at step 0 only. Its c reaches ~1e308 there, so a
+        # step computed on it would give c = inf, and a blend with mask 0
+        # would give 0 * inf = nan; a padded row must keep h = 1.0.
+        p = LSTMCellParams.zeros(1, 1, "relu")
+        p.b[:] = (1e308, 2.0, 1.0, 10.0)  # b_i, b_f, b_o, b_n
+        mask = np.array([[1, 1], [1, 0], [1, 0]], dtype=bool)
+        with np.errstate(over="ignore"):
+            hs, final, _ = directional_pass(p, np.zeros((3, 2, 1)), mask, "forward")
+        assert np.array_equal(hs[:, 1, 0], [1.0, 1.0, 1.0])
+        assert final.h[1, 0] == 1.0
+        assert np.isfinite(final.c[1, 0])
 
     def test_empty_sequence_rejected(self):
         p = random_params(2, 2, 0)
