@@ -38,7 +38,7 @@ def load_checkpoint(path) -> ParallelModel:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise CheckpointError(f"cannot read {path}: {exc}") from exc
+        raise CheckpointError(f"bad checkpoint: cannot read {path}: {exc}") from exc
     if blob[: len(MAGIC)] != MAGIC:
         raise CheckpointError("bad checkpoint: wrong magic")
     off = len(MAGIC)

@@ -154,7 +154,7 @@ def cmd_eval(args) -> int:
     try:
         model = load_checkpoint(args.checkpoint)
     except CheckpointError as exc:
-        print(f"error: bad checkpoint: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     try:
         examples = corpus.load_labeled_dataset(args.data, corpus.guess_format(args.data))

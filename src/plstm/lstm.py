@@ -8,7 +8,9 @@ its mask marks and on no others: a padded row keeps its state (and its
 carried gradient) as it is, gets a zero input gradient and adds nothing to
 the parameter gradients. A step whose rows are all padding is skipped.
 Every row's matmul output depends only on that row, so the packed rows
-compute bitwise what a full-batch step would.
+compute bitwise what a full-batch step would. The forward pass keeps one
+record per step that ran, holding that step's rows and the state and gates
+BPTT reads for them; nothing is kept for padded rows.
 """
 
 from __future__ import annotations
@@ -137,10 +139,12 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
 def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str):
     """Run the recurrence over a sequence in one direction from zero state.
 
-    Returns (hs, final_state, cache); hs and the cache's per-step arrays
-    are in original sequence order for either direction. Each step runs
-    `_step` on the rows its mask marks only; padded rows are left out and
-    keep their state unchanged, and their `gates`/`tanh_c` entries stay 0.
+    Returns (final_state, cache). Each step runs `_step` on the rows its
+    mask marks only; padded rows are left out and keep their state, and a
+    step with no such rows is skipped. The cache holds `params`, the input
+    `x` and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c)
+    per step that ran, in run order, with the state and gates of `rows`
+    only -- what BPTT reads.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -155,27 +159,24 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
 
-    hs, h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(4))
-    gates = np.zeros((L, batch, 4, params.hidden))
     state = LSTMState.zero(batch, params.hidden)
     h, c = state.h, state.c  # updated in place, row by packed row
+    steps = []
     for t in order:
-        h_prev[t], c_prev[t] = h, c
         rows = np.flatnonzero(mask[t])
-        if len(rows):
-            gates[t, rows], tanh_c[t, rows], c[rows], h[rows] = _step(
-                params, xs[t, rows], h[rows], c[rows])
-        hs[t] = h
-    cache = {"params": params, "order": order, "mask": mask, "x": xs,
-             "h_prev": h_prev, "c_prev": c_prev, "gates": gates, "tanh_c": tanh_c}
-    return hs, state, cache
+        if not len(rows):
+            continue
+        h_prev, c_prev = h[rows], c[rows]
+        gates, tanh_c, c[rows], h[rows] = _step(params, xs[t, rows], h_prev, c_prev)
+        steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
+    return state, {"params": params, "x": xs, "steps": steps}
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray):
-    """BPTT over the packed steps of `directional_pass`: a padded row's
-    carried dh/dc pass through its step unchanged and its dx stays zero."""
-    params = cache["params"]
-    xs, gates, tanh_cs = cache["x"], cache["gates"], cache["tanh_c"]
+    """BPTT over the step records of `directional_pass`, last step first:
+    each record's rows take their gradient through the step, while a row
+    it leaves out carries dh/dc through unchanged and keeps a zero dx."""
+    params, xs = cache["params"], cache["x"]
     gate_rows = params.gate_rows
     dW = np.zeros_like(params.W)
     dU = np.zeros_like(params.U)
@@ -183,27 +184,22 @@ def _directional_bptt(cache, d_final_h: np.ndarray):
     dx = np.zeros_like(xs)
     dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
     dc = np.zeros_like(dh)
-    for t in reversed(cache["order"]):
-        rows = np.flatnonzero(cache["mask"][t])
-        if not len(rows):
-            continue
-        gates_t = gates[t, rows]
-        i, f, o, n = gates_t.transpose(1, 0, 2)
-        tanh_c = tanh_cs[t, rows]
+    for t, rows, h_prev, c_prev, gates, tanh_c in reversed(cache["steps"]):
+        i, f, o, n = gates.transpose(1, 0, 2)
         dh_t = dh[rows]
 
         do = dh_t * tanh_c
         dc_t = dc[rows] + dh_t * o * (1.0 - tanh_c ** 2)
-        df = dc_t * cache["c_prev"][t, rows]
+        df = dc_t * c_prev
         di = dc_t * n
         dn = dc_t * i
 
         dpre = np.concatenate((
-            activate_grad(params.gate_activation, gates_t[:, :3], np.stack((di, df, do), axis=1)),
-            activate_grad("tanh", gates_t[:, 3:], dn[:, None]),
+            activate_grad(params.gate_activation, gates[:, :3], np.stack((di, df, do), axis=1)),
+            activate_grad("tanh", gates[:, 3:], dn[:, None]),
         ), axis=1).reshape(len(rows), -1)
         dW += matmul(dpre.T, xs[t, rows])
-        dU += matmul(dpre.T, cache["h_prev"][t, rows])
+        dU += matmul(dpre.T, h_prev)
         db += dpre.sum(axis=0)
         # gate by gate in GATES order: one 4H-deep product adds the same
         # terms in another order, which changes the rounding
@@ -222,8 +218,8 @@ def _directional_bptt(cache, d_final_h: np.ndarray):
 
 def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None):
     """Pooled representation: final forward h plus final backward h."""
-    hs_f, final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward")
-    hs_b, final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward")
+    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward")
+    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward")
     pooled = final_f.h + final_b.h
     return pooled, {"fwd": cache_f, "bwd": cache_b}
 

@@ -140,12 +140,12 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None):
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
     if rng is None:
-        m_embed = 1.0
-        m_pool = 1.0
+        m_embed = m_pool = 1.0
+        x = embedded  # equals embedded * 1.0 bit for bit, without the copy
     else:
         m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
         m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
-    x = embedded * m_embed
+        x = embedded * m_embed
     pooled, enc_cache = bidirectional_encode(branch.layer, x, mask)
     dropped = pooled * m_pool
     logits = matmul(dropped, branch.head_W.T) + branch.head_b

@@ -184,14 +184,16 @@ class TestEval:
                      "--data", str(data_dir / "synthetic_train.tsv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "bad checkpoint" in err
+        assert err.count("\n") == 1 and err.count("bad checkpoint") == 1
 
-    def test_wrong_magic_exit_2(self, data_dir, tmp_path):
+    def test_wrong_magic_exit_2(self, data_dir, tmp_path, capsys):
         path = tmp_path / "m.ckpt"
         path.write_bytes(b"NOTAMODEL" + b"\0" * 64)
         code = main(["eval", "--checkpoint", str(path),
                      "--data", str(data_dir / "synthetic_train.tsv")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("bad checkpoint") == 1
 
 
 class TestCheckpoint:

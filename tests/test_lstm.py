@@ -73,10 +73,11 @@ def cell_step_oracle(p, x, h_prev, c_prev):
 def blend_pass(params, xs, mask, direction):
     """The recurrence computed on every row at every step, with the padded
     rows' old state blended back in: what `directional_pass` must equal.
-    Returns (hs, h, c, cache) with the cache `blend_bptt` reads."""
+    Returns (h, c, cache) with the cache `blend_bptt` reads: full (L, B, .)
+    arrays in original sequence order."""
     L, batch, _ = xs.shape
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
-    hs, h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(4))
+    h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(3))
     gates = np.zeros((L, batch, 4, params.hidden))
     h = c = np.zeros((batch, params.hidden))
     for t in order:
@@ -84,10 +85,9 @@ def blend_pass(params, xs, mask, direction):
         h_prev[t], c_prev[t] = h, c
         gates[t], tanh_c[t], c_new, h_new = _step(params, xs[t], h, c)
         h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
-        hs[t] = h
     cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
              "gates": gates, "tanh_c": tanh_c}
-    return hs, h, c, cache
+    return h, c, cache
 
 
 def blend_bptt(params, cache, d_final_h):
@@ -130,7 +130,7 @@ def blend_encode_bptt(layer, xs, mask, upstream):
     grads, dxs = {}, []
     for prefix, params, direction in (("fwd", layer.forward_params, "forward"),
                                       ("bwd", layer.backward_params, "backward")):
-        cache = blend_pass(params, xs, mask, direction)[3]
+        cache = blend_pass(params, xs, mask, direction)[2]
         g, dx = blend_bptt(params, cache, upstream)
         grads.update({f"{prefix}.{k}": v for k, v in g.items()})
         dxs.append(dx)
@@ -180,13 +180,18 @@ class TestPackedStepsMatchBlendOracle:
         # every row, which turns a -0.0 (a relu gate at exactly 0) into
         # +0.0; the next step's matmul sums from +0.0 and so clears the
         # sign, which is why gradients and dx still match bit for bit.
+        # Each step record must hold the oracle's state and gates of its rows.
         for params, direction in ((layer.forward_params, "forward"),
                                   (layer.backward_params, "backward")):
-            hs, final, _ = directional_pass(params, xs, mask, direction)
-            want_hs, want_h, want_c, _ = blend_pass(params, xs, mask, direction)
-            assert np.array_equal(hs, want_hs)
+            final, cache = directional_pass(params, xs, mask, direction)
+            want_h, want_c, want = blend_pass(params, xs, mask, direction)
             assert np.array_equal(final.h, want_h)
             assert np.array_equal(final.c, want_c)
+            for t, rows, h_prev, c_prev, gates, tanh_c in cache["steps"]:
+                assert np.array_equal(h_prev, want["h_prev"][t, rows])
+                assert np.array_equal(c_prev, want["c_prev"][t, rows])
+                assert np.array_equal(gates, want["gates"][t, rows])
+                assert np.array_equal(tanh_c, want["tanh_c"][t, rows])
 
         _, cache = bidirectional_encode(layer, xs, mask)
         grads, dx = bptt(layer, cache, upstream)
@@ -248,28 +253,35 @@ class TestDirectionalPass:
     def test_single_step_direction_irrelevant(self):
         p = random_params(3, 2, 1)
         x = RngStream(2).uniform(-1, 1, (1, 1, 2))
-        expected = cell_step(p, x[0], LSTMState.zero(1, 3)).h
+        expected = cell_step(p, x[0], LSTMState.zero(1, 3))
         for direction in ("forward", "backward"):
-            hs, final, _ = directional_pass(p, x, None, direction)
-            assert np.array_equal(hs[0], expected)
-            assert np.array_equal(final.h, expected)
+            final, _ = directional_pass(p, x, None, direction)
+            assert np.array_equal(final.h, expected.h)
+            assert np.array_equal(final.c, expected.c)
 
     def test_fully_masked_sequence_keeps_zero_state(self):
         p = random_params(3, 2, 3)
         x = RngStream(4).uniform(-1, 1, (4, 1, 2))
         mask = np.zeros((4, 1), dtype=bool)
-        _, final, _ = directional_pass(p, x, mask, "forward")
+        final, cache = directional_pass(p, x, mask, "forward")
         assert np.array_equal(final.h, np.zeros((1, 3)))
         assert np.array_equal(final.c, np.zeros((1, 3)))
+        assert cache["steps"] == []
 
     def test_palindrome_symmetry(self):
         p = random_params(3, 2, 5)
         rng = RngStream(6)
         half = rng.uniform(-1, 1, (2, 1, 2))
         seq = np.concatenate([half, half[::-1]], axis=0)
-        hs_f, _, _ = directional_pass(p, seq, None, "forward")
-        hs_b, _, _ = directional_pass(p, seq, None, "backward")
-        assert np.allclose(hs_f, hs_b[::-1], atol=1e-14)
+        final_f, cache_f = directional_pass(p, seq, None, "forward")
+        final_b, cache_b = directional_pass(p, seq, None, "backward")
+        assert np.allclose(final_f.h, final_b.h, atol=1e-14)
+        assert np.allclose(final_f.c, final_b.c, atol=1e-14)
+        # step k of either run sees the same input and state
+        for rec_f, rec_b in zip(cache_f["steps"], cache_b["steps"], strict=True):
+            assert rec_f[0] == 3 - rec_b[0]
+            for got, want in zip(rec_f[2:], rec_b[2:]):
+                assert np.allclose(got, want, atol=1e-14)
 
     def test_padded_step_keeps_state_when_skipped_maths_overflows(self):
         # Row 1 is active at step 0 only. Its c reaches ~1e308 there, so a
@@ -279,10 +291,32 @@ class TestDirectionalPass:
         p.b[:] = (1e308, 2.0, 1.0, 10.0)  # b_i, b_f, b_o, b_n
         mask = np.array([[1, 1], [1, 0], [1, 0]], dtype=bool)
         with np.errstate(over="ignore"):
-            hs, final, _ = directional_pass(p, np.zeros((3, 2, 1)), mask, "forward")
-        assert np.array_equal(hs[:, 1, 0], [1.0, 1.0, 1.0])
+            final, cache = directional_pass(p, np.zeros((3, 2, 1)), mask, "forward")
+        assert [rows.tolist() for _, rows, *_ in cache["steps"]] == [[0, 1], [0], [0]]
         assert final.h[1, 0] == 1.0
         assert np.isfinite(final.c[1, 0])
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_one_record_per_step_that_runs_holding_its_rows_only(self, direction):
+        # ragged: tail padding, a hole (step 2, row 0) and an all-pad step 4
+        mask = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
+        hidden, embed = 3, 2
+        p = random_params(hidden, embed, 25)
+        xs = RngStream(26).uniform(-1, 1, (5, 3, embed))
+        _, cache = directional_pass(p, xs, mask, direction)
+        assert sorted(cache) == ["params", "steps", "x"]
+        run_order = [0, 1, 2, 3] if direction == "forward" else [3, 2, 1, 0]
+        assert [rec[0] for rec in cache["steps"]] == run_order
+        float_bytes = 0
+        for t, rows, h_prev, c_prev, gates, tanh_c in cache["steps"]:
+            assert np.array_equal(rows, np.flatnonzero(mask[t]))
+            n = len(rows)
+            assert (h_prev.shape, c_prev.shape, gates.shape, tanh_c.shape) == (
+                (n, hidden), (n, hidden), (n, 4, hidden), (n, hidden))
+            float_bytes += sum(a.nbytes for a in (h_prev, c_prev, gates, tanh_c))
+        # besides the rows index arrays, 7 floats per unmasked row-step:
+        # h_prev, c_prev, four gates and tanh(c)
+        assert float_bytes == 7 * hidden * 8 * int(mask.sum())
 
     def test_empty_sequence_rejected(self):
         p = random_params(2, 2, 0)
@@ -308,8 +342,8 @@ class TestBidirectional:
         layer = BidirectionalLayer(random_params(3, 2, 11), random_params(3, 2, 12))
         x = RngStream(13).uniform(-1, 1, (4, 1, 2))
         pooled, _ = bidirectional_encode(layer, x)
-        _, final_f, _ = directional_pass(layer.forward_params, x, None, "forward")
-        _, final_b, _ = directional_pass(layer.backward_params, x, None, "backward")
+        final_f, _ = directional_pass(layer.forward_params, x, None, "forward")
+        final_b, _ = directional_pass(layer.backward_params, x, None, "backward")
         assert np.array_equal(pooled, final_f.h + final_b.h)
 
     def test_direction_containment(self):
@@ -318,7 +352,7 @@ class TestBidirectional:
         layer = BidirectionalLayer(fwd, LSTMCellParams.zeros(3, 2))
         x = RngStream(15).uniform(-1, 1, (3, 1, 2))
         pooled, _ = bidirectional_encode(layer, x)
-        _, final_f, _ = directional_pass(fwd, x, None, "forward")
+        final_f, _ = directional_pass(fwd, x, None, "forward")
         assert np.array_equal(pooled, final_f.h)
 
     def test_pad_append_invariance_bitwise(self):
