@@ -78,6 +78,11 @@ def dump_config(config: TrainConfig, path):
             fh.write(f"{key}={getattr(config, attr)}\n")
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_DATA
+
+
 def _load_texts(path):
     fmt = corpus.guess_format(path)
     if str(path).lower().endswith(".txt"):
@@ -97,8 +102,11 @@ def cmd_stats(args) -> int:
     lines = ["rank,word,count,distribution_pct\n"]
     for rank, (word, count, pct) in enumerate(table.entries, start=1):
         lines.append(f"{rank},{word},{count},{pct:.2f}\n")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     print(f"documents: {len(docs)}")
     print(f"tokens: {table.total_tokens}")
     print(f"vocabulary: {len(vocab.word_to_id)}")
@@ -125,7 +133,10 @@ def cmd_train(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     data = encode_dataset(examples, vocab, config.seq_len)
     model = init_model(
         vocab.size, config.embed_dim, config.hidden, seed=config.seed,
@@ -134,10 +145,13 @@ def cmd_train(args) -> int:
         dropout_recurrent=config.dropout_recurrent,
     )
     model, logs = train(model, data, config)
-    save_checkpoint(model, out / "model.ckpt")
-    write_epoch_csv(logs, out / "epochs.csv")
-    dump_config(config, out / "config_resolved.cfg")
-    (out / "summary.txt").write_text(summary(model), encoding="utf-8")
+    try:
+        save_checkpoint(model, out / "model.ckpt")
+        write_epoch_csv(logs, out / "epochs.csv")
+        dump_config(config, out / "config_resolved.cfg")
+        (out / "summary.txt").write_text(summary(model), encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(out, exc)
     return EXIT_OK
 
 
@@ -174,8 +188,11 @@ def cmd_eval(args) -> int:
         print(f"{name:<10}" + "".join(f"{c:>10}" for c in cells))
         rows.append(f"{name},{','.join(cells)}\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(rows)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(rows)
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
     return EXIT_OK
 
 
@@ -186,6 +203,11 @@ def cmd_benchmark(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     datasets = []
     for path in args.datasets:
         name = Path(path).stem
@@ -197,8 +219,6 @@ def cmd_benchmark(args) -> int:
         datasets.append((name, examples, "unlabeled plain text, no label file"
                          if examples is None else ""))
     results = benchmark([(n, ex) for n, ex, _ in datasets], config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_lines = ["dataset,V,branch,mean_train_acc,entire_corpus_acc\n"]
     txt_lines = [f"{'dataset':<16}{'V':>8}{'branch':>10}{'train':>10}{'entire':>10}\n"]
     ok = 0
@@ -214,8 +234,11 @@ def cmd_benchmark(args) -> int:
                              f"{r.mean_train_acc[branch]:.2f},{r.entire_corpus_acc[branch]:.2f}\n")
             txt_lines.append(f"{name:<16}{r.vocab_len:>8}{branch:>10}"
                              f"{r.mean_train_acc[branch]:>10.2f}{r.entire_corpus_acc[branch]:>10.2f}\n")
-    (out / "benchmark.csv").write_text("".join(csv_lines), encoding="utf-8")
-    (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")
+    try:
+        (out / "benchmark.csv").write_text("".join(csv_lines), encoding="utf-8")
+        (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")
+    except OSError as exc:
+        return _cannot_write(out, exc)
     sys.stdout.write("".join(txt_lines))
     return EXIT_OK if ok else EXIT_DATA
 

@@ -4,12 +4,20 @@ gradient checker.
 
 Everything operates on float64 numpy arrays. The matrix product accumulates
 the inner dimension left to right so results are bitwise reproducible and
-match a scalar triple-loop evaluation exactly. While the output is small it
-does so a cache-sized block of inner indices at a time: the block's rank-1
-terms form one (k, M, N) array, the running sum is added into the first
+match a scalar triple-loop evaluation exactly. Each rank-1 term a[:, k] b[k]
+is built by an `np.einsum` whose subscripts sum no index ("i,j->ij", or
+"ki,kj->kij" for a block of terms): every output element receives exactly
+one product, written into a zeroed output. A fused multiply-add with a +0
+addend rounds once, like a plain multiply, so each term is the rounded
+product; at most a -0 product comes out as +0, which cannot change a running
+sum that starts at +0. A subscript that sums an index ("ik,kj->ij"), or any
+`optimize=` setting, would let einsum or BLAS reorder the sums, so neither
+is used. While the output is small the terms of a cache-sized block of inner
+indices form one (k, M, N) array, the running sum is added into the first
 term, and one numpy reduction over the outer axis adds the terms in index
-order. Float addition is commutative bit for bit, so each output element
-gets the same sum as the one-index-at-a-time loop. That loop is kept where a
+order. The running sum is the first operand of every add, as in the
+one-index-at-a-time loop, so each output element gets that loop's sum, down
+to which of two NaNs survives an add. That loop is kept where a
 block would hold fewer than two terms, and for a 1x1 output, whose reduction
 numpy would sum pairwise.
 """
@@ -56,14 +64,19 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product with a fixed left-to-right summation order.
 
     Accumulates rank-1 terms over the inner dimension in index order, which
-    is the same floating-point order as the naive triple loop. Up to
-    _BLOCK_ELEMS // (M*N) terms are built at once as a C-contiguous
-    (k, M, N) array; the running sum is added into its first term and
-    `np.add.reduce` over axis 0 adds the rest one term after another, since
-    the kept M*N axis is the inner loop. Two cases keep the one-term loop:
-    M*N > _BLOCK_ELEMS // 2, where a block would hold fewer than two terms
-    and the reduction is slower, and M*N == 1, where the reduced axis is the
-    only one and numpy sums it pairwise, in a different order.
+    is the same floating-point order as the naive triple loop. Each term is
+    an outer product from `np.einsum` with no summed index, so it holds the
+    correctly rounded products and nothing else (see the module docstring);
+    never give it a summed index or `optimize=`. Up to _BLOCK_ELEMS // (M*N)
+    terms are built at once as a C-contiguous (k, M, N) array; the running
+    sum is added into its first term and `np.add.reduce` over axis 0 adds
+    the rest one term after another, since the kept M*N axis is the inner
+    loop. The running sum is the first operand of every add, as in the
+    loop. Two cases keep the one-term loop, which reuses one (M, N) buffer
+    for the term: M*N > _BLOCK_ELEMS // 2, where a block would hold fewer
+    than two terms and the reduction is slower, and M*N == 1, where the
+    reduced axis is the only one and numpy sums it pairwise, in a different
+    order.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)  # a transposed b reads its rows strided
@@ -73,15 +86,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
     (m, inner), n = a.shape, b.shape[1]
     out = np.zeros((m, n))
+    at = np.ascontiguousarray(a.T)
     block = _BLOCK_ELEMS // (m * n) if m * n > 1 else 0
     if block < 2:
+        term = np.empty((m, n))
         for k in range(inner):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
+            np.einsum("i,j->ij", at[k], b[k], out=term)
+            out += term
         return out
-    at = np.ascontiguousarray(a.T)
     for k0 in range(0, inner, block):
-        terms = at[k0 : k0 + block, :, None] * b[k0 : k0 + block, None, :]
-        terms[0] += out
+        terms = np.einsum("ki,kj->kij", at[k0 : k0 + block], b[k0 : k0 + block])
+        np.add(out, terms[0], out=terms[0])
         np.add.reduce(terms, axis=0, out=out)
     return out
 

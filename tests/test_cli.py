@@ -196,6 +196,27 @@ class TestEval:
         assert err.count("bad checkpoint") == 1
 
 
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", ["stats", "train", "eval", "benchmark"])
+    def test_out_under_a_regular_file_exit_2(self, data_dir, tmp_path, smoke_cfg, capsys,
+                                              command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "out")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(64, 4, 3, seed=0, seq_len=8), ckpt)
+        labeled = str(data_dir / "synthetic_train.tsv")
+        args = {
+            "stats": ["--data", str(data_dir / "stats_sample.txt")],
+            "train": ["--data", labeled, "--config", str(smoke_cfg)],
+            "eval": ["--checkpoint", str(ckpt), "--data", labeled],
+            "benchmark": ["--config", str(smoke_cfg), "--datasets", labeled],
+        }[command]
+        assert main([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = init_model(7, 5, 3, seed=9, seq_len=4)

@@ -6,7 +6,9 @@ A 4-epoch `plstm train` of `data/train_smoke.cfg` on
 hashes were recorded before `tensor.matmul` gained its blocked reduction,
 from the rank-1 loop that sums the inner dimension one index at a time; a
 change that moves one bit of a weight or a loss fails here. `epochs.csv`
-writes each loss with `repr`, so its hash holds for numpy 2.
+writes each loss with `repr` of a numpy scalar, which under numpy 2 is the
+text `np.float64(...)`, not a bare number; the `epochs.csv` hashes were
+recorded from that text, so they hold only for numpy 2.
 
 Every line of `synthetic_train.tsv` has six tokens, so that run never
 trains on a batch whose rows differ in length. The ragged run trains the

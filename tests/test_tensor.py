@@ -1,4 +1,9 @@
+import hashlib
+import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -41,12 +46,14 @@ def matmul_rank1(a, b):
     return out
 
 
-def _operand(gen, shape, layout):
-    """Values over many magnitudes with injected 0.0 and -0.0, laid out
-    C-ordered, F-ordered or as the transposed view of a C array."""
+def _operand(gen, shape, layout, nonfinite=False):
+    """Values over many magnitudes with injected 0.0 and -0.0, and with
+    nonfinite also inf, -inf and nan, laid out C-ordered, F-ordered or as the
+    transposed view of a C array."""
     x = gen.standard_normal(shape) * np.exp2(gen.integers(-20, 21, shape))
-    x[gen.random(shape) < 0.1] = 0.0
-    x[gen.random(shape) < 0.1] = -0.0
+    specials = (0.0, -0.0, np.inf, -np.inf, np.nan) if nonfinite else (0.0, -0.0)
+    for value in specials:
+        x[gen.random(shape) < (0.1 if value == 0.0 else 0.02)] = value
     if layout == "F":
         return np.asfortranarray(x)
     if layout == "T":
@@ -65,12 +72,13 @@ MATMUL_CASES = [
 
 
 class TestMatmulBlocked:
-    def _check(self, m, k, n, seed, layouts):
+    def _check(self, m, k, n, seed, layouts, nonfinite=False):
         gen = np.random.default_rng(seed)
-        a = _operand(gen, (m, k), layouts[0])
-        b = _operand(gen, (k, n), layouts[1])
-        got = matmul(a, b)
-        want = matmul_rank1(a, b)
+        a = _operand(gen, (m, k), layouts[0], nonfinite)
+        b = _operand(gen, (k, n), layouts[1], nonfinite)
+        with np.errstate(all="ignore"):
+            got = matmul(a, b)
+            want = matmul_rank1(a, b)
         assert got.shape == (m, n)
         assert got.tobytes() == want.tobytes()
 
@@ -85,11 +93,96 @@ class TestMatmulBlocked:
     def test_random_shapes_match_rank1_loop_bitwise(self, m, k, n, seed, layouts):
         self._check(m, k, n, seed, layouts)
 
+    # inf * 0 and inf - inf make NaNs of the other sign than nan, so the sums
+    # also pin which of two NaNs an add keeps. A product of two input NaNs
+    # of different sign is left out: numpy's multiply and einsum kernels
+    # keep different ones, and IEEE 754 leaves the choice open.
+    @pytest.mark.parametrize("layouts", ["CC", "FT"])
+    @pytest.mark.parametrize("m,k,n", MATMUL_CASES)
+    def test_fixed_shapes_with_non_finite_match_rank1_loop_bitwise(self, m, k, n, layouts):
+        self._check(m, k, n, m * 10007 + k * 101 + n + 1, layouts, nonfinite=True)
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40),
+           st.integers(0, 2**32 - 1), st.sampled_from(["CC", "CF", "FT", "TC", "TT"]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_shapes_with_non_finite_match_rank1_loop_bitwise(self, m, k, n, seed,
+                                                                    layouts):
+        self._check(m, k, n, seed, layouts, nonfinite=True)
+
     def test_fixed_shapes_reach_every_path(self):
         blocks = [(_BLOCK_ELEMS // (m * n), k) for m, k, n in MATMUL_CASES if m * n > 1]
         assert any(block < 2 for block, _ in blocks)  # rank-1 loop
         assert any(block == 2 and k % 2 for block, k in blocks)  # one-term last block
         assert any(2 < block < k for block, k in blocks)  # several wide blocks
+
+
+def _dispatch_levels():
+    """numpy's runtime-dispatch targets that this CPU has, lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+def _nan_canonical(x):
+    return np.where(np.isnan(x), np.nan, x)
+
+
+# The child runs matmul and, from this file's source, the rank-1 loop on
+# the products saved in argv[1]. It prints the hash of matmul's bytes, the
+# loop's, matmul's with every NaN made np.nan, and the dispatch levels left on.
+_DISPATCH_CHILD = "import numpy as np\n" + "".join(
+    inspect.getsource(f) for f in (matmul_rank1, _nan_canonical, _dispatch_levels)) + """
+import hashlib, sys
+from plstm.tensor import matmul
+ops = np.load(sys.argv[1])
+pairs = [(ops[f"arr_{i}"], ops[f"arr_{i + 1}"]) for i in range(0, len(ops.files), 2)]
+digests = [hashlib.sha256() for _ in range(3)]
+with np.errstate(all="ignore"):
+    for a, b in pairs:
+        got = matmul(a, b)
+        digests[0].update(got.tobytes())
+        digests[1].update(matmul_rank1(a, b).tobytes())
+        digests[2].update(_nan_canonical(got).tobytes())
+print(*[d.hexdigest() for d in digests], *_dispatch_levels())
+"""
+
+
+def test_matmul_bytes_do_not_depend_on_cpu_dispatch(tmp_path):
+    """The products of MATMUL_CASES, finite and with inf, -inf and nan, are
+    run in child processes that turn numpy's SIMD kernels off one dispatch
+    level at a time (through NPY_DISABLE_CPU_FEATURES, each child disabling
+    one more level from the top). In every child matmul's bytes equal the
+    rank-1 loop's in that child, and, once each NaN is made np.nan, the
+    rank-1 loop's here. The sign of a NaN is left out across levels because
+    numpy's own multiply and add pick a different NaN at the baseline level.
+    Only the levels this CPU has can be disabled, so only those are covered.
+    """
+    levels = _dispatch_levels()
+    if not levels:
+        pytest.skip("numpy dispatches no SIMD level on this CPU")
+    gen = np.random.default_rng(7)
+    ops = [_operand(gen, shape, "C", nonfinite)
+           for nonfinite in (False, True) for m, k, n in MATMUL_CASES
+           for shape in ((m, k), (k, n))]
+    np.savez(tmp_path / "ops.npz", *ops)
+    want = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for a, b in zip(ops[::2], ops[1::2]):
+            want.update(_nan_canonical(matmul_rank1(a, b)).tobytes())
+    env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
+    for i, level in enumerate(levels):
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(levels[i:])
+        child = subprocess.run(
+            [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "ops.npz")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        got, loop, canonical, *enabled = child.stdout.split()
+        assert enabled == levels[:i], f"{level} and above were not disabled"
+        assert got == loop, f"matmul differs from the rank-1 loop with {level} and above off"
+        assert canonical == want.hexdigest(), f"matmul values change with {level} and above off"
 
 
 class TestMatmul:
