@@ -178,6 +178,10 @@ def cmd_eval(args) -> int:
     except corpus.CorpusError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if vocab.size > model.vocab_size:
+        print(f"error: {args.data} needs {vocab.size} vocabulary ids but the checkpoint "
+              f"has {model.vocab_size}", file=sys.stderr)
+        return EXIT_DATA
     data = encode_dataset(examples, vocab, model.seq_len)
     reports = _per_branch_reports(model, data)
     print(f"{'branch':<10}{'precision':>10}{'recall':>10}{'f1':>10}{'accuracy':>10}")

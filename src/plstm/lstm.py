@@ -8,9 +8,13 @@ its mask marks and on no others: a padded row keeps its state (and its
 carried gradient) as it is, gets a zero input gradient and adds nothing to
 the parameter gradients. A step whose rows are all padding is skipped.
 Every row's matmul output depends only on that row, so the packed rows
-compute bitwise what a full-batch step would. The forward pass keeps one
-record per step that ran, holding that step's rows and the state and gates
-BPTT reads for them; nothing is kept for padded rows.
+compute bitwise what a full-batch step would. For the same reason the
+input projection x·W.T is made once per directional pass, over a token
+table with one row per distinct input vector, and each step gathers its
+rows from it: by default every unmasked position is its own token, and in
+eval the model passes one row per distinct token id. The forward pass keeps
+one record per step that ran, holding that step's rows and the state and
+gates BPTT reads for them; nothing is kept for padded rows.
 """
 
 from __future__ import annotations
@@ -106,11 +110,13 @@ class BidirectionalLayer:
         return self.forward_params.hidden
 
 
-def _step(params: LSTMCellParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """The gate maths of cell_step and directional_pass. A softmax gate
+def _step(params: LSTMCellParams, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """The gate maths of cell_step and directional_pass, given the input
+    rows already projected, xw = matmul(x, params.W.T) (batch, 4*hidden).
+    The pre-activation adds xw, then h_prev·U.T, then b. A softmax gate
     activation normalises within each gate. Returns (gates (batch, 4,
     hidden) in GATES order, tanh(c), c, h)."""
-    pre = matmul(x, params.W.T) + matmul(h_prev, params.U.T) + params.b
+    pre = xw + matmul(h_prev, params.U.T) + params.b
     pre = pre.reshape(len(pre), 4, params.hidden)
     gates = np.concatenate(
         (activate(params.gate_activation, pre[:, :3]), activate("tanh", pre[:, 3:])), axis=1
@@ -132,19 +138,25 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
         raise ShapeError(f"input width {x.shape[1]} != embed {params.embed}")
     if prev.h.shape != (x.shape[0], params.hidden):
         raise ShapeError(f"state shape {prev.h.shape} mismatches batch/hidden")
-    _, _, c, h = _step(params, x, prev.h, prev.c)
+    _, _, c, h = _step(params, matmul(x, params.W.T), prev.h, prev.c)
     return LSTMState(h, c)
 
 
-def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str):
+def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
+                     tokens=None):
     """Run the recurrence over a sequence in one direction from zero state.
 
-    Returns (final_state, cache). Each step runs `_step` on the rows its
-    mask marks only; padded rows are left out and keep their state, and a
-    step with no such rows is skipped. The cache holds `params`, the input
-    `x` and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c)
-    per step that ran, in run order, with the state and gates of `rows`
-    only -- what BPTT reads.
+    Returns (final_state, cache). The input projection is made once, as
+    proj = matmul(table, params.W.T), and step t reads row index[t, b] of
+    it for position (t, b). `tokens` is that (table (n, embed), index (L,
+    batch) ints) pair; its unmasked positions must name rows equal to the
+    sequence's vectors there. By default every unmasked position is its own
+    row: table = sequence[mask]. Each step runs `_step` on the rows its mask
+    marks only; padded rows are left out and keep their state, and a step
+    with no such rows is skipped. The cache holds `params`, the input `x`
+    and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per
+    step that ran, in run order, with the state and gates of `rows` only --
+    what BPTT reads.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -158,6 +170,12 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     if direction not in ("forward", "backward"):
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
+    if tokens is None:
+        index = np.zeros((L, batch), dtype=np.intp)
+        index[mask] = np.arange(np.count_nonzero(mask))
+        tokens = xs[mask], index
+    table, index = tokens
+    proj = matmul(table, params.W.T)
 
     state = LSTMState.zero(batch, params.hidden)
     h, c = state.h, state.c  # updated in place, row by packed row
@@ -167,7 +185,7 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
         if not len(rows):
             continue
         h_prev, c_prev = h[rows], c[rows]
-        gates, tanh_c, c[rows], h[rows] = _step(params, xs[t, rows], h_prev, c_prev)
+        gates, tanh_c, c[rows], h[rows] = _step(params, proj[index[t, rows]], h_prev, c_prev)
         steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
     return state, {"params": params, "x": xs, "steps": steps}
 
@@ -216,10 +234,11 @@ def _directional_bptt(cache, d_final_h: np.ndarray):
     return grads, dx
 
 
-def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None):
-    """Pooled representation: final forward h plus final backward h."""
-    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward")
-    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward")
+def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None):
+    """Pooled representation: final forward h plus final backward h.
+    `tokens` goes to both directional passes."""
+    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
+    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward", tokens)
     pooled = final_f.h + final_b.h
     return pooled, {"fwd": cache_f, "bwd": cache_b}
 

@@ -129,13 +129,16 @@ def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
     return model.embedding[ids].transpose(1, 0, 2)
 
 
-def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None):
+def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
 
     Training mode is exactly "an rng was given": dropout masks are drawn
     from it. Returns (scores (batch, 2), cache). The dropout masks land in
-    the cache so the backward pass replays them exactly.
+    the cache so the backward pass replays them exactly. `tokens` is the
+    encoder's (table, index) token table (see `lstm.directional_pass`); it
+    describes `embedded`, so it fits eval mode only, where no dropout
+    changes the input.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
@@ -146,7 +149,7 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None):
         m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
         m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
         x = embedded * m_embed
-    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask)
+    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens)
     dropped = pooled * m_pool
     logits = matmul(dropped, branch.head_W.T) + branch.head_b
     scores = activate(branch.name, logits)
@@ -183,17 +186,27 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     mask is (batch, L) boolean. rngs maps branch name -> RngStream and
     selects training mode. Returns ({branch: scores (batch, 2)}, caches):
     caches maps branch -> backward cache when training and is None in eval,
-    where each branch's cache is freed as soon as its scores exist.
+    where each branch's cache is freed as soon as its scores exist. In eval
+    every unmasked position's input is its token's embedding row, so one
+    token table -- the distinct unmasked ids' rows -- serves all four
+    branches, and each directional pass projects each distinct id once.
+    Training inputs differ at every position after dropout, so each pass
+    projects every unmasked position.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     embedded = embed_ids(model, ids)
     scores = {}
     caches = None if rngs is None else {}
+    if rngs is None:
+        uniq, inverse = np.unique(ids.T[mask_tm], return_inverse=True)
+        index = np.zeros(mask_tm.shape, dtype=np.intp)
+        index[mask_tm] = inverse
+        tokens = model.embedding[uniq], index
     for name in BRANCH_NAMES:
         branch = model.branches[name]
         if rngs is None:
-            scores[name] = branch_forward(branch, embedded, mask_tm)[0]
+            scores[name] = branch_forward(branch, embedded, mask_tm, tokens=tokens)[0]
         else:
             scores[name], caches[name] = branch_forward(branch, embedded, mask_tm, rngs[name])
     return scores, caches

@@ -161,6 +161,25 @@ class TestEval:
         assert code == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
+    def test_data_vocabulary_larger_than_checkpoint_exit_2(self, data_dir, tmp_path, smoke_cfg,
+                                                           capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(smoke_cfg), "--epochs", "1", "--out", str(run)]) == 0
+        words = [f"w{k}" for k in range(120)]
+        data = tmp_path / "wide.tsv"
+        data.write_text("".join(f"{i}\t{' '.join(words[3 * i:3 * i + 3])}\t{i % 2}\n"
+                                for i in range(40)))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(run / "model.ckpt"), "--data", str(data),
+                     "--out", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "122" in err
+        assert not report.exists()
+
     def test_truncated_checkpoint_exit_2(self, data_dir, tmp_path):
         model = init_model(6, 4, 3, seed=0, seq_len=5)
         path = tmp_path / "m.ckpt"

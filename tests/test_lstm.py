@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plstm import lstm
 from plstm.lstm import (
     GATES,
     BidirectionalLayer,
@@ -71,8 +72,9 @@ def cell_step_oracle(p, x, h_prev, c_prev):
 
 
 def blend_pass(params, xs, mask, direction):
-    """The recurrence computed on every row at every step, with the padded
-    rows' old state blended back in: what `directional_pass` must equal.
+    """The recurrence computed on every row at every step, each step
+    projecting its own inputs, with the padded rows' old state blended back
+    in: what `directional_pass` must equal.
     Returns (h, c, cache) with the cache `blend_bptt` reads: full (L, B, .)
     arrays in original sequence order."""
     L, batch, _ = xs.shape
@@ -83,7 +85,7 @@ def blend_pass(params, xs, mask, direction):
     for t in order:
         m = mask[t].astype(np.float64)[:, None]
         h_prev[t], c_prev[t] = h, c
-        gates[t], tanh_c[t], c_new, h_new = _step(params, xs[t], h, c)
+        gates[t], tanh_c[t], c_new, h_new = _step(params, matmul(xs[t], params.W.T), h, c)
         h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
     cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
              "gates": gates, "tanh_c": tanh_c}
@@ -201,6 +203,66 @@ class TestPackedStepsMatchBlendOracle:
             assert grads[name].tobytes() == want_grads[name].tobytes(), name
         assert dx.tobytes() == want_dx.tobytes()
         assert upstream.tobytes() == upstream_bytes
+
+
+class TestTokenTable:
+    """`directional_pass` given a token table whose index repeats rows: each
+    step gathers its projected rows from one product over the table, and
+    must compute what projecting every position itself computes."""
+
+    @given(masked_cases(), st.integers(1, 3))
+    @example((np.array([[1, 1], [0, 0], [1, 0]], dtype=bool), 2, 3, "relu", 3), 2)  # all-pad step
+    @example((np.array([[1, 0], [0, 0], [1, 0]], dtype=bool), 3, 2, "tanh", 4), 1)  # all-pad row
+    @settings(max_examples=200, deadline=None)
+    def test_states_and_records_match_per_position_pass_and_oracle(self, case, n_tokens):
+        mask, embed, hidden, act, seed = case
+        L, batch = mask.shape
+        gen = np.random.default_rng(seed)
+        params = random_params(hidden, embed, seed % 2**31, 1.0, act)
+        table = _with_zeros(gen, (n_tokens, embed))
+        index = gen.integers(0, n_tokens, (L, batch))
+        xs = table[index]
+        index[~mask] = n_tokens  # out of range: a padded position is never read
+        for direction in ("forward", "backward"):
+            final, cache = directional_pass(params, xs, mask, direction, (table, index))
+            ref_final, ref = directional_pass(params, xs, mask, direction)
+            assert final.h.tobytes() == ref_final.h.tobytes()
+            assert final.c.tobytes() == ref_final.c.tobytes()
+            assert len(cache["steps"]) == len(ref["steps"])
+            for rec, ref_rec in zip(cache["steps"], ref["steps"]):
+                assert rec[0] == ref_rec[0]
+                for got, want in zip(rec[1:], ref_rec[1:]):
+                    assert got.tobytes() == want.tobytes()
+            # the oracle by value, as in TestPackedStepsMatchBlendOracle
+            want_h, want_c, want = blend_pass(params, xs, mask, direction)
+            assert np.array_equal(final.h, want_h)
+            assert np.array_equal(final.c, want_c)
+            for t, rows, h_prev, c_prev, gates, tanh_c in cache["steps"]:
+                assert np.array_equal(h_prev, want["h_prev"][t, rows])
+                assert np.array_equal(c_prev, want["c_prev"][t, rows])
+                assert np.array_equal(gates, want["gates"][t, rows])
+                assert np.array_equal(tanh_c, want["tanh_c"][t, rows])
+
+    @pytest.mark.parametrize("given_table", [False, True], ids=["per_position", "given"])
+    def test_fully_masked_batch_projects_an_empty_table(self, monkeypatch, given_table):
+        hidden, embed = 3, 2
+        p = random_params(hidden, embed, 30)
+        xs = RngStream(31).uniform(-1, 1, (4, 2, embed))
+        mask = np.zeros((4, 2), dtype=bool)
+        tokens = (np.zeros((0, embed)), np.zeros((4, 2), dtype=int)) if given_table else None
+        products = []
+
+        def recording(a, b):
+            out = matmul(a, b)
+            products.append(out.shape)
+            return out
+
+        monkeypatch.setattr(lstm, "matmul", recording)
+        final, cache = directional_pass(p, xs, mask, "forward", tokens)
+        assert products == [(0, 4 * hidden)]
+        assert cache["steps"] == []
+        assert np.array_equal(final.h, np.zeros((2, hidden)))
+        assert np.array_equal(final.c, np.zeros((2, hidden)))
 
 
 class TestCellStep:

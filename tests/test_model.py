@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import plstm.lstm
 from plstm.corpus import EncodedSequence
 from plstm.lstm import BidirectionalLayer, LSTMCellParams
 from plstm.model import (
@@ -17,7 +18,7 @@ from plstm.model import (
     init_model,
     summary,
 )
-from plstm.tensor import RngStream, categorical_cross_entropy, grad_check
+from plstm.tensor import RngStream, categorical_cross_entropy, grad_check, matmul
 
 
 def encoded(ids, L):
@@ -201,6 +202,31 @@ class TestForwardBatchTraining:
         evaluated, _ = forward_batch(m, self.IDS, self.MASK)
         for name in BRANCH_NAMES:
             assert not np.array_equal(trained[name], evaluated[name])
+
+
+class TestEvalTokenTable:
+    IDS = np.array([[2, 3, 2, 7], [3, 5, 2, 2], [9, 9, 0, 0]])  # id 7 sits under the mask
+    MASK = np.array([[1, 1, 1, 0], [1, 1, 1, 1], [1, 1, 0, 0]], dtype=bool)
+
+    def test_each_pass_projects_each_distinct_unmasked_id_once(self, monkeypatch):
+        m = init_model(10, 4, 3, seed=8)  # embed 4 != hidden 3 tells W from U
+        w_rows = []
+
+        def recording(a, b):
+            if b.shape[0] == m.embed_dim:
+                w_rows.append(len(a))
+            return matmul(a, b)
+
+        monkeypatch.setattr(plstm.lstm, "matmul", recording)
+        forward_batch(m, self.IDS, self.MASK)
+        assert w_rows == [len(np.unique(self.IDS[self.MASK]))] * 8  # 4 branches x 2 directions
+
+    def test_repeated_ids_match_per_position_training_bitwise(self):
+        m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        evaluated, _ = forward_batch(m, self.IDS, self.MASK)
+        for name in BRANCH_NAMES:
+            assert trained[name].tobytes() == evaluated[name].tobytes()
 
 
 class TestAggregation:
