@@ -1,6 +1,11 @@
 """Batch command-line surface: stats, train, eval, benchmark.
 
-Exit codes: 0 success, 2 data/I-O error, 3 config error. A fixed seed makes
+Exit codes: 0 success, 2 data/I-O error, 3 config error. Each read converts
+its own failures where it happens: a config file to `ConfigError`, a data
+file to `corpus.CorpusError`, a checkpoint to `CheckpointError`. The
+commands then run straight through, and `main` alone maps those three
+classes, and an `OSError` from a failed write, to an exit code and one line
+on stderr. Anything else propagates as a traceback. A fixed seed makes
 every command's file outputs byte-for-byte reproducible. The PLSTM_SEED
 environment variable fills in an unset --seed.
 """
@@ -49,7 +54,7 @@ def load_config(path) -> TrainConfig:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -78,9 +83,26 @@ def dump_config(config: TrainConfig, path):
             fh.write(f"{key}={getattr(config, attr)}\n")
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    print(f"error: cannot write {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_DATA
+def _config(args) -> TrainConfig:
+    """The --config file (or the defaults) with the command's --seed and
+    --epochs applied, validated."""
+    config = load_config(args.config) if args.config else TrainConfig()
+    for key in ("seed", "epochs"):
+        if getattr(args, key, None) is not None:
+            setattr(config, key, getattr(args, key))
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config
+
+
+def _labeled(path):
+    """The labeled examples in `path` and the vocabulary built from them."""
+    examples = corpus.load_labeled_dataset(path, corpus.guess_format(path))
+    if not examples:
+        raise corpus.CorpusError(f"no examples in {path}")
+    return examples, corpus.build_vocabulary([ex.doc for ex in examples])
 
 
 def _load_texts(path):
@@ -92,21 +114,13 @@ def _load_texts(path):
 
 
 def cmd_stats(args) -> int:
-    try:
-        docs, _ = _load_texts(args.data)
-        table = corpus.frequency_table(docs, args.top_k)
-        vocab = corpus.build_vocabulary(docs)
-    except corpus.CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    lines = ["rank,word,count,distribution_pct\n"]
-    for rank, (word, count, pct) in enumerate(table.entries, start=1):
-        lines.append(f"{rank},{word},{count},{pct:.2f}\n")
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    docs, _ = _load_texts(args.data)
+    table = corpus.frequency_table(docs, args.top_k)
+    vocab = corpus.build_vocabulary(docs)
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("rank,word,count,distribution_pct\n")
+        for rank, (word, count, pct) in enumerate(table.entries, start=1):
+            fh.write(f"{rank},{word},{count},{pct:.2f}\n")
     print(f"documents: {len(docs)}")
     print(f"tokens: {table.total_tokens}")
     print(f"vocabulary: {len(vocab.word_to_id)}")
@@ -114,29 +128,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        config = load_config(args.config) if args.config else TrainConfig()
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.epochs is not None:
-            config.epochs = args.epochs
-        config.validate()
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        examples = corpus.load_labeled_dataset(args.data, corpus.guess_format(args.data))
-        if not examples:
-            raise corpus.CorpusError(f"no examples in {args.data}")
-        vocab = corpus.build_vocabulary([ex.doc for ex in examples])
-    except corpus.CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    config = _config(args)
+    examples, vocab = _labeled(args.data)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _cannot_write(out, exc)
+    out.mkdir(parents=True, exist_ok=True)
     data = encode_dataset(examples, vocab, config.seq_len)
     model = init_model(
         vocab.size, config.embed_dim, config.hidden, seed=config.seed,
@@ -145,13 +140,10 @@ def cmd_train(args) -> int:
         dropout_recurrent=config.dropout_recurrent,
     )
     model, logs = train(model, data, config)
-    try:
-        save_checkpoint(model, out / "model.ckpt")
-        write_epoch_csv(logs, out / "epochs.csv")
-        dump_config(config, out / "config_resolved.cfg")
-        (out / "summary.txt").write_text(summary(model), encoding="utf-8")
-    except OSError as exc:
-        return _cannot_write(out, exc)
+    save_checkpoint(model, out / "model.ckpt")
+    write_epoch_csv(logs, out / "epochs.csv")
+    dump_config(config, out / "config_resolved.cfg")
+    (out / "summary.txt").write_text(summary(model), encoding="utf-8")
     return EXIT_OK
 
 
@@ -165,23 +157,11 @@ def _per_branch_reports(model, data):
 
 
 def cmd_eval(args) -> int:
-    try:
-        model = load_checkpoint(args.checkpoint)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        examples = corpus.load_labeled_dataset(args.data, corpus.guess_format(args.data))
-        if not examples:
-            raise corpus.CorpusError(f"no examples in {args.data}")
-        vocab = corpus.build_vocabulary([ex.doc for ex in examples])
-    except corpus.CorpusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    model = load_checkpoint(args.checkpoint)
+    examples, vocab = _labeled(args.data)
     if vocab.size > model.vocab_size:
-        print(f"error: {args.data} needs {vocab.size} vocabulary ids but the checkpoint "
-              f"has {model.vocab_size}", file=sys.stderr)
-        return EXIT_DATA
+        raise corpus.CorpusError(f"{args.data} needs {vocab.size} vocabulary ids but the "
+                                 f"checkpoint has {model.vocab_size}")
     data = encode_dataset(examples, vocab, model.seq_len)
     reports = _per_branch_reports(model, data)
     print(f"{'branch':<10}{'precision':>10}{'recall':>10}{'f1':>10}{'accuracy':>10}")
@@ -192,26 +172,15 @@ def cmd_eval(args) -> int:
         print(f"{name:<10}" + "".join(f"{c:>10}" for c in cells))
         rows.append(f"{name},{','.join(cells)}\n")
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(rows)
-        except OSError as exc:
-            return _cannot_write(args.out, exc)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(rows)
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
-    try:
-        config = load_config(args.config) if args.config else TrainConfig()
-        config.validate()
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _config(args)
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _cannot_write(out, exc)
+    out.mkdir(parents=True, exist_ok=True)
     datasets = []
     for path in args.datasets:
         name = Path(path).stem
@@ -238,11 +207,8 @@ def cmd_benchmark(args) -> int:
                              f"{r.mean_train_acc[branch]:.2f},{r.entire_corpus_acc[branch]:.2f}\n")
             txt_lines.append(f"{name:<16}{r.vocab_len:>8}{branch:>10}"
                              f"{r.mean_train_acc[branch]:>10.2f}{r.entire_corpus_acc[branch]:>10.2f}\n")
-    try:
-        (out / "benchmark.csv").write_text("".join(csv_lines), encoding="utf-8")
-        (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")
-    except OSError as exc:
-        return _cannot_write(out, exc)
+    (out / "benchmark.csv").write_text("".join(csv_lines), encoding="utf-8")
+    (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")
     sys.stdout.write("".join(txt_lines))
     return EXIT_OK if ok else EXIT_DATA
 
@@ -281,15 +247,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and map its failure, if any, to an exit code.
+
+    `ConfigError` exits 3 and `corpus.CorpusError` or `CheckpointError`
+    exits 2, each with its message as one line on stderr. Reads convert
+    their own failures into those classes, so an `OSError` that gets here
+    is a failed write: it exits 2 naming the file. Anything else is a bug
+    and propagates.
+    """
     args = build_parser().parse_args(argv)
-    if "PLSTM_SEED" in os.environ and hasattr(args, "seed") and args.seed is None:
-        raw = os.environ["PLSTM_SEED"]
-        try:
-            args.seed = int(raw)
-        except ValueError:
-            print(f"config error: PLSTM_SEED must be an integer, got {raw!r}", file=sys.stderr)
-            return EXIT_CONFIG
-    return args.func(args)
+    try:
+        if "PLSTM_SEED" in os.environ and hasattr(args, "seed") and args.seed is None:
+            raw = os.environ["PLSTM_SEED"]
+            try:
+                args.seed = int(raw)
+            except ValueError:
+                raise ConfigError(f"PLSTM_SEED must be an integer, got {raw!r}") from None
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (corpus.CorpusError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -14,10 +14,7 @@ import numpy as np
 
 from .tensor import RngStream
 
-PAD_ID = 0
 UNK_ID = 1
-
-LABEL_NAMES = ("non_sarcastic", "sarcastic")
 
 _EDGE_PUNCT = string.punctuation
 
@@ -161,6 +158,19 @@ def _parse_label(raw, line_no):
     raise ParseError(f"invalid label {raw!r}", line=line_no)
 
 
+def _read_lines(path):
+    """Yield the lines of a UTF-8 text file as it is read. A file that
+    cannot be opened or read, or that is not UTF-8, raises CorpusError
+    naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_labeled_dataset(path, format: str) -> list:
     """Read id/text/label records as TSV, CSV (headered), or JSON lines."""
     examples = []
@@ -177,39 +187,37 @@ def load_labeled_dataset(path, format: str) -> list:
             LabeledExample(Document(rec_id, text, "labeled_dialogue"), _parse_label(label, line_no))
         )
 
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        if format == "tsv":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                parts = line.rstrip("\n").split("\t")
-                if len(parts) != 3:
-                    raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line=line_no)
-                add(parts[0], parts[1], parts[2], line_no)
-        elif format == "csv":
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) < {"id", "text", "label"}:
-                raise ParseError("csv header must contain id,text,label", line=1)
-            for line_no, row in enumerate(reader, start=2):
-                add(row["id"], row["text"], row["label"], line_no)
-        elif format == "json_lines":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"bad json: {exc.msg}", line=line_no)
-                for key in ("id", "text", "label"):
-                    if key not in rec:
-                        raise ParseError(f"missing field {key!r}", line=line_no)
-                add(rec["id"], rec["text"], rec["label"], line_no)
-        else:
-            raise CorpusError(f"unknown format {format!r}")
+    lines = _read_lines(path)
+    if format == "tsv":
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line=line_no)
+            add(parts[0], parts[1], parts[2], line_no)
+    elif format == "csv":
+        reader = csv.DictReader(lines)
+        if reader.fieldnames is None or set(reader.fieldnames) < {"id", "text", "label"}:
+            raise ParseError("csv header must contain id,text,label", line=1)
+        for line_no, row in enumerate(reader, start=2):
+            add(row["id"], row["text"], row["label"], line_no)
+    elif format == "json_lines":
+        for line_no, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"bad json: {exc.msg}", line=line_no)
+            if not isinstance(rec, dict):
+                raise ParseError("expected a json object", line=line_no)
+            for key in ("id", "text", "label"):
+                if key not in rec:
+                    raise ParseError(f"missing field {key!r}", line=line_no)
+            add(rec["id"], rec["text"], rec["label"], line_no)
+    else:
+        raise CorpusError(f"unknown format {format!r}")
     return examples
 
 
@@ -224,16 +232,11 @@ def guess_format(path) -> str:
 
 def load_plain_text(path) -> list:
     """One Document per non-empty line, source plain_literature."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     docs = []
-    with fh:
-        for i, line in enumerate(fh, start=1):
-            text = line.strip()
-            if text:
-                docs.append(Document(i, text, "plain_literature"))
+    for i, line in enumerate(_read_lines(path), start=1):
+        text = line.strip()
+        if text:
+            docs.append(Document(i, text, "plain_literature"))
     return docs
 
 

@@ -21,7 +21,6 @@ GATE_MODES = ("standard", "literal_eq9")
 AGGREGATIONS = ("primary_branch", "majority_vote")
 N_CLASSES = 2
 
-DEFAULT_EMBED_DIM = 400
 DEFAULT_DROPOUT_EMBED = 0.6
 DEFAULT_DROPOUT_RECURRENT = 0.4
 INIT_SCALE = 0.05

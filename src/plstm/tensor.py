@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-ACTIVATIONS = ("softmax", "sigmoid", "relu", "tanh")
-
 CCE_EPS = 1e-7
 
 # float64 elements in one block of matmul's rank-1 terms: 256 KB, so a block

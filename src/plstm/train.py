@@ -131,18 +131,19 @@ def _one_hot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clip(grads: dict, max_norm):
+def _clip(arrays, max_norm):
+    """Scale `arrays` in place so their joint L2 norm is at most max_norm;
+    the squared sums add up in the order given."""
     if max_norm is None:
-        return grads
+        return
     total = 0.0
-    for g in grads.values():
+    for g in arrays:
         total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
-        for g in grads.values():
+        for g in arrays:
             g *= scale
-    return grads
 
 
 def epoch_metrics(model: ParallelModel, dataset: EncodedDataset) -> dict:
@@ -207,9 +208,7 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
                 loss_sums[name] += loss
                 grads, d_embedded = branch_backward(model.branches[name], caches.pop(name),
                                                     d_scores)
-                grads["__embedded__"] = d_embedded
-                _clip(grads, config.clip_norm)
-                d_embedded = grads.pop("__embedded__")
+                _clip([*grads.values(), d_embedded], config.clip_norm)
                 adam_step(branch_opts[name], branch_params[name], grads)
                 # scatter-add the unmasked positions' grads back to embedding
                 # rows, t-major then batch row, so repeated ids add in step

@@ -1,3 +1,4 @@
+import errno
 import struct
 
 import numpy as np
@@ -235,6 +236,73 @@ class TestOutputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("command", ["stats", "train", "eval", "benchmark"])
+    def test_non_utf8_data_exit_2(self, tmp_path, smoke_cfg, capsys, command):
+        data = tmp_path / ("bad.txt" if command == "stats" else "bad.tsv")
+        data.write_bytes(b"1\tgood words here\t1\n2\tbad \xff byte\t0\n")
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(64, 4, 3, seed=0, seq_len=8), ckpt)
+        args = {
+            "stats": ["--data", str(data)],
+            "train": ["--data", str(data), "--config", str(smoke_cfg)],
+            "eval": ["--checkpoint", str(ckpt), "--data", str(data)],
+            "benchmark": ["--config", str(smoke_cfg), "--datasets", str(data)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        message = f"cannot read {data}: not UTF-8 text (invalid start byte)"
+        if command == "benchmark":  # a skipped row, like a missing file
+            assert err == ""
+            assert f"skipped: {message}" in (out / "benchmark.csv").read_text()
+        else:
+            assert err == f"error: {message}\n"
+            assert not out.exists()
+
+    def test_non_utf8_config_exit_3(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(SMOKE_CFG_TEXT.encode() + b"# caf\xe9\n")
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("record", ["5", "null", '"id text label"'])
+    def test_non_object_json_record_exit_2(self, tmp_path, smoke_cfg, capsys, record):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"id": 1, "text": "a b", "label": 1}\n' + record + "\n")
+        code = main(["train", "--data", str(data), "--config", str(smoke_cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 2: expected a json object\n"
+
+
+class TestFailureBoundary:
+    def test_unexpected_error_propagates(self, data_dir, tmp_path, smoke_cfg, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken")
+
+        monkeypatch.setattr("plstm.cli.train", broken)
+        with pytest.raises(RuntimeError, match="broken"):
+            main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                  "--config", str(smoke_cfg), "--out", str(tmp_path / "run")])
+
+    def test_write_error_without_filename_names_out(self, data_dir, tmp_path, smoke_cfg,
+                                                     monkeypatch, capsys):
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("plstm.cli.save_checkpoint", disk_full)
+        out = str(tmp_path / "run")
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(smoke_cfg), "--epochs", "1", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
