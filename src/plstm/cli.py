@@ -20,8 +20,9 @@ from pathlib import Path
 from . import corpus
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import benchmark, classification_report, confusion, render4
-from .model import BRANCH_NAMES, init_model, summary
-from .train import TrainConfig, encode_dataset, predict_labels, train, write_epoch_csv
+from .model import BRANCH_NAMES, summary
+from .train import (TrainConfig, build_model, encode_dataset, predict_labels, train,
+                    write_epoch_csv)
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -98,23 +99,22 @@ def _config(args) -> TrainConfig:
 
 
 def _labeled(path):
-    """The labeled examples in `path` and the vocabulary built from them."""
-    examples = corpus.load_labeled_dataset(path, corpus.guess_format(path))
+    """The labeled examples in `path` and the vocabulary built from them:
+    the one reader of labeled data. Plain text has no labels, so it is
+    rejected like any other bad data file, with a `CorpusError` naming it."""
+    fmt = corpus.guess_format(path)
+    if fmt == "plain_text":
+        raise corpus.CorpusError(f"{path}: plain text has no labels")
+    examples = corpus.load_labeled_dataset(path, fmt)
     if not examples:
         raise corpus.CorpusError(f"no examples in {path}")
     return examples, corpus.build_vocabulary([ex.doc for ex in examples])
 
 
-def _load_texts(path):
-    fmt = corpus.guess_format(path)
-    if str(path).lower().endswith(".txt"):
-        return corpus.load_plain_text(path), None
-    examples = corpus.load_labeled_dataset(path, fmt)
-    return [ex.doc for ex in examples], examples
-
-
 def cmd_stats(args) -> int:
-    docs, _ = _load_texts(args.data)
+    fmt = corpus.guess_format(args.data)
+    docs = (corpus.load_plain_text(args.data) if fmt == "plain_text"
+            else [ex.doc for ex in corpus.load_labeled_dataset(args.data, fmt)])
     table = corpus.frequency_table(docs, args.top_k)
     vocab = corpus.build_vocabulary(docs)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -133,13 +133,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = encode_dataset(examples, vocab, config.seq_len)
-    model = init_model(
-        vocab.size, config.embed_dim, config.hidden, seed=config.seed,
-        seq_len=config.seq_len, aggregation=config.aggregation,
-        gate_mode=config.gate_mode, dropout_embed=config.dropout_embed,
-        dropout_recurrent=config.dropout_recurrent,
-    )
-    model, logs = train(model, data, config)
+    model, logs = train(build_model(config, vocab.size, config.seed), data, config)
     save_checkpoint(model, out / "model.ckpt")
     write_epoch_csv(logs, out / "epochs.csv")
     dump_config(config, out / "config_resolved.cfg")
@@ -178,28 +172,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    """Rows per dataset and branch. A dataset whose read, vocabulary or folds
+    raise `CorpusError` gets one `skipped: <reason>` row instead; exit 2 if
+    every dataset was skipped."""
     config = _config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    datasets = []
-    for path in args.datasets:
-        name = Path(path).stem
-        try:
-            _, examples = _load_texts(path)
-        except corpus.CorpusError as exc:
-            datasets.append((name, None, str(exc)))
-            continue
-        datasets.append((name, examples, "unlabeled plain text, no label file"
-                         if examples is None else ""))
-    results = benchmark([(n, ex) for n, ex, _ in datasets], config)
     csv_lines = ["dataset,V,branch,mean_train_acc,entire_corpus_acc\n"]
     txt_lines = [f"{'dataset':<16}{'V':>8}{'branch':>10}{'train':>10}{'entire':>10}\n"]
     ok = 0
-    for (name, _, reason), r in zip(datasets, results):
-        skipped = reason or r.skipped
-        if skipped:
-            csv_lines.append(f"{name},,,skipped: {skipped},\n")
-            txt_lines.append(f"{name:<16} skipped: {skipped}\n")
+    for path in args.datasets:
+        name = Path(path).stem
+        try:
+            r = benchmark(*_labeled(path), config)
+        except corpus.CorpusError as exc:
+            csv_lines.append(f"{name},,,skipped: {exc},\n")
+            txt_lines.append(f"{name:<16} skipped: {exc}\n")
             continue
         ok += 1
         for branch in r.mean_train_acc:

@@ -76,8 +76,6 @@ class EncodedSequence:
 @dataclass
 class SplitPlan:
     folds: list  # (train_indices, test_indices) as int lists
-    seed: int
-    train_fraction: float
 
 
 def tokenize(text: str) -> list:
@@ -110,17 +108,12 @@ def _ranked(counts, first_seen):
     return sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
 
 
-def build_vocabulary(documents, min_count: int = 1) -> Vocabulary:
+def build_vocabulary(documents) -> Vocabulary:
     """Ids in descending count order (ties by first occurrence); pad=0, unk=1."""
-    if min_count < 1:
-        raise CorpusError("min_count must be >= 1")
     counts, first_seen, total = _counts_with_order(documents)
     if total == 0:
         raise CorpusError("documents contain no tokens")
-    kept = [w for w in _ranked(counts, first_seen) if counts[w] >= min_count]
-    if not kept:
-        raise CorpusError(f"no token reaches min_count={min_count}")
-    word_to_id = {w: i + 2 for i, w in enumerate(kept)}
+    word_to_id = {w: i + 2 for i, w in enumerate(_ranked(counts, first_seen))}
     return Vocabulary(word_to_id, {i: w for w, i in word_to_id.items()})
 
 
@@ -222,7 +215,12 @@ def load_labeled_dataset(path, format: str) -> list:
 
 
 def guess_format(path) -> str:
+    """The format of a data file from its suffix: "plain_text" for .txt
+    (read with `load_plain_text`, no labels), else a `load_labeled_dataset`
+    format, TSV unless the suffix says CSV or JSON lines."""
     name = str(path).lower()
+    if name.endswith(".txt"):
+        return "plain_text"
     if name.endswith(".csv"):
         return "csv"
     if name.endswith(".jsonl") or name.endswith(".ndjson"):
@@ -245,8 +243,10 @@ def make_folds(n: int, k: int, train_fraction: float, seed: int) -> SplitPlan:
     as train and the rest as test. Half-up rounding."""
     if n < 2:
         raise CorpusError(f"need at least 2 examples, got {n}")
-    if not (n >= k >= 1):
-        raise CorpusError(f"need n >= k >= 1, got n={n}, k={k}")
+    if k < 1:
+        raise CorpusError(f"need k >= 1, got {k}")
+    if n < k:
+        raise CorpusError(f"only {n} examples for {k} folds")
     if not 0.0 < train_fraction < 1.0:
         raise CorpusError(f"train_fraction out of range: {train_fraction}")
     n_train = int(math.floor(train_fraction * n + 0.5))
@@ -255,4 +255,4 @@ def make_folds(n: int, k: int, train_fraction: float, seed: int) -> SplitPlan:
     for _ in range(k):
         perm = rng.permutation(n)
         folds.append((perm[:n_train].tolist(), perm[n_train:].tolist()))
-    return SplitPlan(folds, seed, train_fraction)
+    return SplitPlan(folds)

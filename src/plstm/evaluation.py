@@ -1,23 +1,28 @@
 """Confusion-matrix metrics and the cross-training benchmark protocol.
 
 Metrics are computed in exact rational arithmetic and rendered half-up to
-four decimals. The benchmark runs 5 random 3:2 train/test shuffles per
-dataset, trains a fresh model per fold, and then scores the final fold's
-model on the ENTIRE corpus — training examples included — so the resulting
-figure is reported as "entire-corpus accuracy", never as held-out accuracy.
+four decimals. The benchmark scores one labeled dataset: it runs 5 random
+3:2 train/test shuffles, trains a fresh model per fold, and then scores the
+final fold's model on the ENTIRE corpus — training examples included — so
+the resulting figure is reported as "entire-corpus accuracy", never as
+held-out accuracy. A dataset it cannot score raises `CorpusError`; looping
+over datasets and skipping those is `plstm benchmark`'s job.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import numpy as np
 
-from .corpus import build_vocabulary, make_folds
-from .model import BRANCH_NAMES, init_model
-from .train import EncodedDataset, TrainConfig, encode_dataset, epoch_metrics, train
+from .corpus import make_folds
+from .model import BRANCH_NAMES
+from .train import EncodedDataset, TrainConfig, build_model, encode_dataset, epoch_metrics, train
+
+K_FOLDS = 5
+TRAIN_FRACTION = 0.6
 
 
 @dataclass
@@ -42,11 +47,9 @@ class ClassificationReport:
 
 @dataclass
 class BenchmarkResult:
-    dataset: str
     vocab_len: int
     mean_train_acc: dict  # branch -> percent over folds
     entire_corpus_acc: dict  # branch -> percent, train data included
-    skipped: str = ""  # non-empty reason when the dataset could not run
 
 
 def confusion(predictions, truths) -> ConfusionCounts:
@@ -94,47 +97,25 @@ def f1_from(precision, recall) -> Fraction:
     return 2 * p * r / (p + r) if p + r else Fraction(0)
 
 
-def benchmark(datasets, config: TrainConfig, k: int = 5, train_fraction: float = 0.6):
-    """Run the cross-training protocol over (name, examples) pairs.
+def benchmark(examples, vocab, config: TrainConfig) -> BenchmarkResult:
+    """Run the cross-training protocol on one labeled dataset.
 
-    Per dataset: vocabulary on the whole corpus, k random train/test
-    shuffles, a fresh model trained per fold (seed offset by fold index),
-    mean final-epoch train accuracy across folds, and the final fold
-    model's accuracy over the entire corpus. Unusable datasets come back
-    with a recorded skip reason instead of failing the batch.
+    `vocab` is built on the whole corpus. K_FOLDS random train/test
+    shuffles of TRAIN_FRACTION each train a fresh model per fold (seed
+    offset by fold index); the result holds the mean final-epoch train
+    accuracy across folds and the final fold model's accuracy over the
+    entire corpus. A dataset the protocol cannot run on, such as one with
+    fewer than K_FOLDS examples, raises CorpusError.
     """
-    results = []
-    for name, examples in datasets:
-        if examples is None:
-            results.append(BenchmarkResult(name, 0, {}, {}, skipped="no labels available"))
-            continue
-        n = len(examples)
-        if n < k:
-            results.append(BenchmarkResult(name, 0, {}, {},
-                                           skipped=f"only {n} examples for {k} folds"))
-            continue
-        vocab = build_vocabulary([ex.doc for ex in examples])
-        data = encode_dataset(examples, vocab, config.seq_len)
-        plan = make_folds(n, k, train_fraction, config.seed)
-        fold_accs = []
-        final_model = None
-        for fold_idx, (train_idx, _test_idx) in enumerate(plan.folds):
-            model = init_model(
-                vocab.size, config.embed_dim, config.hidden,
-                seed=config.seed + fold_idx, seq_len=config.seq_len,
-                aggregation=config.aggregation, gate_mode=config.gate_mode,
-                dropout_embed=config.dropout_embed,
-                dropout_recurrent=config.dropout_recurrent,
-            )
-            subset = EncodedDataset(data.ids[train_idx], data.mask[train_idx],
-                                    data.labels[train_idx])
-            quiet = TrainConfig(**{**config.__dict__, "verbose": 0})
-            _, logs = train(model, subset, quiet)
-            fold_accs.append(logs[-1].accuracy)
-            final_model = model
-        mean_train = {
-            b: float(np.mean([fa[b] for fa in fold_accs])) for b in BRANCH_NAMES
-        }
-        entire = epoch_metrics(final_model, data)
-        results.append(BenchmarkResult(name, vocab.size, mean_train, entire))
-    return results
+    data = encode_dataset(examples, vocab, config.seq_len)
+    plan = make_folds(len(examples), K_FOLDS, TRAIN_FRACTION, config.seed)
+    quiet = replace(config, verbose=0)
+    fold_accs = []
+    for fold_idx, (train_idx, _test_idx) in enumerate(plan.folds):
+        model = build_model(config, vocab.size, config.seed + fold_idx)
+        subset = EncodedDataset(data.ids[train_idx], data.mask[train_idx],
+                                data.labels[train_idx])
+        _, logs = train(model, subset, quiet)
+        fold_accs.append(logs[-1].accuracy)
+    mean_train = {b: float(np.mean([fa[b] for fa in fold_accs])) for b in BRANCH_NAMES}
+    return BenchmarkResult(vocab.size, mean_train, epoch_metrics(model, data))

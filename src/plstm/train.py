@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import encode, tokenize
-from .model import AGGREGATIONS, BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward, forward_batch
+from .model import (AGGREGATIONS, BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward,
+                    forward_batch, init_model)
 from .tensor import RngStream, ShapeError, categorical_cross_entropy
 
 
@@ -50,6 +51,16 @@ class TrainConfig:
             raise ValueError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {', '.join(AGGREGATIONS)}")
+
+
+def build_model(config: TrainConfig, vocab_size: int, seed: int) -> ParallelModel:
+    """A fresh model with `config`'s dimensions, gate mode, aggregation and
+    dropout rates, initialised from `seed`."""
+    return init_model(
+        vocab_size, config.embed_dim, config.hidden, seed=seed, seq_len=config.seq_len,
+        aggregation=config.aggregation, gate_mode=config.gate_mode,
+        dropout_embed=config.dropout_embed, dropout_recurrent=config.dropout_recurrent,
+    )
 
 
 @dataclass

@@ -8,10 +8,13 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import plstm.cli  # noqa: E402,F401  loads every module the tracer rebinds
+from plstm.model import init_model  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -49,3 +52,20 @@ def test_run_unit_hooks_are_found():
 def test_every_hooked_name_is_a_plstm_function():
     names = set(tracer.TRACED) | run_unit_hooks()
     assert sorted(names - found_by_patched(names)) == []
+
+
+def test_step_counters_read_directional_pass_arguments():
+    """`--trace 1` step figures come from `directional_pass`'s positional
+    sequence and mask; a reordered signature would corrupt them silently.
+    Eval-mode `forward_batch` runs 8 passes: 4 branches, 2 directions."""
+    L = 5
+    model = init_model(9, 4, 3, seed=0, seq_len=L)
+    mask = np.arange(L) < np.array([[5], [2], [3]])  # (batch, L), ragged
+    ids = np.where(mask, np.arange(3)[:, None] + 2, 0)
+    t = tracer.Tracer()
+    with t.active():
+        plstm.model.forward_batch(model, ids, mask)
+    assert t.stats["lstm.directional_pass"][0] == 8
+    assert t.counts["lstm.steps"] == 8 * L
+    assert t.counts["lstm.row_steps"] == 8 * mask.size
+    assert t.counts["lstm.useful_row_steps"] == 8 * mask.sum()

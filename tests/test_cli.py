@@ -82,6 +82,16 @@ class TestTrain:
             assert (out / name).exists()
         assert (out / "epochs.csv").read_text().startswith("epoch,branch,loss,accuracy\n")
 
+    def test_plain_text_data_exit_2_naming_the_file(self, data_dir, tmp_path, smoke_cfg,
+                                                     capsys):
+        data = data_dir / "stats_sample.txt"
+        code = main(["train", "--data", str(data), "--config", str(smoke_cfg),
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: plain text has no labels\n"
+        assert not (tmp_path / "run").exists()
+
     def test_epochs_zero_exit_3(self, data_dir, tmp_path, smoke_cfg):
         code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
                      "--config", str(smoke_cfg), "--epochs", "0",
@@ -382,3 +392,17 @@ class TestBenchmarkCommand:
                      "--datasets", str(data_dir / "stats_sample.txt"), "--out", str(out)])
         assert code == 2  # nothing ran
         assert "skipped" in (out / "benchmark.csv").read_text()
+
+    def test_tokenless_dataset_skipped_beside_a_scored_one(self, data_dir, tmp_path,
+                                                           smoke_cfg):
+        punct = tmp_path / "punct.tsv"
+        punct.write_text("".join(f"{i}\t... !?\t{i % 2}\n" for i in range(6)))
+        bench_a = str(data_dir / "bench_a.tsv")
+        assert main(["benchmark", "--config", str(smoke_cfg), "--datasets", bench_a,
+                     "--out", str(tmp_path / "alone")]) == 0
+        code = main(["benchmark", "--config", str(smoke_cfg), "--datasets", bench_a,
+                     str(punct), "--out", str(tmp_path / "both")])
+        assert code == 0
+        alone = (tmp_path / "alone" / "benchmark.csv").read_text()
+        both = (tmp_path / "both" / "benchmark.csv").read_text()
+        assert both == alone + "punct,,,skipped: documents contain no tokens,\n"

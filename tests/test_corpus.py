@@ -46,13 +46,9 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_count_order(self):
-        vocab = build_vocabulary(docs("oh oh yeah"), min_count=1)
+        vocab = build_vocabulary(docs("oh oh yeah"))
         assert vocab.word_to_id == {"oh": 2, "yeah": 3}
         assert vocab.id_to_word == {2: "oh", 3: "yeah"}
-
-    def test_threshold_error(self):
-        with pytest.raises(CorpusError):
-            build_vocabulary(docs("a b"), min_count=3)
 
     def test_tie_broken_by_first_occurrence(self):
         vocab = build_vocabulary(docs("b a", "a b"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from plstm.corpus import Document, LabeledExample
+from plstm.corpus import CorpusError, Document, LabeledExample, build_vocabulary
 from plstm.evaluation import (
     BenchmarkResult,
     ConfusionCounts,
@@ -93,19 +93,20 @@ BENCH_CFG = TrainConfig(epochs=2, batch_size=6, seed=0, verbose=0, hidden=4,
                         embed_dim=8, seq_len=5)
 
 
+def run_benchmark(examples):
+    return benchmark(examples, build_vocabulary([ex.doc for ex in examples]), BENCH_CFG)
+
+
 class TestBenchmark:
     def test_minimal_fold_sizes(self):
         examples = synthetic_examples(5, 0, ["oh", "sure", "wow", "great"],
                                       ["the", "dog", "ran", "home"])
-        results = benchmark([("tiny", examples)], BENCH_CFG, k=5)
-        assert results[0].skipped == ""
-        assert results[0].vocab_len > 0
+        assert run_benchmark(examples).vocab_len > 0
 
     def test_reports_all_branches(self):
         examples = synthetic_examples(20, 1, ["oh", "sure", "wow", "great"],
                                       ["the", "dog", "ran", "home"])
-        results = benchmark([("a", examples)], BENCH_CFG)
-        r = results[0]
+        r = run_benchmark(examples)
         assert set(r.mean_train_acc) == {"softmax", "sigmoid", "relu", "tanh"}
         for v in list(r.mean_train_acc.values()) + list(r.entire_corpus_acc.values()):
             assert 0.0 <= v <= 100.0
@@ -113,16 +114,11 @@ class TestBenchmark:
     def test_deterministic(self):
         examples = synthetic_examples(20, 2, ["oh", "sure", "wow", "great"],
                                       ["the", "dog", "ran", "home"])
-        a = benchmark([("a", examples)], BENCH_CFG)
-        b = benchmark([("a", examples)], BENCH_CFG)
-        assert a[0].mean_train_acc == b[0].mean_train_acc
-        assert a[0].entire_corpus_acc == b[0].entire_corpus_acc
-
-    def test_unlabeled_dataset_skipped_with_reason(self):
-        results = benchmark([("plain_book", None)], BENCH_CFG)
-        assert results[0].skipped != ""
+        assert run_benchmark(examples) == run_benchmark(examples)
 
     def test_too_small_dataset_skipped(self):
+        """Fewer examples than folds raises; `plstm benchmark` skips the
+        dataset on that error."""
         examples = synthetic_examples(3, 3, ["a", "b", "c", "d"], ["e", "f", "g", "h"])
-        results = benchmark([("small", examples)], BENCH_CFG, k=5)
-        assert "3 examples" in results[0].skipped
+        with pytest.raises(CorpusError, match="only 3 examples for 5 folds"):
+            run_benchmark(examples)
