@@ -13,6 +13,7 @@ environment variable fills in an unset --seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -51,10 +52,11 @@ class ConfigError(ValueError):
 
 def load_config(path) -> TrainConfig:
     """key=value config; keys named after the hyperparameter vocabulary
-    (embedding_dim, hidden, learning_rate, dropout_embed, ...)."""
+    (embedding_dim, hidden, learning_rate, dropout_embed, ...). A leading
+    UTF-8 byte-order mark is ignored."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -178,7 +180,7 @@ def cmd_benchmark(args) -> int:
     config = _config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_lines = ["dataset,V,branch,mean_train_acc,entire_corpus_acc\n"]
+    csv_rows = [["dataset", "V", "branch", "mean_train_acc", "entire_corpus_acc"]]
     txt_lines = [f"{'dataset':<16}{'V':>8}{'branch':>10}{'train':>10}{'entire':>10}\n"]
     ok = 0
     for path in args.datasets:
@@ -186,16 +188,17 @@ def cmd_benchmark(args) -> int:
         try:
             r = benchmark(*_labeled(path), config)
         except corpus.CorpusError as exc:
-            csv_lines.append(f"{name},,,skipped: {exc},\n")
+            csv_rows.append([name, "", "", f"skipped: {exc}", ""])
             txt_lines.append(f"{name:<16} skipped: {exc}\n")
             continue
         ok += 1
         for branch in r.mean_train_acc:
-            csv_lines.append(f"{name},{r.vocab_len},{branch},"
-                             f"{r.mean_train_acc[branch]:.2f},{r.entire_corpus_acc[branch]:.2f}\n")
+            csv_rows.append([name, r.vocab_len, branch, f"{r.mean_train_acc[branch]:.2f}",
+                             f"{r.entire_corpus_acc[branch]:.2f}"])
             txt_lines.append(f"{name:<16}{r.vocab_len:>8}{branch:>10}"
                              f"{r.mean_train_acc[branch]:>10.2f}{r.entire_corpus_acc[branch]:>10.2f}\n")
-    (out / "benchmark.csv").write_text("".join(csv_lines), encoding="utf-8")
+    with open(out / "benchmark.csv", "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(csv_rows)  # quotes a cell with a comma
     (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")
     sys.stdout.write("".join(txt_lines))
     return EXIT_OK if ok else EXIT_DATA

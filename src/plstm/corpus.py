@@ -152,11 +152,12 @@ def _parse_label(raw, line_no):
 
 
 def _read_lines(path):
-    """Yield the lines of a UTF-8 text file as it is read. A file that
+    """Yield the lines of a UTF-8 text file as it is read, without the
+    byte-order mark a spreadsheet export may start it with. A file that
     cannot be opened or read, or that is not UTF-8, raises CorpusError
     naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield from fh
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc

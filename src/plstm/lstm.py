@@ -12,9 +12,12 @@ compute bitwise what a full-batch step would. For the same reason the
 input projection x·W.T is made once per directional pass, over a token
 table with one row per distinct input vector, and each step gathers its
 rows from it: by default every unmasked position is its own token, and in
-eval the model passes one row per distinct token id. The forward pass keeps
-one record per step that ran, holding that step's rows and the state and
-gates BPTT reads for them; nothing is kept for padded rows.
+eval the model passes one row per distinct token id. A training forward
+pass keeps one record per step that ran, holding that step's rows and the
+state and gates BPTT reads for them; nothing is kept for padded rows, and
+an eval pass keeps no records at all. BPTT likewise takes the input-side
+products out of the recurrence: it keeps every step's gate gradients and
+makes dx from them in one product per gate after the time loop.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
 
 
 def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
-                     tokens=None):
+                     tokens=None, records=True):
     """Run the recurrence over a sequence in one direction from zero state.
 
     Returns (final_state, cache). The input projection is made once, as
@@ -156,7 +159,8 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     with no such rows is skipped. The cache holds `params`, the input `x`
     and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per
     step that ran, in run order, with the state and gates of `rows` only --
-    what BPTT reads.
+    what BPTT reads. With `records` false no record is kept and the cache
+    is None; a pass given `tokens` then reads only the sequence's shape.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -186,23 +190,33 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
             continue
         h_prev, c_prev = h[rows], c[rows]
         gates, tanh_c, c[rows], h[rows] = _step(params, proj[index[t, rows]], h_prev, c_prev)
-        steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
-    return state, {"params": params, "x": xs, "steps": steps}
+        if records:
+            steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
+    return state, ({"params": params, "x": xs, "steps": steps} if records else None)
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray):
     """BPTT over the step records of `directional_pass`, last step first:
     each record's rows take their gradient through the step, while a row
-    it leaves out carries dh/dc through unchanged and keeps a zero dx."""
-    params, xs = cache["params"], cache["x"]
+    it leaves out carries dh/dc through unchanged and keeps a zero dx.
+    dW, dU and the recurrent dh products run per step. Each step's
+    pre-activation gradient rows go into one preallocated (rows, 4*hidden)
+    buffer, and dx is made after the loop from the four per-gate products
+    with W over all of them, added in GATES order from zeros and scattered
+    back to their (t, row) positions: bitwise the per-step dx."""
+    params, xs, steps = cache["params"], cache["x"], cache["steps"]
     gate_rows = params.gate_rows
     dW = np.zeros_like(params.W)
     dU = np.zeros_like(params.U)
     db = np.zeros_like(params.b)
-    dx = np.zeros_like(xs)
     dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
     dc = np.zeros_like(dh)
-    for t, rows, h_prev, c_prev, gates, tanh_c in reversed(cache["steps"]):
+    # every step's dpre rows and their (t, row) positions, in run order
+    n_rows = sum(len(rec[1]) for rec in steps)
+    dpre_all = np.empty((n_rows, 4 * params.hidden))
+    pos_t, pos_row = np.empty(n_rows, dtype=np.intp), np.empty(n_rows, dtype=np.intp)
+    end = n_rows
+    for t, rows, h_prev, c_prev, gates, tanh_c in reversed(steps):
         i, f, o, n = gates.transpose(1, 0, 2)
         dh_t = dh[rows]
 
@@ -212,35 +226,47 @@ def _directional_bptt(cache, d_final_h: np.ndarray):
         di = dc_t * n
         dn = dc_t * i
 
-        dpre = np.concatenate((
+        start = end - len(rows)
+        dpre = dpre_all[start:end]
+        pos_t[start:end], pos_row[start:end] = t, rows
+        end = start
+        np.concatenate((
             activate_grad(params.gate_activation, gates[:, :3], np.stack((di, df, do), axis=1)),
             activate_grad("tanh", gates[:, 3:], dn[:, None]),
-        ), axis=1).reshape(len(rows), -1)
+        ), axis=1, out=dpre.reshape(len(rows), 4, -1))
         dW += matmul(dpre.T, xs[t, rows])
         dU += matmul(dpre.T, h_prev)
         db += dpre.sum(axis=0)
         # gate by gate in GATES order: one 4H-deep product adds the same
         # terms in another order, which changes the rounding
-        dx_t = np.zeros((len(rows), xs.shape[2]))
         dh_rec = np.zeros_like(dh_t)
         for r in gate_rows.values():
-            dx_t += matmul(dpre[:, r], params.W[r])
             dh_rec += matmul(dpre[:, r], params.U[r])
-        dx[t, rows] = dx_t
         dh[rows] = dh_rec
         dc[rows] = dc_t * f
+    # each row of a product depends on that row only, so the per-gate dx
+    # products over all steps' rows at once give every step's rows bitwise
+    dx_rows = np.zeros((n_rows, xs.shape[2]))
+    for r in gate_rows.values():
+        dx_rows += matmul(dpre_all[:, r], params.W[r])
+    dx = np.zeros_like(xs)
+    dx[pos_t, pos_row] = dx_rows
     grads = {f"{k}_{g}": arr[gate_rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
              for g in GATES}
     return grads, dx
 
 
-def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None):
+def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None,
+                         records=True):
     """Pooled representation: final forward h plus final backward h.
-    `tokens` goes to both directional passes."""
-    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
-    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward", tokens)
+    `tokens` and `records` go to both directional passes; the cache is None
+    without records."""
+    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward",
+                                        tokens, records)
+    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward",
+                                        tokens, records)
     pooled = final_f.h + final_b.h
-    return pooled, {"fwd": cache_f, "bwd": cache_b}
+    return pooled, ({"fwd": cache_f, "bwd": cache_b} if records else None)
 
 
 def bptt(layer: BidirectionalLayer, cache, upstream: np.ndarray):

@@ -120,15 +120,21 @@ def init_model(
     return ParallelModel(embedding, branches, seq_len, aggregation)
 
 
-def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
-    """Lookup (batch, L) token ids -> time-major (L, batch, embed)."""
+def _checked_ids(model: ParallelModel, ids) -> np.ndarray:
+    """(batch, L) token ids, every one of them, padded or not, in range."""
     ids = np.atleast_2d(np.asarray(ids))
     if ids.min() < 0 or ids.max() >= model.vocab_size:
         raise ValueError(f"token id out of range [0, {model.vocab_size})")
-    return model.embedding[ids].transpose(1, 0, 2)
+    return ids
 
 
-def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None):
+def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
+    """Lookup (batch, L) token ids -> time-major (L, batch, embed)."""
+    return model.embedding[_checked_ids(model, ids)].transpose(1, 0, 2)
+
+
+def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None,
+                   records=True):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
 
@@ -137,7 +143,8 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=
     the cache so the backward pass replays them exactly. `tokens` is the
     encoder's (table, index) token table (see `lstm.directional_pass`); it
     describes `embedded`, so it fits eval mode only, where no dropout
-    changes the input.
+    changes the input. Without `records` the encoder keeps no BPTT step
+    records and the returned cache is None.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
@@ -148,10 +155,12 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=
         m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
         m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
         x = embedded * m_embed
-    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens)
+    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens, records)
     dropped = pooled * m_pool
     logits = matmul(dropped, branch.head_W.T) + branch.head_b
     scores = activate(branch.name, logits)
+    if not records:
+        return scores, None
     cache = {
         "m_embed": m_embed,
         "m_pool": m_pool,
@@ -184,30 +193,34 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
 
     mask is (batch, L) boolean. rngs maps branch name -> RngStream and
     selects training mode. Returns ({branch: scores (batch, 2)}, caches):
-    caches maps branch -> backward cache when training and is None in eval,
-    where each branch's cache is freed as soon as its scores exist. In eval
-    every unmasked position's input is its token's embedding row, so one
-    token table -- the distinct unmasked ids' rows -- serves all four
-    branches, and each directional pass projects each distinct id once.
+    caches maps branch -> backward cache when training and is None in eval.
     Training inputs differ at every position after dropout, so each pass
-    projects every unmasked position.
+    projects every unmasked position of the (L, batch, embed) input. In
+    eval every unmasked position's input is its token's embedding row, so
+    one token table -- the distinct unmasked ids' rows -- serves all four
+    branches, and each directional pass projects each distinct id once.
+    Eval builds no (L, batch, embed) array: the passes read only its shape,
+    from a zero-memory stand-in. It keeps no BPTT step records either. Every
+    id, padded or not, must be in range in both modes.
     """
-    ids = np.atleast_2d(np.asarray(ids))
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
-    embedded = embed_ids(model, ids)
     scores = {}
-    caches = None if rngs is None else {}
     if rngs is None:
+        ids = _checked_ids(model, ids)
         uniq, inverse = np.unique(ids.T[mask_tm], return_inverse=True)
         index = np.zeros(mask_tm.shape, dtype=np.intp)
         index[mask_tm] = inverse
         tokens = model.embedding[uniq], index
+        shape_only = np.broadcast_to(0.0, (*ids.T.shape, model.embed_dim))
+        for name in BRANCH_NAMES:
+            scores[name] = branch_forward(model.branches[name], shape_only, mask_tm,
+                                          tokens=tokens, records=False)[0]
+        return scores, None
+    embedded = embed_ids(model, ids)
+    caches = {}
     for name in BRANCH_NAMES:
-        branch = model.branches[name]
-        if rngs is None:
-            scores[name] = branch_forward(branch, embedded, mask_tm, tokens=tokens)[0]
-        else:
-            scores[name], caches[name] = branch_forward(branch, embedded, mask_tm, rngs[name])
+        scores[name], caches[name] = branch_forward(model.branches[name], embedded, mask_tm,
+                                                    rngs[name])
     return scores, caches
 
 

@@ -19,7 +19,10 @@ order. The running sum is the first operand of every add, as in the
 one-index-at-a-time loop, so each output element gets that loop's sum, down
 to which of two NaNs survives an add. That loop is kept where a
 block would hold fewer than two terms, and for a 1x1 output, whose reduction
-numpy would sum pairwise.
+numpy would sum pairwise. On the loop path a product of more than
+_TILE_ROWS rows runs the whole inner loop on one tile of rows at a time, so
+the term and running sum stay in cache; a row's sum does not depend on the
+tile it is in.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ CCE_EPS = 1e-7
 # float64 elements in one block of matmul's rank-1 terms: 256 KB, so a block
 # stays in L2 cache while it is reduced.
 _BLOCK_ELEMS = 1 << 15
+
+# output rows in one tile of matmul's one-term loop: a product with more rows
+# runs the whole inner loop on each tile in turn, so the (rows, N) term and
+# running sum it adds stay in cache.
+_TILE_ROWS = 512
 
 
 class ShapeError(ValueError):
@@ -70,11 +78,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sum is added into its first term and `np.add.reduce` over axis 0 adds
     the rest one term after another, since the kept M*N axis is the inner
     loop. The running sum is the first operand of every add, as in the
-    loop. Two cases keep the one-term loop, which reuses one (M, N) buffer
-    for the term: M*N > _BLOCK_ELEMS // 2, where a block would hold fewer
-    than two terms and the reduction is slower, and M*N == 1, where the
-    reduced axis is the only one and numpy sums it pairwise, in a different
-    order.
+    loop. Two cases keep the one-term loop, which reuses one (rows, N)
+    buffer for the term: M*N > _BLOCK_ELEMS // 2, where a block would hold
+    fewer than two terms and the reduction is slower, and M*N == 1, where
+    the reduced axis is the only one and numpy sums it pairwise, in a
+    different order. The loop runs over tiles of up to _TILE_ROWS output
+    rows, one after another, each through every inner index.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)  # a transposed b reads its rows strided
@@ -87,10 +96,13 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     at = np.ascontiguousarray(a.T)
     block = _BLOCK_ELEMS // (m * n) if m * n > 1 else 0
     if block < 2:
-        term = np.empty((m, n))
-        for k in range(inner):
-            np.einsum("i,j->ij", at[k], b[k], out=term)
-            out += term
+        term = np.empty((min(m, _TILE_ROWS), n))
+        for r0 in range(0, m, _TILE_ROWS):
+            tile = out[r0 : r0 + _TILE_ROWS]
+            tile_term = term[: len(tile)]
+            for k in range(inner):
+                np.einsum("i,j->ij", at[k, r0 : r0 + _TILE_ROWS], b[k], out=tile_term)
+                tile += tile_term
         return out
     for k0 in range(0, inner, block):
         terms = np.einsum("ki,kj->kij", at[k0 : k0 + block], b[k0 : k0 + block])

@@ -1,3 +1,4 @@
+import csv
 import errno
 import struct
 
@@ -226,6 +227,25 @@ class TestEval:
         assert err.count("bad checkpoint") == 1
 
 
+class TestByteOrderMark:
+    """A spreadsheet export starts its UTF-8 text with a byte-order mark."""
+
+    @pytest.mark.parametrize("bom_file", ["data", "config"])
+    def test_bom_prefixed_file_trains_like_the_plain_one(self, data_dir, tmp_path, bom_file):
+        data = (data_dir / "synthetic_train.tsv").read_bytes()
+        outputs = []
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            paths = {"data": tmp_path / f"{name}.tsv", "config": tmp_path / f"{name}.cfg"}
+            paths["data"].write_bytes((bom if bom_file == "data" else b"") + data)
+            paths["config"].write_bytes((bom if bom_file == "config" else b"")
+                                        + SMOKE_CFG_TEXT.encode())
+            out = tmp_path / name
+            assert main(["train", "--data", str(paths["data"]), "--config",
+                         str(paths["config"]), "--epochs", "1", "--out", str(out)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("command", ["stats", "train", "eval", "benchmark"])
     def test_out_under_a_regular_file_exit_2(self, data_dir, tmp_path, smoke_cfg, capsys,
@@ -406,3 +426,15 @@ class TestBenchmarkCommand:
         alone = (tmp_path / "alone" / "benchmark.csv").read_text()
         both = (tmp_path / "both" / "benchmark.csv").read_text()
         assert both == alone + "punct,,,skipped: documents contain no tokens,\n"
+
+    def test_skip_reason_with_a_comma_stays_one_cell(self, data_dir, tmp_path, smoke_cfg):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("just text\n")
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--config", str(smoke_cfg), "--datasets",
+                     str(data_dir / "bench_a.tsv"), str(bad), "--out", str(out)]) == 0
+        with open(out / "benchmark.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {5}
+        assert rows[-1] == ["bad", "", "",
+                            "skipped: line 1: expected 3 tab-separated fields, got 1", ""]

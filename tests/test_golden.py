@@ -21,7 +21,11 @@ import hashlib
 
 import pytest
 
+from plstm.checkpoint import load_checkpoint
 from plstm.cli import main
+from plstm.corpus import build_vocabulary, load_labeled_dataset
+from plstm.model import BRANCH_NAMES, forward_batch
+from plstm.train import encode_dataset
 
 GOLDEN = {
     "standard": {
@@ -88,3 +92,47 @@ def test_four_epoch_ragged_run_matches_golden(data_dir, tmp_path, monkeypatch, g
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in RAGGED_GOLDEN[gate_mode]}
     assert got == RAGGED_GOLDEN[gate_mode]
+
+
+EVAL_GOLDEN = {
+    "standard": {
+        "report.csv": "59128b3d73b0e81937daffec8179b26e9f20af2c990a8fe93fff9c7df5970da5",
+        "scores": "2c4f179c9466cced74d34804d3a64944beb29e135304006254ca68f6f2ee404e",
+    },
+    "literal_eq9": {
+        "report.csv": "c7540c4073171be826a0dcea71137499e3c31e5890316e3ed1f6cee4891d4be7",
+        "scores": "cd9db616993f9687739ada2e2a6d142533d3743dca96aec8594d0e7ddaa22914",
+    },
+}
+
+
+@pytest.mark.parametrize("gate_mode", sorted(EVAL_GOLDEN))
+def test_ragged_eval_matches_golden(data_dir, tmp_path, monkeypatch, gate_mode):
+    """`plstm eval` of a 2-epoch ragged checkpoint on its own corpus: the
+    report bytes, and the per-branch eval-mode `forward_batch` scores of the
+    whole ragged batch in BRANCH_NAMES order. Recorded while eval still
+    built the BPTT step records and the (L, batch, embed) input array."""
+    monkeypatch.delenv("PLSTM_SEED", raising=False)
+    data = tmp_path / "ragged.tsv"
+    data.write_text(ragged_corpus(), encoding="utf-8")
+    cfg = tmp_path / "cfg"
+    cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "2",
+                 "--out", str(out)]) == 0
+    report = tmp_path / "report.csv"
+    assert main(["eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(data),
+                 "--out", str(report)]) == 0
+    model = load_checkpoint(out / "model.ckpt")
+    examples = load_labeled_dataset(data, "tsv")
+    encoded = encode_dataset(examples, build_vocabulary([ex.doc for ex in examples]),
+                             model.seq_len)
+    assert 0 < encoded.mask.sum() < encoded.mask.size  # ragged: some rows pad
+    scores, caches = forward_batch(model, encoded.ids, encoded.mask)
+    assert caches is None
+    digest = hashlib.sha256()
+    for name in BRANCH_NAMES:
+        digest.update(scores[name].tobytes())
+    got = {"report.csv": hashlib.sha256(report.read_bytes()).hexdigest(),
+           "scores": digest.hexdigest()}
+    assert got == EVAL_GOLDEN[gate_mode]

@@ -226,8 +226,12 @@ class TestTokenTable:
         for direction in ("forward", "backward"):
             final, cache = directional_pass(params, xs, mask, direction, (table, index))
             ref_final, ref = directional_pass(params, xs, mask, direction)
-            assert final.h.tobytes() == ref_final.h.tobytes()
-            assert final.c.tobytes() == ref_final.c.tobytes()
+            lean_final, lean = directional_pass(params, xs, mask, direction, (table, index),
+                                                records=False)
+            assert lean is None
+            for got in (ref_final, lean_final):
+                assert final.h.tobytes() == got.h.tobytes()
+                assert final.c.tobytes() == got.c.tobytes()
             assert len(cache["steps"]) == len(ref["steps"])
             for rec, ref_rec in zip(cache["steps"], ref["steps"]):
                 assert rec[0] == ref_rec[0]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,40 @@ class TestEvalTokenTable:
         evaluated, _ = forward_batch(m, self.IDS, self.MASK)
         for name in BRANCH_NAMES:
             assert trained[name].tobytes() == evaluated[name].tobytes()
+
+
+class TestLeanEval:
+    """Eval-mode `forward_batch` builds neither the (L, batch, embed) input
+    array nor any BPTT step record, yet still checks every id."""
+
+    L, BATCH, VOCAB = 32, 256, 500
+
+    def batch(self, seed):
+        gen = np.random.default_rng(seed)
+        lengths = gen.integers(1, self.L + 1, self.BATCH)
+        mask = np.arange(self.L) < lengths[:, None]
+        return np.where(mask, gen.integers(1, self.VOCAB, (self.BATCH, self.L)), 0), mask
+
+    def test_peak_memory_stays_below_the_input_array(self):
+        m = init_model(self.VOCAB, 64, 8, seed=2)
+        ids, mask = self.batch(3)
+        forward_batch(m, ids, mask)  # warm up numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            forward_batch(m, ids, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.L * self.BATCH * m.embed_dim * 8
+
+    @pytest.mark.parametrize("bad_id", [-1, VOCAB])
+    def test_out_of_range_id_under_the_mask_raises(self, bad_id):
+        m = init_model(self.VOCAB, 8, 4, seed=2)
+        ids, mask = self.batch(4)
+        row = int(np.flatnonzero(~mask.all(axis=1))[0])
+        ids[row, -1] = bad_id  # a padded position
+        with pytest.raises(ValueError, match="out of range"):
+            forward_batch(m, ids, mask)
 
 
 class TestAggregation:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from plstm.tensor import (
     _BLOCK_ELEMS,
+    _TILE_ROWS,
     RngStream,
     ShapeError,
     activate,
@@ -63,10 +64,11 @@ def _operand(gen, shape, layout, nonfinite=False):
 
 # (M, K, N): the benchmark's operand shapes, two terms a block with a
 # one-term last block, single-row/column outputs, the 1x1 output that must
-# keep the loop, and zero-size operands.
+# keep the loop, loop products of several row tiles with a short last tile,
+# and zero-size operands.
 MATMUL_CASES = [
     (8, 16, 16), (16, 128, 128), (128, 16, 128), (512, 32, 128), (128, 9, 128),
-    (1, 128, 1), (1, 37, 1), (64, 128, 1), (1, 128, 64),
+    (1, 128, 1), (1, 37, 1), (64, 128, 1), (1, 128, 64), (1100, 16, 128), (513, 40, 64),
     (0, 5, 3), (3, 5, 0), (0, 0, 0), (4, 0, 6), (1, 0, 1),
 ]
 
@@ -110,10 +112,12 @@ class TestMatmulBlocked:
         self._check(m, k, n, seed, layouts, nonfinite=True)
 
     def test_fixed_shapes_reach_every_path(self):
-        blocks = [(_BLOCK_ELEMS // (m * n), k) for m, k, n in MATMUL_CASES if m * n > 1]
-        assert any(block < 2 for block, _ in blocks)  # rank-1 loop
-        assert any(block == 2 and k % 2 for block, k in blocks)  # one-term last block
-        assert any(2 < block < k for block, k in blocks)  # several wide blocks
+        blocks = [(_BLOCK_ELEMS // (m * n), m, k) for m, k, n in MATMUL_CASES if m * n > 1]
+        assert any(block < 2 for block, _, _ in blocks)  # rank-1 loop
+        # the loop over several row tiles, the last one short
+        assert any(block < 2 and m > 2 * _TILE_ROWS and m % _TILE_ROWS for block, m, _ in blocks)
+        assert any(block == 2 and k % 2 for block, _, k in blocks)  # one-term last block
+        assert any(2 < block < k for block, _, k in blocks)  # several wide blocks
 
 
 def _dispatch_levels():
