@@ -100,6 +100,14 @@ def _config(args) -> TrainConfig:
     return config
 
 
+def _vocabulary(path, docs):
+    """The vocabulary of `docs`, read from `path`; no tokens is a `CorpusError` naming it."""
+    try:
+        return corpus.build_vocabulary(docs)
+    except corpus.CorpusError as exc:
+        raise corpus.CorpusError(f"{path}: {exc}") from None
+
+
 def _labeled(path):
     """The labeled examples in `path` and the vocabulary built from them:
     the one reader of labeled data. Plain text has no labels, so it is
@@ -110,7 +118,7 @@ def _labeled(path):
     examples = corpus.load_labeled_dataset(path, fmt)
     if not examples:
         raise corpus.CorpusError(f"no examples in {path}")
-    return examples, corpus.build_vocabulary([ex.doc for ex in examples])
+    return examples, _vocabulary(path, [ex.doc for ex in examples])
 
 
 def cmd_stats(args) -> int:
@@ -118,11 +126,12 @@ def cmd_stats(args) -> int:
     docs = (corpus.load_plain_text(args.data) if fmt == "plain_text"
             else [ex.doc for ex in corpus.load_labeled_dataset(args.data, fmt)])
     table = corpus.frequency_table(docs, args.top_k)
-    vocab = corpus.build_vocabulary(docs)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,word,count,distribution_pct\n")
+    vocab = _vocabulary(args.data, docs)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # a token may hold a comma or a quote
+        writer.writerow(["rank", "word", "count", "distribution_pct"])
         for rank, (word, count, pct) in enumerate(table.entries, start=1):
-            fh.write(f"{rank},{word},{count},{pct:.2f}\n")
+            writer.writerow([rank, word, count, f"{pct:.2f}"])
     print(f"documents: {len(docs)}")
     print(f"tokens: {table.total_tokens}")
     print(f"vocabulary: {len(vocab.word_to_id)}")

@@ -24,11 +24,8 @@ class CorpusError(ValueError):
 
 
 class ParseError(CorpusError):
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, path, line, message):
+        super().__init__(f"{path}: line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -142,13 +139,13 @@ def encode(tokens, vocab: Vocabulary, L: int) -> EncodedSequence:
     return EncodedSequence(ids, mask, n)
 
 
-def _parse_label(raw, line_no):
+def _parse_label(raw, path, line_no):
     s = str(raw).strip()
     if s in ("0", "non_sarcastic"):
         return 0
     if s in ("1", "sarcastic"):
         return 1
-    raise ParseError(f"invalid label {raw!r}", line=line_no)
+    raise ParseError(path, line_no, f"invalid label {raw!r}")
 
 
 def _read_lines(path):
@@ -176,10 +173,9 @@ def load_labeled_dataset(path, format: str) -> list:
         try:
             rec_id = int(rec_id)
         except (TypeError, ValueError):
-            raise ParseError(f"invalid id {rec_id!r}", line=line_no)
-        examples.append(
-            LabeledExample(Document(rec_id, text, "labeled_dialogue"), _parse_label(label, line_no))
-        )
+            raise ParseError(path, line_no, f"invalid id {rec_id!r}")
+        examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
+                                       _parse_label(label, path, line_no)))
 
     lines = _read_lines(path)
     if format == "tsv":
@@ -188,12 +184,13 @@ def load_labeled_dataset(path, format: str) -> list:
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 3:
-                raise ParseError(f"expected 3 tab-separated fields, got {len(parts)}", line=line_no)
+                raise ParseError(path, line_no,
+                                 f"expected 3 tab-separated fields, got {len(parts)}")
             add(parts[0], parts[1], parts[2], line_no)
     elif format == "csv":
         reader = csv.DictReader(lines)
         if reader.fieldnames is None or set(reader.fieldnames) < {"id", "text", "label"}:
-            raise ParseError("csv header must contain id,text,label", line=1)
+            raise ParseError(path, 1, "csv header must contain id,text,label")
         for line_no, row in enumerate(reader, start=2):
             add(row["id"], row["text"], row["label"], line_no)
     elif format == "json_lines":
@@ -203,12 +200,12 @@ def load_labeled_dataset(path, format: str) -> list:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"bad json: {exc.msg}", line=line_no)
+                raise ParseError(path, line_no, f"bad json: {exc.msg}")
             if not isinstance(rec, dict):
-                raise ParseError("expected a json object", line=line_no)
+                raise ParseError(path, line_no, "expected a json object")
             for key in ("id", "text", "label"):
                 if key not in rec:
-                    raise ParseError(f"missing field {key!r}", line=line_no)
+                    raise ParseError(path, line_no, f"missing field {key!r}")
             add(rec["id"], rec["text"], rec["label"], line_no)
     else:
         raise CorpusError(f"unknown format {format!r}")

@@ -12,10 +12,10 @@ compute bitwise what a full-batch step would. For the same reason the
 input projection x·W.T is made once per directional pass, over a token
 table with one row per distinct input vector, and each step gathers its
 rows from it: by default every unmasked position is its own token, and in
-eval the model passes one row per distinct token id. A training forward
-pass keeps one record per step that ran, holding that step's rows and the
-state and gates BPTT reads for them; nothing is kept for padded rows, and
-an eval pass keeps no records at all. BPTT likewise takes the input-side
+eval the model passes one row per distinct token id. A pass that makes its
+own table keeps one record per step that ran, holding that step's rows and
+the state and gates BPTT reads for them, none for padded rows; a pass given
+a table is forward-only and keeps none. BPTT likewise takes the input-side
 products out of the recurrence: it keeps every step's gate gradients and
 makes dx from them in one product per gate after the time loop.
 """
@@ -146,7 +146,7 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
 
 
 def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
-                     tokens=None, records=True):
+                     tokens=None):
     """Run the recurrence over a sequence in one direction from zero state.
 
     Returns (final_state, cache). The input projection is made once, as
@@ -159,8 +159,9 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     with no such rows is skipped. The cache holds `params`, the input `x`
     and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per
     step that ran, in run order, with the state and gates of `rows` only --
-    what BPTT reads. With `records` false no record is kept and the cache
-    is None; a pass given `tokens` then reads only the sequence's shape.
+    what BPTT reads. A pass given `tokens` is forward-only: it keeps no
+    records, returns a None cache and reads only the sequence's shape, which
+    may belong to a stand-in that holds no inputs.
     """
     xs = np.asarray(sequence, dtype=np.float64)
     if xs.ndim == 2:  # (L, embed) single sequence
@@ -174,7 +175,8 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     if direction not in ("forward", "backward"):
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
-    if tokens is None:
+    records = tokens is None
+    if records:
         index = np.zeros((L, batch), dtype=np.intp)
         index[mask] = np.arange(np.count_nonzero(mask))
         tokens = xs[mask], index
@@ -256,20 +258,17 @@ def _directional_bptt(cache, d_final_h: np.ndarray):
     return grads, dx
 
 
-def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None,
-                         records=True):
+def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None):
     """Pooled representation: final forward h plus final backward h.
-    `tokens` and `records` go to both directional passes; the cache is None
-    without records."""
-    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward",
-                                        tokens, records)
+    `tokens` goes to both directional passes; given it, the cache is None."""
+    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
     final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward",
-                                        tokens, records)
+                                        tokens)
     pooled = final_f.h + final_b.h
-    return pooled, ({"fwd": cache_f, "bwd": cache_b} if records else None)
+    return pooled, ({"fwd": cache_f, "bwd": cache_b} if tokens is None else None)
 
 
-def bptt(layer: BidirectionalLayer, cache, upstream: np.ndarray):
+def bptt(cache, upstream: np.ndarray):
     """Gradients for both directions' parameters and the input vectors.
 
     `upstream` is the gradient w.r.t. the pooled representation; because

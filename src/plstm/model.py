@@ -133,8 +133,7 @@ def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
     return model.embedding[_checked_ids(model, ids)].transpose(1, 0, 2)
 
 
-def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None,
-                   records=True):
+def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
 
@@ -143,8 +142,8 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=
     the cache so the backward pass replays them exactly. `tokens` is the
     encoder's (table, index) token table (see `lstm.directional_pass`); it
     describes `embedded`, so it fits eval mode only, where no dropout
-    changes the input. Without `records` the encoder keeps no BPTT step
-    records and the returned cache is None.
+    changes the input. A pass given `tokens` is forward-only: the encoder
+    keeps no BPTT step records and the returned cache is None.
     """
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
@@ -155,11 +154,11 @@ def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=
         m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
         m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
         x = embedded * m_embed
-    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens, records)
+    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens)
     dropped = pooled * m_pool
     logits = matmul(dropped, branch.head_W.T) + branch.head_b
     scores = activate(branch.name, logits)
-    if not records:
+    if tokens is not None:
         return scores, None
     cache = {
         "m_embed": m_embed,
@@ -180,7 +179,7 @@ def branch_backward(branch: Branch, cache, d_scores: np.ndarray):
     }
     d_dropped = matmul(d_logits, branch.head_W)
     d_pooled = d_dropped * cache["m_pool"]
-    enc_grads, dx = bptt(branch.layer, cache["enc"], d_pooled)
+    enc_grads, dx = bptt(cache["enc"], d_pooled)
     for key, val in enc_grads.items():
         grads[f"{branch.name}.{key}"] = val
     d_embedded = dx * cache["m_embed"]
@@ -200,8 +199,8 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     one token table -- the distinct unmasked ids' rows -- serves all four
     branches, and each directional pass projects each distinct id once.
     Eval builds no (L, batch, embed) array: the passes read only its shape,
-    from a zero-memory stand-in. It keeps no BPTT step records either. Every
-    id, padded or not, must be in range in both modes.
+    from a zero-memory stand-in, and, given the table, keep no BPTT step
+    records. Every id, padded or not, must be in range in both modes.
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     scores = {}
@@ -214,7 +213,7 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
         shape_only = np.broadcast_to(0.0, (*ids.T.shape, model.embed_dim))
         for name in BRANCH_NAMES:
             scores[name] = branch_forward(model.branches[name], shape_only, mask_tm,
-                                          tokens=tokens, records=False)[0]
+                                          tokens=tokens)[0]
         return scores, None
     embedded = embed_ids(model, ids)
     caches = {}

@@ -1,5 +1,5 @@
-"""Training loop: Adam over all four branches with categorical
-cross-entropy, seeded shuffling, per-branch gradient clipping, and
+"""Training loop: categorical cross-entropy, seeded shuffling, per-branch
+gradient clipping, one Adam update of the whole model per batch, and
 per-epoch logging in the style of the per-100-epoch accuracy tables."""
 
 from __future__ import annotations
@@ -95,19 +95,17 @@ def encode_dataset(examples, vocab, L: int) -> EncodedDataset:
     return EncodedDataset(ids, mask, labels)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
-    """Per-block first/second moments with bias correction.
+    """Per-block first/second moments with bias correction (ADAM_BETA1,
+    ADAM_BETA2, ADAM_EPS); one step counter, as every block updates each step."""
 
-    beta1=0.9, beta2=0.999, eps=1e-8; the step counter is shared because all
-    blocks in one optimizer update on every step.
-    """
-
-    def __init__(self, learning_rate: float = 0.01, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, learning_rate: float = 0.01):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -126,13 +124,13 @@ def adam_step(state: AdamState, params: dict, grads: dict):
             state.v[name] = np.zeros_like(theta)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        theta -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -172,17 +170,18 @@ def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
     return {name: np.argmax(scores[name], axis=1) for name in BRANCH_NAMES}
 
 
-def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
-          log_stream=None):
+def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     """Train in place; returns (model, [EpochLog]).
 
     Each epoch: one seeded shuffle (a pure function of seed and epoch),
     mini-batches, and per batch one training-mode `forward_batch` (each
-    branch's dropout stream keyed by seed, branch, epoch and batch), then
-    an independent loss/backward/clip/Adam update for every branch in
-    BRANCH_NAMES order. The shared embedding is updated once per batch from
-    the branch gradients summed in that order; its pad row never moves.
-    Verbose level 1 prints a summary line every 100 epochs.
+    branch's dropout stream keyed by seed, branch, epoch and batch), each
+    branch's loss, backward and clip in BRANCH_NAMES order, and one Adam
+    update of every block. No backward reads another branch's parameters
+    or the embedding, so that equals updating each branch after its own
+    backward. The embedding's gradient sums the branches' in that order;
+    its pad row never moves. Verbose level 1 prints a summary line every
+    100 epochs.
     """
     config.validate()
     if len(dataset) == 0:
@@ -190,11 +189,8 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
     if len(set(dataset.labels.tolist())) < 2:
         print("warning: training labels contain a single class", file=sys.stderr)
 
-    branch_opts = {name: AdamState(config.learning_rate) for name in BRANCH_NAMES}
-    embed_opt = AdamState(config.learning_rate)
-    branch_params = {
-        name: dict(model.branches[name].blocks()) for name in BRANCH_NAMES
-    }
+    opt = AdamState(config.learning_rate)
+    params = dict(model.blocks())
 
     n = len(dataset)
     logs = []
@@ -214,30 +210,29 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig,
             used = mask.T  # unmasked positions, time-major like d_embedded
             used_ids = ids.T[used]
             d_embedding = np.zeros_like(model.embedding)
+            grads = {"embedding": d_embedding}
             for name in BRANCH_NAMES:
                 loss, d_scores = categorical_cross_entropy(scores[name], targets)
                 loss_sums[name] += loss
-                grads, d_embedded = branch_backward(model.branches[name], caches.pop(name),
-                                                    d_scores)
-                _clip([*grads.values(), d_embedded], config.clip_norm)
-                adam_step(branch_opts[name], branch_params[name], grads)
+                branch_grads, d_embedded = branch_backward(model.branches[name],
+                                                           caches.pop(name), d_scores)
+                _clip([*branch_grads.values(), d_embedded], config.clip_norm)
+                grads.update(branch_grads)
                 # scatter-add the unmasked positions' grads back to embedding
                 # rows, t-major then batch row, so repeated ids add in step
                 # order; padded positions (gradient +0) are left out
                 np.add.at(d_embedding, used_ids, d_embedded[used])
-            d_embedding[0, :] = 0.0  # pad row frozen
-            adam_step(embed_opt, {"embedding": model.embedding}, {"embedding": d_embedding})
-            model.embedding[0, :] = 0.0
+            d_embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
+            adam_step(opt, params, grads)
             n_batches += 1
 
         acc = epoch_metrics(model, dataset)
         loss_means = {name: loss_sums[name] / n_batches for name in BRANCH_NAMES}
         logs.append(EpochLog(epoch, loss_means, acc, time.perf_counter() - t0))
         if config.verbose >= 1 and (epoch % 100 == 0 or epoch == config.epochs):
-            stream = log_stream if log_stream is not None else sys.stdout
             for name in BRANCH_NAMES:
                 print(f"epoch {epoch}, {name}, loss {loss_means[name]:.4f}, "
-                      f"acc {acc[name]:.2f}%", file=stream)
+                      f"acc {acc[name]:.2f}%")
     return model, logs
 
 

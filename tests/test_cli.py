@@ -66,6 +66,16 @@ class TestStats:
         assert "documents: 3" in captured
         assert "tokens: 11" in captured
 
+    def test_tokens_with_commas_and_quotes_stay_one_cell(self, tmp_path):
+        data = tmp_path / "d.txt"
+        data.write_text('yeah, a,b right\nhi"there a,b\n')
+        out = tmp_path / "freq.csv"
+        assert main(["stats", "--data", str(data), "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {4}
+        assert [row[1] for row in rows[1:]] == ["a,b", "yeah", "right", 'hi"there']
+
     def test_missing_file_exit_2_no_partial_output(self, tmp_path):
         out = tmp_path / "freq.csv"
         code = main(["stats", "--data", str(tmp_path / "nope.txt"), "--out", str(out)])
@@ -309,7 +319,7 @@ class TestReadErrors:
         code = main(["train", "--data", str(data), "--config", str(smoke_cfg),
                      "--out", str(tmp_path / "run")])
         assert code == 2
-        assert capsys.readouterr().err == "error: line 2: expected a json object\n"
+        assert capsys.readouterr().err == f"error: {data}: line 2: expected a json object\n"
 
 
 class TestFailureBoundary:
@@ -425,7 +435,7 @@ class TestBenchmarkCommand:
         assert code == 0
         alone = (tmp_path / "alone" / "benchmark.csv").read_text()
         both = (tmp_path / "both" / "benchmark.csv").read_text()
-        assert both == alone + "punct,,,skipped: documents contain no tokens,\n"
+        assert both == alone + f"punct,,,skipped: {punct}: documents contain no tokens,\n"
 
     def test_skip_reason_with_a_comma_stays_one_cell(self, data_dir, tmp_path, smoke_cfg):
         bad = tmp_path / "bad.tsv"
@@ -437,4 +447,5 @@ class TestBenchmarkCommand:
             rows = list(csv.reader(fh))
         assert {len(row) for row in rows} == {5}
         assert rows[-1] == ["bad", "", "",
-                            "skipped: line 1: expected 3 tab-separated fields, got 1", ""]
+                            f"skipped: {bad}: line 1: expected 3 tab-separated fields, got 1",
+                            ""]

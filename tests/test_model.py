@@ -97,6 +97,19 @@ class TestBranchForward:
             )
             assert abs(scores.sum() - 1.0) < 1e-12
 
+    def test_token_table_pass_returns_no_cache(self):
+        m = init_model(10, 4, 3, seed=5)
+        ids = np.array([[2, 3, 2], [4, 2, 0]])
+        mask_tm = (ids != 0).T
+        embedded = embed_ids(m, ids)
+        branch = m.branches["relu"]
+        scores, cache = branch_forward(branch, embedded, mask_tm,
+                                       tokens=(m.embedding, ids.T))
+        want, want_cache = branch_forward(branch, embedded, mask_tm)
+        assert cache is None
+        assert want_cache is not None
+        assert scores.tobytes() == want.tobytes()
+
 
 class TestBranchBackward:
     @pytest.mark.parametrize("name", BRANCH_NAMES)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import plstm.train
+from plstm.cli import main
 from plstm.corpus import Document, LabeledExample, build_vocabulary
 from plstm.model import BRANCH_NAMES, init_model
 from plstm.tensor import RngStream
@@ -116,6 +118,29 @@ class TestTrainLoop:
                                np.zeros((0, 6), dtype=bool), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError):
             train(model, empty, TrainConfig(epochs=1, verbose=0))
+
+    def test_golden_smoke_run_clips_some_branch_batches(self, data_dir, tmp_path,
+                                                        monkeypatch):
+        """The 4-epoch `train_smoke` run whose bytes tests/test_golden.py
+        pins clips some branch-batches and not others, so the goldens cover
+        the single Adam update both after a clip and without one."""
+        clip = plstm.train._clip
+        fired = []
+
+        def counting(arrays, max_norm):
+            total = 0.0
+            for g in arrays:
+                total += float(np.sum(g * g))
+            fired.append(bool(np.sqrt(total) > max_norm))
+            clip(arrays, max_norm)
+
+        monkeypatch.setattr(plstm.train, "_clip", counting)
+        monkeypatch.delenv("PLSTM_SEED", raising=False)
+        assert main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(data_dir / "train_smoke.cfg"), "--epochs", "4",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert len(fired) == 4 * 4 * len(BRANCH_NAMES)  # epochs x batches x branches
+        assert 0 < sum(fired) < len(fired)
 
     def test_shuffle_is_pure_function_of_seed_and_epoch(self):
         a = RngStream(9, 3, 17).permutation(50)
