@@ -21,7 +21,7 @@ from pathlib import Path
 from . import corpus
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import benchmark, classification_report, confusion, render4
-from .model import BRANCH_NAMES, summary
+from .model import BRANCH_NAMES, expected_param_count, summary
 from .train import (TrainConfig, build_model, encode_dataset, predict_labels, train,
                     write_epoch_csv)
 
@@ -46,8 +46,25 @@ _CONFIG_FIELDS = {
 }
 
 
+# The most bytes a command may ask for up front: the parameters (8 bytes
+# each) plus the encoded data (9 bytes a position: an int64 id and a bool
+# mask). Training adds about three times the parameter bytes (the gradients
+# and Adam's two moments) and per-batch working memory on top.
+MAX_ALLOC_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     pass
+
+
+def _check_allocation(vocab_size: int, embed_dim: int, hidden: int, n_docs: int,
+                      seq_len: int):
+    """Raise ConfigError, before anything is allocated, if the model and the
+    encoded data would take more than MAX_ALLOC_BYTES."""
+    need = expected_param_count(vocab_size, embed_dim, hidden) * 8 + n_docs * seq_len * 9
+    if need > MAX_ALLOC_BYTES:
+        raise ConfigError(f"the model and encoded data need {need} bytes, more than the "
+                          f"limit of {MAX_ALLOC_BYTES}")
 
 
 def load_config(path) -> TrainConfig:
@@ -122,6 +139,8 @@ def _labeled(path):
 
 
 def cmd_stats(args) -> int:
+    if args.top_k < 1:
+        raise ConfigError(f"--top-k must be >= 1, got {args.top_k}")
     fmt = corpus.guess_format(args.data)
     docs = (corpus.load_plain_text(args.data) if fmt == "plain_text"
             else [ex.doc for ex in corpus.load_labeled_dataset(args.data, fmt)])
@@ -141,6 +160,8 @@ def cmd_stats(args) -> int:
 def cmd_train(args) -> int:
     config = _config(args)
     examples, vocab = _labeled(args.data)
+    _check_allocation(vocab.size, config.embed_dim, config.hidden, len(examples),
+                      config.seq_len)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data = encode_dataset(examples, vocab, config.seq_len)
@@ -167,6 +188,8 @@ def cmd_eval(args) -> int:
     if vocab.size > model.vocab_size:
         raise corpus.CorpusError(f"{args.data} needs {vocab.size} vocabulary ids but the "
                                  f"checkpoint has {model.vocab_size}")
+    _check_allocation(model.vocab_size, model.embed_dim, model.hidden, len(examples),
+                      model.seq_len)
     data = encode_dataset(examples, vocab, model.seq_len)
     reports = _per_branch_reports(model, data)
     print(f"{'branch':<10}{'precision':>10}{'recall':>10}{'f1':>10}{'accuracy':>10}")
@@ -195,7 +218,10 @@ def cmd_benchmark(args) -> int:
     for path in args.datasets:
         name = Path(path).stem
         try:
-            r = benchmark(*_labeled(path), config)
+            examples, vocab = _labeled(path)
+            _check_allocation(vocab.size, config.embed_dim, config.hidden, len(examples),
+                              config.seq_len)
+            r = benchmark(examples, vocab, config)
         except corpus.CorpusError as exc:
             csv_rows.append([name, "", "", f"skipped: {exc}", ""])
             txt_lines.append(f"{name:<16} skipped: {exc}\n")

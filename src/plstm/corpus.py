@@ -191,8 +191,8 @@ def load_labeled_dataset(path, format: str) -> list:
         reader = csv.DictReader(lines)
         if reader.fieldnames is None or set(reader.fieldnames) < {"id", "text", "label"}:
             raise ParseError(path, 1, "csv header must contain id,text,label")
-        for line_no, row in enumerate(reader, start=2):
-            add(row["id"], row["text"], row["label"], line_no)
+        for row in reader:  # line_num: the record's last line, past blank and quoted lines
+            add(row["id"], row["text"], row["label"], reader.line_num)
     elif format == "json_lines":
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():

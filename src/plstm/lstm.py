@@ -3,21 +3,29 @@ over packed steps, additive bidirectional pooling, and exact
 backpropagation through time.
 
 All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
-booleans. Each step, forward and backward, runs the gate maths on the rows
-its mask marks and on no others: a padded row keeps its state (and its
-carried gradient) as it is, gets a zero input gradient and adds nothing to
-the parameter gradients. A step whose rows are all padding is skipped.
-Every row's matmul output depends only on that row, so the packed rows
-compute bitwise what a full-batch step would. For the same reason the
-input projection x·W.T is made once per directional pass, over a token
-table with one row per distinct input vector, and each step gathers its
-rows from it: by default every unmasked position is its own token, and in
-eval the model passes one row per distinct token id. A pass that makes its
-own table keeps one record per step that ran, holding that step's rows and
-the state and gates BPTT reads for them, none for padded rows; a pass given
-a table is forward-only and keeps none. BPTT likewise takes the input-side
-products out of the recurrence: it keeps every step's gate gradients and
-makes dx from them in one product per gate after the time loop.
+booleans. Parameters may carry a leading branch axis: a stack of branches
+that share the input positions and the mask run one pass per direction
+together, with state (branches, batch, hidden), one row gather and one step
+record per step, and stacked products (`matmul_stacked`) that give each
+branch bitwise its own products. 2-D parameters are a stack of one, and
+their states, records and gradients come back without the branch axis.
+
+Each step, forward and backward, runs the gate maths on the rows its mask
+marks and on no others: a padded row keeps its state (and its carried
+gradient) as it is, gets a zero input gradient and adds nothing to the
+parameter gradients. A step whose rows are all padding is skipped. Every
+row's matmul output depends only on that row, so the packed rows compute
+bitwise what a full-batch step would. For the same reason the input
+projection x·W.T is made once per directional pass, over a token table with
+one row per distinct input vector, and each step gathers its rows from it:
+by default every unmasked position is its own token, listed t-major, so a
+step reads one contiguous run of rows; in eval the model passes one row per
+distinct token id and an index. A per-position pass keeps one record per
+step that ran, holding that step's rows and the state and gates BPTT reads
+for them, none for padded rows; a pass given an index is forward-only and
+keeps none. BPTT likewise takes the input-side products out of the
+recurrence: it keeps every step's gate gradients and makes dx from them, one
+branch at a time, in one product per gate after the time loop.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RngStream, ShapeError, activate, activate_grad, matmul
+from .tensor import RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
@@ -36,20 +44,21 @@ class LSTMCellParams:
     """One direction's weights with the four gates stacked: rows
     k*H:(k+1)*H of W, U and b belong to gate GATES[k] (see `gate_rows`).
     `blocks()` and the gradients of `bptt` are per-gate row views, so writes
-    to them land in the stacked arrays."""
+    to them land in the stacked arrays. A stack of branches puts a leading
+    branch axis on W, U and b and names one gate activation per branch."""
 
-    W: np.ndarray  # (4*hidden, embed)
-    U: np.ndarray  # (4*hidden, hidden)
-    b: np.ndarray  # (4*hidden,)
-    gate_activation: str = "sigmoid"
+    W: np.ndarray  # (4*hidden, embed), or (branches, 4*hidden, embed)
+    U: np.ndarray  # (4*hidden, hidden), or (branches, 4*hidden, hidden)
+    b: np.ndarray  # (4*hidden,), or (branches, 4*hidden)
+    gate_activation: str = "sigmoid"  # a tuple, one per branch, for a stack
 
     @property
     def hidden(self):
-        return self.U.shape[1]
+        return self.U.shape[-1]
 
     @property
     def embed(self):
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
     @property
     def gate_rows(self):
@@ -58,30 +67,35 @@ class LSTMCellParams:
         return {g: slice(k * h, (k + 1) * h) for k, g in enumerate(GATES)}
 
     @classmethod
-    def zeros(cls, hidden: int, embed: int, gate_activation: str = "sigmoid"):
+    def zeros(cls, hidden: int, embed: int, gate_activation="sigmoid"):
+        """Zero weights; a tuple of activations makes a stack of that many branches."""
+        lead = (len(gate_activation),) if isinstance(gate_activation, tuple) else ()
         return cls(
-            W=np.zeros((4 * hidden, embed)),
-            U=np.zeros((4 * hidden, hidden)),
-            b=np.zeros(4 * hidden),
+            W=np.zeros((*lead, 4 * hidden, embed)),
+            U=np.zeros((*lead, 4 * hidden, hidden)),
+            b=np.zeros((*lead, 4 * hidden)),
             gate_activation=gate_activation,
         )
 
-    @classmethod
-    def random(
-        cls,
-        hidden: int,
-        embed: int,
-        rng: RngStream,
-        scale: float = 0.05,
-        forget_bias: float = 1.0,
-        gate_activation: str = "sigmoid",
-    ):
-        p = cls.zeros(hidden, embed, gate_activation)
-        for rows in p.gate_rows.values():  # draw order: W then U, gate by gate
-            p.W[rows] = rng.uniform(-scale, scale, (hidden, embed))
-            p.U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
-        p.b[p.gate_rows["f"]] = forget_bias
-        return p
+    def branch(self, k: int):
+        """Branch k of a stack, as 2-D views."""
+        return LSTMCellParams(self.W[k], self.U[k], self.b[k], self.gate_activation[k])
+
+    def as_stack(self):
+        """These parameters with the branch axis: 2-D ones become a stack of one (views)."""
+        if self.W.ndim == 3:
+            return self
+        return LSTMCellParams(self.W[None], self.U[None], self.b[None], (self.gate_activation,))
+
+    def randomize(self, rng: RngStream, scale: float = 0.05, forget_bias: float = 1.0):
+        """Fill 2-D parameters in place: uniform(-scale, scale) weights, zero
+        biases but the forget gate's forget_bias. Returns self."""
+        for rows in self.gate_rows.values():  # draw order: W then U, gate by gate
+            self.W[rows] = rng.uniform(-scale, scale, (self.hidden, self.embed))
+            self.U[rows] = rng.uniform(-scale, scale, (self.hidden, self.hidden))
+        self.b[...] = 0.0
+        self.b[self.gate_rows["f"]] = forget_bias
+        return self
 
     def blocks(self, prefix: str):
         """Per-gate views in the fixed serialization order."""
@@ -95,8 +109,8 @@ class LSTMCellParams:
 
 @dataclass
 class LSTMState:
-    h: np.ndarray  # (batch, hidden)
-    c: np.ndarray  # (batch, hidden)
+    h: np.ndarray  # (batch, hidden), or (branches, batch, hidden)
+    c: np.ndarray  # (batch, hidden), or (branches, batch, hidden)
 
     @classmethod
     def zero(cls, batch: int, hidden: int):
@@ -113,21 +127,42 @@ class BidirectionalLayer:
         return self.forward_params.hidden
 
 
-def _step(params: LSTMCellParams, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """The gate maths of cell_step and directional_pass, given the input
-    rows already projected, xw = matmul(x, params.W.T) (batch, 4*hidden).
-    The pre-activation adds xw, then h_prev·U.T, then b. A softmax gate
-    activation normalises within each gate. Returns (gates (batch, 4,
-    hidden) in GATES order, tanh(c), c, h)."""
-    pre = xw + matmul(h_prev, params.U.T) + params.b
-    pre = pre.reshape(len(pre), 4, params.hidden)
-    gates = np.concatenate(
-        (activate(params.gate_activation, pre[:, :3]), activate("tanh", pre[:, 3:])), axis=1
-    )
-    i, f, o, n = gates.transpose(1, 0, 2)
+def _over_gates(fn, acts, gates, d_ifo=(), d_n=()):
+    """Write fn(kind, gate values, *upstream) over the (branches, rows, 4,
+    hidden) gates: over each branch's i/f/o with kind its activation, in
+    one call while they all agree, and over the candidate with tanh."""
+    if len(set(acts)) == 1:
+        gates[:, :, :3] = fn(acts[0], gates[:, :, :3], *d_ifo)
+    else:
+        for k, act in enumerate(acts):
+            gates[k, :, :3] = fn(act, gates[k, :, :3], *(d[k] for d in d_ifo))
+    gates[:, :, 3:] = fn("tanh", gates[:, :, 3:], *d_n)
+    return gates
+
+
+def _stacked_step(UT, b, acts, xw, h_prev, c_prev):
+    """The gate maths of a stack of branches, given the input rows already
+    projected, xw (branches, rows, 4*hidden), and UT = U transposed,
+    (branches, hidden, 4*hidden). The pre-activation adds xw, then
+    h_prev·U.T, then b. A softmax gate activation normalises within each
+    gate. Returns (gates (branches, rows, 4, hidden) in GATES order, tanh(c),
+    c, h)."""
+    pre = xw + matmul_stacked(h_prev, UT) + b[:, None]
+    gates = _over_gates(activate, acts, pre.reshape(*pre.shape[:2], 4, -1))
+    i, f, o, n = np.moveaxis(gates, 2, 0)
     c = f * c_prev + i * n
     tanh_c = np.tanh(c)
     return gates, tanh_c, c, o * tanh_c
+
+
+def _step(params: LSTMCellParams, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """`_stacked_step` for one branch's 2-D parameters and rows, xw =
+    matmul(x, params.W.T) (batch, 4*hidden). Returns (gates (batch, 4,
+    hidden), tanh(c), c, h)."""
+    stack = params.as_stack()
+    out = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
+                        xw[None], h_prev[None], c_prev[None])
+    return tuple(a[0] for a in out)
 
 
 def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMState:
@@ -145,139 +180,209 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
     return LSTMState(h, c)
 
 
-def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
-                     tokens=None):
-    """Run the recurrence over a sequence in one direction from zero state.
-
-    Returns (final_state, cache). The input projection is made once, as
-    proj = matmul(table, params.W.T), and step t reads row index[t, b] of
-    it for position (t, b). `tokens` is that (table (n, embed), index (L,
-    batch) ints) pair; its unmasked positions must name rows equal to the
-    sequence's vectors there. By default every unmasked position is its own
-    row: table = sequence[mask]. Each step runs `_step` on the rows its mask
-    marks only; padded rows are left out and keep their state, and a step
-    with no such rows is skipped. The cache holds `params`, the input `x`
-    and `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per
-    step that ran, in run order, with the state and gates of `rows` only --
-    what BPTT reads. A pass given `tokens` is forward-only: it keeps no
-    records, returns a None cache and reads only the sequence's shape, which
-    may belong to a stand-in that holds no inputs.
-    """
-    xs = np.asarray(sequence, dtype=np.float64)
-    if xs.ndim == 2:  # (L, embed) single sequence
-        xs = xs[:, None, :]
-    L, batch, _ = xs.shape
+def _sequence_mask(sequence, mask):
+    """(L, batch, mask (L, batch) bool) of a (L, batch, embed) or (L, embed)
+    sequence; no mask marks every position."""
+    shape = np.shape(sequence)
+    L, batch = shape[0], (shape[1] if len(shape) == 3 else 1)
     if L == 0:
         raise ShapeError("empty sequence")
     if mask is None:
-        mask = np.ones((L, batch), dtype=bool)
-    mask = np.asarray(mask, dtype=bool).reshape(L, batch)
+        return L, batch, np.ones((L, batch), dtype=bool)
+    return L, batch, np.asarray(mask, dtype=bool).reshape(L, batch)
+
+
+def _row_starts(mask):
+    """starts[t]: the first row of step t in a per-position table, which
+    lists the unmasked positions t-major; step t's rows end at starts[t+1]."""
+    return np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
+
+
+def _position_table(sequence, mask):
+    """The per-position token table: the input vectors of the unmasked
+    positions, t-major."""
+    L, batch, mask = _sequence_mask(sequence, mask)
+    return np.asarray(sequence, dtype=np.float64).reshape(L, batch, -1)[mask]
+
+
+def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
+                     tokens=None):
+    """Run the recurrence over a sequence in one direction from zero state,
+    for one branch or a stack of branches at once.
+
+    Returns (final_state, cache). The input projection is made once per
+    branch, as proj = matmul(table, W.T), and step t reads its rows from it.
+    `tokens` is the (table, index) pair: table is (n, embed), shared by the
+    branches, or (branches, n, embed). With index None, the default, the
+    table is per-position: it lists the unmasked positions t-major, and
+    without `tokens` it is sequence[mask]. Otherwise index is (L, batch)
+    ints and step t reads row index[t, b] for position (t, b); its unmasked
+    positions must name rows equal to the sequence's vectors there. Each
+    step runs the gate maths on the rows its mask marks only; padded rows
+    are left out and keep their state, and a step with no such rows is
+    skipped. A per-position pass returns a cache that holds `params`, the
+    table as `x` and `steps`: one record (t, rows, h_prev, c_prev, gates,
+    tanh_c) per step that ran, in run order, with the state and gates of
+    `rows` only -- what BPTT reads. A pass given an index is forward-only:
+    it keeps no records and returns a None cache. Either way the pass reads
+    only the sequence's shape when given `tokens`, so it may be a stand-in
+    that holds no inputs.
+    """
+    L, batch, mask = _sequence_mask(sequence, mask)
     if direction not in ("forward", "backward"):
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
-    records = tokens is None
-    if records:
-        index = np.zeros((L, batch), dtype=np.intp)
-        index[mask] = np.arange(np.count_nonzero(mask))
-        tokens = xs[mask], index
-    table, index = tokens
-    proj = matmul(table, params.W.T)
+    table, index = (_position_table(sequence, mask), None) if tokens is None else tokens
+    records = index is None
+    starts = _row_starts(mask) if records else None
+    stack = params.as_stack()
+    G, hidden = len(stack.W), stack.hidden
 
-    state = LSTMState.zero(batch, params.hidden)
-    h, c = state.h, state.c  # updated in place, row by packed row
+    def project(k):
+        return matmul(table if table.ndim == 2 else table[k], stack.W[k].T)
+
+    if G == 1:
+        proj = project(0)[None]
+    else:  # filled branch by branch, so one branch's product is held twice at most
+        proj = np.empty((G, table.shape[-2], 4 * hidden))
+        for k in range(G):
+            proj[k] = project(k)
+    # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
+    # matmul_stacked reads without a copy
+    UT = np.ascontiguousarray(stack.U.transpose(2, 0, 1)).transpose(1, 0, 2)
+    keep = 0 if params.W.ndim == 2 else slice(None)  # a stack of one drops the branch axis
+
+    h, c = np.zeros((G, batch, hidden)), np.zeros((G, batch, hidden))  # updated in place
     steps = []
     for t in order:
         rows = np.flatnonzero(mask[t])
         if not len(rows):
             continue
-        h_prev, c_prev = h[rows], c[rows]
-        gates, tanh_c, c[rows], h[rows] = _step(params, proj[index[t, rows]], h_prev, c_prev)
+        xw = proj[:, starts[t] : starts[t + 1]] if records else proj[:, index[t, rows]]
+        h_prev, c_prev = h[:, rows], c[:, rows]
+        gates, tanh_c, c[:, rows], h[:, rows] = _stacked_step(
+            UT, stack.b, stack.gate_activation, xw, h_prev, c_prev)
         if records:
-            steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
-    return state, ({"params": params, "x": xs, "steps": steps} if records else None)
+            steps.append((t, rows, h_prev[keep], c_prev[keep], gates[keep], tanh_c[keep]))
+    final = LSTMState(h[keep], c[keep])
+    return final, ({"params": params, "x": table, "steps": steps} if records else None)
 
 
-def _directional_bptt(cache, d_final_h: np.ndarray):
-    """BPTT over the step records of `directional_pass`, last step first:
-    each record's rows take their gradient through the step, while a row
-    it leaves out carries dh/dc through unchanged and keeps a zero dx.
-    dW, dU and the recurrent dh products run per step. Each step's
-    pre-activation gradient rows go into one preallocated (rows, 4*hidden)
-    buffer, and dx is made after the loop from the four per-gate products
-    with W over all of them, added in GATES order from zeros and scattered
-    back to their (t, row) positions: bitwise the per-step dx."""
-    params, xs, steps = cache["params"], cache["x"], cache["steps"]
+def _directional_bptt(cache, d_final_h: np.ndarray, starts):
+    """BPTT over the step records of a per-position `directional_pass`,
+    last step first, popping each record as it is used: each record's rows
+    take their gradient through the step, while a row it leaves out carries
+    dh/dc through unchanged. dW, dU and the recurrent dh products run per
+    step, stacked over the branches. Each step's pre-activation gradients
+    (branches, rows, 4*hidden) are written over that step's gates, which
+    nothing reads after. Returns (grads, dpre_steps): per-gate row views of
+    the stacked dW, dU and db, with the branch axis, and (first table row
+    starts[t], pre-activation gradients) per step, from which
+    `_input_grad` makes dx."""
+    params, table, steps = cache["params"], cache["x"], cache["steps"]
+    stack = params.as_stack()
+    G, hidden = len(stack.W), stack.hidden
     gate_rows = params.gate_rows
-    dW = np.zeros_like(params.W)
-    dU = np.zeros_like(params.U)
-    db = np.zeros_like(params.b)
-    dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
+    table = np.broadcast_to(table, (G, *table.shape[-2:]))
+    dW, dU, db = np.zeros_like(stack.W), np.zeros_like(stack.U), np.zeros_like(stack.b)
+    # a copy: rows are updated in place
+    dh = np.array(d_final_h, dtype=np.float64).reshape(G, -1, hidden)
     dc = np.zeros_like(dh)
-    # every step's dpre rows and their (t, row) positions, in run order
-    n_rows = sum(len(rec[1]) for rec in steps)
-    dpre_all = np.empty((n_rows, 4 * params.hidden))
-    pos_t, pos_row = np.empty(n_rows, dtype=np.intp), np.empty(n_rows, dtype=np.intp)
-    end = n_rows
-    for t, rows, h_prev, c_prev, gates, tanh_c in reversed(steps):
-        i, f, o, n = gates.transpose(1, 0, 2)
-        dh_t = dh[rows]
+    # each gate's rows of U in the layout matmul_stacked reads without a copy
+    U_gates = [np.ascontiguousarray(stack.U[:, r].transpose(1, 0, 2)).transpose(1, 0, 2)
+               for r in gate_rows.values()]
+    dpre_steps = []
+    while steps:
+        t, rows, h_prev, c_prev, gates, tanh_c = steps.pop()
+        shape = (G, len(rows), hidden)
+        h_prev, c_prev, tanh_c = h_prev.reshape(shape), c_prev.reshape(shape), tanh_c.reshape(shape)
+        gates = gates.reshape(G, len(rows), 4, hidden)
+        i, f, o, n = np.moveaxis(gates, 2, 0)
+        dh_t = dh[:, rows]
 
         do = dh_t * tanh_c
-        dc_t = dc[rows] + dh_t * o * (1.0 - tanh_c ** 2)
+        dc_t = dc[:, rows] + dh_t * o * (1.0 - tanh_c ** 2)
         df = dc_t * c_prev
         di = dc_t * n
         dn = dc_t * i
+        dc[:, rows] = dc_t * f
 
-        start = end - len(rows)
-        dpre = dpre_all[start:end]
-        pos_t[start:end], pos_row[start:end] = t, rows
-        end = start
-        np.concatenate((
-            activate_grad(params.gate_activation, gates[:, :3], np.stack((di, df, do), axis=1)),
-            activate_grad("tanh", gates[:, 3:], dn[:, None]),
-        ), axis=1, out=dpre.reshape(len(rows), 4, -1))
-        dW += matmul(dpre.T, xs[t, rows])
-        dU += matmul(dpre.T, h_prev)
-        db += dpre.sum(axis=0)
+        # the pre-activation gradients, written over the gates
+        dpre = _over_gates(activate_grad, stack.gate_activation, gates,
+                           (np.stack((di, df, do), axis=2),), (dn[:, :, None],))
+        dpre = dpre.reshape(G, len(rows), 4 * hidden)
+        dpre_steps.append((starts[t], dpre))
+        dpre_t = dpre.transpose(0, 2, 1)
+        dW += matmul_stacked(dpre_t, table[:, starts[t] : starts[t + 1]])
+        dU += matmul_stacked(dpre_t, h_prev)
+        db += dpre.sum(axis=1)
         # gate by gate in GATES order: one 4H-deep product adds the same
         # terms in another order, which changes the rounding
         dh_rec = np.zeros_like(dh_t)
-        for r in gate_rows.values():
-            dh_rec += matmul(dpre[:, r], params.U[r])
-        dh[rows] = dh_rec
-        dc[rows] = dc_t * f
-    # each row of a product depends on that row only, so the per-gate dx
-    # products over all steps' rows at once give every step's rows bitwise
-    dx_rows = np.zeros((n_rows, xs.shape[2]))
-    for r in gate_rows.values():
-        dx_rows += matmul(dpre_all[:, r], params.W[r])
-    dx = np.zeros_like(xs)
-    dx[pos_t, pos_row] = dx_rows
-    grads = {f"{k}_{g}": arr[gate_rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
+        for r, U_gate in zip(gate_rows.values(), U_gates):
+            dh_rec += matmul_stacked(dpre[:, :, r], U_gate)
+        dh[:, rows] = dh_rec
+    grads = {f"{k}_{g}": arr[:, gate_rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
              for g in GATES}
-    return grads, dx
+    return grads, dpre_steps
+
+
+def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
+    """Branch k's input-gradient rows (n, embed), in table order: its
+    pre-activation gradient rows of every step, gathered into table order,
+    then the four per-gate products of them with W, added in GATES order
+    from zeros. Each row of a product depends on that row only, so this
+    gives every step's rows bitwise what a per-step product would."""
+    W = params.as_stack().W[k]
+    dpre = np.empty((n, 4 * params.hidden))
+    for start, step_dpre in dpre_steps:
+        dpre[start : start + step_dpre.shape[1]] = step_dpre[k]
+    dx = np.zeros((n, W.shape[1]))
+    for r in params.gate_rows.values():
+        dx += matmul(dpre[:, r], W[r])
+    return dx
 
 
 def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None):
     """Pooled representation: final forward h plus final backward h.
-    `tokens` goes to both directional passes; given it, the cache is None."""
+    `tokens` goes to both directional passes; by default both read one
+    per-position table. The cache is None when the passes are forward-only
+    (given an index)."""
+    if tokens is None:
+        tokens = _position_table(sequence, mask), None
     final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
     final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward",
                                         tokens)
     pooled = final_f.h + final_b.h
-    return pooled, ({"fwd": cache_f, "bwd": cache_b} if tokens is None else None)
+    if cache_f is None:
+        return pooled, None
+    return pooled, {"fwd": cache_f, "bwd": cache_b, "mask": _sequence_mask(sequence, mask)[2]}
 
 
 def bptt(cache, upstream: np.ndarray):
-    """Gradients for both directions' parameters and the input vectors.
+    """Gradients for both directions' parameters and the input vectors. A
+    cache can be used once: BPTT pops its step records.
 
     `upstream` is the gradient w.r.t. the pooled representation; because
     pooling is an elementwise sum it feeds both final states directly.
-    Returns (grads, dx) with grads keyed "fwd.W_i", "bwd.b_o", etc.
+    Returns (grads, dx) with grads keyed "fwd.W_i", "bwd.b_o", etc. For 2-D
+    parameters dx is the dense (L, batch, embed) input gradient. For a
+    stack, each gradient has the branch axis, and dx is an iterator over
+    the branches that makes each one's (n, embed) input-gradient rows, in
+    per-position table order, when it is asked for.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    grads_f, dx_f = _directional_bptt(cache["fwd"], upstream)
-    grads_b, dx_b = _directional_bptt(cache["bwd"], upstream)
+    mask = cache["mask"]
+    starts = _row_starts(mask)
+    grads_f, dpre_f = _directional_bptt(cache["fwd"], upstream, starts)
+    grads_b, dpre_b = _directional_bptt(cache["bwd"], upstream, starts)
     grads = {f"fwd.{k}": v for k, v in grads_f.items()}
     grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-    return grads, dx_f + dx_b
+    params_f, params_b = cache["fwd"]["params"], cache["bwd"]["params"]
+    n = starts[-1]
+    dx_rows = (_input_grad(params_f, dpre_f, n, k) + _input_grad(params_b, dpre_b, n, k)
+               for k in range(len(params_f.as_stack().W)))
+    if params_f.W.ndim == 3:
+        return grads, dx_rows
+    dx = np.zeros((*mask.shape, params_f.embed))
+    dx[mask] = next(dx_rows)
+    return {k: v[0] for k, v in grads.items()}, dx

@@ -3,7 +3,9 @@
 One shared trainable embedding table feeds four independent branches, each
 a bidirectional LSTM followed by a two-way affine head with its own output
 activation (softmax, sigmoid, relu, tanh). Branches never share weights
-beyond the embedding.
+beyond the embedding. Each direction's LSTM weights of all four branches are
+stored as one (4, 4H, ·) stack, `ParallelModel.encoder`, and each branch's
+parameters are views into it, so the four encoders can step together.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import BidirectionalLayer, LSTMCellParams, bptt, bidirectional_encode
-from .tensor import RngStream, activate, activate_grad, dropout_mask, matmul
+from .tensor import STACKED_ELEMS, RngStream, activate, activate_grad, dropout_mask, matmul
 
 BRANCH_NAMES = ("softmax", "sigmoid", "relu", "tanh")
 # literal_eq9 gives each branch's i/f/o gates that branch's own activation
@@ -48,9 +50,26 @@ class Branch:
 
 
 @dataclass
+class BranchGroup:
+    """Branches whose encoders step together: `layer` holds their LSTM
+    parameters as stacks with a leading branch axis, in `branches` order."""
+
+    branches: tuple  # of Branch
+    layer: BidirectionalLayer
+
+    @classmethod
+    def of(cls, branch: Branch):
+        """A group of one, its stacks views of the branch's own parameters."""
+        layer = branch.layer
+        return cls((branch,), BidirectionalLayer(layer.forward_params.as_stack(),
+                                                 layer.backward_params.as_stack()))
+
+
+@dataclass
 class ParallelModel:
     embedding: np.ndarray  # (vocab, embed); row 0 (pad) stays zero
     branches: dict  # name -> Branch, iteration in BRANCH_NAMES order
+    encoder: BidirectionalLayer  # (4, 4H, ·) stacks; each branch's layer is views of them
     seq_len: int
     aggregation: str = "primary_branch"  # or "majority_vote"
 
@@ -74,6 +93,17 @@ class ParallelModel:
 
     def param_count(self):
         return sum(arr.size for _, arr in self.blocks())
+
+    def groups(self, batch: int):
+        """The branch groups that step together on a batch: all four as one
+        stack while a step's recurrent product, 4 x batch x 4H, fits
+        `matmul_stacked`'s one stack, else each branch alone, on views of
+        the same stacks. A shape rule, not a setting: both give the same
+        bytes, and larger stacks run per branch anyway."""
+        branches = tuple(self.branches[name] for name in BRANCH_NAMES)
+        if len(branches) * batch * 4 * self.hidden <= STACKED_ELEMS:
+            return [BranchGroup(branches, self.encoder)]
+        return [BranchGroup.of(branch) for branch in branches]
 
 
 def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
@@ -101,13 +131,15 @@ def init_model(
         raise ValueError(f"unknown gate_mode {gate_mode!r}")
     embedding = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE, (vocab_size, embed_dim))
     embedding[0, :] = 0.0
+    gate_acts = tuple(name if gate_mode == "literal_eq9" else "sigmoid" for name in BRANCH_NAMES)
+    encoder = BidirectionalLayer(LSTMCellParams.zeros(hidden, embed_dim, gate_acts),
+                                 LSTMCellParams.zeros(hidden, embed_dim, gate_acts))
     branches = {}
     for idx, name in enumerate(BRANCH_NAMES):
         rng = RngStream(seed, 1 + idx)
-        gate_act = name if gate_mode == "literal_eq9" else "sigmoid"
-        layer = BidirectionalLayer(
-            LSTMCellParams.random(hidden, embed_dim, rng, INIT_SCALE, 1.0, gate_act),
-            LSTMCellParams.random(hidden, embed_dim, rng, INIT_SCALE, 1.0, gate_act),
+        layer = BidirectionalLayer(  # draw order: forward, backward, head
+            encoder.forward_params.branch(idx).randomize(rng, INIT_SCALE, 1.0),
+            encoder.backward_params.branch(idx).randomize(rng, INIT_SCALE, 1.0),
         )
         branches[name] = Branch(
             name=name,
@@ -117,7 +149,7 @@ def init_model(
             dropout_embed=dropout_embed,
             dropout_recurrent=dropout_recurrent,
         )
-    return ParallelModel(embedding, branches, seq_len, aggregation)
+    return ParallelModel(embedding, branches, encoder, seq_len, aggregation)
 
 
 def _checked_ids(model: ParallelModel, ids) -> np.ndarray:
@@ -133,94 +165,133 @@ def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
     return model.embedding[_checked_ids(model, ids)].transpose(1, 0, 2)
 
 
-def branch_forward(branch: Branch, embedded: np.ndarray, mask, rng=None, tokens=None):
+def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
 
+    `branch` is a Branch, or a BranchGroup whose encoders run as one stack;
+    for a group, `rng` and the returned scores are lists in branch order.
     Training mode is exactly "an rng was given": dropout masks are drawn
-    from it. Returns (scores (batch, 2), cache). The dropout masks land in
-    the cache so the backward pass replays them exactly. `tokens` is the
-    encoder's (table, index) token table (see `lstm.directional_pass`); it
-    describes `embedded`, so it fits eval mode only, where no dropout
-    changes the input. A pass given `tokens` is forward-only: the encoder
-    keeps no BPTT step records and the returned cache is None.
+    from it, the embedding mask first. Returns (scores (batch, 2), cache).
+    The encoder reads one per-position token table for both directions:
+    the unmasked positions' inputs, (branches, n, embed) in training, where
+    each branch's dropout makes its own. The cache holds that table and the
+    unmasked rows of the embedding dropout masks, not the dense inputs, so
+    the backward pass replays the masks exactly. `tokens` is the encoder's
+    (table, index) token table (see `lstm.directional_pass`); it describes
+    `embedded`, so it fits eval mode only, where no dropout changes the
+    input, and `embedded` may then be a stand-in of that shape. A pass given
+    `tokens` is forward-only: the encoder keeps no BPTT step records and the
+    returned cache is None.
     """
+    group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
+    rngs = rng if group is branch or rng is None else [rng]
     embedded = np.asarray(embedded, dtype=np.float64)
-    batch = embedded.shape[1]
-    if rng is None:
-        m_embed = m_pool = 1.0
-        x = embedded  # equals embedded * 1.0 bit for bit, without the copy
-    else:
-        m_embed = dropout_mask(embedded.shape, branch.dropout_embed, rng)
-        m_pool = dropout_mask((batch, branch.hidden), branch.dropout_recurrent, rng)
-        x = embedded * m_embed
-    pooled, enc_cache = bidirectional_encode(branch.layer, x, mask, tokens)
+    L, batch = embedded.shape[:2]
+    mask = np.ones((L, batch), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    n_branches = len(group.branches)
+    m_embed, m_pool = None, np.ones((n_branches, 1, 1))
+    if rngs is not None:
+        rows = embedded[mask]
+        table = np.empty((n_branches, *rows.shape))
+        m_embed = np.empty_like(table)
+        m_pool = np.empty((n_branches, batch, group.layer.hidden))
+        for k, (member, member_rng) in enumerate(zip(group.branches, rngs)):
+            m_embed[k] = dropout_mask(embedded.shape, member.dropout_embed, member_rng)[mask]
+            m_pool[k] = dropout_mask((batch, member.hidden), member.dropout_recurrent,
+                                     member_rng)
+            np.multiply(rows, m_embed[k], out=table[k])
+        del rows
+        tokens = table, None
+    pooled, enc_cache = bidirectional_encode(group.layer, embedded, mask, tokens)
     dropped = pooled * m_pool
-    logits = matmul(dropped, branch.head_W.T) + branch.head_b
-    scores = activate(branch.name, logits)
-    if tokens is not None:
-        return scores, None
-    cache = {
+    scores = [activate(member.name, matmul(dropped[k], member.head_W.T) + member.head_b)
+              for k, member in enumerate(group.branches)]
+    cache = None if enc_cache is None else {
         "m_embed": m_embed,
         "m_pool": m_pool,
         "enc": enc_cache,
         "dropped": dropped,
         "scores": scores,
     }
-    return scores, cache
+    return (scores if group is branch else scores[0]), cache
 
 
-def branch_backward(branch: Branch, cache, d_scores: np.ndarray):
-    """Reverse the branch pipeline; returns (param grads, d_embedded)."""
-    d_logits = activate_grad(branch.name, cache["scores"], d_scores)
-    grads = {
-        f"{branch.name}.head_W": matmul(d_logits.T, cache["dropped"]),
-        f"{branch.name}.head_b": d_logits.sum(axis=0),
-    }
-    d_dropped = matmul(d_logits, branch.head_W)
-    d_pooled = d_dropped * cache["m_pool"]
-    enc_grads, dx = bptt(cache["enc"], d_pooled)
-    for key, val in enc_grads.items():
-        grads[f"{branch.name}.{key}"] = val
-    d_embedded = dx * cache["m_embed"]
-    return grads, d_embedded
+def _embedded_grads(mask, m_embed, dx_rows):
+    """Each branch's dense (L, batch, embed) gradient w.r.t. the shared
+    embedded input, made when it is asked for: its input-gradient rows
+    through its embedding dropout mask, at the unmasked positions."""
+    for k, rows in enumerate(dx_rows):
+        d_embedded = np.zeros((*mask.shape, rows.shape[1]))
+        d_embedded[mask] = rows if m_embed is None else rows * m_embed[k]
+        yield d_embedded
+
+
+def branch_backward(branch, cache, d_scores):
+    """Reverse the branch pipeline; returns (param grads, d_embedded).
+
+    For a BranchGroup, `d_scores` is a list in branch order, the grads are
+    one dict per branch, and d_embedded is an iterator that makes each
+    branch's dense gradient when it is asked for, so only one is held at a
+    time. The BPTT of all of the group's branches runs in this call.
+    """
+    group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
+    if group is not branch:
+        d_scores = [d_scores]
+    dropped = cache["dropped"]
+    d_pooled = np.empty_like(dropped)
+    grads = []
+    for k, member in enumerate(group.branches):
+        d_logits = activate_grad(member.name, cache["scores"][k], d_scores[k])
+        grads.append({
+            f"{member.name}.head_W": matmul(d_logits.T, dropped[k]),
+            f"{member.name}.head_b": d_logits.sum(axis=0),
+        })
+        d_pooled[k] = matmul(d_logits, member.head_W) * cache["m_pool"][k]
+    enc_grads, dx_rows = bptt(cache["enc"], d_pooled)
+    for k, member in enumerate(group.branches):
+        grads[k].update((f"{member.name}.{key}", val[k]) for key, val in enc_grads.items())
+    d_embedded = _embedded_grads(cache["enc"]["mask"], cache["m_embed"], dx_rows)
+    if group is branch:
+        return grads, d_embedded
+    return grads[0], next(d_embedded)
 
 
 def forward_batch(model: ParallelModel, ids, mask, rngs=None):
-    """Shared embedding lookup, then all four branches independently: the
-    one forward pass behind training, eval and the per-epoch metrics.
+    """Shared embedding lookup, then the four branches in `model.groups`:
+    the one forward pass behind training, eval and the per-epoch metrics.
 
     mask is (batch, L) boolean. rngs maps branch name -> RngStream and
     selects training mode. Returns ({branch: scores (batch, 2)}, caches):
-    caches maps branch -> backward cache when training and is None in eval.
-    Training inputs differ at every position after dropout, so each pass
-    projects every unmasked position of the (L, batch, embed) input. In
-    eval every unmasked position's input is its token's embedding row, so
-    one token table -- the distinct unmasked ids' rows -- serves all four
-    branches, and each directional pass projects each distinct id once.
-    Eval builds no (L, batch, embed) array: the passes read only its shape,
-    from a zero-memory stand-in, and, given the table, keep no BPTT step
-    records. Every id, padded or not, must be in range in both modes.
+    in training, caches lists (group, cache) pairs in branch order, which
+    `branch_backward` takes; in eval it is None. Training inputs differ at
+    every position after dropout, so each branch projects every unmasked
+    position. In eval every unmasked position's input is its token's
+    embedding row, so one token table -- the distinct unmasked ids' rows --
+    serves all four branches, and each directional pass projects each
+    distinct id once per branch. Eval builds no (L, batch, embed) array: the
+    passes read only its shape, from a zero-memory stand-in, and, given the
+    table, keep no BPTT step records. Every id, padded or not, must be in
+    range in both modes.
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
-    scores = {}
+    tokens = None
     if rngs is None:
         ids = _checked_ids(model, ids)
         uniq, inverse = np.unique(ids.T[mask_tm], return_inverse=True)
         index = np.zeros(mask_tm.shape, dtype=np.intp)
         index[mask_tm] = inverse
         tokens = model.embedding[uniq], index
-        shape_only = np.broadcast_to(0.0, (*ids.T.shape, model.embed_dim))
-        for name in BRANCH_NAMES:
-            scores[name] = branch_forward(model.branches[name], shape_only, mask_tm,
-                                          tokens=tokens)[0]
-        return scores, None
-    embedded = embed_ids(model, ids)
-    caches = {}
-    for name in BRANCH_NAMES:
-        scores[name], caches[name] = branch_forward(model.branches[name], embedded, mask_tm,
-                                                    rngs[name])
-    return scores, caches
+        embedded = np.broadcast_to(0.0, (*ids.T.shape, model.embed_dim))
+    else:
+        embedded = embed_ids(model, ids)
+    scores, caches = {}, []
+    for group in model.groups(mask_tm.shape[1]):
+        group_rngs = None if rngs is None else [rngs[b.name] for b in group.branches]
+        group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs, tokens)
+        scores.update(zip((b.name for b in group.branches), group_scores))
+        caches.append((group, cache))
+    return scores, (None if rngs is None else caches)
 
 
 def aggregate(per_branch_labels: dict, aggregation: str) -> int:

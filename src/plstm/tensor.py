@@ -6,7 +6,7 @@ Everything operates on float64 numpy arrays. The matrix product accumulates
 the inner dimension left to right so results are bitwise reproducible and
 match a scalar triple-loop evaluation exactly. Each rank-1 term a[:, k] b[k]
 is built by an `np.einsum` whose subscripts sum no index ("i,j->ij", or
-"ki,kj->kij" for a block of terms): every output element receives exactly
+"kgi,kgj->kgij" for a block of terms): every output element receives exactly
 one product, written into a zeroed output. A fused multiply-add with a +0
 addend rounds once, like a plain multiply, so each term is the rounded
 product; at most a -0 product comes out as +0, which cannot change a running
@@ -22,7 +22,11 @@ block would hold fewer than two terms, and for a 1x1 output, whose reduction
 numpy would sum pairwise. On the loop path a product of more than
 _TILE_ROWS rows runs the whole inner loop on one tile of rows at a time, so
 the term and running sum stay in cache; a row's sum does not depend on the
-tile it is in.
+tile it is in. `matmul_stacked` makes a stack of such products, one per
+branch, each bitwise its own 2-D product: while the stack is small, one
+no-sum einsum ("kgi,kgj->kgij") builds a block's terms of every product and
+one reduction adds them, so a stack costs about the numpy calls of one
+product.
 """
 
 from __future__ import annotations
@@ -39,6 +43,10 @@ _BLOCK_ELEMS = 1 << 15
 # runs the whole inner loop on each tile in turn, so the (rows, N) term and
 # running sum it adds stay in cache.
 _TILE_ROWS = 512
+
+# the most output elements, G*M*N, that matmul_stacked makes as one stack: a
+# block then holds at least two terms of every product.
+STACKED_ELEMS = _BLOCK_ELEMS // 2
 
 
 class ShapeError(ValueError):
@@ -74,10 +82,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an outer product from `np.einsum` with no summed index, so it holds the
     correctly rounded products and nothing else (see the module docstring);
     never give it a summed index or `optimize=`. Up to _BLOCK_ELEMS // (M*N)
-    terms are built at once as a C-contiguous (k, M, N) array; the running
-    sum is added into its first term and `np.add.reduce` over axis 0 adds
-    the rest one term after another, since the kept M*N axis is the inner
-    loop. The running sum is the first operand of every add, as in the
+    terms are built at once as a C-contiguous array (`_add_blocks`); the
+    running sum is added into its first term and `np.add.reduce` over axis
+    0 adds the rest one term after another, since the kept M*N axis is the
+    inner loop. The running sum is the first operand of every add, as in the
     loop. Two cases keep the one-term loop, which reuses one (rows, N)
     buffer for the term: M*N > _BLOCK_ELEMS // 2, where a block would hold
     fewer than two terms and the reduction is slower, and M*N == 1, where
@@ -104,11 +112,54 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 np.einsum("i,j->ij", at[k, r0 : r0 + _TILE_ROWS], b[k], out=tile_term)
                 tile += tile_term
         return out
-    for k0 in range(0, inner, block):
-        terms = np.einsum("ki,kj->kij", at[k0 : k0 + block], b[k0 : k0 + block])
+    _add_blocks(at[:, None], b[:, None], out[None])
+    return out
+
+
+def _add_blocks(at, bt, out):
+    """Add into out (G, M, N) the rank-1 terms of every inner index k in
+    order, at[k, g] times bt[k, g] for each g, a block of _BLOCK_ELEMS //
+    out.size indices at a time: one no-sum einsum writes a block's terms
+    into one reused buffer, the running sum is added into the first term,
+    and `np.add.reduce` over axis 0 adds the rest one after another."""
+    block = _BLOCK_ELEMS // out.size
+    buffer = np.empty((min(block, len(at)), *out.shape))
+    for k0 in range(0, len(at), block):
+        terms = buffer[: min(block, len(at) - k0)]
+        np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=terms)
         np.add(out, terms[0], out=terms[0])
         np.add.reduce(terms, axis=0, out=out)
     return out
+
+
+def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A stack of matrix products: out[g] equals matmul(a[g], b[g]) bit for bit.
+
+    a is (G, M, K) and b (G, K, N). While G*M*N <= STACKED_ELEMS, one
+    `_add_blocks` makes all G products, a block of inner indices for every
+    product at a time, as in `matmul`'s blocks, so G products cost the numpy
+    calls of about one. A larger stack runs `matmul` per product into a
+    preallocated output (a stack of one returns its product as it is), as
+    do 1x1 products, whose stacked reduction can keep the other of two NaNs.
+    b's transpose (K, G, N) is read as it lies when it is C-contiguous, else
+    copied once.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"matmul_stacked expects (G, M, K) x (G, K, N), got {a.shape} and "
+                         f"{b.shape}")
+    g, m, n = a.shape[0], a.shape[1], b.shape[2]
+    if m * n < 2 or not 0 < g * m * n <= STACKED_ELEMS:
+        if g == 1:  # the one product as it is, without a copy
+            return matmul(a[0], b[0])[None]
+        out = np.empty((g, m, n))
+        for k in range(g):
+            out[k] = matmul(a[k], b[k])
+        return out
+    at = np.ascontiguousarray(a.transpose(2, 0, 1))  # (K, G, M)
+    bt = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, G, N)
+    return _add_blocks(at, bt, np.zeros((g, m, n)))
 
 
 def activate(kind: str, x: np.ndarray) -> np.ndarray:

@@ -170,18 +170,52 @@ def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
     return {name: np.argmax(scores[name], axis=1) for name in BRANCH_NAMES}
 
 
+def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> dict:
+    """One batch's clipped gradient of every block: a training-mode
+    `forward_batch`, each branch's loss (added into loss_sums), each branch
+    group's backward, then each branch's clip and embedding scatter in
+    BRANCH_NAMES order. The caches and gradients of the batch are freed
+    when this returns."""
+    scores, caches = forward_batch(model, ids, mask, rngs)
+    d_scores = {}
+    for name in BRANCH_NAMES:
+        loss, d_scores[name] = categorical_cross_entropy(scores[name], targets)
+        loss_sums[name] += loss
+    used = mask.T  # unmasked positions, time-major like d_embedded
+    used_ids = ids.T[used]
+    d_embedding = np.zeros_like(model.embedding)
+    grads = {"embedding": d_embedding}
+    while caches:
+        group, cache = caches.pop(0)
+        group_grads, d_embeddeds = branch_backward(
+            group, cache, [d_scores[b.name] for b in group.branches])
+        del cache  # its step records are spent; free its token table
+        # the dense gradients first: zip then runs their iterator to its end
+        for d_embedded, branch_grads in zip(d_embeddeds, group_grads):
+            _clip([*branch_grads.values(), d_embedded], clip_norm)
+            grads.update(branch_grads)
+            # scatter-add the unmasked positions' grads back to embedding
+            # rows, t-major then batch row, so repeated ids add in step
+            # order; padded positions (gradient +0) are left out
+            np.add.at(d_embedding, used_ids, d_embedded[used])
+    d_embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
+    return grads
+
+
 def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     """Train in place; returns (model, [EpochLog]).
 
     Each epoch: one seeded shuffle (a pure function of seed and epoch),
-    mini-batches, and per batch one training-mode `forward_batch` (each
-    branch's dropout stream keyed by seed, branch, epoch and batch), each
-    branch's loss, backward and clip in BRANCH_NAMES order, and one Adam
-    update of every block. No backward reads another branch's parameters
-    or the embedding, so that equals updating each branch after its own
-    backward. The embedding's gradient sums the branches' in that order;
-    its pad row never moves. Verbose level 1 prints a summary line every
-    100 epochs.
+    mini-batches, and per batch (`_batch_grads`) one training-mode
+    `forward_batch` (each branch's dropout stream keyed by seed, branch,
+    epoch and batch), each branch's loss, one `branch_backward` per branch
+    group of `ParallelModel.groups` -- the four branches' BPTT at once when
+    they step together -- then each branch's clip and embedding scatter in
+    BRANCH_NAMES order, and one Adam update of every block. No backward
+    reads another branch's parameters or the embedding, so that equals
+    updating each branch after its own backward. The embedding's gradient
+    sums the branches' in that order; its pad row never moves. Verbose
+    level 1 prints a summary line every 100 epochs.
     """
     config.validate()
     if len(dataset) == 0:
@@ -206,24 +240,8 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
             targets = _one_hot(dataset.labels[batch])
             rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
                     for b_idx, name in enumerate(BRANCH_NAMES)}
-            scores, caches = forward_batch(model, ids, mask, rngs)
-            used = mask.T  # unmasked positions, time-major like d_embedded
-            used_ids = ids.T[used]
-            d_embedding = np.zeros_like(model.embedding)
-            grads = {"embedding": d_embedding}
-            for name in BRANCH_NAMES:
-                loss, d_scores = categorical_cross_entropy(scores[name], targets)
-                loss_sums[name] += loss
-                branch_grads, d_embedded = branch_backward(model.branches[name],
-                                                           caches.pop(name), d_scores)
-                _clip([*branch_grads.values(), d_embedded], config.clip_norm)
-                grads.update(branch_grads)
-                # scatter-add the unmasked positions' grads back to embedding
-                # rows, t-major then batch row, so repeated ids add in step
-                # order; padded positions (gradient +0) are left out
-                np.add.at(d_embedding, used_ids, d_embedded[used])
-            d_embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
-            adam_step(opt, params, grads)
+            adam_step(opt, params, _batch_grads(model, ids, mask, targets, rngs,
+                                                config.clip_norm, loss_sums))
             n_batches += 1
 
         acc = epoch_metrics(model, dataset)

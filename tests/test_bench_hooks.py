@@ -57,7 +57,8 @@ def test_every_hooked_name_is_a_plstm_function():
 def test_step_counters_read_directional_pass_arguments():
     """`--trace 1` step figures come from `directional_pass`'s positional
     sequence and mask; a reordered signature would corrupt them silently.
-    Eval-mode `forward_batch` runs 8 passes: 4 branches, 2 directions."""
+    Eval-mode `forward_batch` runs 2 passes on this small batch: the four
+    branches step together, one pass per direction."""
     L = 5
     model = init_model(9, 4, 3, seed=0, seq_len=L)
     mask = np.arange(L) < np.array([[5], [2], [3]])  # (batch, L), ragged
@@ -65,7 +66,7 @@ def test_step_counters_read_directional_pass_arguments():
     t = tracer.Tracer()
     with t.active():
         plstm.model.forward_batch(model, ids, mask)
-    assert t.stats["lstm.directional_pass"][0] == 8
-    assert t.counts["lstm.steps"] == 8 * L
-    assert t.counts["lstm.row_steps"] == 8 * mask.size
-    assert t.counts["lstm.useful_row_steps"] == 8 * mask.sum()
+    assert t.stats["lstm.directional_pass"][0] == 2
+    assert t.counts["lstm.steps"] == 2 * L
+    assert t.counts["lstm.row_steps"] == 2 * mask.size
+    assert t.counts["lstm.useful_row_steps"] == 2 * mask.sum()

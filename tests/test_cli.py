@@ -83,6 +83,67 @@ class TestStats:
         assert not out.exists()
 
 
+    def test_top_k_zero_exit_3_before_reading_data(self, tmp_path, capsys):
+        out = tmp_path / "freq.csv"
+        code = main(["stats", "--data", str(tmp_path / "nope.txt"), "--top-k", "0",
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "config error: --top-k must be >= 1, got 0\n"
+        assert not out.exists()
+
+
+class TestAllocationBound:
+    """The model and encoded-data bytes are checked against MAX_ALLOC_BYTES
+    once the vocabulary is known, before anything is allocated. A huge
+    config is never run: building the model or encoding the data fails the
+    test instead."""
+
+    @pytest.fixture
+    def no_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the bound")
+
+        for name in ("build_model", "encode_dataset", "benchmark"):
+            monkeypatch.setattr(f"plstm.cli.{name}", refuse)
+
+    def test_bound_arithmetic(self):
+        from plstm.cli import MAX_ALLOC_BYTES, _check_allocation
+        from plstm.model import expected_param_count
+
+        params = expected_param_count(100, 8, 4) * 8
+        _check_allocation(100, 8, 4, 10, 6)  # params plus 10 x 6 x 9 bytes fit
+        with pytest.raises(ConfigError, match="limit"):
+            _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - params) // 54 + 1, 6)
+        _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - params) // 54, 6)
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_huge_hidden_exit_3(self, data_dir, tmp_path, command, no_allocation, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE_CFG_TEXT + "hidden=1000000\n")
+        data = str(data_dir / "synthetic_train.tsv")
+        argv = (["train", "--data", data] if command == "train"
+                else ["benchmark", "--datasets", data])
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the model and encoded data need ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    def test_eval_checks_the_checkpoint_seq_len(self, data_dir, tmp_path, monkeypatch,
+                                                capsys):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(64, 4, 3, seed=0, seq_len=8), ckpt)
+        monkeypatch.setattr("plstm.cli.MAX_ALLOC_BYTES",
+                            init_model(64, 4, 3, seed=0).param_count() * 8 + 9 * 7)
+        monkeypatch.setattr("plstm.cli.encode_dataset", lambda *a: pytest.fail("encoded"))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error: the model and encoded")
+
+
 class TestTrain:
     def test_smoke_run_writes_outputs(self, data_dir, tmp_path, smoke_cfg):
         out = tmp_path / "run"

@@ -138,6 +138,13 @@ class TestLoaders:
         examples = load_labeled_dataset(p, "csv")
         assert [ex.label for ex in examples] == [1, 0]
 
+    def test_csv_error_names_the_physical_line(self, tmp_path):
+        # a blank line and a two-line quoted text put record 3 on line 6
+        p = tmp_path / "d.csv"
+        p.write_text('id,text,label\n1,hello,0\n\n2,"two\nlines",1\n3,bad,7\n')
+        with pytest.raises(ParseError, match="line 6: invalid label"):
+            load_labeled_dataset(p, "csv")
+
     def test_json_lines(self, tmp_path):
         p = tmp_path / "d.jsonl"
         rows = [{"id": 1, "text": "a b", "label": 1}, {"id": 2, "text": "c", "label": "0"}]

@@ -17,7 +17,7 @@ from plstm.lstm import (
     cell_step,
     directional_pass,
 )
-from plstm.tensor import RngStream, activate_grad, matmul
+from plstm.tensor import STACKED_ELEMS, RngStream, activate_grad, matmul
 
 
 def random_params(hidden, embed, seed, scale=0.5, gate_activation="sigmoid"):
@@ -264,6 +264,89 @@ class TestTokenTable:
             assert cache["steps"] == []
         assert np.array_equal(final.h, np.zeros((2, hidden)))
         assert np.array_equal(final.c, np.zeros((2, hidden)))
+
+
+def stack_params(params):
+    """One stack of branches from 2-D parameters, in order."""
+    return LSTMCellParams(np.stack([p.W for p in params]), np.stack([p.U for p in params]),
+                          np.stack([p.b for p in params]),
+                          tuple(p.gate_activation for p in params))
+
+
+STANDARD_ACTS = ("sigmoid",) * 4
+LITERAL_ACTS = ("softmax", "sigmoid", "relu", "tanh")
+
+
+class TestStackedBranches:
+    """Four branches run as one stack -- one directional pass per direction
+    and one BPTT -- give each branch the bytes of its own one-branch run:
+    final states, every gradient and dx. Each branch has its own inputs, as
+    after dropout, read from one per-position table for both directions."""
+
+    def check(self, mask, embed, hidden, acts, seed):
+        L, batch = mask.shape
+        gen = np.random.default_rng(seed)
+        fwd = [random_params(hidden, embed, seed % 2**31 + k, 1.0, a) for k, a in enumerate(acts)]
+        bwd = [random_params(hidden, embed, seed % 2**31 + 9 + k, 1.0, a)
+               for k, a in enumerate(acts)]
+        xs = [_with_zeros(gen, (L, batch, embed)) for _ in acts]
+        upstream = _with_zeros(gen, (len(acts), batch, hidden))
+        table = np.stack([x[mask] for x in xs])
+        stack = BidirectionalLayer(stack_params(fwd), stack_params(bwd))
+
+        for params, singles, direction in ((stack.forward_params, fwd, "forward"),
+                                           (stack.backward_params, bwd, "backward")):
+            final, cache = directional_pass(params, xs[0], mask, direction, (table, None))
+            assert len(cache["steps"]) == int(mask.any(axis=1).sum())  # one record a step
+            for k, p in enumerate(singles):
+                want, _ = directional_pass(p, xs[k], mask, direction)
+                assert final.h[k].tobytes() == want.h.tobytes()
+                assert final.c[k].tobytes() == want.c.tobytes()
+
+        pooled, cache = bidirectional_encode(stack, xs[0], mask, (table, None))
+        grads, dx_rows = bptt(cache, upstream)
+        for k in range(len(acts)):
+            one = BidirectionalLayer(fwd[k], bwd[k])
+            want_pooled, one_cache = bidirectional_encode(one, xs[k], mask)
+            assert pooled[k].tobytes() == want_pooled.tobytes()
+            want_grads, want_dx = bptt(one_cache, upstream[k])
+            assert list(grads) == list(want_grads)
+            for name, grad in grads.items():
+                assert grad[k].tobytes() == want_grads[name].tobytes(), (k, name)
+            assert next(dx_rows).tobytes() == want_dx[mask].tobytes()
+        assert next(dx_rows, None) is None
+
+    @given(masked_cases(), st.sampled_from([STANDARD_ACTS, LITERAL_ACTS]))
+    @example((np.array([[1, 1], [0, 0], [1, 0]], dtype=bool), 2, 3, "relu", 3),
+             LITERAL_ACTS)  # an all-pad step
+    @settings(max_examples=100, deadline=None)
+    def test_small_stacks_match_one_branch_runs(self, case, acts):
+        mask, embed, hidden, _, seed = case
+        self.check(mask, embed, hidden, acts, seed)
+
+    @pytest.mark.parametrize("acts", [STANDARD_ACTS, LITERAL_ACTS], ids=["standard", "literal"])
+    def test_stacks_over_the_one_product_size_match_one_branch_runs(self, acts):
+        # 4 x 80 rows x 4*16 > STACKED_ELEMS: the stacked products run per branch
+        L, batch, hidden = 5, 80, 16
+        assert len(acts) * batch * 4 * hidden > STACKED_ELEMS
+        lengths = np.random.default_rng(5).integers(0, L, batch)  # step L-1 is all padding
+        mask = np.arange(L)[:, None] < lengths[None, :]
+        self.check(mask, 3, hidden, acts, 6)
+
+    def test_shared_table_with_index_matches_one_branch_runs(self):
+        mask = np.array([[1, 1, 1], [1, 0, 1], [0, 0, 0], [1, 0, 0]], dtype=bool)
+        gen = np.random.default_rng(8)
+        params = [random_params(3, 2, 40 + k, 1.0, a) for k, a in enumerate(LITERAL_ACTS)]
+        table = _with_zeros(gen, (5, 2))
+        index = gen.integers(0, 5, mask.shape)
+        for direction in ("forward", "backward"):
+            final, cache = directional_pass(stack_params(params), table[index], mask, direction,
+                                            (table, index))
+            assert cache is None
+            for k, p in enumerate(params):
+                want, _ = directional_pass(p, table[index], mask, direction, (table, index))
+                assert final.h[k].tobytes() == want.h.tobytes()
+                assert final.c[k].tobytes() == want.c.tobytes()
 
 
 class TestCellStep:

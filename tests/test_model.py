@@ -10,6 +10,8 @@ from plstm.lstm import BidirectionalLayer, LSTMCellParams
 from plstm.model import (
     BRANCH_NAMES,
     Branch,
+    BranchGroup,
+    ParallelModel,
     aggregate,
     branch_backward,
     branch_forward,
@@ -19,7 +21,8 @@ from plstm.model import (
     init_model,
     summary,
 )
-from plstm.tensor import RngStream, categorical_cross_entropy, grad_check, matmul
+from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, grad_check,
+                          matmul)
 
 
 def encoded(ids, L):
@@ -195,12 +198,13 @@ class TestForwardBatchTraining:
     def test_caches_feed_branch_backward(self):
         m = init_model(10, 4, 3, seed=8)
         scores, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
-        assert list(caches) == list(BRANCH_NAMES)
-        for name in BRANCH_NAMES:
-            grads, d_embedded = branch_backward(m.branches[name], caches[name],
-                                                np.ones_like(scores[name]))
-            assert set(grads) == {key for key, _ in m.branches[name].blocks()}
-            assert d_embedded.shape == (4, 2, 4)
+        assert [b.name for group, _ in caches for b in group.branches] == list(BRANCH_NAMES)
+        for group, cache in caches:
+            grads, d_embedded = branch_backward(
+                group, cache, [np.ones_like(scores[b.name]) for b in group.branches])
+            for branch, branch_grads in zip(group.branches, grads):
+                assert set(branch_grads) == {key for key, _ in branch.blocks()}
+                assert next(d_embedded).shape == (4, 2, 4)
 
     def test_zero_rates_match_eval_bitwise(self):
         m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
@@ -216,6 +220,69 @@ class TestForwardBatchTraining:
         evaluated, _ = forward_batch(m, self.IDS, self.MASK)
         for name in BRANCH_NAMES:
             assert not np.array_equal(trained[name], evaluated[name])
+
+
+class TestBranchGroups:
+    """The four branches step as one stack while a step's recurrent product,
+    4 x batch x 4H, fits STACKED_ELEMS, and one at a time above it; either
+    grouping gives every score and gradient the same bytes."""
+
+    def test_shape_rule(self):
+        m = init_model(10, 4, 8, seed=0)  # 4H = 32
+        largest = STACKED_ELEMS // (4 * 4 * m.hidden)
+        (group,) = m.groups(largest)
+        assert [b.name for b in group.branches] == list(BRANCH_NAMES)
+        assert group.layer is m.encoder
+        singles = m.groups(largest + 1)
+        assert [b.name for g in singles for b in g.branches] == list(BRANCH_NAMES)
+        for k, g in enumerate(singles):  # views of the same stacks
+            assert np.shares_memory(g.layer.forward_params.W, m.encoder.forward_params.W[k])
+
+    def test_branch_parameters_are_views_of_the_stacks(self):
+        m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
+        assert m.encoder.forward_params.W.shape == (4, 12, 4)
+        assert m.encoder.backward_params.gate_activation == BRANCH_NAMES
+        for k, name in enumerate(BRANCH_NAMES):
+            for _, arr in m.branches[name].blocks()[:-2]:
+                stack = m.encoder.forward_params, m.encoder.backward_params
+                assert any(np.shares_memory(arr, getattr(p, a)[k]) for p in stack for a in "WUb")
+
+    @staticmethod
+    def run(model, ids, mask, groups, monkeypatch):
+        """Training scores, every gradient and d_embedded, and eval scores,
+        with `groups(model)` as the branch grouping."""
+        monkeypatch.setattr(ParallelModel, "groups", lambda self, batch: groups(self))
+        scores, caches = forward_batch(model, ids, mask, branch_rngs(9))
+        out = {}
+        for group, cache in caches:
+            grads, d_embedded = branch_backward(
+                group, cache, [np.cos(scores[b.name]) for b in group.branches])
+            for branch, branch_grads in zip(group.branches, grads):
+                out[branch.name] = (scores[branch.name], branch_grads, next(d_embedded))
+        return out, forward_batch(model, ids, mask)[0]
+
+    @pytest.mark.parametrize("gate_mode", ["standard", "literal_eq9"])
+    @pytest.mark.parametrize("batch", [3, 70])  # 70: over STACKED_ELEMS, so per branch
+    def test_stacked_and_one_at_a_time_give_the_same_bytes(self, gate_mode, batch,
+                                                           monkeypatch):
+        m = init_model(30, 4, 16, seed=3, gate_mode=gate_mode)
+        gen = np.random.default_rng(batch)
+        mask = np.arange(6) < gen.integers(1, 6, batch)[:, None]  # the last step is all pad
+        ids = np.where(mask, gen.integers(1, 30, (batch, 6)), 0)
+        assert len(m.groups(batch)) == (1 if batch == 3 else 4)
+        stacked = self.run(m, ids, mask, lambda model: [
+            BranchGroup(tuple(model.branches.values()), model.encoder)], monkeypatch)
+        single = self.run(m, ids, mask, lambda model: [
+            BranchGroup.of(b) for b in model.branches.values()], monkeypatch)
+        for name in BRANCH_NAMES:
+            (s_scores, s_grads, s_demb), (o_scores, o_grads, o_demb) = (
+                stacked[0][name], single[0][name])
+            assert s_scores.tobytes() == o_scores.tobytes()
+            assert list(s_grads) == list(o_grads)
+            for key in s_grads:
+                assert s_grads[key].tobytes() == o_grads[key].tobytes(), key
+            assert s_demb.tobytes() == o_demb.tobytes()
+            assert stacked[1][name].tobytes() == single[1][name].tobytes()
 
 
 class TestEvalTokenTable:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from plstm.tensor import (
     _BLOCK_ELEMS,
     _TILE_ROWS,
+    STACKED_ELEMS,
     RngStream,
     ShapeError,
     activate,
@@ -21,6 +22,7 @@ from plstm.tensor import (
     dropout_mask,
     grad_check,
     matmul,
+    matmul_stacked,
 )
 
 
@@ -120,6 +122,55 @@ class TestMatmulBlocked:
         assert any(2 < block < k for block, _, k in blocks)  # several wide blocks
 
 
+def _stacked_operands(gen, m, k, n, g, nonfinite=False):
+    """A (g, m, k) and a (g, k, n) stack of `_operand`s, one pair per branch."""
+    a = np.stack([_operand(gen, (m, k), "C", nonfinite) for _ in range(g)])
+    b = np.stack([_operand(gen, (k, n), "C", nonfinite) for _ in range(g)])
+    return a, b
+
+
+class TestMatmulStacked:
+    """matmul_stacked(a, b)[g] must be matmul(a[g], b[g]) bit for bit, on
+    both sides of STACKED_ELEMS. NaNs are compared by value: numpy's multiply
+    and add may keep a NaN of the other sign on some CPU dispatch levels."""
+
+    @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    @pytest.mark.parametrize("m,k,n", MATMUL_CASES)
+    def test_equals_one_matmul_per_branch(self, m, k, n, g, nonfinite):
+        a, b = _stacked_operands(np.random.default_rng(m * 10007 + k * 101 + n + g), m, k, n,
+                                 g, nonfinite)
+        with np.errstate(all="ignore"):
+            got = matmul_stacked(a, b)
+            want = np.array([matmul(a[i], b[i]) for i in range(g)]).reshape(g, m, n)
+        assert got.shape == (g, m, n)
+        assert _nan_canonical(got).tobytes() == _nan_canonical(want).tobytes()
+
+    def test_cases_reach_both_paths(self):
+        sizes = [4 * m * n for m, _, n in MATMUL_CASES if m * n > 1]
+        assert any(size <= STACKED_ELEMS for size in sizes)
+        assert any(size > STACKED_ELEMS for size in sizes)
+
+    @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_random_shapes_and_layouts(self, g, m, k, n, seed):
+        gen = np.random.default_rng(seed)
+        a, b = _stacked_operands(gen, m, k, n, g)
+        at = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)  # strided
+        got = matmul_stacked(at, b)
+        assert got.tobytes() == np.array([matmul(a[i], b[i]) for i in range(g)]).reshape(
+            g, m, n).tobytes()
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            matmul_stacked(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):
+            matmul_stacked(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeError):
+            matmul_stacked(np.zeros((3, 4)), np.zeros((4, 5)))
+
+
 def _dispatch_levels():
     """numpy's runtime-dispatch targets that this CPU has, lowest first."""
     try:
@@ -133,35 +184,46 @@ def _nan_canonical(x):
     return np.where(np.isnan(x), np.nan, x)
 
 
-# The child runs matmul and, from this file's source, the rank-1 loop on
-# the products saved in argv[1]. It prints the hash of matmul's bytes, the
-# loop's, matmul's with every NaN made np.nan, and the dispatch levels left on.
+# The child runs matmul and matmul_stacked and, from this file's source, the
+# rank-1 loop (per branch for a stack) on the products saved in argv[1] and
+# argv[2]. For each of the two it prints the hash of the product's bytes, the
+# loop's, and the product's with every NaN made np.nan; then the dispatch
+# levels left on.
 _DISPATCH_CHILD = "import numpy as np\n" + "".join(
     inspect.getsource(f) for f in (matmul_rank1, _nan_canonical, _dispatch_levels)) + """
 import hashlib, sys
-from plstm.tensor import matmul
-ops = np.load(sys.argv[1])
-pairs = [(ops[f"arr_{i}"], ops[f"arr_{i + 1}"]) for i in range(0, len(ops.files), 2)]
-digests = [hashlib.sha256() for _ in range(3)]
-with np.errstate(all="ignore"):
-    for a, b in pairs:
-        got = matmul(a, b)
-        digests[0].update(got.tobytes())
-        digests[1].update(matmul_rank1(a, b).tobytes())
-        digests[2].update(_nan_canonical(got).tobytes())
-print(*[d.hexdigest() for d in digests], *_dispatch_levels())
+from plstm.tensor import matmul, matmul_stacked
+hashes = []
+for path, product, loop in (
+        (sys.argv[1], matmul, matmul_rank1),
+        (sys.argv[2], matmul_stacked,
+         lambda a, b: np.array([matmul_rank1(x, y) for x, y in zip(a, b)]).reshape(
+             len(a), a.shape[1], b.shape[2]))):
+    ops = np.load(path)
+    pairs = [(ops[f"arr_{i}"], ops[f"arr_{i + 1}"]) for i in range(0, len(ops.files), 2)]
+    digests = [hashlib.sha256() for _ in range(3)]
+    with np.errstate(all="ignore"):
+        for a, b in pairs:
+            got = product(a, b)
+            digests[0].update(got.tobytes())
+            digests[1].update(loop(a, b).tobytes())
+            digests[2].update(_nan_canonical(got).tobytes())
+    hashes += [d.hexdigest() for d in digests]
+print(*hashes, *_dispatch_levels())
 """
 
 
 def test_matmul_bytes_do_not_depend_on_cpu_dispatch(tmp_path):
-    """The products of MATMUL_CASES, finite and with inf, -inf and nan, are
-    run in child processes that turn numpy's SIMD kernels off one dispatch
-    level at a time (through NPY_DISABLE_CPU_FEATURES, each child disabling
-    one more level from the top). In every child matmul's bytes equal the
-    rank-1 loop's in that child, and, once each NaN is made np.nan, the
-    rank-1 loop's here. The sign of a NaN is left out across levels because
-    numpy's own multiply and add pick a different NaN at the baseline level.
-    Only the levels this CPU has can be disabled, so only those are covered.
+    """The products of MATMUL_CASES, finite and with inf, -inf and nan, as
+    2-D matmul operands and as stacks of four for matmul_stacked, are run in
+    child processes that turn numpy's SIMD kernels off one dispatch level at
+    a time (through NPY_DISABLE_CPU_FEATURES, each child disabling one more
+    level from the top). In every child each product's bytes equal the
+    rank-1 loop's in that child (per branch for a stack), and, once each NaN
+    is made np.nan, the rank-1 loop's here. The sign of a NaN is left out
+    across levels because numpy's own multiply and add pick a different NaN
+    at the baseline level. Only the levels this CPU has can be disabled, so
+    only those are covered.
     """
     levels = _dispatch_levels()
     if not levels:
@@ -170,23 +232,34 @@ def test_matmul_bytes_do_not_depend_on_cpu_dispatch(tmp_path):
     ops = [_operand(gen, shape, "C", nonfinite)
            for nonfinite in (False, True) for m, k, n in MATMUL_CASES
            for shape in ((m, k), (k, n))]
+    stacked = [x for nonfinite in (False, True) for m, k, n in MATMUL_CASES
+               for x in _stacked_operands(gen, m, k, n, 4, nonfinite)]
     np.savez(tmp_path / "ops.npz", *ops)
-    want = hashlib.sha256()
+    np.savez(tmp_path / "stacked.npz", *stacked)
+    want, want_stacked = hashlib.sha256(), hashlib.sha256()
     with np.errstate(all="ignore"):
         for a, b in zip(ops[::2], ops[1::2]):
             want.update(_nan_canonical(matmul_rank1(a, b)).tobytes())
+        for a, b in zip(stacked[::2], stacked[1::2]):
+            for x, y in zip(a, b):
+                want_stacked.update(_nan_canonical(matmul_rank1(x, y)).tobytes())
     env = {k: v for k, v in os.environ.items() if not k.startswith("NPY_")}
     for i, level in enumerate(levels):
         env["NPY_DISABLE_CPU_FEATURES"] = " ".join(levels[i:])
         child = subprocess.run(
-            [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "ops.npz")],
+            [sys.executable, "-c", _DISPATCH_CHILD, str(tmp_path / "ops.npz"),
+             str(tmp_path / "stacked.npz")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        got, loop, canonical, *enabled = child.stdout.split()
+        got, loop, canonical, s_got, s_loop, s_canonical, *enabled = child.stdout.split()
         assert enabled == levels[:i], f"{level} and above were not disabled"
         assert got == loop, f"matmul differs from the rank-1 loop with {level} and above off"
         assert canonical == want.hexdigest(), f"matmul values change with {level} and above off"
+        assert s_got == s_loop, (f"matmul_stacked differs from the rank-1 loop with {level} "
+                                 "and above off")
+        assert s_canonical == want_stacked.hexdigest(), (
+            f"matmul_stacked values change with {level} and above off")
 
 
 class TestMatmul:
