@@ -5,7 +5,9 @@ Layout, all little-endian: magic "PLSTM\\x01", four uint32 header fields
 every branch's parameter blocks in fixed order (softmax, sigmoid, relu,
 tanh; per branch: forward then backward gates i/f/o/n as W, U, b, then the
 head weights and bias), each block as row-major float64. Round trips are
-bitwise exact.
+bitwise exact. The payload is in `ParallelModel.blocks()` order, not in the
+order of the parameter arena (`model.model_over`), so it is written and
+read block by block.
 """
 
 from __future__ import annotations

@@ -126,6 +126,15 @@ class BidirectionalLayer:
     def hidden(self):
         return self.forward_params.hidden
 
+    def branch(self, k: int):
+        """Branch k of a stacked layer, as 2-D views."""
+        return BidirectionalLayer(self.forward_params.branch(k), self.backward_params.branch(k))
+
+    def zeros_like(self):
+        """A layer of the same shapes and gate activations over new zeroed arrays."""
+        return BidirectionalLayer(*(LSTMCellParams.zeros(p.hidden, p.embed, p.gate_activation)
+                                    for p in (self.forward_params, self.backward_params)))
+
 
 def _over_gates(fn, acts, gates, d_ifo=(), d_n=()):
     """Write fn(kind, gate values, *upstream) over the (branches, rows, 4,
@@ -268,15 +277,16 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     return final, ({"params": params, "x": table, "steps": steps} if records else None)
 
 
-def _directional_bptt(cache, d_final_h: np.ndarray, starts):
+def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams):
     """BPTT over the step records of a per-position `directional_pass`,
     last step first, popping each record as it is used: each record's rows
     take their gradient through the step, while a row it leaves out carries
     dh/dc through unchanged. dW, dU and the recurrent dh products run per
-    step, stacked over the branches. Each step's pre-activation gradients
-    (branches, rows, 4*hidden) are written over that step's gates, which
-    nothing reads after. Returns (grads, dpre_steps): per-gate row views of
-    the stacked dW, dU and db, with the branch axis, and (first table row
+    step, stacked over the branches, and dW, dU and db add into `out`'s
+    arrays, of the cache's parameter shapes. Each step's pre-activation
+    gradients (branches, rows, 4*hidden) are written over that step's gates,
+    which nothing reads after. Returns (grads, dpre_steps): per-gate row
+    views of `out`'s stacks, with the branch axis, and (first table row
     starts[t], pre-activation gradients) per step, from which
     `_input_grad` makes dx."""
     params, table, steps = cache["params"], cache["x"], cache["steps"]
@@ -284,7 +294,8 @@ def _directional_bptt(cache, d_final_h: np.ndarray, starts):
     G, hidden = len(stack.W), stack.hidden
     gate_rows = params.gate_rows
     table = np.broadcast_to(table, (G, *table.shape[-2:]))
-    dW, dU, db = np.zeros_like(stack.W), np.zeros_like(stack.U), np.zeros_like(stack.b)
+    out = out.as_stack()
+    dW, dU, db = out.W, out.U, out.b
     # a copy: rows are updated in place
     dh = np.array(d_final_h, dtype=np.float64).reshape(G, -1, hidden)
     dc = np.zeros_like(dh)
@@ -359,13 +370,15 @@ def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=
     return pooled, {"fwd": cache_f, "bwd": cache_b, "mask": _sequence_mask(sequence, mask)[2]}
 
 
-def bptt(cache, upstream: np.ndarray):
+def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer = None):
     """Gradients for both directions' parameters and the input vectors. A
     cache can be used once: BPTT pops its step records.
 
     `upstream` is the gradient w.r.t. the pooled representation; because
     pooling is an elementwise sum it feeds both final states directly.
-    Returns (grads, dx) with grads keyed "fwd.W_i", "bwd.b_o", etc. For 2-D
+    The parameter gradients add into `out`, a layer of the encoded layer's
+    shapes (by default new zeroed arrays). Returns (grads, dx) with grads
+    keyed "fwd.W_i", "bwd.b_o", etc., per-gate views of `out`. For 2-D
     parameters dx is the dense (L, batch, embed) input gradient. For a
     stack, each gradient has the branch axis, and dx is an iterator over
     the branches that makes each one's (n, embed) input-gradient rows, in
@@ -373,11 +386,13 @@ def bptt(cache, upstream: np.ndarray):
     """
     mask = cache["mask"]
     starts = _row_starts(mask)
-    grads_f, dpre_f = _directional_bptt(cache["fwd"], upstream, starts)
-    grads_b, dpre_b = _directional_bptt(cache["bwd"], upstream, starts)
+    params_f, params_b = cache["fwd"]["params"], cache["bwd"]["params"]
+    if out is None:
+        out = BidirectionalLayer(params_f, params_b).zeros_like()
+    grads_f, dpre_f = _directional_bptt(cache["fwd"], upstream, starts, out.forward_params)
+    grads_b, dpre_b = _directional_bptt(cache["bwd"], upstream, starts, out.backward_params)
     grads = {f"fwd.{k}": v for k, v in grads_f.items()}
     grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-    params_f, params_b = cache["fwd"]["params"], cache["bwd"]["params"]
     n = starts[-1]
     dx_rows = (_input_grad(params_f, dpre_f, n, k) + _input_grad(params_b, dpre_b, n, k)
                for k in range(len(params_f.as_stack().W)))

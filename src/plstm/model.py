@@ -3,13 +3,17 @@
 One shared trainable embedding table feeds four independent branches, each
 a bidirectional LSTM followed by a two-way affine head with its own output
 activation (softmax, sigmoid, relu, tanh). Branches never share weights
-beyond the embedding. Each direction's LSTM weights of all four branches are
-stored as one (4, 4H, ·) stack, `ParallelModel.encoder`, and each branch's
-parameters are views into it, so the four encoders can step together.
+beyond the embedding. Every parameter lives in one flat float64 buffer,
+`ParallelModel.arena`, and the arrays the maths uses are views of it (see
+`model_over`): each direction's LSTM weights of all four branches are one
+(4, 4H, ·) stack, `ParallelModel.encoder`, and each branch's parameters are
+views into it, so the four encoders can step together. A gradient arena
+has the same layout, so one elementwise pass can update the whole model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,9 +68,17 @@ class BranchGroup:
         return cls((branch,), BidirectionalLayer(layer.forward_params.as_stack(),
                                                  layer.backward_params.as_stack()))
 
+    def zeros_like(self):
+        """A group of the same shapes over new zeroed arrays: a gradient."""
+        layer = self.layer.zeros_like()
+        return BranchGroup(tuple(Branch(b.name, layer.branch(k), np.zeros_like(b.head_W),
+                                        np.zeros_like(b.head_b))
+                                 for k, b in enumerate(self.branches)), layer)
+
 
 @dataclass
 class ParallelModel:
+    arena: np.ndarray  # every parameter, flat; the arrays below are views of it
     embedding: np.ndarray  # (vocab, embed); row 0 (pad) stays zero
     branches: dict  # name -> Branch, iteration in BRANCH_NAMES order
     encoder: BidirectionalLayer  # (4, 4H, ·) stacks; each branch's layer is views of them
@@ -92,7 +104,14 @@ class ParallelModel:
         return out
 
     def param_count(self):
-        return sum(arr.size for _, arr in self.blocks())
+        return self.arena.size
+
+    def zeros_like(self):
+        """A model of the same layout and gate activations over a zeroed
+        arena: the gradient arena, each gradient the view its parameter is."""
+        return model_over(np.zeros_like(self.arena), self.vocab_size, self.embed_dim,
+                          self.hidden, self.encoder.forward_params.gate_activation,
+                          self.seq_len, self.aggregation)
 
     def groups(self, batch: int):
         """The branch groups that step together on a batch: all four as one
@@ -112,6 +131,33 @@ def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
     return vocab_size * embed_dim + 4 * per_branch
 
 
+def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: tuple,
+               seq_len: int, aggregation: str = "primary_branch",
+               dropout_embed: float = DEFAULT_DROPOUT_EMBED,
+               dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT) -> ParallelModel:
+    """The arena layout: a model whose parameters are views of `arena`, a
+    flat float64 buffer of expected_param_count() elements, tiled once in
+    this order: the (vocab, embed) embedding; per direction, forward then
+    backward, the (4, 4H, embed) W, (4, 4H, H) U and (4, 4H) b stacks of
+    all four branches; then, branch by branch, the (2, H) head weights and
+    (2,) head bias. `gate_acts` names each branch's gate activation."""
+    rows, n = 4 * hidden, len(BRANCH_NAMES)
+    shapes = [(vocab_size, embed_dim),
+              *[(n, rows, embed_dim), (n, rows, hidden), (n, rows)] * 2,
+              *[(N_CLASSES, hidden), (N_CLASSES,)] * n]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    if arena.shape != (ends[-1],):
+        raise ValueError(f"arena shape {arena.shape} != ({ends[-1]},)")
+    embedding, *views = (arena[end - math.prod(shape) : end].reshape(shape)
+                         for shape, end in zip(shapes, ends))
+    encoder = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
+                                 LSTMCellParams(*views[3:6], gate_acts))
+    branches = {name: Branch(name, encoder.branch(k), views[6 + 2 * k], views[7 + 2 * k],
+                             dropout_embed, dropout_recurrent)
+                for k, name in enumerate(BRANCH_NAMES)}
+    return ParallelModel(arena, embedding, branches, encoder, seq_len, aggregation)
+
+
 def init_model(
     vocab_size: int,
     embed_dim: int,
@@ -129,27 +175,19 @@ def init_model(
         raise ValueError("all model dimensions must be >= 1")
     if gate_mode not in GATE_MODES:
         raise ValueError(f"unknown gate_mode {gate_mode!r}")
-    embedding = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE, (vocab_size, embed_dim))
-    embedding[0, :] = 0.0
     gate_acts = tuple(name if gate_mode == "literal_eq9" else "sigmoid" for name in BRANCH_NAMES)
-    encoder = BidirectionalLayer(LSTMCellParams.zeros(hidden, embed_dim, gate_acts),
-                                 LSTMCellParams.zeros(hidden, embed_dim, gate_acts))
-    branches = {}
-    for idx, name in enumerate(BRANCH_NAMES):
-        rng = RngStream(seed, 1 + idx)
-        layer = BidirectionalLayer(  # draw order: forward, backward, head
-            encoder.forward_params.branch(idx).randomize(rng, INIT_SCALE, 1.0),
-            encoder.backward_params.branch(idx).randomize(rng, INIT_SCALE, 1.0),
-        )
-        branches[name] = Branch(
-            name=name,
-            layer=layer,
-            head_W=rng.uniform(-INIT_SCALE, INIT_SCALE, (N_CLASSES, hidden)),
-            head_b=np.zeros(N_CLASSES),
-            dropout_embed=dropout_embed,
-            dropout_recurrent=dropout_recurrent,
-        )
-    return ParallelModel(embedding, branches, encoder, seq_len, aggregation)
+    model = model_over(np.zeros(expected_param_count(vocab_size, embed_dim, hidden)),
+                       vocab_size, embed_dim, hidden, gate_acts, seq_len, aggregation,
+                       dropout_embed, dropout_recurrent)
+    model.embedding[...] = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE,
+                                                      (vocab_size, embed_dim))
+    model.embedding[0, :] = 0.0
+    for idx, branch in enumerate(model.branches.values()):
+        rng = RngStream(seed, 1 + idx)  # draw order: forward, backward, head
+        branch.layer.forward_params.randomize(rng, INIT_SCALE, 1.0)
+        branch.layer.backward_params.randomize(rng, INIT_SCALE, 1.0)
+        branch.head_W[...] = rng.uniform(-INIT_SCALE, INIT_SCALE, (N_CLASSES, hidden))
+    return model
 
 
 def _checked_ids(model: ParallelModel, ids) -> np.ndarray:
@@ -178,21 +216,24 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     each branch's dropout makes its own. The cache holds that table and the
     unmasked rows of the embedding dropout masks, not the dense inputs, so
     the backward pass replays the masks exactly. `tokens` is the encoder's
-    (table, index) token table (see `lstm.directional_pass`); it describes
-    `embedded`, so it fits eval mode only, where no dropout changes the
-    input, and `embedded` may then be a stand-in of that shape. A pass given
-    `tokens` is forward-only: the encoder keeps no BPTT step records and the
-    returned cache is None.
+    (table, index) token table (see `lstm.directional_pass`), by default
+    the per-position table `embedded[mask]`. It describes `embedded`, which
+    may then be a stand-in of that shape, read for its shape only. Training
+    takes a per-position table (index None), the inputs before dropout. A
+    pass given an index, which fits eval mode only, is forward-only: the
+    encoder keeps no BPTT step records and the returned cache is None.
     """
     group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
     rngs = rng if group is branch or rng is None else [rng]
     embedded = np.asarray(embedded, dtype=np.float64)
     L, batch = embedded.shape[:2]
     mask = np.ones((L, batch), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if tokens is None:
+        tokens = embedded[mask], None
     n_branches = len(group.branches)
     m_embed, m_pool = None, np.ones((n_branches, 1, 1))
     if rngs is not None:
-        rows = embedded[mask]
+        rows = tokens[0]
         table = np.empty((n_branches, *rows.shape))
         m_embed = np.empty_like(table)
         m_pool = np.empty((n_branches, batch, group.layer.hidden))
@@ -227,28 +268,33 @@ def _embedded_grads(mask, m_embed, dx_rows):
         yield d_embedded
 
 
-def branch_backward(branch, cache, d_scores):
+def branch_backward(branch, cache, d_scores, out=None):
     """Reverse the branch pipeline; returns (param grads, d_embedded).
 
-    For a BranchGroup, `d_scores` is a list in branch order, the grads are
-    one dict per branch, and d_embedded is an iterator that makes each
-    branch's dense gradient when it is asked for, so only one is held at a
-    time. The BPTT of all of the group's branches runs in this call.
+    The parameter gradients land in `out`, a BranchGroup of the group's
+    shapes (a gradient arena's `groups`, say) whose encoder stacks the BPTT
+    adds into and whose heads it overwrites; by default new zeroed arrays.
+    The grads are views of `out`, keyed by block name. For a BranchGroup,
+    `d_scores` is a list in branch order, the grads are one dict per branch,
+    and d_embedded is an iterator that makes each branch's dense gradient
+    when it is asked for, so only one is held at a time. The BPTT of all of
+    the group's branches runs in this call.
     """
     group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
     if group is not branch:
         d_scores = [d_scores]
+    out = group.zeros_like() if out is None else out
     dropped = cache["dropped"]
     d_pooled = np.empty_like(dropped)
     grads = []
-    for k, member in enumerate(group.branches):
+    for k, (member, grad) in enumerate(zip(group.branches, out.branches)):
         d_logits = activate_grad(member.name, cache["scores"][k], d_scores[k])
-        grads.append({
-            f"{member.name}.head_W": matmul(d_logits.T, dropped[k]),
-            f"{member.name}.head_b": d_logits.sum(axis=0),
-        })
+        grad.head_W[...] = matmul(d_logits.T, dropped[k])
+        grad.head_b[...] = d_logits.sum(axis=0)
+        grads.append({f"{member.name}.head_W": grad.head_W,
+                      f"{member.name}.head_b": grad.head_b})
         d_pooled[k] = matmul(d_logits, member.head_W) * cache["m_pool"][k]
-    enc_grads, dx_rows = bptt(cache["enc"], d_pooled)
+    enc_grads, dx_rows = bptt(cache["enc"], d_pooled, out.layer)
     for k, member in enumerate(group.branches):
         grads[k].update((f"{member.name}.{key}", val[k]) for key, val in enc_grads.items())
     d_embedded = _embedded_grads(cache["enc"]["mask"], cache["m_embed"], dx_rows)
@@ -266,29 +312,29 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     in training, caches lists (group, cache) pairs in branch order, which
     `branch_backward` takes; in eval it is None. Training inputs differ at
     every position after dropout, so each branch projects every unmasked
-    position. In eval every unmasked position's input is its token's
-    embedding row, so one token table -- the distinct unmasked ids' rows --
-    serves all four branches, and each directional pass projects each
-    distinct id once per branch. Eval builds no (L, batch, embed) array: the
-    passes read only its shape, from a zero-memory stand-in, and, given the
-    table, keep no BPTT step records. Every id, padded or not, must be in
-    range in both modes.
+    position, from a per-position table of their embedding rows. In eval
+    every unmasked position's input is its token's embedding row, so one
+    token table -- the distinct unmasked ids' rows -- serves all four
+    branches, and each directional pass projects each distinct id once per
+    branch; given that table's index, the passes keep no BPTT step records.
+    Neither mode builds the (L, batch, embed) array: the passes and the
+    dropout draws read only its shape, from a zero-memory stand-in. Every
+    id, padded or not, must be in range in both modes.
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
-    tokens = None
+    used_ids = _checked_ids(model, ids).T[mask_tm]
+    tokens = None  # in training, each group gathers its own, freed once dropout is applied
     if rngs is None:
-        ids = _checked_ids(model, ids)
-        uniq, inverse = np.unique(ids.T[mask_tm], return_inverse=True)
+        uniq, inverse = np.unique(used_ids, return_inverse=True)
         index = np.zeros(mask_tm.shape, dtype=np.intp)
         index[mask_tm] = inverse
         tokens = model.embedding[uniq], index
-        embedded = np.broadcast_to(0.0, (*ids.T.shape, model.embed_dim))
-    else:
-        embedded = embed_ids(model, ids)
+    embedded = np.broadcast_to(0.0, (*mask_tm.shape, model.embed_dim))
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):
         group_rngs = None if rngs is None else [rngs[b.name] for b in group.branches]
-        group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs, tokens)
+        group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs,
+                                             tokens or (model.embedding[used_ids], None))
         scores.update(zip((b.name for b in group.branches), group_scores))
         caches.append((group, cache))
     return scores, (None if rngs is None else caches)

@@ -1,6 +1,10 @@
 """Training loop: categorical cross-entropy, seeded shuffling, per-branch
 gradient clipping, one Adam update of the whole model per batch, and
-per-epoch logging in the style of the per-100-epoch accuracy tables."""
+per-epoch logging in the style of the per-100-epoch accuracy tables.
+
+The gradients of a batch land in a gradient arena, a zeroed model of the
+parameter arena's layout (`ParallelModel.zeros_like`), so one chunked,
+in-place Adam update over the two flat buffers updates every parameter."""
 
 from __future__ import annotations
 
@@ -11,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import encode, tokenize
+from .lstm import GATES
 from .model import (AGGREGATIONS, BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward,
                     forward_batch, init_model)
-from .tensor import RngStream, ShapeError, categorical_cross_entropy
+from .tensor import _BLOCK_ELEMS, RngStream, ShapeError, categorical_cross_entropy
 
 
 @dataclass
@@ -101,8 +106,10 @@ ADAM_EPS = 1e-8
 
 
 class AdamState:
-    """Per-block first/second moments with bias correction (ADAM_BETA1,
-    ADAM_BETA2, ADAM_EPS); one step counter, as every block updates each step."""
+    """Per-entry first/second moments with bias correction (ADAM_BETA1,
+    ADAM_BETA2, ADAM_EPS); one step counter, as every entry updates each
+    step. In training the one entry is the whole parameter arena; the
+    chunked update's scratch buffers are made per call, not kept here."""
 
     def __init__(self, learning_rate: float = 0.01):
         self.lr = learning_rate
@@ -112,25 +119,46 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict, grads: dict):
-    """One Adam update, in place. params and grads map block name -> array."""
+    """One Adam update, in place. params and grads map entry name -> array;
+    each param must be C-contiguous, as every model array is.
+
+    Each entry is updated flat, _BLOCK_ELEMS elements at a time, so the
+    chunk and its temporaries stay in cache; the temporaries live in one
+    pair of chunk-sized scratch buffers made per entry, 2 x 256 KB at most,
+    not in entry-sized arrays. Per element the operations are those of
+        m = B1*m + (1-B1)*g;  v = B2*v + ((1-B2)*g)*g
+        theta -= (lr * (m / (1-B1**t))) / (sqrt(v / (1-B2**t)) + eps)
+    in that order, so a chunk of an entry, an entry or a whole arena gives
+    every element the same bytes.
+    """
     state.t += 1
-    t = state.t
+    c1, c2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
     for name, theta in params.items():
         g = grads[name]
         if g.shape != theta.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {theta.shape} for {name}")
         if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            state.m[name] = np.zeros(theta.shape)
+            state.v[name] = np.zeros(theta.shape)
+        if not theta.flags.c_contiguous:  # its flat form would be a copy
+            raise ValueError(f"param {name} is not C-contiguous")
+        theta, g = theta.reshape(-1), g.reshape(-1)
+        m, v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        scratch = np.empty((2, min(theta.size, _BLOCK_ELEMS)))
+        for lo in range(0, theta.size, _BLOCK_ELEMS):
+            chunk = slice(lo, lo + _BLOCK_ELEMS)
+            m_c, v_c, g_c = m[chunk], v[chunk], g[chunk]
+            a, b = scratch[:, : g_c.size]
+            m_c *= ADAM_BETA1
+            m_c += np.multiply(1.0 - ADAM_BETA1, g_c, out=a)
+            v_c *= ADAM_BETA2
+            v_c += np.multiply(np.multiply(1.0 - ADAM_BETA2, g_c, out=a), g_c, out=a)
+            np.divide(m_c, c1, out=a)  # m_hat
+            np.sqrt(np.divide(v_c, c2, out=b), out=b)  # sqrt(v_hat)
+            b += ADAM_EPS
+            np.multiply(state.lr, a, out=a)
+            a /= b
+            theta[chunk] -= a
     return params, state
 
 
@@ -141,13 +169,16 @@ def _one_hot(labels: np.ndarray) -> np.ndarray:
 
 
 def _clip(arrays, max_norm):
-    """Scale `arrays` in place so their joint L2 norm is at most max_norm;
-    the squared sums add up in the order given."""
+    """Scale `arrays` in place so their joint L2 norm is at most max_norm.
+    Each array is (blocks, n), one block a row: a row's squared sum is the
+    block's own `np.sum(g * g)`, bitwise, and the rows' sums add up in the
+    order given."""
     if max_norm is None:
         return
     total = 0.0
     for g in arrays:
-        total += float(np.sum(g * g))
+        for row_sum in np.sum(g * g, axis=1):
+            total += float(row_sum)
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
@@ -170,12 +201,25 @@ def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
     return {name: np.argmax(scores[name], axis=1) for name in BRANCH_NAMES}
 
 
-def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> dict:
-    """One batch's clipped gradient of every block: a training-mode
-    `forward_batch`, each branch's loss (added into loss_sums), each branch
-    group's backward, then each branch's clip and embedding scatter in
-    BRANCH_NAMES order. The caches and gradients of the batch are freed
-    when this returns."""
+def _clip_rows(grad, d_embedded):
+    """A branch's gradient as `_clip` takes it, in the order the squared
+    sums of its blocks add up: its head weights and bias, then per
+    direction the W, U and b stacks, a row per gate, then its dense
+    embedded-input gradient. All are views, so the clip scales them."""
+    stacks = [arr.reshape(len(GATES), -1) for params in (grad.layer.forward_params,
+                                                         grad.layer.backward_params)
+              for arr in (params.W, params.U, params.b)]
+    return [grad.head_W.reshape(1, -1), grad.head_b.reshape(1, -1), *stacks,
+            d_embedded.reshape(1, -1)]
+
+
+def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> ParallelModel:
+    """One batch's clipped gradient of every parameter, as a gradient
+    arena: a training-mode `forward_batch`, each branch's loss (added into
+    loss_sums), then a zeroed gradient arena, made once the forward pass's
+    memory peak is over, each branch group's backward into its views, and
+    each branch's clip and embedding scatter in BRANCH_NAMES order. The
+    caches of the batch are freed when this returns."""
     scores, caches = forward_batch(model, ids, mask, rngs)
     d_scores = {}
     for name in BRANCH_NAMES:
@@ -183,23 +227,22 @@ def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> dict:
         loss_sums[name] += loss
     used = mask.T  # unmasked positions, time-major like d_embedded
     used_ids = ids.T[used]
-    d_embedding = np.zeros_like(model.embedding)
-    grads = {"embedding": d_embedding}
+    grad = model.zeros_like()
+    grad_groups = grad.groups(len(ids))
     while caches:
-        group, cache = caches.pop(0)
-        group_grads, d_embeddeds = branch_backward(
-            group, cache, [d_scores[b.name] for b in group.branches])
+        (group, cache), grad_group = caches.pop(0), grad_groups.pop(0)
+        _, d_embeddeds = branch_backward(group, cache, [d_scores[b.name] for b in group.branches],
+                                         grad_group)
         del cache  # its step records are spent; free its token table
         # the dense gradients first: zip then runs their iterator to its end
-        for d_embedded, branch_grads in zip(d_embeddeds, group_grads):
-            _clip([*branch_grads.values(), d_embedded], clip_norm)
-            grads.update(branch_grads)
+        for d_embedded, branch_grad in zip(d_embeddeds, grad_group.branches):
+            _clip(_clip_rows(branch_grad, d_embedded), clip_norm)
             # scatter-add the unmasked positions' grads back to embedding
             # rows, t-major then batch row, so repeated ids add in step
             # order; padded positions (gradient +0) are left out
-            np.add.at(d_embedding, used_ids, d_embedded[used])
-    d_embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
-    return grads
+            np.add.at(grad.embedding, used_ids, d_embedded[used])
+    grad.embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
+    return grad
 
 
 def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
@@ -211,11 +254,12 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     epoch and batch), each branch's loss, one `branch_backward` per branch
     group of `ParallelModel.groups` -- the four branches' BPTT at once when
     they step together -- then each branch's clip and embedding scatter in
-    BRANCH_NAMES order, and one Adam update of every block. No backward
-    reads another branch's parameters or the embedding, so that equals
-    updating each branch after its own backward. The embedding's gradient
-    sums the branches' in that order; its pad row never moves. Verbose
-    level 1 prints a summary line every 100 epochs.
+    BRANCH_NAMES order, all into a new zeroed gradient arena, and one
+    `adam_step` over the whole parameter arena. No backward reads
+    another branch's parameters or the embedding, so that equals updating
+    each branch after its own backward. The embedding's gradient sums the
+    branches' in that order; its pad row never moves. Verbose level 1
+    prints a summary line every 100 epochs.
     """
     config.validate()
     if len(dataset) == 0:
@@ -224,7 +268,6 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
         print("warning: training labels contain a single class", file=sys.stderr)
 
     opt = AdamState(config.learning_rate)
-    params = dict(model.blocks())
 
     n = len(dataset)
     logs = []
@@ -240,8 +283,9 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
             targets = _one_hot(dataset.labels[batch])
             rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
                     for b_idx, name in enumerate(BRANCH_NAMES)}
-            adam_step(opt, params, _batch_grads(model, ids, mask, targets, rngs,
-                                                config.clip_norm, loss_sums))
+            grad = _batch_grads(model, ids, mask, targets, rngs, config.clip_norm, loss_sums)
+            adam_step(opt, {"arena": model.arena}, {"arena": grad.arena})
+            del grad  # freed before the next forward pass, whose memory peak it would raise
             n_batches += 1
 
         acc = epoch_metrics(model, dataset)

@@ -15,6 +15,7 @@ sys.path.insert(0, str(BENCH))
 
 import plstm.cli  # noqa: E402,F401  loads every module the tracer rebinds
 from plstm.model import init_model  # noqa: E402
+from plstm.train import build_model, encode_dataset, train  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -70,3 +71,21 @@ def test_step_counters_read_directional_pass_arguments():
     assert t.counts["lstm.steps"] == 2 * L
     assert t.counts["lstm.row_steps"] == 2 * mask.size
     assert t.counts["lstm.useful_row_steps"] == 2 * mask.sum()
+
+
+def test_adam_counter_counts_every_parameter_once_a_batch(data_dir):
+    """`train.adam_step.elems` counts the entries `adam_step` is given: one
+    batch on the `train_smoke` config makes one call over the whole
+    parameter arena, so the per-unit counts (20 calls, 516,000 elements)
+    stay comparable with the per-block update it replaced."""
+    assert found_by_patched({"adam_step"}) == {"adam_step"}
+    config = plstm.cli.load_config(data_dir / "train_smoke.cfg")
+    config.epochs, config.verbose = 1, 0
+    examples, vocab = plstm.cli._labeled(data_dir / "synthetic_train.tsv")
+    data = encode_dataset(examples[: config.batch_size], vocab, config.seq_len)
+    model = build_model(config, vocab.size, config.seed)
+    t = tracer.Tracer()
+    with t.active():
+        train(model, data, config)
+    assert t.stats["train.adam_step"][0] == 1
+    assert t.counts["train.adam_step.elems"] == model.param_count()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import plstm.lstm
+from plstm.checkpoint import load_checkpoint, save_checkpoint
 from plstm.corpus import EncodedSequence
 from plstm.lstm import BidirectionalLayer, LSTMCellParams
 from plstm.model import (
@@ -77,6 +79,70 @@ class TestInit:
         assert m.branches["relu"].layer.forward_params.gate_activation == "relu"
         std = init_model(6, 4, 3, seed=0)
         assert std.branches["relu"].layer.forward_params.gate_activation == "sigmoid"
+
+
+class TestArena:
+    """Every parameter array is a view of the one flat `model.arena`, and
+    the views tile it exactly once."""
+
+    @staticmethod
+    def arena_order_views(m):
+        """The arrays `model_over` lays out, in arena order."""
+        out = [m.embedding]
+        for params in (m.encoder.forward_params, m.encoder.backward_params):
+            out += [params.W, params.U, params.b]
+        for branch in m.branches.values():
+            out += [branch.head_W, branch.head_b]
+        return out
+
+    def test_every_parameter_view_shares_the_arena(self):
+        m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
+        views = [arr for _, arr in m.blocks()] + self.arena_order_views(m)
+        for branch in m.branches.values():
+            for params in (branch.layer.forward_params, branch.layer.backward_params):
+                views += [params.W, params.U, params.b]
+        for arr in views:
+            assert np.shares_memory(arr, m.arena)
+
+    @pytest.mark.parametrize("views", ["blocks", "arena_order"])
+    def test_views_tile_the_arena_exactly_once(self, views):
+        m = init_model(10, 4, 3, seed=0)
+        arrays = ([arr for _, arr in m.blocks()] if views == "blocks"
+                  else self.arena_order_views(m))
+        assert sum(arr.size for arr in arrays) == m.param_count() == m.arena.size
+        m.arena[...] = 0.0
+        for arr in arrays:
+            arr += 1.0  # an overlap counts twice, a gap stays 0
+        assert np.array_equal(m.arena, np.ones(m.arena.size))
+
+    def test_arena_order(self):
+        m = init_model(10, 4, 3, seed=0)
+        offsets = [arr.ctypes.data - m.arena.ctypes.data for arr in self.arena_order_views(m)]
+        assert offsets[0] == 0
+        assert offsets == sorted(offsets)
+
+    def test_gradient_arena_has_the_same_layout(self):
+        m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
+        grad = m.zeros_like()
+        assert not np.shares_memory(grad.arena, m.arena)
+        assert np.array_equal(grad.arena, np.zeros(m.arena.size))
+        assert grad.encoder.forward_params.gate_activation == BRANCH_NAMES
+        for (name, arr), (grad_name, grad_arr) in zip(m.blocks(), grad.blocks()):
+            assert grad_name == name and grad_arr.shape == arr.shape
+            offset = arr.ctypes.data - m.arena.ctypes.data
+            assert grad_arr.ctypes.data - grad.arena.ctypes.data == offset
+
+    def test_checkpoint_round_trip_keeps_arena_and_file_bytes(self, tmp_path):
+        m = init_model(30, 8, 5, seed=11, seq_len=7)
+        save_checkpoint(m, tmp_path / "a.ckpt")
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert loaded.arena.tobytes() == m.arena.tobytes()
+        save_checkpoint(loaded, tmp_path / "b.ckpt")
+        blob = (tmp_path / "b.ckpt").read_bytes()
+        assert blob == (tmp_path / "a.ckpt").read_bytes()
+        # the bytes the v1 format wrote before the arena: payload in blocks() order
+        assert hashlib.sha256(blob).hexdigest() == (
+            "17c3d39d466ac50a1a678c9fd4fcd221e30036f51314c424fab1a1e85cc7d915")
 
 
 class TestBranchForward:
@@ -213,6 +279,27 @@ class TestForwardBatchTraining:
         assert caches is None
         for name in BRANCH_NAMES:
             assert np.array_equal(trained[name], evaluated[name])
+
+    def test_scores_match_a_dense_embedded_input_bitwise(self):
+        """Training gathers the unmasked rows straight from the embedding
+        and draws each dropout mask at the (L, batch, embed) shape, so it
+        gives what a dense embedded input gives."""
+        m = init_model(10, 4, 3, seed=8)
+        scores, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        rngs = branch_rngs(9)
+        (group,) = m.groups(len(self.IDS))
+        want, _ = branch_forward(group, embed_ids(m, self.IDS), self.MASK.T,
+                                 [rngs[b.name] for b in group.branches])
+        for name, row in zip(BRANCH_NAMES, want):
+            assert scores[name].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("bad_id", [-1, 10])
+    def test_out_of_range_padded_id_raises(self, bad_id):
+        m = init_model(10, 4, 3, seed=8)
+        ids = self.IDS.copy()
+        ids[1, -1] = bad_id  # a padded position
+        with pytest.raises(ValueError, match="out of range"):
+            forward_batch(m, ids, self.MASK, branch_rngs(9))
 
     def test_nonzero_rates_change_scores(self):
         m = init_model(10, 4, 3, seed=8, dropout_embed=0.5, dropout_recurrent=0.5)

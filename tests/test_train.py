@@ -1,13 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plstm.train
 from plstm.cli import main
 from plstm.corpus import Document, LabeledExample, build_vocabulary
-from plstm.model import BRANCH_NAMES, init_model
-from plstm.tensor import RngStream
+from plstm.model import BRANCH_NAMES, branch_backward, forward_batch, init_model
+from plstm.tensor import _BLOCK_ELEMS, RngStream
 from plstm.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
+    _clip,
+    _clip_rows,
     EncodedDataset,
     TrainConfig,
     adam_step,
@@ -66,6 +75,125 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
             adam_step(AdamState(0.01), {"w": np.zeros(3)}, {"w": np.zeros(4)})
+
+
+def per_block_adam(theta, g, m, v, t, lr):
+    """The per-block Adam update the chunked arena update replaced."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def block_values(gen, size):
+    """Values of mixed magnitude, some exactly zero."""
+    out = gen.normal(size=size) * 10.0 ** gen.integers(-6, 4, size)
+    out[gen.random(size) < 0.1] = 0.0
+    return out
+
+
+class TestChunkedAdam:
+    """`adam_step` updates an entry flat, _BLOCK_ELEMS elements at a time;
+    over an arena of blocks it gives each block's per-block update."""
+
+    @given(st.lists(st.sampled_from([1, 2, 5, 17, _BLOCK_ELEMS - 1, _BLOCK_ELEMS]),
+                    max_size=4),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([0.01, 0.3]))
+    @settings(max_examples=25, deadline=None)
+    def test_arena_update_equals_per_block_bitwise(self, sizes, seed, lr):
+        sizes = [*sizes, 1, _BLOCK_ELEMS + 1, 1]  # 1-element blocks; crosses a chunk boundary
+        gen = np.random.default_rng(seed)
+        blocks = [block_values(gen, n) for n in sizes]
+        arena = np.concatenate(blocks)
+        ms, vs = [np.zeros(n) for n in sizes], [np.zeros(n) for n in sizes]
+        state = AdamState(lr)
+        ends = np.cumsum(sizes)
+        for t in (1, 2, 3):
+            grads = [block_values(gen, n) for n in sizes]
+            adam_step(state, {"arena": arena}, {"arena": np.concatenate(grads)})
+            for theta, g, m, v in zip(blocks, grads, ms, vs):
+                per_block_adam(theta, g, m, v, t, lr)
+            for name, got, want in (("theta", arena, blocks), ("m", state.m["arena"], ms),
+                                    ("v", state.v["arena"], vs)):
+                for end, block in zip(ends, want):
+                    assert got[end - block.size : end].tobytes() == block.tobytes(), (name, t)
+
+    def test_step_allocates_only_two_chunk_buffers(self):
+        theta, g = np.zeros(10 ** 6), np.full(10 ** 6, 0.5)
+        state = AdamState(0.01)
+        adam_step(state, {"w": theta}, {"w": g})  # allocates the moments
+        tracemalloc.start()
+        try:
+            adam_step(state, {"w": theta}, {"w": g})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * _BLOCK_ELEMS * 8 + 16384  # and the views' headers; a third buffer fails
+
+    def test_non_contiguous_param_is_rejected(self):
+        theta = np.zeros((4, 6))[:, :3]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            adam_step(AdamState(0.01), {"w": theta}, {"w": np.ones(theta.shape)})
+
+
+def old_clip(arrays, max_norm):
+    """The per-block clip that `_clip`'s rows replace."""
+    total = 0.0
+    for g in arrays:
+        total += float(np.sum(g * g))
+    norm = np.sqrt(total)
+    if norm > max_norm:
+        for g in arrays:
+            g *= max_norm / norm
+    return norm
+
+
+class TestClip:
+    @pytest.mark.parametrize("hidden, embed", [(3, 5), (40, 256)])  # 40 x 256 > 8192 a row
+    def test_row_sums_equal_per_block_sums_bitwise(self, hidden, embed):
+        gen = np.random.default_rng(hidden)
+        stack = block_values(gen, 4 * hidden * embed).reshape(4 * hidden, embed)
+        row_sums = np.sum((stack * stack).reshape(4, -1), axis=1)
+        for k in range(4):
+            block = stack[k * hidden : (k + 1) * hidden]
+            assert row_sums[k].tobytes() == np.sum(block * block).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])  # clip fires, clip does not
+    def test_clip_equals_the_per_block_clip_bitwise(self, scale):
+        gen = np.random.default_rng(5)
+        stacks = [block_values(gen, 4 * 40 * 256).reshape(160, 256),
+                  block_values(gen, 12), block_values(gen, 3 * 1000).reshape(1, 3, 1000)]
+        blocks = [s.copy() for s in (*np.split(stacks[0], 4), stacks[1], stacks[2])]
+        norm = old_clip(blocks, np.inf)
+        old_clip(blocks, norm * scale)
+        _clip([stacks[0].reshape(4, -1), stacks[1].reshape(1, -1), stacks[2].reshape(1, -1)],
+              norm * scale)
+        assert np.concatenate([s.ravel() for s in stacks]).tobytes() == (
+            np.concatenate([b.ravel() for b in blocks]).tobytes())
+
+    def test_clip_rows_follow_the_gradient_block_order(self):
+        """`_clip_rows` lists a branch's gradient blocks in the order of
+        `branch_backward`'s grads: head, then per direction W, U and b by
+        gate, then the dense embedded-input gradient, each a view."""
+        model, data = tiny_setup(seed=3)
+        rngs = {name: RngStream(3, k) for k, name in enumerate(BRANCH_NAMES)}
+        scores, caches = forward_batch(model, data.ids[:4], data.mask[:4], rngs)
+        grad = model.zeros_like()
+        (group, cache), = caches
+        (grad_group,) = grad.groups(4)
+        grads, d_embeddeds = branch_backward(
+            group, cache, [np.cos(scores[b.name]) for b in group.branches], grad_group)
+        for branch_grads, d_embedded, branch_grad in zip(grads, d_embeddeds,
+                                                         grad_group.branches):
+            rows = [row for arr in _clip_rows(branch_grad, d_embedded) for row in arr]
+            blocks = [*branch_grads.values(), d_embedded]
+            assert len(rows) == len(blocks)
+            for row, block in zip(rows, blocks):
+                assert np.shares_memory(row, block) or np.shares_memory(row, d_embedded)
+                assert row.tobytes() == block.tobytes()
 
 
 class TestTrainLoop:
@@ -129,8 +257,9 @@ class TestTrainLoop:
 
         def counting(arrays, max_norm):
             total = 0.0
-            for g in arrays:
-                total += float(np.sum(g * g))
+            for g in arrays:  # (blocks, n): a row per block, summed as _clip does
+                for row_sum in np.sum(g * g, axis=1):
+                    total += float(row_sum)
             fired.append(bool(np.sqrt(total) > max_norm))
             clip(arrays, max_norm)
 
