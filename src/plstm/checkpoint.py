@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .model import ParallelModel, expected_param_count, init_model
+from .model import BRANCH_NAMES, ParallelModel, expected_param_count, model_over
 
 MAGIC = b"PLSTM\x01"
 _HEADER = struct.Struct("<4I")
@@ -57,7 +57,10 @@ def load_checkpoint(path) -> ParallelModel:
         raise CheckpointError(
             f"bad checkpoint: payload is {len(blob) - off} bytes, header implies {expected}"
         )
-    model = init_model(vocab_size, embed_dim, hidden, seed=0, seq_len=seq_len)
+    # every parameter is read from the payload, so the model starts from a
+    # zeroed arena, with sigmoid gates: the v1 header names no gate mode
+    model = model_over(np.zeros(expected_param_count(vocab_size, embed_dim, hidden)),
+                       vocab_size, embed_dim, hidden, ("sigmoid",) * len(BRANCH_NAMES), seq_len)
     for _, arr in model.blocks():
         nbytes = arr.size * 8
         flat = np.frombuffer(blob[off : off + nbytes], dtype="<f8")

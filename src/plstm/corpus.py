@@ -172,7 +172,7 @@ def load_labeled_dataset(path, format: str) -> list:
             return
         try:
             rec_id = int(rec_id)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: a json Infinity
             raise ParseError(path, line_no, f"invalid id {rec_id!r}")
         examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
                                        _parse_label(label, path, line_no)))
@@ -189,10 +189,14 @@ def load_labeled_dataset(path, format: str) -> list:
             add(parts[0], parts[1], parts[2], line_no)
     elif format == "csv":
         reader = csv.DictReader(lines)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"id", "text", "label"}:
-            raise ParseError(path, 1, "csv header must contain id,text,label")
-        for row in reader:  # line_num: the record's last line, past blank and quoted lines
-            add(row["id"], row["text"], row["label"], reader.line_num)
+        try:
+            if reader.fieldnames is None or not {"id", "text", "label"} <= set(reader.fieldnames):
+                raise ParseError(path, 1, "csv header must contain id,text,label")
+            for row in reader:  # line_num: the record's last line, past blank and quoted lines
+                add(row["id"], row["text"], row["label"], reader.line_num)
+        except csv.Error as exc:  # a field over csv.field_size_limit(), say
+            # the DictReader's line_num moves only past a good record
+            raise ParseError(path, reader.reader.line_num, f"bad csv: {exc}") from None
     elif format == "json_lines":
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
@@ -201,6 +205,8 @@ def load_labeled_dataset(path, format: str) -> list:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_no, f"bad json: {exc.msg}")
+            except RecursionError:
+                raise ParseError(path, line_no, "bad json: nested too deeply") from None
             if not isinstance(rec, dict):
                 raise ParseError(path, line_no, "expected a json object")
             for key in ("id", "text", "label"):

@@ -3,12 +3,14 @@ over packed steps, additive bidirectional pooling, and exact
 backpropagation through time.
 
 All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
-booleans. Parameters may carry a leading branch axis: a stack of branches
-that share the input positions and the mask run one pass per direction
-together, with state (branches, batch, hidden), one row gather and one step
-record per step, and stacked products (`matmul_stacked`) that give each
-branch bitwise its own products. 2-D parameters are a stack of one, and
-their states, records and gradients come back without the branch axis.
+booleans. The passes and BPTT take parameters with a leading branch axis,
+(branches, 4H, .): a stack of branches that share the input positions and
+the mask run one pass per direction together, with state (branches, batch,
+hidden), one row gather and one step record per step, and stacked products
+(`matmul_stacked`) that give each branch bitwise its own products. A single
+branch is a stack of one (`LSTMCellParams.as_stack`); states, step records
+and gradients always keep the branch axis. Only `cell_step` takes one
+branch's 2-D parameters.
 
 Each step, forward and backward, runs the gate maths on the rows its mask
 marks and on no others: a padded row keeps its state (and its carried
@@ -18,14 +20,16 @@ row's matmul output depends only on that row, so the packed rows compute
 bitwise what a full-batch step would. For the same reason the input
 projection x·W.T is made once per directional pass, over a token table with
 one row per distinct input vector, and each step gathers its rows from it:
-by default every unmasked position is its own token, listed t-major, so a
-step reads one contiguous run of rows; in eval the model passes one row per
-distinct token id and an index. A per-position pass keeps one record per
-step that ran, holding that step's rows and the state and gates BPTT reads
-for them, none for padded rows; a pass given an index is forward-only and
-keeps none. BPTT likewise takes the input-side products out of the
-recurrence: it keeps every step's gate gradients and makes dx from them, one
-branch at a time, in one product per gate after the time loop.
+in a per-position table every unmasked position is its own token, listed
+t-major, so a step reads one contiguous run of rows; in eval the model
+passes one row per distinct token id and an index. A per-position pass
+keeps one record per step that ran, holding that step's rows and the state
+and gates BPTT reads for them, none for padded rows; a pass given an index
+is forward-only and keeps none. BPTT likewise takes the input-side products
+out of the recurrence: it keeps every step's gate gradients and makes dx
+from them, one branch at a time, in one product per gate after the time
+loop. Its parameter gradients are the arrays of a zeroed layer it adds
+into, and each branch's `blocks()` names them.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 class LSTMCellParams:
     """One direction's weights with the four gates stacked: rows
     k*H:(k+1)*H of W, U and b belong to gate GATES[k] (see `gate_rows`).
-    `blocks()` and the gradients of `bptt` are per-gate row views, so writes
-    to them land in the stacked arrays. A stack of branches puts a leading
-    branch axis on W, U and b and names one gate activation per branch."""
+    `blocks()` names per-gate row views, so writes to them land in the
+    stacked arrays; it and the model's `blocks()` are the only code that
+    names a parameter block. A stack of branches puts a leading branch axis
+    on W, U and b and names one gate activation per branch."""
 
     W: np.ndarray  # (4*hidden, embed), or (branches, 4*hidden, embed)
     U: np.ndarray  # (4*hidden, hidden), or (branches, 4*hidden, hidden)
@@ -82,9 +87,7 @@ class LSTMCellParams:
         return LSTMCellParams(self.W[k], self.U[k], self.b[k], self.gate_activation[k])
 
     def as_stack(self):
-        """These parameters with the branch axis: 2-D ones become a stack of one (views)."""
-        if self.W.ndim == 3:
-            return self
+        """2-D parameters as a stack of one branch (views)."""
         return LSTMCellParams(self.W[None], self.U[None], self.b[None], (self.gate_activation,))
 
     def randomize(self, rng: RngStream, scale: float = 0.05, forget_bias: float = 1.0):
@@ -111,10 +114,6 @@ class LSTMCellParams:
 class LSTMState:
     h: np.ndarray  # (batch, hidden), or (branches, batch, hidden)
     c: np.ndarray  # (batch, hidden), or (branches, batch, hidden)
-
-    @classmethod
-    def zero(cls, batch: int, hidden: int):
-        return cls(np.zeros((batch, hidden)), np.zeros((batch, hidden)))
 
 
 @dataclass
@@ -164,16 +163,6 @@ def _stacked_step(UT, b, acts, xw, h_prev, c_prev):
     return gates, tanh_c, c, o * tanh_c
 
 
-def _step(params: LSTMCellParams, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """`_stacked_step` for one branch's 2-D parameters and rows, xw =
-    matmul(x, params.W.T) (batch, 4*hidden). Returns (gates (batch, 4,
-    hidden), tanh(c), c, h)."""
-    stack = params.as_stack()
-    out = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
-                        xw[None], h_prev[None], c_prev[None])
-    return tuple(a[0] for a in out)
-
-
 def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMState:
     """One recurrence step: gated memory update and emitted hidden signal.
 
@@ -185,19 +174,17 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
         raise ShapeError(f"input width {x.shape[1]} != embed {params.embed}")
     if prev.h.shape != (x.shape[0], params.hidden):
         raise ShapeError(f"state shape {prev.h.shape} mismatches batch/hidden")
-    _, _, c, h = _step(params, matmul(x, params.W.T), prev.h, prev.c)
-    return LSTMState(h, c)
+    stack = params.as_stack()
+    _, _, c, h = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
+                               matmul(x, params.W.T)[None], prev.h[None], prev.c[None])
+    return LSTMState(h[0], c[0])
 
 
 def _sequence_mask(sequence, mask):
-    """(L, batch, mask (L, batch) bool) of a (L, batch, embed) or (L, embed)
-    sequence; no mask marks every position."""
-    shape = np.shape(sequence)
-    L, batch = shape[0], (shape[1] if len(shape) == 3 else 1)
+    """(L, batch, mask (L, batch) bool) of a (L, batch, embed) sequence."""
+    L, batch = np.shape(sequence)[:2]
     if L == 0:
         raise ShapeError("empty sequence")
-    if mask is None:
-        return L, batch, np.ones((L, batch), dtype=bool)
     return L, batch, np.asarray(mask, dtype=bool).reshape(L, batch)
 
 
@@ -207,59 +194,46 @@ def _row_starts(mask):
     return np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
 
 
-def _position_table(sequence, mask):
-    """The per-position token table: the input vectors of the unmasked
-    positions, t-major."""
-    L, batch, mask = _sequence_mask(sequence, mask)
-    return np.asarray(sequence, dtype=np.float64).reshape(L, batch, -1)[mask]
-
-
 def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
-                     tokens=None):
-    """Run the recurrence over a sequence in one direction from zero state,
-    for one branch or a stack of branches at once.
+                     tokens):
+    """Run the recurrence of a stack of branches over a sequence in one
+    direction from zero state.
 
-    Returns (final_state, cache). The input projection is made once per
-    branch, as proj = matmul(table, W.T), and step t reads its rows from it.
-    `tokens` is the (table, index) pair: table is (n, embed), shared by the
-    branches, or (branches, n, embed). With index None, the default, the
-    table is per-position: it lists the unmasked positions t-major, and
-    without `tokens` it is sequence[mask]. Otherwise index is (L, batch)
-    ints and step t reads row index[t, b] for position (t, b); its unmasked
-    positions must name rows equal to the sequence's vectors there. Each
-    step runs the gate maths on the rows its mask marks only; padded rows
-    are left out and keep their state, and a step with no such rows is
-    skipped. A per-position pass returns a cache that holds `params`, the
-    table as `x` and `steps`: one record (t, rows, h_prev, c_prev, gates,
-    tanh_c) per step that ran, in run order, with the state and gates of
+    Returns (final_state, cache), the state (branches, batch, hidden).
+    `sequence` is read for its (L, batch) shape only, so it may be a
+    stand-in that holds no inputs; `mask` is (L, batch). `tokens` is the
+    (table, index) pair: table is (n, embed), shared by the branches, or
+    (branches, n, embed). With index None the table is per-position: it
+    lists the unmasked positions t-major. Otherwise index is (L, batch) ints
+    and step t reads row index[t, b] for position (t, b). The input
+    projection is made once per branch, as proj = matmul(table, W.T), and
+    step t reads its rows from it. Each step runs the gate maths on the rows
+    its mask marks only; padded rows are left out and keep their state, and
+    a step with no such rows is skipped. A per-position pass returns a cache
+    that holds `params`, the table as `x`, (branches, n, embed), and
+    `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per step
+    that ran, in run order, with the branch axis and the state and gates of
     `rows` only -- what BPTT reads. A pass given an index is forward-only:
-    it keeps no records and returns a None cache. Either way the pass reads
-    only the sequence's shape when given `tokens`, so it may be a stand-in
-    that holds no inputs.
+    it keeps no records and returns a None cache.
     """
     L, batch, mask = _sequence_mask(sequence, mask)
     if direction not in ("forward", "backward"):
         raise ValueError(f"bad direction {direction!r}")
     order = range(L) if direction == "forward" else range(L - 1, -1, -1)
-    table, index = (_position_table(sequence, mask), None) if tokens is None else tokens
+    table, index = tokens
     records = index is None
     starts = _row_starts(mask) if records else None
-    stack = params.as_stack()
-    G, hidden = len(stack.W), stack.hidden
-
-    def project(k):
-        return matmul(table if table.ndim == 2 else table[k], stack.W[k].T)
-
+    G, hidden = len(params.W), params.hidden
+    table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
     if G == 1:
-        proj = project(0)[None]
+        proj = matmul(table[0], params.W[0].T)[None]
     else:  # filled branch by branch, so one branch's product is held twice at most
-        proj = np.empty((G, table.shape[-2], 4 * hidden))
+        proj = np.empty((G, table.shape[1], 4 * hidden))
         for k in range(G):
-            proj[k] = project(k)
+            proj[k] = matmul(table[k], params.W[k].T)
     # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
     # matmul_stacked reads without a copy
-    UT = np.ascontiguousarray(stack.U.transpose(2, 0, 1)).transpose(1, 0, 2)
-    keep = 0 if params.W.ndim == 2 else slice(None)  # a stack of one drops the branch axis
+    UT = np.ascontiguousarray(params.U.transpose(2, 0, 1)).transpose(1, 0, 2)
 
     h, c = np.zeros((G, batch, hidden)), np.zeros((G, batch, hidden))  # updated in place
     steps = []
@@ -270,11 +244,10 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
         xw = proj[:, starts[t] : starts[t + 1]] if records else proj[:, index[t, rows]]
         h_prev, c_prev = h[:, rows], c[:, rows]
         gates, tanh_c, c[:, rows], h[:, rows] = _stacked_step(
-            UT, stack.b, stack.gate_activation, xw, h_prev, c_prev)
+            UT, params.b, params.gate_activation, xw, h_prev, c_prev)
         if records:
-            steps.append((t, rows, h_prev[keep], c_prev[keep], gates[keep], tanh_c[keep]))
-    final = LSTMState(h[keep], c[keep])
-    return final, ({"params": params, "x": table, "steps": steps} if records else None)
+            steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
+    return LSTMState(h, c), ({"params": params, "x": table, "steps": steps} if records else None)
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams):
@@ -285,29 +258,20 @@ def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams)
     step, stacked over the branches, and dW, dU and db add into `out`'s
     arrays, of the cache's parameter shapes. Each step's pre-activation
     gradients (branches, rows, 4*hidden) are written over that step's gates,
-    which nothing reads after. Returns (grads, dpre_steps): per-gate row
-    views of `out`'s stacks, with the branch axis, and (first table row
-    starts[t], pre-activation gradients) per step, from which
-    `_input_grad` makes dx."""
+    which nothing reads after. Returns (first table row starts[t],
+    pre-activation gradients) per step, from which `_input_grad` makes dx."""
     params, table, steps = cache["params"], cache["x"], cache["steps"]
-    stack = params.as_stack()
-    G, hidden = len(stack.W), stack.hidden
+    G, hidden = len(params.W), params.hidden
     gate_rows = params.gate_rows
-    table = np.broadcast_to(table, (G, *table.shape[-2:]))
-    out = out.as_stack()
     dW, dU, db = out.W, out.U, out.b
-    # a copy: rows are updated in place
-    dh = np.array(d_final_h, dtype=np.float64).reshape(G, -1, hidden)
+    dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
     dc = np.zeros_like(dh)
     # each gate's rows of U in the layout matmul_stacked reads without a copy
-    U_gates = [np.ascontiguousarray(stack.U[:, r].transpose(1, 0, 2)).transpose(1, 0, 2)
+    U_gates = [np.ascontiguousarray(params.U[:, r].transpose(1, 0, 2)).transpose(1, 0, 2)
                for r in gate_rows.values()]
     dpre_steps = []
     while steps:
         t, rows, h_prev, c_prev, gates, tanh_c = steps.pop()
-        shape = (G, len(rows), hidden)
-        h_prev, c_prev, tanh_c = h_prev.reshape(shape), c_prev.reshape(shape), tanh_c.reshape(shape)
-        gates = gates.reshape(G, len(rows), 4, hidden)
         i, f, o, n = np.moveaxis(gates, 2, 0)
         dh_t = dh[:, rows]
 
@@ -319,7 +283,7 @@ def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams)
         dc[:, rows] = dc_t * f
 
         # the pre-activation gradients, written over the gates
-        dpre = _over_gates(activate_grad, stack.gate_activation, gates,
+        dpre = _over_gates(activate_grad, params.gate_activation, gates,
                            (np.stack((di, df, do), axis=2),), (dn[:, :, None],))
         dpre = dpre.reshape(G, len(rows), 4 * hidden)
         dpre_steps.append((starts[t], dpre))
@@ -333,9 +297,7 @@ def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams)
         for r, U_gate in zip(gate_rows.values(), U_gates):
             dh_rec += matmul_stacked(dpre[:, :, r], U_gate)
         dh[:, rows] = dh_rec
-    grads = {f"{k}_{g}": arr[:, gate_rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
-             for g in GATES}
-    return grads, dpre_steps
+    return dpre_steps
 
 
 def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
@@ -344,7 +306,7 @@ def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
     then the four per-gate products of them with W, added in GATES order
     from zeros. Each row of a product depends on that row only, so this
     gives every step's rows bitwise what a per-step product would."""
-    W = params.as_stack().W[k]
+    W = params.W[k]
     dpre = np.empty((n, 4 * params.hidden))
     for start, step_dpre in dpre_steps:
         dpre[start : start + step_dpre.shape[1]] = step_dpre[k]
@@ -354,13 +316,11 @@ def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
     return dx
 
 
-def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=None):
-    """Pooled representation: final forward h plus final backward h.
-    `tokens` goes to both directional passes; by default both read one
-    per-position table. The cache is None when the passes are forward-only
-    (given an index)."""
-    if tokens is None:
-        tokens = _position_table(sequence, mask), None
+def bidirectional_encode(layer: BidirectionalLayer, sequence, mask, tokens):
+    """Pooled representation (branches, batch, hidden): final forward h plus
+    final backward h. Both directional passes read the one (table, index)
+    pair `tokens`. The cache is None when the passes are forward-only (given
+    an index)."""
     final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
     final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward",
                                         tokens)
@@ -370,34 +330,21 @@ def bidirectional_encode(layer: BidirectionalLayer, sequence, mask=None, tokens=
     return pooled, {"fwd": cache_f, "bwd": cache_b, "mask": _sequence_mask(sequence, mask)[2]}
 
 
-def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer = None):
+def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     """Gradients for both directions' parameters and the input vectors. A
     cache can be used once: BPTT pops its step records.
 
-    `upstream` is the gradient w.r.t. the pooled representation; because
-    pooling is an elementwise sum it feeds both final states directly.
-    The parameter gradients add into `out`, a layer of the encoded layer's
-    shapes (by default new zeroed arrays). Returns (grads, dx) with grads
-    keyed "fwd.W_i", "bwd.b_o", etc., per-gate views of `out`. For 2-D
-    parameters dx is the dense (L, batch, embed) input gradient. For a
-    stack, each gradient has the branch axis, and dx is an iterator over
-    the branches that makes each one's (n, embed) input-gradient rows, in
-    per-position table order, when it is asked for.
+    `upstream` (branches, batch, hidden) is the gradient w.r.t. the pooled
+    representation; because pooling is an elementwise sum it feeds both
+    final states directly. The parameter gradients add into `out`, a layer
+    of the encoded layer's stacked shapes; its branches' `blocks()` name
+    them.
+    Returns an iterator over the branches that makes each one's (n, embed)
+    input-gradient rows, in per-position table order, when it is asked for.
     """
-    mask = cache["mask"]
-    starts = _row_starts(mask)
-    params_f, params_b = cache["fwd"]["params"], cache["bwd"]["params"]
-    if out is None:
-        out = BidirectionalLayer(params_f, params_b).zeros_like()
-    grads_f, dpre_f = _directional_bptt(cache["fwd"], upstream, starts, out.forward_params)
-    grads_b, dpre_b = _directional_bptt(cache["bwd"], upstream, starts, out.backward_params)
-    grads = {f"fwd.{k}": v for k, v in grads_f.items()}
-    grads.update({f"bwd.{k}": v for k, v in grads_b.items()})
-    n = starts[-1]
-    dx_rows = (_input_grad(params_f, dpre_f, n, k) + _input_grad(params_b, dpre_b, n, k)
-               for k in range(len(params_f.as_stack().W)))
-    if params_f.W.ndim == 3:
-        return grads, dx_rows
-    dx = np.zeros((*mask.shape, params_f.embed))
-    dx[mask] = next(dx_rows)
-    return {k: v[0] for k, v in grads.items()}, dx
+    starts = _row_starts(cache["mask"])
+    dpre_f = _directional_bptt(cache["fwd"], upstream, starts, out.forward_params)
+    dpre_b = _directional_bptt(cache["bwd"], upstream, starts, out.backward_params)
+    params_f, params_b, n = cache["fwd"]["params"], cache["bwd"]["params"], starts[-1]
+    return (_input_grad(params_f, dpre_f, n, k) + _input_grad(params_b, dpre_b, n, k)
+            for k in range(len(params_f.W)))

@@ -274,7 +274,8 @@ def branch_backward(branch, cache, d_scores, out=None):
     The parameter gradients land in `out`, a BranchGroup of the group's
     shapes (a gradient arena's `groups`, say) whose encoder stacks the BPTT
     adds into and whose heads it overwrites; by default new zeroed arrays.
-    The grads are views of `out`, keyed by block name. For a BranchGroup,
+    The grads are `dict(blocks())` of `out`'s branches: views keyed by
+    block name, in `blocks()` order. For a BranchGroup,
     `d_scores` is a list in branch order, the grads are one dict per branch,
     and d_embedded is an iterator that makes each branch's dense gradient
     when it is asked for, so only one is held at a time. The BPTT of all of
@@ -286,17 +287,13 @@ def branch_backward(branch, cache, d_scores, out=None):
     out = group.zeros_like() if out is None else out
     dropped = cache["dropped"]
     d_pooled = np.empty_like(dropped)
-    grads = []
     for k, (member, grad) in enumerate(zip(group.branches, out.branches)):
         d_logits = activate_grad(member.name, cache["scores"][k], d_scores[k])
         grad.head_W[...] = matmul(d_logits.T, dropped[k])
         grad.head_b[...] = d_logits.sum(axis=0)
-        grads.append({f"{member.name}.head_W": grad.head_W,
-                      f"{member.name}.head_b": grad.head_b})
         d_pooled[k] = matmul(d_logits, member.head_W) * cache["m_pool"][k]
-    enc_grads, dx_rows = bptt(cache["enc"], d_pooled, out.layer)
-    for k, member in enumerate(group.branches):
-        grads[k].update((f"{member.name}.{key}", val[k]) for key, val in enc_grads.items())
+    dx_rows = bptt(cache["enc"], d_pooled, out.layer)
+    grads = [dict(grad.blocks()) for grad in out.branches]
     d_embedded = _embedded_grads(cache["enc"]["mask"], cache["m_embed"], dx_rows)
     if group is branch:
         return grads, d_embedded

@@ -277,9 +277,9 @@ class TestEval:
     def test_corrupt_header_exit_2_before_model_is_built(self, data_dir, tmp_path, monkeypatch,
                                                           capsys, dims):
         def no_model(*args, **kwargs):
-            raise AssertionError("init_model called for a corrupt header")
+            raise AssertionError("model_over called for a corrupt header")
 
-        monkeypatch.setattr("plstm.checkpoint.init_model", no_model)
+        monkeypatch.setattr("plstm.checkpoint.model_over", no_model)
         path = tmp_path / "m.ckpt"
         path.write_bytes(MAGIC + struct.pack("<4I", *dims) + b"\0" * 64)
         code = main(["eval", "--checkpoint", str(path),

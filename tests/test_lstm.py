@@ -11,7 +11,7 @@ from plstm.lstm import (
     BidirectionalLayer,
     LSTMCellParams,
     LSTMState,
-    _step,
+    _stacked_step,
     bidirectional_encode,
     bptt,
     cell_step,
@@ -28,6 +28,56 @@ def random_params(hidden, embed, seed, scale=0.5, gate_activation="sigmoid"):
         p.U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
         p.b[rows] = rng.uniform(-scale, scale, hidden)
     return p
+
+
+def zero_state(batch, hidden):
+    return LSTMState(np.zeros((batch, hidden)), np.zeros((batch, hidden)))
+
+
+def layer_grads(layer):
+    """A layer's gradient arrays by block name: "fwd.W_i", "bwd.b_o", etc."""
+    return dict(layer.forward_params.blocks("fwd") + layer.backward_params.blocks("bwd"))
+
+
+# One branch's 2-D parameters through the stacked calls: the parameters as
+# a stack of one, the mask every position by default, the per-position token
+# table of a dense (L, batch, embed) sequence, a zeroed gradient layer, and
+# the branch axis stripped from what comes back.
+
+def _full(xs, mask):
+    return np.ones(np.shape(xs)[:2], dtype=bool) if mask is None else mask
+
+
+def pass_one(params, xs, mask, direction, tokens=None):
+    """`directional_pass` of 2-D parameters: (final state, cache) with 2-D
+    states and step records, or a None cache when `tokens` has an index."""
+    mask = _full(xs, mask)
+    final, cache = directional_pass(params.as_stack(), xs, mask, direction,
+                                    (xs[mask], None) if tokens is None else tokens)
+    final = LSTMState(final.h[0], final.c[0])
+    if cache is None:
+        return final, None
+    return final, {**cache, "steps": [(t, rows, *(a[0] for a in arrays))
+                                      for t, rows, *arrays in cache["steps"]]}
+
+
+def encode_one(layer, xs, mask=None):
+    """`bidirectional_encode` of a 2-D layer: (pooled (batch, hidden), cache)."""
+    mask = _full(xs, mask)
+    stack = BidirectionalLayer(layer.forward_params.as_stack(), layer.backward_params.as_stack())
+    pooled, cache = bidirectional_encode(stack, xs, mask, (xs[mask], None))
+    return pooled[0], cache
+
+
+def bptt_one(cache, upstream):
+    """`bptt` of `encode_one`'s cache: (grads by block name, read from the
+    zeroed `out` it added into, dense (L, batch, embed) dx)."""
+    mask = cache["mask"]
+    out = BidirectionalLayer(cache["fwd"]["params"], cache["bwd"]["params"]).zeros_like()
+    dx_rows = bptt(cache, upstream[None], out)
+    dx = np.zeros((*mask.shape, out.forward_params.embed))
+    dx[mask] = next(dx_rows)
+    return layer_grads(out.branch(0)), dx
 
 
 def _softmax(zs):
@@ -82,10 +132,13 @@ def blend_pass(params, xs, mask, direction):
     h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(3))
     gates = np.zeros((L, batch, 4, params.hidden))
     h = c = np.zeros((batch, params.hidden))
+    stack = params.as_stack()
     for t in order:
         m = mask[t].astype(np.float64)[:, None]
         h_prev[t], c_prev[t] = h, c
-        gates[t], tanh_c[t], c_new, h_new = _step(params, matmul(xs[t], params.W.T), h, c)
+        step = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
+                             matmul(xs[t], params.W.T)[None], h[None], c[None])
+        gates[t], tanh_c[t], c_new, h_new = (a[0] for a in step)
         h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
     cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
              "gates": gates, "tanh_c": tanh_c}
@@ -122,8 +175,8 @@ def blend_bptt(params, cache, d_final_h):
             dh_rec += matmul(dpre[:, r], params.U[r])
         dh = dh_carry + dh_rec
         dc = dc_carry + dc_new * f
-    grads = {f"{k}_{g}": arr[rows[g]] for k, arr in (("W", dW), ("U", dU), ("b", db))
-             for g in GATES}
+    grads = {f"{k}_{g}": arr[rows[g]] for g in GATES
+             for k, arr in (("W", dW), ("U", dU), ("b", db))}  # in blocks() order
     return grads, dx
 
 
@@ -185,7 +238,7 @@ class TestPackedStepsMatchBlendOracle:
         # Each step record must hold the oracle's state and gates of its rows.
         for params, direction in ((layer.forward_params, "forward"),
                                   (layer.backward_params, "backward")):
-            final, cache = directional_pass(params, xs, mask, direction)
+            final, cache = pass_one(params, xs, mask, direction)
             want_h, want_c, want = blend_pass(params, xs, mask, direction)
             assert np.array_equal(final.h, want_h)
             assert np.array_equal(final.c, want_c)
@@ -195,8 +248,8 @@ class TestPackedStepsMatchBlendOracle:
                 assert np.array_equal(gates, want["gates"][t, rows])
                 assert np.array_equal(tanh_c, want["tanh_c"][t, rows])
 
-        _, cache = bidirectional_encode(layer, xs, mask)
-        grads, dx = bptt(cache, upstream)
+        _, cache = encode_one(layer, xs, mask)
+        grads, dx = bptt_one(cache, upstream)
         want_grads, want_dx = blend_encode_bptt(layer, xs, mask, upstream)
         assert list(grads) == list(want_grads)
         for name in grads:
@@ -225,8 +278,8 @@ class TestTokenTable:
         xs = table[index]
         index[~mask] = n_tokens  # out of range: a padded position is never read
         for direction in ("forward", "backward"):
-            final, cache = directional_pass(params, xs, mask, direction, (table, index))
-            ref_final, ref = directional_pass(params, xs, mask, direction)
+            final, cache = pass_one(params, xs, mask, direction, (table, index))
+            ref_final, ref = pass_one(params, xs, mask, direction)
             assert cache is None
             assert final.h.tobytes() == ref_final.h.tobytes()
             assert final.c.tobytes() == ref_final.c.tobytes()
@@ -256,7 +309,7 @@ class TestTokenTable:
             return out
 
         monkeypatch.setattr(lstm, "matmul", recording)
-        final, cache = directional_pass(p, xs, mask, "forward", tokens)
+        final, cache = pass_one(p, xs, mask, "forward", tokens)
         assert products == [(0, 4 * hidden)]
         if given_table:
             assert cache is None
@@ -299,20 +352,22 @@ class TestStackedBranches:
             final, cache = directional_pass(params, xs[0], mask, direction, (table, None))
             assert len(cache["steps"]) == int(mask.any(axis=1).sum())  # one record a step
             for k, p in enumerate(singles):
-                want, _ = directional_pass(p, xs[k], mask, direction)
+                want, _ = pass_one(p, xs[k], mask, direction)
                 assert final.h[k].tobytes() == want.h.tobytes()
                 assert final.c[k].tobytes() == want.c.tobytes()
 
         pooled, cache = bidirectional_encode(stack, xs[0], mask, (table, None))
-        grads, dx_rows = bptt(cache, upstream)
+        out = stack.zeros_like()
+        dx_rows = bptt(cache, upstream, out)
         for k in range(len(acts)):
             one = BidirectionalLayer(fwd[k], bwd[k])
-            want_pooled, one_cache = bidirectional_encode(one, xs[k], mask)
+            want_pooled, one_cache = encode_one(one, xs[k], mask)
             assert pooled[k].tobytes() == want_pooled.tobytes()
-            want_grads, want_dx = bptt(one_cache, upstream[k])
+            want_grads, want_dx = bptt_one(one_cache, upstream[k])
+            grads = layer_grads(out.branch(k))
             assert list(grads) == list(want_grads)
             for name, grad in grads.items():
-                assert grad[k].tobytes() == want_grads[name].tobytes(), (k, name)
+                assert grad.tobytes() == want_grads[name].tobytes(), (k, name)
             assert next(dx_rows).tobytes() == want_dx[mask].tobytes()
         assert next(dx_rows, None) is None
 
@@ -344,7 +399,7 @@ class TestStackedBranches:
                                             (table, index))
             assert cache is None
             for k, p in enumerate(params):
-                want, _ = directional_pass(p, table[index], mask, direction, (table, index))
+                want, _ = pass_one(p, table[index], mask, direction, (table, index))
                 assert final.h[k].tobytes() == want.h.tobytes()
                 assert final.c[k].tobytes() == want.c.tobytes()
 
@@ -352,7 +407,7 @@ class TestStackedBranches:
 class TestCellStep:
     def test_zero_fixed_point(self):
         p = LSTMCellParams.zeros(3, 2)
-        out = cell_step(p, np.zeros((1, 2)), LSTMState.zero(1, 3))
+        out = cell_step(p, np.zeros((1, 2)), zero_state(1, 3))
         assert np.array_equal(out.h, np.zeros((1, 3)))
         assert np.array_equal(out.c, np.zeros((1, 3)))
 
@@ -383,7 +438,7 @@ class TestCellStep:
         # |c| grows at most one per step, |h| stays below 1 with sigmoid gates
         p = random_params(4, 3, 7, scale=2.0)
         rng = RngStream(8)
-        state = LSTMState.zero(1, 4)
+        state = zero_state(1, 4)
         for t in range(10):
             state = cell_step(p, rng.uniform(-3, 3, (1, 3)), state)
             assert np.all(np.abs(state.c) <= t + 1)
@@ -392,16 +447,16 @@ class TestCellStep:
     def test_dimension_mismatch(self):
         p = LSTMCellParams.zeros(3, 2)
         with pytest.raises(Exception):
-            cell_step(p, np.zeros((1, 5)), LSTMState.zero(1, 3))
+            cell_step(p, np.zeros((1, 5)), zero_state(1, 3))
 
 
 class TestDirectionalPass:
     def test_single_step_direction_irrelevant(self):
         p = random_params(3, 2, 1)
         x = RngStream(2).uniform(-1, 1, (1, 1, 2))
-        expected = cell_step(p, x[0], LSTMState.zero(1, 3))
+        expected = cell_step(p, x[0], zero_state(1, 3))
         for direction in ("forward", "backward"):
-            final, _ = directional_pass(p, x, None, direction)
+            final, _ = pass_one(p, x, None, direction)
             assert np.array_equal(final.h, expected.h)
             assert np.array_equal(final.c, expected.c)
 
@@ -409,7 +464,7 @@ class TestDirectionalPass:
         p = random_params(3, 2, 3)
         x = RngStream(4).uniform(-1, 1, (4, 1, 2))
         mask = np.zeros((4, 1), dtype=bool)
-        final, cache = directional_pass(p, x, mask, "forward")
+        final, cache = pass_one(p, x, mask, "forward")
         assert np.array_equal(final.h, np.zeros((1, 3)))
         assert np.array_equal(final.c, np.zeros((1, 3)))
         assert cache["steps"] == []
@@ -419,8 +474,8 @@ class TestDirectionalPass:
         rng = RngStream(6)
         half = rng.uniform(-1, 1, (2, 1, 2))
         seq = np.concatenate([half, half[::-1]], axis=0)
-        final_f, cache_f = directional_pass(p, seq, None, "forward")
-        final_b, cache_b = directional_pass(p, seq, None, "backward")
+        final_f, cache_f = pass_one(p, seq, None, "forward")
+        final_b, cache_b = pass_one(p, seq, None, "backward")
         assert np.allclose(final_f.h, final_b.h, atol=1e-14)
         assert np.allclose(final_f.c, final_b.c, atol=1e-14)
         # step k of either run sees the same input and state
@@ -437,7 +492,7 @@ class TestDirectionalPass:
         p.b[:] = (1e308, 2.0, 1.0, 10.0)  # b_i, b_f, b_o, b_n
         mask = np.array([[1, 1], [1, 0], [1, 0]], dtype=bool)
         with np.errstate(over="ignore"):
-            final, cache = directional_pass(p, np.zeros((3, 2, 1)), mask, "forward")
+            final, cache = pass_one(p, np.zeros((3, 2, 1)), mask, "forward")
         assert [rows.tolist() for _, rows, *_ in cache["steps"]] == [[0, 1], [0], [0]]
         assert final.h[1, 0] == 1.0
         assert np.isfinite(final.c[1, 0])
@@ -449,7 +504,7 @@ class TestDirectionalPass:
         hidden, embed = 3, 2
         p = random_params(hidden, embed, 25)
         xs = RngStream(26).uniform(-1, 1, (5, 3, embed))
-        _, cache = directional_pass(p, xs, mask, direction)
+        _, cache = pass_one(p, xs, mask, direction)
         assert sorted(cache) == ["params", "steps", "x"]
         run_order = [0, 1, 2, 3] if direction == "forward" else [3, 2, 1, 0]
         assert [rec[0] for rec in cache["steps"]] == run_order
@@ -467,29 +522,29 @@ class TestDirectionalPass:
     def test_empty_sequence_rejected(self):
         p = random_params(2, 2, 0)
         with pytest.raises(Exception):
-            directional_pass(p, np.zeros((0, 1, 2)), None, "forward")
+            pass_one(p, np.zeros((0, 1, 2)), None, "forward")
 
 
 class TestBidirectional:
     def test_zero_layer_pools_to_zero(self):
         layer = BidirectionalLayer(LSTMCellParams.zeros(3, 2), LSTMCellParams.zeros(3, 2))
-        pooled, _ = bidirectional_encode(layer, RngStream(7).uniform(-1, 1, (4, 1, 2)))
+        pooled, _ = encode_one(layer, RngStream(7).uniform(-1, 1, (4, 1, 2)))
         assert np.array_equal(pooled, np.zeros((1, 3)))
 
     def test_single_token_is_sum_of_directions(self):
         layer = BidirectionalLayer(random_params(3, 2, 8), random_params(3, 2, 9))
         x = RngStream(10).uniform(-1, 1, (1, 1, 2))
-        pooled, _ = bidirectional_encode(layer, x)
-        h_f = cell_step(layer.forward_params, x[0], LSTMState.zero(1, 3)).h
-        h_b = cell_step(layer.backward_params, x[0], LSTMState.zero(1, 3)).h
+        pooled, _ = encode_one(layer, x)
+        h_f = cell_step(layer.forward_params, x[0], zero_state(1, 3)).h
+        h_b = cell_step(layer.backward_params, x[0], zero_state(1, 3)).h
         assert np.array_equal(pooled, h_f + h_b)
 
     def test_matches_independent_recomputation(self):
         layer = BidirectionalLayer(random_params(3, 2, 11), random_params(3, 2, 12))
         x = RngStream(13).uniform(-1, 1, (4, 1, 2))
-        pooled, _ = bidirectional_encode(layer, x)
-        final_f, _ = directional_pass(layer.forward_params, x, None, "forward")
-        final_b, _ = directional_pass(layer.backward_params, x, None, "backward")
+        pooled, _ = encode_one(layer, x)
+        final_f, _ = pass_one(layer.forward_params, x, None, "forward")
+        final_b, _ = pass_one(layer.backward_params, x, None, "backward")
         assert np.array_equal(pooled, final_f.h + final_b.h)
 
     def test_direction_containment(self):
@@ -497,18 +552,18 @@ class TestBidirectional:
         fwd = random_params(3, 2, 14)
         layer = BidirectionalLayer(fwd, LSTMCellParams.zeros(3, 2))
         x = RngStream(15).uniform(-1, 1, (3, 1, 2))
-        pooled, _ = bidirectional_encode(layer, x)
-        final_f, _ = directional_pass(fwd, x, None, "forward")
+        pooled, _ = encode_one(layer, x)
+        final_f, _ = pass_one(fwd, x, None, "forward")
         assert np.array_equal(pooled, final_f.h)
 
     def test_pad_append_invariance_bitwise(self):
         layer = BidirectionalLayer(random_params(3, 2, 16), random_params(3, 2, 17))
         x = RngStream(18).uniform(-1, 1, (3, 1, 2))
         mask = np.ones((3, 1), dtype=bool)
-        pooled, _ = bidirectional_encode(layer, x, mask)
+        pooled, _ = encode_one(layer, x, mask)
         x_pad = np.concatenate([x, np.zeros((2, 1, 2))], axis=0)
         mask_pad = np.concatenate([mask, np.zeros((2, 1), dtype=bool)], axis=0)
-        pooled_pad, _ = bidirectional_encode(layer, x_pad, mask_pad)
+        pooled_pad, _ = encode_one(layer, x_pad, mask_pad)
         assert np.array_equal(pooled, pooled_pad)
 
 
@@ -522,8 +577,8 @@ class TestBptt:
 
     def test_zero_upstream_zero_gradients(self):
         layer, x = self.make(20)
-        _, cache = bidirectional_encode(layer, x)
-        grads, dx = bptt(cache, np.zeros((1, 2)))
+        _, cache = encode_one(layer, x)
+        grads, dx = bptt_one(cache, np.zeros((1, 2)))
         assert np.array_equal(dx, np.zeros_like(x))
         assert all(np.array_equal(g, np.zeros_like(g)) for g in grads.values())
 
@@ -532,11 +587,11 @@ class TestBptt:
         upstream = RngStream(22).uniform(-1, 1, (1, 2))
 
         def loss():
-            pooled, _ = bidirectional_encode(layer, x)
+            pooled, _ = encode_one(layer, x)
             return float(np.sum(pooled * upstream))
 
-        _, cache = bidirectional_encode(layer, x)
-        grads, dx = bptt(cache, upstream)
+        _, cache = encode_one(layer, x)
+        grads, dx = bptt_one(cache, upstream)
         h = 1e-5
         blocks = layer.forward_params.blocks("fwd") + layer.backward_params.blocks("bwd")
         for name, arr in blocks:
@@ -568,19 +623,19 @@ class TestBptt:
     def test_masked_timestep_gets_zero_input_gradient(self):
         layer, x = self.make(23)
         mask = np.array([[True], [False], [True]])
-        _, cache = bidirectional_encode(layer, x, mask)
-        _, dx = bptt(cache, np.ones((1, 2)))
+        _, cache = encode_one(layer, x, mask)
+        _, dx = bptt_one(cache, np.ones((1, 2)))
         assert np.array_equal(dx[1], np.zeros((1, 2)))
         assert not np.array_equal(dx[0], np.zeros((1, 2)))
 
     def test_pad_append_leaves_gradients_bitwise(self):
         layer, x = self.make(24)
         mask = np.ones((3, 1), dtype=bool)
-        _, cache = bidirectional_encode(layer, x, mask)
-        grads, _ = bptt(cache, np.ones((1, 2)))
+        _, cache = encode_one(layer, x, mask)
+        grads, _ = bptt_one(cache, np.ones((1, 2)))
         x_pad = np.concatenate([x, np.zeros((2, 1, 2))], axis=0)
         mask_pad = np.concatenate([mask, np.zeros((2, 1), dtype=bool)], axis=0)
-        _, cache_pad = bidirectional_encode(layer, x_pad, mask_pad)
-        grads_pad, _ = bptt(cache_pad, np.ones((1, 2)))
+        _, cache_pad = encode_one(layer, x_pad, mask_pad)
+        grads_pad, _ = bptt_one(cache_pad, np.ones((1, 2)))
         for name in grads:
             assert np.array_equal(grads[name], grads_pad[name])

@@ -132,9 +132,15 @@ class TestArena:
             offset = arr.ctypes.data - m.arena.ctypes.data
             assert grad_arr.ctypes.data - grad.arena.ctypes.data == offset
 
-    def test_checkpoint_round_trip_keeps_arena_and_file_bytes(self, tmp_path):
+    @staticmethod
+    def check_round_trip(tmp_path, monkeypatch=None):
         m = init_model(30, 8, 5, seed=11, seq_len=7)
         save_checkpoint(m, tmp_path / "a.ckpt")
+        if monkeypatch is not None:
+            def no_draws(*args, **kwargs):
+                raise AssertionError("a checkpoint load drew random numbers")
+
+            monkeypatch.setattr("plstm.model.RngStream", no_draws)
         loaded = load_checkpoint(tmp_path / "a.ckpt")
         assert loaded.arena.tobytes() == m.arena.tobytes()
         save_checkpoint(loaded, tmp_path / "b.ckpt")
@@ -143,6 +149,14 @@ class TestArena:
         # the bytes the v1 format wrote before the arena: payload in blocks() order
         assert hashlib.sha256(blob).hexdigest() == (
             "17c3d39d466ac50a1a678c9fd4fcd221e30036f51314c424fab1a1e85cc7d915")
+
+    def test_checkpoint_round_trip_keeps_arena_and_file_bytes(self, tmp_path):
+        self.check_round_trip(tmp_path)
+
+    def test_checkpoint_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        """A load reads every parameter from the file, so it builds its
+        model over a zeroed arena and draws nothing."""
+        self.check_round_trip(tmp_path, monkeypatch)
 
 
 class TestBranchForward:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import plstm.train
 from plstm.cli import main
 from plstm.corpus import Document, LabeledExample, build_vocabulary
+from plstm.lstm import GATES
 from plstm.model import BRANCH_NAMES, branch_backward, forward_batch, init_model
 from plstm.tensor import _BLOCK_ELEMS, RngStream
 from plstm.train import (
@@ -175,9 +176,10 @@ class TestClip:
             np.concatenate([b.ravel() for b in blocks]).tobytes())
 
     def test_clip_rows_follow_the_gradient_block_order(self):
-        """`_clip_rows` lists a branch's gradient blocks in the order of
-        `branch_backward`'s grads: head, then per direction W, U and b by
-        gate, then the dense embedded-input gradient, each a view."""
+        """`_clip_rows` lists a branch's gradient blocks, named as in
+        `branch_backward`'s grads, in this order: head, then per direction
+        W, U and b by gate, then the dense embedded-input gradient, each a
+        view."""
         model, data = tiny_setup(seed=3)
         rngs = {name: RngStream(3, k) for k, name in enumerate(BRANCH_NAMES)}
         scores, caches = forward_batch(model, data.ids[:4], data.mask[:4], rngs)
@@ -189,7 +191,11 @@ class TestClip:
         for branch_grads, d_embedded, branch_grad in zip(grads, d_embeddeds,
                                                          grad_group.branches):
             rows = [row for arr in _clip_rows(branch_grad, d_embedded) for row in arr]
-            blocks = [*branch_grads.values(), d_embedded]
+            names = [f"{branch_grad.name}.{key}" for key in (
+                "head_W", "head_b",
+                *(f"{d}.{k}_{g}" for d in ("fwd", "bwd") for k in "WUb" for g in GATES))]
+            assert sorted(names) == sorted(branch_grads)
+            blocks = [*(branch_grads[name] for name in names), d_embedded]
             assert len(rows) == len(blocks)
             for row, block in zip(rows, blocks):
                 assert np.shares_memory(row, block) or np.shares_memory(row, d_embedded)
