@@ -7,7 +7,7 @@ tanh; per branch: forward then backward gates i/f/o/n as W, U, b, then the
 head weights and bias), each block as row-major float64. Round trips are
 bitwise exact. The payload is in `ParallelModel.blocks()` order, not in the
 order of the parameter arena (`model.model_over`), so it is written and
-read block by block.
+read block by block. A load rejects a non-finite parameter.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def load_checkpoint(path) -> ParallelModel:
         )
     # every parameter is read from the payload, so the model starts from a
     # zeroed arena, with sigmoid gates: the v1 header names no gate mode
-    model = model_over(np.zeros(expected_param_count(vocab_size, embed_dim, hidden)),
-                       vocab_size, embed_dim, hidden, ("sigmoid",) * len(BRANCH_NAMES), seq_len)
+    model = model_over(np.zeros(expected // 8), vocab_size, embed_dim, hidden,
+                       ("sigmoid",) * len(BRANCH_NAMES), seq_len)
     for _, arr in model.blocks():
-        nbytes = arr.size * 8
-        flat = np.frombuffer(blob[off : off + nbytes], dtype="<f8")
-        arr[...] = flat.reshape(arr.shape)
-        off += nbytes
+        arr[...] = np.frombuffer(blob, "<f8", count=arr.size, offset=off).reshape(arr.shape)
+        off += arr.nbytes
+    if not np.isfinite(model.arena).all():
+        raise CheckpointError("bad checkpoint: a parameter is not finite")
     return model

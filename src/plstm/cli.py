@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 2 data/I-O error, 3 config error. Each read converts
 its own failures where it happens: a config file to `ConfigError`, a data
-file to `corpus.CorpusError`, a checkpoint to `CheckpointError`. The
-commands then run straight through, and `main` alone maps those three
-classes, and an `OSError` from a failed write, to an exit code and one line
-on stderr. Anything else propagates as a traceback. A fixed seed makes
-every command's file outputs byte-for-byte reproducible. The PLSTM_SEED
-environment variable fills in an unset --seed.
+file to `corpus.CorpusError`, a checkpoint to `CheckpointError`; a training
+run that diverges raises `ConfigError` too. The commands then run straight
+through, and `main` alone maps those three classes, and an `OSError` from
+a failed write, to an exit code and one line on stderr. Anything else
+propagates as a traceback. A fixed seed makes every command's file outputs
+byte-for-byte reproducible. The PLSTM_SEED environment variable fills in
+an unset --seed.
 """
 
 from __future__ import annotations
@@ -16,34 +17,26 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import corpus
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import benchmark, classification_report, confusion, render4
 from .model import BRANCH_NAMES, expected_param_count, summary
-from .train import (TrainConfig, build_model, encode_dataset, predict_labels, train,
-                    write_epoch_csv)
+from .train import (ConfigError, TrainConfig, build_model, encode_dataset, predict_labels,
+                    train, write_epoch_csv)
 
 EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 
-_CONFIG_FIELDS = {
-    "epochs": int,
-    "batch_size": int,
-    "seed": int,
-    "verbose": int,
-    "hidden": int,
-    "embedding_dim": int,
-    "seq_len": int,
-    "learning_rate": float,
-    "dropout_embed": float,
-    "dropout_recurrent": float,
-    "gate_mode": str,
-    "clip_norm": lambda raw: None if raw.lower() == "none" else float(raw),
-    "aggregation": str,
-}
+# a `TrainConfig` field annotation -> its value parser; only `float | None` accepts `none`
+_PARSERS = {"int": int, "float": float, "str": str,
+            "float | None": lambda raw: None if raw.lower() == "none" else float(raw)}
+# config key -> (TrainConfig field, value parser), read off TrainConfig
+_CONFIG_FIELDS = {f.metadata.get("key", f.name): (f.name, _PARSERS[f.type])
+                  for f in fields(TrainConfig)}
 
 
 # The most bytes a command may ask for up front: the parameters (8 bytes
@@ -51,10 +44,6 @@ _CONFIG_FIELDS = {
 # mask). Training adds about three times the parameter bytes (the gradients
 # and Adam's two moments) and per-batch working memory on top.
 MAX_ALLOC_BYTES = 1 << 30
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _check_allocation(vocab_size: int, embed_dim: int, hidden: int, n_docs: int,
@@ -68,9 +57,10 @@ def _check_allocation(vocab_size: int, embed_dim: int, hidden: int, n_docs: int,
 
 
 def load_config(path) -> TrainConfig:
-    """key=value config; keys named after the hyperparameter vocabulary
-    (embedding_dim, hidden, learning_rate, dropout_embed, ...). A leading
-    UTF-8 byte-order mark is ignored."""
+    """key=value config, one line each, with the keys and value types of
+    `_CONFIG_FIELDS`, which are read off `TrainConfig`. Blank lines and `#`
+    comments are skipped, and a leading UTF-8 byte-order mark is ignored.
+    The values are not validated here; `_config` validates them."""
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -87,20 +77,19 @@ def load_config(path) -> TrainConfig:
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        name, parse = _CONFIG_FIELDS[key]
         try:
-            values[key] = _CONFIG_FIELDS[key](raw)
+            values[name] = parse(raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key}: {raw!r}") from exc
-    if "embedding_dim" in values:
-        values["embed_dim"] = values.pop("embedding_dim")
     return TrainConfig(**values)
 
 
 def dump_config(config: TrainConfig, path):
-    names = [(k, "embedding_dim" if k == "embed_dim" else k) for k in config.__dict__]
+    """Every config key and its value, one `key=value` line each, sorted by key."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for attr, key in sorted(names, key=lambda kv: kv[1]):
-            fh.write(f"{key}={getattr(config, attr)}\n")
+        for key, (name, _) in sorted(_CONFIG_FIELDS.items()):
+            fh.write(f"{key}={getattr(config, name)}\n")
 
 
 def _config(args) -> TrainConfig:
@@ -110,10 +99,7 @@ def _config(args) -> TrainConfig:
     for key in ("seed", "epochs"):
         if getattr(args, key, None) is not None:
             setattr(config, key, getattr(args, key))
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config.validate()
     return config
 
 

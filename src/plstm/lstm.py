@@ -206,15 +206,16 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     (branches, n, embed). With index None the table is per-position: it
     lists the unmasked positions t-major. Otherwise index is (L, batch) ints
     and step t reads row index[t, b] for position (t, b). The input
-    projection is made once per branch, as proj = matmul(table, W.T), and
-    step t reads its rows from it. Each step runs the gate maths on the rows
-    its mask marks only; padded rows are left out and keep their state, and
-    a step with no such rows is skipped. A per-position pass returns a cache
-    that holds `params`, the table as `x`, (branches, n, embed), and
-    `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per step
-    that ran, in run order, with the branch axis and the state and gates of
-    `rows` only -- what BPTT reads. A pass given an index is forward-only:
-    it keeps no records and returns a None cache.
+    projection is made once per pass, as proj = matmul_stacked(table, W.T),
+    one product per branch, and step t reads its rows from it. Each step
+    runs the gate maths on the rows its mask marks only; padded rows are
+    left out and keep their state, and a step with no such rows is skipped.
+    A per-position pass returns a cache that holds `params`, the table as
+    `x`, (branches, n, embed), and `steps`: one record (t, rows, h_prev,
+    c_prev, gates, tanh_c) per step that ran, in run order, with the branch
+    axis and the state and gates of `rows` only -- what BPTT reads. A pass
+    given an index is forward-only: it keeps no records and returns a None
+    cache.
     """
     L, batch, mask = _sequence_mask(sequence, mask)
     if direction not in ("forward", "backward"):
@@ -225,12 +226,7 @@ def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, directi
     starts = _row_starts(mask) if records else None
     G, hidden = len(params.W), params.hidden
     table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
-    if G == 1:
-        proj = matmul(table[0], params.W[0].T)[None]
-    else:  # filled branch by branch, so one branch's product is held twice at most
-        proj = np.empty((G, table.shape[1], 4 * hidden))
-        for k in range(G):
-            proj[k] = matmul(table[k], params.W[k].T)
+    proj = matmul_stacked(table, params.W.transpose(0, 2, 1))
     # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
     # matmul_stacked reads without a copy
     UT = np.ascontiguousarray(params.U.transpose(2, 0, 1)).transpose(1, 0, 2)

@@ -125,10 +125,17 @@ class ParallelModel:
         return [BranchGroup.of(branch) for branch in branches]
 
 
+def _layout(vocab_size: int, embed_dim: int, hidden: int) -> list:
+    """The arena's array shapes, in arena order (see `model_over`)."""
+    rows, n = 4 * hidden, len(BRANCH_NAMES)
+    return [(vocab_size, embed_dim),
+            *[(n, rows, embed_dim), (n, rows, hidden), (n, rows)] * 2,
+            *[(N_CLASSES, hidden), (N_CLASSES,)] * n]
+
+
 def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
-    per_direction = 4 * (hidden * embed_dim + hidden * hidden + hidden)
-    per_branch = 2 * per_direction + 2 * hidden + 2
-    return vocab_size * embed_dim + 4 * per_branch
+    """The arena's length: the element count of every shape `_layout` lists."""
+    return sum(math.prod(shape) for shape in _layout(vocab_size, embed_dim, hidden))
 
 
 def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: tuple,
@@ -141,10 +148,7 @@ def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: t
     backward, the (4, 4H, embed) W, (4, 4H, H) U and (4, 4H) b stacks of
     all four branches; then, branch by branch, the (2, H) head weights and
     (2,) head bias. `gate_acts` names each branch's gate activation."""
-    rows, n = 4 * hidden, len(BRANCH_NAMES)
-    shapes = [(vocab_size, embed_dim),
-              *[(n, rows, embed_dim), (n, rows, hidden), (n, rows)] * 2,
-              *[(N_CLASSES, hidden), (N_CLASSES,)] * n]
+    shapes = _layout(vocab_size, embed_dim, hidden)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     if arena.shape != (ends[-1],):
         raise ValueError(f"arena shape {arena.shape} != ({ends[-1]},)")
@@ -226,8 +230,8 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
     rngs = rng if group is branch or rng is None else [rng]
     embedded = np.asarray(embedded, dtype=np.float64)
-    L, batch = embedded.shape[:2]
-    mask = np.ones((L, batch), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    batch = embedded.shape[1]
+    mask = np.asarray(mask, dtype=bool)
     if tokens is None:
         tokens = embedded[mask], None
     n_branches = len(group.branches)

@@ -61,8 +61,7 @@ class RngStream:
     """
 
     def __init__(self, *key: int):
-        self.key = tuple(int(k) for k in key)
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.key)))
+        self.gen = np.random.default_rng([int(k) for k in key])  # PCG64 over a SeedSequence
 
     def uniform(self, low, high, shape):
         return self.gen.uniform(low, high, size=shape)

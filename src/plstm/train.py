@@ -10,31 +10,39 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import encode, tokenize
 from .lstm import GATES
-from .model import (AGGREGATIONS, BRANCH_NAMES, GATE_MODES, ParallelModel, branch_backward,
-                    forward_batch, init_model)
+from .model import (AGGREGATIONS, BRANCH_NAMES, DEFAULT_DROPOUT_EMBED, DEFAULT_DROPOUT_RECURRENT,
+                    GATE_MODES, ParallelModel, branch_backward, forward_batch, init_model)
 from .tensor import _BLOCK_ELEMS, RngStream, ShapeError, categorical_cross_entropy
+
+
+class ConfigError(ValueError):
+    """A bad config value, or a run that the config makes diverge."""
 
 
 @dataclass
 class TrainConfig:
+    """The one statement of the config keys, their value types and their
+    defaults. A field's config key is its name, or its metadata's "key";
+    a `float | None` field also accepts `none`."""
+
     epochs: int = 500
     batch_size: int = 32
     seed: int = 0
     verbose: int = 1
     hidden: int = 64
-    embed_dim: int = 400
+    embed_dim: int = field(default=400, metadata={"key": "embedding_dim"})
     seq_len: int = 65
     learning_rate: float = 0.01
-    dropout_embed: float = 0.6
-    dropout_recurrent: float = 0.4
+    dropout_embed: float = DEFAULT_DROPOUT_EMBED
+    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
     gate_mode: str = "standard"  # or "literal_eq9"
-    clip_norm: float = 5.0  # None disables clipping
+    clip_norm: float | None = 5.0  # None disables clipping
     aggregation: str = "primary_branch"
 
     def validate(self):
@@ -42,20 +50,20 @@ class TrainConfig:
                            ("hidden", self.hidden), ("embedding_dim", self.embed_dim),
                            ("seq_len", self.seq_len)):
             if value < 1:
-                raise ValueError(f"{key} must be >= 1")
+                raise ConfigError(f"{key} must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
         for name in ("dropout_embed", "dropout_recurrent"):
             if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
+                raise ConfigError(f"{name} must be in [0, 1)")
         if not 0.0 < self.learning_rate < np.inf:  # also false for nan
-            raise ValueError("learning_rate must be finite and > 0")
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.clip_norm is not None and not 0.0 < self.clip_norm < np.inf:
-            raise ValueError("clip_norm must be none or finite and > 0")
+            raise ConfigError("clip_norm must be none or finite and > 0")
         if self.gate_mode not in GATE_MODES:
-            raise ValueError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
+            raise ConfigError(f"gate_mode must be one of {', '.join(GATE_MODES)}")
         if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {', '.join(AGGREGATIONS)}")
+            raise ConfigError(f"aggregation must be one of {', '.join(AGGREGATIONS)}")
 
 
 def build_model(config: TrainConfig, vocab_size: int, seed: int) -> ParallelModel:
@@ -213,18 +221,17 @@ def _clip_rows(grad, d_embedded):
             d_embedded.reshape(1, -1)]
 
 
-def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> ParallelModel:
-    """One batch's clipped gradient of every parameter, as a gradient
-    arena: a training-mode `forward_batch`, each branch's loss (added into
-    loss_sums), then a zeroed gradient arena, made once the forward pass's
-    memory peak is over, each branch group's backward into its views, and
-    each branch's clip and embedding scatter in BRANCH_NAMES order. The
-    caches of the batch are freed when this returns."""
+def _batch_grads(model, ids, mask, targets, rngs, clip_norm):
+    """One batch's (losses by branch, clipped gradient of every parameter
+    as a gradient arena): a training-mode `forward_batch`, each branch's
+    loss, then a zeroed gradient arena, made once the forward pass's memory
+    peak is over, each branch group's backward into its views, and each
+    branch's clip and embedding scatter in BRANCH_NAMES order. The caches
+    of the batch are freed when this returns."""
     scores, caches = forward_batch(model, ids, mask, rngs)
-    d_scores = {}
+    losses, d_scores = {}, {}
     for name in BRANCH_NAMES:
-        loss, d_scores[name] = categorical_cross_entropy(scores[name], targets)
-        loss_sums[name] += loss
+        losses[name], d_scores[name] = categorical_cross_entropy(scores[name], targets)
     used = mask.T  # unmasked positions, time-major like d_embedded
     used_ids = ids.T[used]
     grad = model.zeros_like()
@@ -242,9 +249,10 @@ def _batch_grads(model, ids, mask, targets, rngs, clip_norm, loss_sums) -> Paral
             # order; padded positions (gradient +0) are left out
             np.add.at(grad.embedding, used_ids, d_embedded[used])
     grad.embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
-    return grad
+    return losses, grad
 
 
+@np.errstate(all="ignore")  # the finiteness checks decide, not numpy's warnings
 def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     """Train in place; returns (model, [EpochLog]).
 
@@ -260,6 +268,11 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     each branch after its own backward. The embedding's gradient sums the
     branches' in that order; its pad row never moves. Verbose level 1
     prints a summary line every 100 epochs.
+
+    Training runs with numpy's floating-point warnings off. Instead a
+    branch's non-finite batch loss, or a non-finite parameter after an
+    epoch, raises `ConfigError` ("training diverged: ..."), so a diverging
+    run ends before anything is written.
     """
     config.validate()
     if len(dataset) == 0:
@@ -283,10 +296,17 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
             targets = _one_hot(dataset.labels[batch])
             rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
                     for b_idx, name in enumerate(BRANCH_NAMES)}
-            grad = _batch_grads(model, ids, mask, targets, rngs, config.clip_norm, loss_sums)
+            losses, grad = _batch_grads(model, ids, mask, targets, rngs, config.clip_norm)
+            for name, loss in losses.items():
+                if not np.isfinite(loss):
+                    raise ConfigError(f"training diverged: {name} loss is {loss} at epoch "
+                                      f"{epoch}, batch {n_batches + 1}")
+                loss_sums[name] += loss
             adam_step(opt, {"arena": model.arena}, {"arena": grad.arena})
             del grad  # freed before the next forward pass, whose memory peak it would raise
             n_batches += 1
+        if not np.isfinite(model.arena).all():
+            raise ConfigError(f"training diverged: a parameter is not finite after epoch {epoch}")
 
         acc = epoch_metrics(model, dataset)
         loss_means = {name: loss_sums[name] / n_batches for name in BRANCH_NAMES}

@@ -1,13 +1,21 @@
 import csv
 import errno
+import re
 import struct
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plstm import cli
 from plstm.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from plstm.cli import ConfigError, load_config, main
-from plstm.model import init_model
+from plstm.cli import ConfigError, dump_config, load_config, main
+from plstm.model import AGGREGATIONS, GATE_MODES, init_model
+from plstm.train import TrainConfig
 
 SMOKE_CFG_TEXT = """\
 embedding_dim=8
@@ -53,6 +61,34 @@ class TestConfig:
         p.write_text("epochs=none\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    def test_every_field_has_exactly_one_key(self):
+        named = [name for name, _ in cli._CONFIG_FIELDS.values()]
+        assert sorted(named) == sorted(f.name for f in fields(TrainConfig))
+
+    def test_readme_lists_every_key(self, data_dir):
+        readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
+        listed = re.search(r"Config files are `key=value` lines \(([^)]*)\)", readme)[1]
+        assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(cli._CONFIG_FIELDS)
+
+    @given(st.builds(
+        TrainConfig, epochs=st.integers(1, 10**6), batch_size=st.integers(1, 10**6),
+        seed=st.integers(0, 2**64), verbose=st.integers(-2, 2),
+        hidden=st.integers(1, 10**6), embed_dim=st.integers(1, 10**6),
+        seq_len=st.integers(1, 10**6),
+        learning_rate=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        dropout_embed=st.floats(0.0, 1.0, exclude_max=True),
+        dropout_recurrent=st.floats(0.0, 1.0, exclude_max=True),
+        gate_mode=st.sampled_from(GATE_MODES),
+        clip_norm=st.none() | st.floats(0.0, exclude_min=True, allow_infinity=False),
+        aggregation=st.sampled_from(AGGREGATIONS)))
+    @settings(max_examples=200, deadline=None)
+    def test_dump_then_load_gives_the_config_back(self, config):
+        config.validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config_resolved.cfg"
+            dump_config(config, path)
+            assert load_config(path) == config
 
 
 class TestStats:
@@ -201,6 +237,19 @@ class TestTrain:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_exit_3_before_writing(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text((data_dir / "train_smoke.cfg").read_text()
+                       + "learning_rate=1e300\nclip_norm=none\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(cfg), "--epochs", "3", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: training diverged: ") and err.count("\n") == 1
+        assert not (out / "model.ckpt").exists() and not (out / "epochs.csv").exists()
+
     def test_missing_data_exit_2(self, tmp_path, smoke_cfg):
         code = main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--config", str(smoke_cfg), "--out", str(tmp_path / "run")])
@@ -287,6 +336,17 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.count("bad checkpoint") == 1
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_parameter_exit_2(self, data_dir, tmp_path, capsys, value):
+        model = init_model(30, 4, 3, seed=0, seq_len=5)
+        model.branches["relu"].layer.backward_params.U[2, 1] = value
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad checkpoint: a parameter is not finite\n"
 
     def test_wrong_magic_exit_2(self, data_dir, tmp_path, capsys):
         path = tmp_path / "m.ckpt"

@@ -6,7 +6,10 @@ Every model dimension drawn is either tiny (<= 8) or so large that
 `cli.MAX_ALLOC_BYTES` rejects it before anything is allocated, so no
 example trains a large model. Checkpoint payload bytes are left alone: a
 v1 checkpoint has no checksum, so a flipped payload byte loads as another
-valid model.
+valid model, unless it makes a parameter non-finite.
+
+A huge but finite learning rate trains to finite artifacts or ends in
+exit 3, without a numpy warning.
 """
 
 import csv
@@ -22,8 +25,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plstm import cli
-from plstm.checkpoint import MAGIC, save_checkpoint
+from plstm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from plstm.model import init_model
+
+REPO_DATA = Path(__file__).resolve().parents[1] / "data"
 
 ROWS = [
     (1, "sure brilliant café totally wow", 1),
@@ -202,3 +207,43 @@ def test_named_bad_data_exits_2_naming_file_and_line(command, name):
     assert code == cli.EXIT_DATA
     assert err.startswith("error: ") and err.endswith(f"data{suffix}: {message}\n")
     assert err.count("\n") == 1
+
+
+# config and data bytes that a diverging run starts from: the tiny fixture
+# above, and the smoke config on the bundled corpus
+DIVERGING = {
+    "tiny": (CLEAN_CONFIG, DATA[".tsv"]),
+    "smoke": ((REPO_DATA / "train_smoke.cfg").read_bytes(),
+              (REPO_DATA / "synthetic_train.tsv").read_bytes()),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(fixture=st.just("tiny"), learning_rate=st.floats(1e10, 1e308),
+       clip_norm=st.none() | st.floats(0.1, 10.0), epochs=st.integers(1, 3))
+@example(fixture="smoke", learning_rate=1e300, clip_norm=None, epochs=3)
+@settings(max_examples=60, deadline=None)
+def test_huge_learning_rate_ends_in_finite_artifacts_or_exit_3(fixture, learning_rate,
+                                                                clip_norm, epochs):
+    config, data = DIVERGING[fixture]
+    config += f"\nlearning_rate={learning_rate!r}\nclip_norm={clip_norm}\n".encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "run.cfg").write_bytes(config)
+        (tmp / "data.tsv").write_bytes(data)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main(["train", "--data", str(tmp / "data.tsv"), "--config",
+                             str(tmp / "run.cfg"), "--epochs", str(epochs), "--out",
+                             str(tmp / "out")])
+        err = err.getvalue()
+        if code == cli.EXIT_OK:
+            assert err == ""
+            load_checkpoint(tmp / "out" / "model.ckpt")  # every parameter finite
+            epochs_csv = (tmp / "out" / "epochs.csv").read_text(encoding="utf-8")
+            assert "nan" not in epochs_csv and "inf" not in epochs_csv
+        else:
+            assert code == cli.EXIT_CONFIG, err
+            assert err.startswith("config error: training diverged: ") and err.count("\n") == 1
+            assert not (tmp / "out" / "model.ckpt").exists()
+            assert not (tmp / "out" / "epochs.csv").exists()

@@ -24,7 +24,7 @@ from plstm.model import (
     summary,
 )
 from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, grad_check,
-                          matmul)
+                          matmul_stacked)
 
 
 def encoded(ids, L):
@@ -160,15 +160,17 @@ class TestArena:
 
 
 class TestBranchForward:
+    ALL_USED = np.ones((3, 1), dtype=bool)  # every position of embedded()'s (L, batch)
+
     def embedded(self, L=3, batch=1, embed=2, seed=0):
         return RngStream(seed).uniform(-1, 1, (L, batch, embed))
 
     def test_zero_softmax_branch(self):
-        scores, _ = branch_forward(zero_branch("softmax"), self.embedded(), None)
+        scores, _ = branch_forward(zero_branch("softmax"), self.embedded(), self.ALL_USED)
         assert np.allclose(scores, [[0.5, 0.5]])
 
     def test_zero_tanh_branch(self):
-        scores, _ = branch_forward(zero_branch("tanh"), self.embedded(), None)
+        scores, _ = branch_forward(zero_branch("tanh"), self.embedded(), self.ALL_USED)
         assert np.array_equal(scores, [[0.0, 0.0]])
 
     def test_softmax_scores_sum_to_one(self):
@@ -176,7 +178,7 @@ class TestBranchForward:
         for trial in range(20):
             ids = RngStream(trial).gen.integers(1, 10, size=(1, 5))
             scores, _ = branch_forward(
-                m.branches["softmax"], embed_ids(m, ids), None
+                m.branches["softmax"], embed_ids(m, ids), np.ones((5, 1), bool)
             )
             assert abs(scores.sum() - 1.0) < 1e-12
 
@@ -395,11 +397,11 @@ class TestEvalTokenTable:
         w_rows = []
 
         def recording(a, b):
-            if b.shape[0] == m.embed_dim:
-                w_rows.append(len(a))
-            return matmul(a, b)
+            if a.shape[2] == m.embed_dim:
+                w_rows.extend([a.shape[1]] * len(a))  # each branch's projected rows
+            return matmul_stacked(a, b)
 
-        monkeypatch.setattr(plstm.lstm, "matmul", recording)
+        monkeypatch.setattr(plstm.lstm, "matmul_stacked", recording)
         forward_batch(m, self.IDS, self.MASK)
         assert w_rows == [len(np.unique(self.IDS[self.MASK]))] * 8  # 4 branches x 2 directions
 
