@@ -7,7 +7,10 @@ tanh; per branch: forward then backward gates i/f/o/n as W, U, b, then the
 head weights and bias), each block as row-major float64. Round trips are
 bitwise exact. The payload is in `ParallelModel.blocks()` order, not in the
 order of the parameter arena (`model.model_over`), so it is written and
-read block by block. A load rejects a non-finite parameter.
+read block by block. The arena holds every parameter as a branch stack,
+the heads as one (4, 2, H) and one (4, 2) stack after the LSTM stacks, so
+its order differs from the payload's, and the v1 payload keeps its bytes
+whatever the arena's layout. A load rejects a non-finite parameter.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .model import BRANCH_NAMES, ParallelModel, expected_param_count, model_over
+from .model import AGGREGATIONS, BRANCH_NAMES, ParallelModel, expected_param_count, model_over
 
 MAGIC = b"PLSTM\x01"
 _HEADER = struct.Struct("<4I")
@@ -58,9 +61,10 @@ def load_checkpoint(path) -> ParallelModel:
             f"bad checkpoint: payload is {len(blob) - off} bytes, header implies {expected}"
         )
     # every parameter is read from the payload, so the model starts from a
-    # zeroed arena, with sigmoid gates: the v1 header names no gate mode
+    # zeroed arena, with sigmoid gates and the default aggregation: the v1
+    # header names neither
     model = model_over(np.zeros(expected // 8), vocab_size, embed_dim, hidden,
-                       ("sigmoid",) * len(BRANCH_NAMES), seq_len)
+                       ("sigmoid",) * len(BRANCH_NAMES), seq_len, AGGREGATIONS[0])
     for _, arr in model.blocks():
         arr[...] = np.frombuffer(blob, "<f8", count=arr.size, offset=off).reshape(arr.shape)
         off += arr.nbytes

@@ -148,10 +148,10 @@ def cmd_train(args) -> int:
     examples, vocab = _labeled(args.data)
     _check_allocation(vocab.size, config.embed_dim, config.hidden, len(examples),
                       config.seq_len)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     data = encode_dataset(examples, vocab, config.seq_len)
     model, logs = train(build_model(config, vocab.size, config.seed), data, config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "model.ckpt")
     write_epoch_csv(logs, out / "epochs.csv")
     dump_config(config, out / "config_resolved.cfg")
@@ -196,8 +196,6 @@ def cmd_benchmark(args) -> int:
     raise `CorpusError` gets one `skipped: <reason>` row instead; exit 2 if
     every dataset was skipped."""
     config = _config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     csv_rows = [["dataset", "V", "branch", "mean_train_acc", "entire_corpus_acc"]]
     txt_lines = [f"{'dataset':<16}{'V':>8}{'branch':>10}{'train':>10}{'entire':>10}\n"]
     ok = 0
@@ -218,6 +216,8 @@ def cmd_benchmark(args) -> int:
                              f"{r.entire_corpus_acc[branch]:.2f}"])
             txt_lines.append(f"{name:<16}{r.vocab_len:>8}{branch:>10}"
                              f"{r.mean_train_acc[branch]:>10.2f}{r.entire_corpus_acc[branch]:>10.2f}\n")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "benchmark.csv", "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(csv_rows)  # quotes a cell with a comma
     (out / "benchmark.txt").write_text("".join(txt_lines), encoding="utf-8")

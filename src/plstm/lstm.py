@@ -3,14 +3,12 @@ over packed steps, additive bidirectional pooling, and exact
 backpropagation through time.
 
 All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
-booleans. The passes and BPTT take parameters with a leading branch axis,
-(branches, 4H, .): a stack of branches that share the input positions and
-the mask run one pass per direction together, with state (branches, batch,
-hidden), one row gather and one step record per step, and stacked products
-(`matmul_stacked`) that give each branch bitwise its own products. A single
-branch is a stack of one (`LSTMCellParams.as_stack`); states, step records
-and gradients always keep the branch axis. Only `cell_step` takes one
-branch's 2-D parameters.
+booleans. Parameters always have a leading branch axis, (branches, 4H, .),
+and a single branch is a stack of one. A stack of branches that share the
+input positions and the mask runs one pass per direction together, with
+state (branches, batch, hidden), one row gather and one step record per
+step, and stacked products (`matmul_stacked`) that give each branch bitwise
+its own products; states, step records and gradients keep the branch axis.
 
 Each step, forward and backward, runs the gate maths on the rows its mask
 marks and on no others: a padded row keeps its state (and its carried
@@ -45,17 +43,17 @@ GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
 @dataclass
 class LSTMCellParams:
-    """One direction's weights with the four gates stacked: rows
-    k*H:(k+1)*H of W, U and b belong to gate GATES[k] (see `gate_rows`).
-    `blocks()` names per-gate row views, so writes to them land in the
-    stacked arrays; it and the model's `blocks()` are the only code that
-    names a parameter block. A stack of branches puts a leading branch axis
-    on W, U and b and names one gate activation per branch."""
+    """One direction's weights of a stack of branches, with a leading
+    branch axis and each branch's four gates stacked: rows k*H:(k+1)*H of a
+    branch's W, U and b belong to gate GATES[k] (see `gate_rows`).
+    `blocks()` names one branch's per-gate row views, so writes to them
+    land in the stacked arrays; it and the model's `blocks()` are the only
+    code that names a parameter block."""
 
-    W: np.ndarray  # (4*hidden, embed), or (branches, 4*hidden, embed)
-    U: np.ndarray  # (4*hidden, hidden), or (branches, 4*hidden, hidden)
-    b: np.ndarray  # (4*hidden,), or (branches, 4*hidden)
-    gate_activation: str = "sigmoid"  # a tuple, one per branch, for a stack
+    W: np.ndarray  # (branches, 4*hidden, embed)
+    U: np.ndarray  # (branches, 4*hidden, hidden)
+    b: np.ndarray  # (branches, 4*hidden)
+    gate_activation: tuple  # one per branch
 
     @property
     def hidden(self):
@@ -72,41 +70,37 @@ class LSTMCellParams:
         return {g: slice(k * h, (k + 1) * h) for k, g in enumerate(GATES)}
 
     @classmethod
-    def zeros(cls, hidden: int, embed: int, gate_activation="sigmoid"):
-        """Zero weights; a tuple of activations makes a stack of that many branches."""
-        lead = (len(gate_activation),) if isinstance(gate_activation, tuple) else ()
-        return cls(
-            W=np.zeros((*lead, 4 * hidden, embed)),
-            U=np.zeros((*lead, 4 * hidden, hidden)),
-            b=np.zeros((*lead, 4 * hidden)),
-            gate_activation=gate_activation,
-        )
+    def zeros(cls, hidden: int, embed: int, gate_activation: tuple = ("sigmoid",)):
+        """Zero weights of a stack of one branch per gate activation."""
+        n = len(gate_activation)
+        return cls(np.zeros((n, 4 * hidden, embed)), np.zeros((n, 4 * hidden, hidden)),
+                   np.zeros((n, 4 * hidden)), gate_activation)
 
     def branch(self, k: int):
-        """Branch k of a stack, as 2-D views."""
-        return LSTMCellParams(self.W[k], self.U[k], self.b[k], self.gate_activation[k])
-
-    def as_stack(self):
-        """2-D parameters as a stack of one branch (views)."""
-        return LSTMCellParams(self.W[None], self.U[None], self.b[None], (self.gate_activation,))
+        """Branch k of a stack, as a stack of one (views)."""
+        one = slice(k, k + 1)
+        return LSTMCellParams(self.W[one], self.U[one], self.b[one], self.gate_activation[one])
 
     def randomize(self, rng: RngStream, scale: float = 0.05, forget_bias: float = 1.0):
-        """Fill 2-D parameters in place: uniform(-scale, scale) weights, zero
-        biases but the forget gate's forget_bias. Returns self."""
+        """Fill a stack of one branch in place: uniform(-scale, scale)
+        weights, zero biases but the forget gate's forget_bias. Returns self."""
+        (W,), (U,), (b,) = self.W, self.U, self.b  # exactly one branch
         for rows in self.gate_rows.values():  # draw order: W then U, gate by gate
-            self.W[rows] = rng.uniform(-scale, scale, (self.hidden, self.embed))
-            self.U[rows] = rng.uniform(-scale, scale, (self.hidden, self.hidden))
-        self.b[...] = 0.0
-        self.b[self.gate_rows["f"]] = forget_bias
+            W[rows] = rng.uniform(-scale, scale, (self.hidden, self.embed))
+            U[rows] = rng.uniform(-scale, scale, (self.hidden, self.hidden))
+        b[...] = 0.0
+        b[self.gate_rows["f"]] = forget_bias
         return self
 
     def blocks(self, prefix: str):
-        """Per-gate views in the fixed serialization order."""
+        """A stack of one branch's per-gate 2-D views, in the fixed
+        serialization order."""
+        (W,), (U,), (b,) = self.W, self.U, self.b  # exactly one branch
         out = []
         for g, rows in self.gate_rows.items():
-            out.append((f"{prefix}.W_{g}", self.W[rows]))
-            out.append((f"{prefix}.U_{g}", self.U[rows]))
-            out.append((f"{prefix}.b_{g}", self.b[rows]))
+            out.append((f"{prefix}.W_{g}", W[rows]))
+            out.append((f"{prefix}.U_{g}", U[rows]))
+            out.append((f"{prefix}.b_{g}", b[rows]))
         return out
 
 
@@ -126,7 +120,7 @@ class BidirectionalLayer:
         return self.forward_params.hidden
 
     def branch(self, k: int):
-        """Branch k of a stacked layer, as 2-D views."""
+        """Branch k of a stacked layer, as a stack of one (views)."""
         return BidirectionalLayer(self.forward_params.branch(k), self.backward_params.branch(k))
 
     def zeros_like(self):
@@ -164,7 +158,8 @@ def _stacked_step(UT, b, acts, xw, h_prev, c_prev):
 
 
 def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMState:
-    """One recurrence step: gated memory update and emitted hidden signal.
+    """One recurrence step of a stack of one branch, on (batch, .) inputs
+    and state: gated memory update and emitted hidden signal.
 
     c = f * c_prev + i * candidate, h = o * tanh(c). Gate activation is
     params.gate_activation; the candidate activation is always tanh.
@@ -174,9 +169,9 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
         raise ShapeError(f"input width {x.shape[1]} != embed {params.embed}")
     if prev.h.shape != (x.shape[0], params.hidden):
         raise ShapeError(f"state shape {prev.h.shape} mismatches batch/hidden")
-    stack = params.as_stack()
-    _, _, c, h = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
-                               matmul(x, params.W.T)[None], prev.h[None], prev.c[None])
+    _, _, c, h = _stacked_step(params.U.transpose(0, 2, 1), params.b, params.gate_activation,
+                               matmul_stacked(x[None], params.W.transpose(0, 2, 1)),
+                               prev.h[None], prev.c[None])
     return LSTMState(h[0], c[0])
 
 

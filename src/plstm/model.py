@@ -5,10 +5,12 @@ a bidirectional LSTM followed by a two-way affine head with its own output
 activation (softmax, sigmoid, relu, tanh). Branches never share weights
 beyond the embedding. Every parameter lives in one flat float64 buffer,
 `ParallelModel.arena`, and the arrays the maths uses are views of it (see
-`model_over`): each direction's LSTM weights of all four branches are one
-(4, 4H, ·) stack, `ParallelModel.encoder`, and each branch's parameters are
-views into it, so the four encoders can step together. A gradient arena
-has the same layout, so one elementwise pass can update the whole model.
+`model_over`). Every parameter array is a branch stack: each direction's
+LSTM weights of all four branches are one (4, 4H, ·) stack and the heads
+one (4, 2, H) and one (4, 2) stack, held by `ParallelModel.group`, and each
+branch's parameters are stack-of-one views into them, so the four branches
+can step together. A gradient arena has the same layout, so one
+elementwise pass can update the whole model.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import BidirectionalLayer, LSTMCellParams, bptt, bidirectional_encode
-from .tensor import STACKED_ELEMS, RngStream, activate, activate_grad, dropout_mask, matmul
+from .tensor import (STACKED_ELEMS, RngStream, activate, activate_grad, dropout_mask,
+                     matmul_stacked)
 
 BRANCH_NAMES = ("softmax", "sigmoid", "relu", "tanh")
-# literal_eq9 gives each branch's i/f/o gates that branch's own activation
+# the first gate mode and aggregation are the defaults; literal_eq9 gives
+# each branch's i/f/o gates that branch's own activation
 GATE_MODES = ("standard", "literal_eq9")
 AGGREGATIONS = ("primary_branch", "majority_vote")
 N_CLASSES = 2
 
+DEFAULT_SEQ_LEN = 65
 DEFAULT_DROPOUT_EMBED = 0.6
 DEFAULT_DROPOUT_RECURRENT = 0.4
 INIT_SCALE = 0.05
@@ -34,10 +39,13 @@ INIT_SCALE = 0.05
 
 @dataclass
 class Branch:
+    """One branch's parameters, each a stack of one: views of a group's
+    stacks. `blocks()` names them as 2-D per-gate and head blocks."""
+
     name: str
     layer: BidirectionalLayer
-    head_W: np.ndarray  # (2, hidden)
-    head_b: np.ndarray  # (2,)
+    head_W: np.ndarray  # (1, 2, hidden)
+    head_b: np.ndarray  # (1, 2)
     dropout_embed: float = DEFAULT_DROPOUT_EMBED
     dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
 
@@ -48,32 +56,29 @@ class Branch:
     def blocks(self):
         out = self.layer.forward_params.blocks(f"{self.name}.fwd")
         out += self.layer.backward_params.blocks(f"{self.name}.bwd")
-        out.append((f"{self.name}.head_W", self.head_W))
-        out.append((f"{self.name}.head_b", self.head_b))
+        out.append((f"{self.name}.head_W", self.head_W[0]))
+        out.append((f"{self.name}.head_b", self.head_b[0]))
         return out
 
 
 @dataclass
 class BranchGroup:
-    """Branches whose encoders step together: `layer` holds their LSTM
-    parameters as stacks with a leading branch axis, in `branches` order."""
+    """Branches that step together: `layer` holds their LSTM parameters and
+    head_W, head_b their heads, as stacks with a leading branch axis in
+    `branches` order."""
 
     branches: tuple  # of Branch
     layer: BidirectionalLayer
-
-    @classmethod
-    def of(cls, branch: Branch):
-        """A group of one, its stacks views of the branch's own parameters."""
-        layer = branch.layer
-        return cls((branch,), BidirectionalLayer(layer.forward_params.as_stack(),
-                                                 layer.backward_params.as_stack()))
+    head_W: np.ndarray  # (branches, 2, hidden)
+    head_b: np.ndarray  # (branches, 2)
 
     def zeros_like(self):
         """A group of the same shapes over new zeroed arrays: a gradient."""
         layer = self.layer.zeros_like()
-        return BranchGroup(tuple(Branch(b.name, layer.branch(k), np.zeros_like(b.head_W),
-                                        np.zeros_like(b.head_b))
-                                 for k, b in enumerate(self.branches)), layer)
+        head_W, head_b = np.zeros_like(self.head_W), np.zeros_like(self.head_b)
+        return BranchGroup(tuple(Branch(b.name, layer.branch(k), head_W[k : k + 1],
+                                        head_b[k : k + 1])
+                                 for k, b in enumerate(self.branches)), layer, head_W, head_b)
 
 
 @dataclass
@@ -81,9 +86,9 @@ class ParallelModel:
     arena: np.ndarray  # every parameter, flat; the arrays below are views of it
     embedding: np.ndarray  # (vocab, embed); row 0 (pad) stays zero
     branches: dict  # name -> Branch, iteration in BRANCH_NAMES order
-    encoder: BidirectionalLayer  # (4, 4H, ·) stacks; each branch's layer is views of them
+    group: BranchGroup  # the four branches over the parameter stacks
     seq_len: int
-    aggregation: str = "primary_branch"  # or "majority_vote"
+    aggregation: str  # one of AGGREGATIONS
 
     @property
     def vocab_size(self):
@@ -110,19 +115,18 @@ class ParallelModel:
         """A model of the same layout and gate activations over a zeroed
         arena: the gradient arena, each gradient the view its parameter is."""
         return model_over(np.zeros_like(self.arena), self.vocab_size, self.embed_dim,
-                          self.hidden, self.encoder.forward_params.gate_activation,
+                          self.hidden, self.group.layer.forward_params.gate_activation,
                           self.seq_len, self.aggregation)
 
     def groups(self, batch: int):
-        """The branch groups that step together on a batch: all four as one
-        stack while a step's recurrent product, 4 x batch x 4H, fits
-        `matmul_stacked`'s one stack, else each branch alone, on views of
-        the same stacks. A shape rule, not a setting: both give the same
-        bytes, and larger stacks run per branch anyway."""
-        branches = tuple(self.branches[name] for name in BRANCH_NAMES)
-        if len(branches) * batch * 4 * self.hidden <= STACKED_ELEMS:
-            return [BranchGroup(branches, self.encoder)]
-        return [BranchGroup.of(branch) for branch in branches]
+        """The branch groups that step together on a batch: `group`, all
+        four as one stack, while a step's recurrent product, 4 x batch x 4H,
+        fits `matmul_stacked`'s one stack, else each branch alone, a group
+        of one over its stack-of-one views. A shape rule, not a setting:
+        both give the same bytes, and larger stacks run per branch anyway."""
+        if len(BRANCH_NAMES) * batch * 4 * self.hidden <= STACKED_ELEMS:
+            return [self.group]
+        return [BranchGroup((b,), b.layer, b.head_W, b.head_b) for b in self.group.branches]
 
 
 def _layout(vocab_size: int, embed_dim: int, hidden: int) -> list:
@@ -130,7 +134,7 @@ def _layout(vocab_size: int, embed_dim: int, hidden: int) -> list:
     rows, n = 4 * hidden, len(BRANCH_NAMES)
     return [(vocab_size, embed_dim),
             *[(n, rows, embed_dim), (n, rows, hidden), (n, rows)] * 2,
-            *[(N_CLASSES, hidden), (N_CLASSES,)] * n]
+            (n, N_CLASSES, hidden), (n, N_CLASSES)]
 
 
 def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
@@ -139,27 +143,28 @@ def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
 
 
 def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: tuple,
-               seq_len: int, aggregation: str = "primary_branch",
+               seq_len: int, aggregation: str,
                dropout_embed: float = DEFAULT_DROPOUT_EMBED,
                dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT) -> ParallelModel:
     """The arena layout: a model whose parameters are views of `arena`, a
     flat float64 buffer of expected_param_count() elements, tiled once in
     this order: the (vocab, embed) embedding; per direction, forward then
     backward, the (4, 4H, embed) W, (4, 4H, H) U and (4, 4H) b stacks of
-    all four branches; then, branch by branch, the (2, H) head weights and
-    (2,) head bias. `gate_acts` names each branch's gate activation."""
+    all four branches; then the (4, 2, H) head weight and (4, 2) head bias
+    stacks. `gate_acts` names each branch's gate activation."""
     shapes = _layout(vocab_size, embed_dim, hidden)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     if arena.shape != (ends[-1],):
         raise ValueError(f"arena shape {arena.shape} != ({ends[-1]},)")
-    embedding, *views = (arena[end - math.prod(shape) : end].reshape(shape)
-                         for shape, end in zip(shapes, ends))
-    encoder = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
-                                 LSTMCellParams(*views[3:6], gate_acts))
-    branches = {name: Branch(name, encoder.branch(k), views[6 + 2 * k], views[7 + 2 * k],
-                             dropout_embed, dropout_recurrent)
-                for k, name in enumerate(BRANCH_NAMES)}
-    return ParallelModel(arena, embedding, branches, encoder, seq_len, aggregation)
+    embedding, *views, head_W, head_b = (arena[end - math.prod(shape) : end].reshape(shape)
+                                         for shape, end in zip(shapes, ends))
+    layer = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
+                               LSTMCellParams(*views[3:], gate_acts))
+    branches = tuple(Branch(name, layer.branch(k), head_W[k : k + 1], head_b[k : k + 1],
+                            dropout_embed, dropout_recurrent)
+                     for k, name in enumerate(BRANCH_NAMES))
+    return ParallelModel(arena, embedding, dict(zip(BRANCH_NAMES, branches)),
+                         BranchGroup(branches, layer, head_W, head_b), seq_len, aggregation)
 
 
 def init_model(
@@ -167,9 +172,9 @@ def init_model(
     embed_dim: int,
     hidden: int,
     seed: int,
-    seq_len: int = 65,
-    aggregation: str = "primary_branch",
-    gate_mode: str = "standard",
+    seq_len: int = DEFAULT_SEQ_LEN,
+    aggregation: str = AGGREGATIONS[0],
+    gate_mode: str = GATE_MODES[0],
     dropout_embed: float = DEFAULT_DROPOUT_EMBED,
     dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT,
 ) -> ParallelModel:
@@ -227,7 +232,8 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     pass given an index, which fits eval mode only, is forward-only: the
     encoder keeps no BPTT step records and the returned cache is None.
     """
-    group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
+    group = (branch if isinstance(branch, BranchGroup)
+             else BranchGroup((branch,), branch.layer, branch.head_W, branch.head_b))
     rngs = rng if group is branch or rng is None else [rng]
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
@@ -250,8 +256,8 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
         tokens = table, None
     pooled, enc_cache = bidirectional_encode(group.layer, embedded, mask, tokens)
     dropped = pooled * m_pool
-    scores = [activate(member.name, matmul(dropped[k], member.head_W.T) + member.head_b)
-              for k, member in enumerate(group.branches)]
+    logits = matmul_stacked(dropped, group.head_W.transpose(0, 2, 1)) + group.head_b[:, None]
+    scores = [activate(member.name, logits[k]) for k, member in enumerate(group.branches)]
     cache = None if enc_cache is None else {
         "m_embed": m_embed,
         "m_pool": m_pool,
@@ -277,7 +283,8 @@ def branch_backward(branch, cache, d_scores, out=None):
 
     The parameter gradients land in `out`, a BranchGroup of the group's
     shapes (a gradient arena's `groups`, say) whose encoder stacks the BPTT
-    adds into and whose heads it overwrites; by default new zeroed arrays.
+    adds into and whose head stacks it overwrites; by default new zeroed
+    arrays.
     The grads are `dict(blocks())` of `out`'s branches: views keyed by
     block name, in `blocks()` order. For a BranchGroup,
     `d_scores` is a list in branch order, the grads are one dict per branch,
@@ -285,17 +292,16 @@ def branch_backward(branch, cache, d_scores, out=None):
     when it is asked for, so only one is held at a time. The BPTT of all of
     the group's branches runs in this call.
     """
-    group = branch if isinstance(branch, BranchGroup) else BranchGroup.of(branch)
+    group = (branch if isinstance(branch, BranchGroup)
+             else BranchGroup((branch,), branch.layer, branch.head_W, branch.head_b))
     if group is not branch:
         d_scores = [d_scores]
     out = group.zeros_like() if out is None else out
-    dropped = cache["dropped"]
-    d_pooled = np.empty_like(dropped)
-    for k, (member, grad) in enumerate(zip(group.branches, out.branches)):
-        d_logits = activate_grad(member.name, cache["scores"][k], d_scores[k])
-        grad.head_W[...] = matmul(d_logits.T, dropped[k])
-        grad.head_b[...] = d_logits.sum(axis=0)
-        d_pooled[k] = matmul(d_logits, member.head_W) * cache["m_pool"][k]
+    d_logits = np.stack([activate_grad(member.name, scores, d) for member, scores, d
+                         in zip(group.branches, cache["scores"], d_scores)])
+    out.head_W[...] = matmul_stacked(d_logits.transpose(0, 2, 1), cache["dropped"])
+    out.head_b[...] = d_logits.sum(axis=1)
+    d_pooled = matmul_stacked(d_logits, group.head_W) * cache["m_pool"]
     dx_rows = bptt(cache["enc"], d_pooled, out.layer)
     grads = [dict(grad.blocks()) for grad in out.branches]
     d_embedded = _embedded_grads(cache["enc"]["mask"], cache["m_embed"], dx_rows)
@@ -369,7 +375,7 @@ def summary(model: ParallelModel) -> str:
         lines.append(f"{f'branch {name}: bidirectional lstm':<34}"
                      f"{f'(2x4x{branch.hidden})':<16}{n_layer:>8}")
         lines.append(f"{f'branch {name}: dense head':<34}"
-                     f"{str(branch.head_W.shape):<16}{n_head:>8}")
+                     f"{str(branch.head_W.shape[1:]):<16}{n_head:>8}")
     lines.append("-" * width)
     lines.append(f"{'total parameters':<50}{model.param_count():>8}")
     lines.append("=" * width)

@@ -17,7 +17,8 @@ import numpy as np
 from .corpus import encode, tokenize
 from .lstm import GATES
 from .model import (AGGREGATIONS, BRANCH_NAMES, DEFAULT_DROPOUT_EMBED, DEFAULT_DROPOUT_RECURRENT,
-                    GATE_MODES, ParallelModel, branch_backward, forward_batch, init_model)
+                    DEFAULT_SEQ_LEN, GATE_MODES, ParallelModel, branch_backward, forward_batch,
+                    init_model)
 from .tensor import _BLOCK_ELEMS, RngStream, ShapeError, categorical_cross_entropy
 
 
@@ -37,13 +38,13 @@ class TrainConfig:
     verbose: int = 1
     hidden: int = 64
     embed_dim: int = field(default=400, metadata={"key": "embedding_dim"})
-    seq_len: int = 65
+    seq_len: int = DEFAULT_SEQ_LEN
     learning_rate: float = 0.01
     dropout_embed: float = DEFAULT_DROPOUT_EMBED
     dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
-    gate_mode: str = "standard"  # or "literal_eq9"
+    gate_mode: str = GATE_MODES[0]
     clip_norm: float | None = 5.0  # None disables clipping
-    aggregation: str = "primary_branch"
+    aggregation: str = AGGREGATIONS[0]
 
     def validate(self):
         for key, value in (("epochs", self.epochs), ("batch_size", self.batch_size),
@@ -119,7 +120,7 @@ class AdamState:
     step. In training the one entry is the whole parameter arena; the
     chunked update's scratch buffers are made per call, not kept here."""
 
-    def __init__(self, learning_rate: float = 0.01):
+    def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
         self.m = {}

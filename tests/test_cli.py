@@ -238,17 +238,20 @@ class TestTrain:
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverging_run_exit_3_before_writing(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_diverging_run_exit_3_before_writing(self, data_dir, tmp_path, capsys, command):
         cfg = tmp_path / "diverge.cfg"
         cfg.write_text((data_dir / "train_smoke.cfg").read_text()
-                       + "learning_rate=1e300\nclip_norm=none\n")
+                       + "learning_rate=1e300\nclip_norm=none\nepochs=3\n")
+        data = str(data_dir / "synthetic_train.tsv")
         out = tmp_path / "run"
-        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
-                     "--config", str(cfg), "--epochs", "3", "--out", str(out)])
+        argv = (["train", "--data", data] if command == "train"
+                else ["benchmark", "--datasets", data])
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: training diverged: ") and err.count("\n") == 1
-        assert not (out / "model.ckpt").exists() and not (out / "epochs.csv").exists()
+        assert not out.exists()
 
     def test_missing_data_exit_2(self, tmp_path, smoke_cfg):
         code = main(["train", "--data", str(tmp_path / "nope.tsv"),
@@ -340,7 +343,7 @@ class TestEval:
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_parameter_exit_2(self, data_dir, tmp_path, capsys, value):
         model = init_model(30, 4, 3, seed=0, seq_len=5)
-        model.branches["relu"].layer.backward_params.U[2, 1] = value
+        model.branches["relu"].layer.backward_params.U[0, 2, 1] = value
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         code = main(["eval", "--checkpoint", str(path),

@@ -21,12 +21,14 @@ from plstm.tensor import STACKED_ELEMS, RngStream, activate_grad, matmul, matmul
 
 
 def random_params(hidden, embed, seed, scale=0.5, gate_activation="sigmoid"):
+    """A stack of one branch with uniform(-scale, scale) weights and biases."""
     rng = RngStream(seed)
-    p = LSTMCellParams.zeros(hidden, embed, gate_activation)
+    p = LSTMCellParams.zeros(hidden, embed, (gate_activation,))
+    (W,), (U,), (b,) = p.W, p.U, p.b
     for rows in p.gate_rows.values():
-        p.W[rows] = rng.uniform(-scale, scale, (hidden, embed))
-        p.U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
-        p.b[rows] = rng.uniform(-scale, scale, hidden)
+        W[rows] = rng.uniform(-scale, scale, (hidden, embed))
+        U[rows] = rng.uniform(-scale, scale, (hidden, hidden))
+        b[rows] = rng.uniform(-scale, scale, hidden)
     return p
 
 
@@ -39,20 +41,20 @@ def layer_grads(layer):
     return dict(layer.forward_params.blocks("fwd") + layer.backward_params.blocks("bwd"))
 
 
-# One branch's 2-D parameters through the stacked calls: the parameters as
-# a stack of one, the mask every position by default, the per-position token
-# table of a dense (L, batch, embed) sequence, a zeroed gradient layer, and
-# the branch axis stripped from what comes back.
+# One branch's parameters, a stack of one, through the stacked calls: the
+# mask every position by default, the per-position token table of a dense
+# (L, batch, embed) sequence, a zeroed gradient layer, and the branch axis
+# stripped from what comes back.
 
 def _full(xs, mask):
     return np.ones(np.shape(xs)[:2], dtype=bool) if mask is None else mask
 
 
 def pass_one(params, xs, mask, direction, tokens=None):
-    """`directional_pass` of 2-D parameters: (final state, cache) with 2-D
+    """`directional_pass` of a stack of one: (final state, cache) with 2-D
     states and step records, or a None cache when `tokens` has an index."""
     mask = _full(xs, mask)
-    final, cache = directional_pass(params.as_stack(), xs, mask, direction,
+    final, cache = directional_pass(params, xs, mask, direction,
                                     (xs[mask], None) if tokens is None else tokens)
     final = LSTMState(final.h[0], final.c[0])
     if cache is None:
@@ -62,10 +64,10 @@ def pass_one(params, xs, mask, direction, tokens=None):
 
 
 def encode_one(layer, xs, mask=None):
-    """`bidirectional_encode` of a 2-D layer: (pooled (batch, hidden), cache)."""
+    """`bidirectional_encode` of a layer of one branch: (pooled (batch,
+    hidden), cache)."""
     mask = _full(xs, mask)
-    stack = BidirectionalLayer(layer.forward_params.as_stack(), layer.backward_params.as_stack())
-    pooled, cache = bidirectional_encode(stack, xs, mask, (xs[mask], None))
+    pooled, cache = bidirectional_encode(layer, xs, mask, (xs[mask], None))
     return pooled[0], cache
 
 
@@ -77,7 +79,7 @@ def bptt_one(cache, upstream):
     dx_rows = bptt(cache, upstream[None], out)
     dx = np.zeros((*mask.shape, out.forward_params.embed))
     dx[mask] = next(dx_rows)
-    return layer_grads(out.branch(0)), dx
+    return layer_grads(out), dx
 
 
 def _softmax(zs):
@@ -95,12 +97,14 @@ SCALAR_ACTIVATIONS = {
 
 
 def cell_step_oracle(p, x, h_prev, c_prev):
-    """Scalar-loop evaluation of the gate equations, one unit at a time,
-    with p.gate_activation on the i/f/o gates and tanh on the candidate."""
+    """Scalar-loop evaluation of the gate equations of a stack of one, one
+    unit at a time, with its gate activation on the i/f/o gates and tanh on
+    the candidate."""
+    (gate_act,) = p.gate_activation
 
     def gate(name, act):
         rows = p.gate_rows[name]
-        W, U, b = p.W[rows], p.U[rows], p.b[rows]
+        W, U, b = p.W[0, rows], p.U[0, rows], p.b[0, rows]
         pre = []
         for j in range(p.hidden):
             acc = 0.0
@@ -112,9 +116,9 @@ def cell_step_oracle(p, x, h_prev, c_prev):
             pre.append(acc)
         return SCALAR_ACTIVATIONS[act](pre)
 
-    i = gate("i", p.gate_activation)
-    f = gate("f", p.gate_activation)
-    o = gate("o", p.gate_activation)
+    i = gate("i", gate_act)
+    f = gate("f", gate_act)
+    o = gate("o", gate_act)
     n = gate("n", "tanh")
     c = np.array([f[j] * c_prev[j] + i[j] * n[j] for j in range(p.hidden)])
     h = np.array([o[j] * math.tanh(c[j]) for j in range(p.hidden)])
@@ -132,12 +136,11 @@ def blend_pass(params, xs, mask, direction):
     h_prev, c_prev, tanh_c = (np.zeros((L, batch, params.hidden)) for _ in range(3))
     gates = np.zeros((L, batch, 4, params.hidden))
     h = c = np.zeros((batch, params.hidden))
-    stack = params.as_stack()
     for t in order:
         m = mask[t].astype(np.float64)[:, None]
         h_prev[t], c_prev[t] = h, c
-        step = _stacked_step(stack.U.transpose(0, 2, 1), stack.b, stack.gate_activation,
-                             matmul(xs[t], params.W.T)[None], h[None], c[None])
+        step = _stacked_step(params.U.transpose(0, 2, 1), params.b, params.gate_activation,
+                             matmul(xs[t], params.W[0].T)[None], h[None], c[None])
         gates[t], tanh_c[t], c_new, h_new = (a[0] for a in step)
         h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
     cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
@@ -149,7 +152,8 @@ def blend_bptt(params, cache, d_final_h):
     """BPTT of `blend_pass`: full-batch steps whose dh/dc split into the
     masked part, which goes through the step, and the carried part."""
     rows = params.gate_rows
-    dW, dU, db = np.zeros_like(params.W), np.zeros_like(params.U), np.zeros_like(params.b)
+    (W,), (U,), (act,) = params.W, params.U, params.gate_activation
+    dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros(4 * params.hidden)
     dx = np.zeros_like(cache["x"])
     dh = np.asarray(d_final_h, dtype=np.float64)
     dc = np.zeros_like(dh)
@@ -163,7 +167,7 @@ def blend_bptt(params, cache, d_final_h):
         dc_new = dc_new + dh_new * o * (1.0 - tanh_c ** 2)
         df, di, dn = dc_new * cache["c_prev"][t], dc_new * n, dc_new * i
         dpre = np.concatenate((
-            activate_grad(params.gate_activation, g[:, :3], np.stack((di, df, do), axis=1)),
+            activate_grad(act, g[:, :3], np.stack((di, df, do), axis=1)),
             activate_grad("tanh", g[:, 3:], dn[:, None]),
         ), axis=1).reshape(len(dh), -1)
         dW += matmul(dpre.T, cache["x"][t])
@@ -171,8 +175,8 @@ def blend_bptt(params, cache, d_final_h):
         db += dpre.sum(axis=0)
         dh_rec = np.zeros_like(dh)
         for r in rows.values():
-            dx[t] += matmul(dpre[:, r], params.W[r])
-            dh_rec += matmul(dpre[:, r], params.U[r])
+            dx[t] += matmul(dpre[:, r], W[r])
+            dh_rec += matmul(dpre[:, r], U[r])
         dh = dh_carry + dh_rec
         dc = dc_carry + dc_new * f
     grads = {f"{k}_{g}": arr[rows[g]] for g in GATES
@@ -321,10 +325,11 @@ class TestTokenTable:
 
 
 def stack_params(params):
-    """One stack of branches from 2-D parameters, in order."""
-    return LSTMCellParams(np.stack([p.W for p in params]), np.stack([p.U for p in params]),
-                          np.stack([p.b for p in params]),
-                          tuple(p.gate_activation for p in params))
+    """One stack of branches from stacks of one, in order."""
+    return LSTMCellParams(np.concatenate([p.W for p in params]),
+                          np.concatenate([p.U for p in params]),
+                          np.concatenate([p.b for p in params]),
+                          sum((p.gate_activation for p in params), ()))
 
 
 STANDARD_ACTS = ("sigmoid",) * 4
@@ -489,7 +494,7 @@ class TestDirectionalPass:
         # Row 1 is active at step 0 only. Its c reaches ~1e308 there, so a
         # step computed on it would give c = inf, and a blend with mask 0
         # would give 0 * inf = nan; a padded row must keep h = 1.0.
-        p = LSTMCellParams.zeros(1, 1, "relu")
+        p = LSTMCellParams.zeros(1, 1, ("relu",))
         p.b[:] = (1e308, 2.0, 1.0, 10.0)  # b_i, b_f, b_o, b_n
         mask = np.array([[1, 1], [1, 0], [1, 0]], dtype=bool)
         with np.errstate(over="ignore"):

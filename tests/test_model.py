@@ -37,7 +37,7 @@ def encoded(ids, L):
 
 def zero_branch(name, hidden=3, embed=2):
     layer = BidirectionalLayer(LSTMCellParams.zeros(hidden, embed), LSTMCellParams.zeros(hidden, embed))
-    return Branch(name, layer, np.zeros((2, hidden)), np.zeros(2), 0.0, 0.0)
+    return Branch(name, layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)), 0.0, 0.0)
 
 
 class TestInit:
@@ -76,9 +76,9 @@ class TestInit:
 
     def test_literal_gate_mode(self):
         m = init_model(6, 4, 3, seed=0, gate_mode="literal_eq9")
-        assert m.branches["relu"].layer.forward_params.gate_activation == "relu"
+        assert m.branches["relu"].layer.forward_params.gate_activation == ("relu",)
         std = init_model(6, 4, 3, seed=0)
-        assert std.branches["relu"].layer.forward_params.gate_activation == "sigmoid"
+        assert std.branches["relu"].layer.forward_params.gate_activation == ("sigmoid",)
 
 
 class TestArena:
@@ -89,11 +89,9 @@ class TestArena:
     def arena_order_views(m):
         """The arrays `model_over` lays out, in arena order."""
         out = [m.embedding]
-        for params in (m.encoder.forward_params, m.encoder.backward_params):
+        for params in (m.group.layer.forward_params, m.group.layer.backward_params):
             out += [params.W, params.U, params.b]
-        for branch in m.branches.values():
-            out += [branch.head_W, branch.head_b]
-        return out
+        return out + [m.group.head_W, m.group.head_b]
 
     def test_every_parameter_view_shares_the_arena(self):
         m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
@@ -126,7 +124,7 @@ class TestArena:
         grad = m.zeros_like()
         assert not np.shares_memory(grad.arena, m.arena)
         assert np.array_equal(grad.arena, np.zeros(m.arena.size))
-        assert grad.encoder.forward_params.gate_activation == BRANCH_NAMES
+        assert grad.group.layer.forward_params.gate_activation == BRANCH_NAMES
         for (name, arr), (grad_name, grad_arr) in zip(m.blocks(), grad.blocks()):
             assert grad_name == name and grad_arr.shape == arr.shape
             offset = arr.ctypes.data - m.arena.ctypes.data
@@ -335,20 +333,29 @@ class TestBranchGroups:
         largest = STACKED_ELEMS // (4 * 4 * m.hidden)
         (group,) = m.groups(largest)
         assert [b.name for b in group.branches] == list(BRANCH_NAMES)
-        assert group.layer is m.encoder
+        assert group is m.group
         singles = m.groups(largest + 1)
         assert [b.name for g in singles for b in g.branches] == list(BRANCH_NAMES)
         for k, g in enumerate(singles):  # views of the same stacks
-            assert np.shares_memory(g.layer.forward_params.W, m.encoder.forward_params.W[k])
+            assert np.shares_memory(g.layer.forward_params.W, m.group.layer.forward_params.W[k])
 
     def test_branch_parameters_are_views_of_the_stacks(self):
         m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
-        assert m.encoder.forward_params.W.shape == (4, 12, 4)
-        assert m.encoder.backward_params.gate_activation == BRANCH_NAMES
+        assert m.group.layer.forward_params.W.shape == (4, 12, 4)
+        assert m.group.layer.backward_params.gate_activation == BRANCH_NAMES
+        assert (m.group.head_W.shape, m.group.head_b.shape) == ((4, 2, 3), (4, 2))
+        layer = m.group.layer
+        stacks = [getattr(p, a) for p in (layer.forward_params, layer.backward_params)
+                  for a in "WUb"]
         for k, name in enumerate(BRANCH_NAMES):
-            for _, arr in m.branches[name].blocks()[:-2]:
-                stack = m.encoder.forward_params, m.encoder.backward_params
-                assert any(np.shares_memory(arr, getattr(p, a)[k]) for p in stack for a in "WUb")
+            *lstm_blocks, (_, head_W), (_, head_b) = m.branches[name].blocks()
+            for _, arr in lstm_blocks:
+                assert any(np.shares_memory(arr, stack[k]) for stack in stacks)
+            # each head block is its branch's slice of the head stacks, and no other's
+            for block, stack in ((head_W, m.group.head_W), (head_b, m.group.head_b)):
+                assert block.shape == stack.shape[1:]
+                assert [np.shares_memory(block, stack[j]) for j in range(4)] == [
+                    j == k for j in range(4)]
 
     @staticmethod
     def run(model, ids, mask, groups, monkeypatch):
@@ -373,10 +380,10 @@ class TestBranchGroups:
         mask = np.arange(6) < gen.integers(1, 6, batch)[:, None]  # the last step is all pad
         ids = np.where(mask, gen.integers(1, 30, (batch, 6)), 0)
         assert len(m.groups(batch)) == (1 if batch == 3 else 4)
-        stacked = self.run(m, ids, mask, lambda model: [
-            BranchGroup(tuple(model.branches.values()), model.encoder)], monkeypatch)
+        stacked = self.run(m, ids, mask, lambda model: [model.group], monkeypatch)
         single = self.run(m, ids, mask, lambda model: [
-            BranchGroup.of(b) for b in model.branches.values()], monkeypatch)
+            BranchGroup((b,), b.layer, b.head_W, b.head_b) for b in model.branches.values()],
+            monkeypatch)
         for name in BRANCH_NAMES:
             (s_scores, s_grads, s_demb), (o_scores, o_grads, o_demb) = (
                 stacked[0][name], single[0][name])

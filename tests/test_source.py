@@ -1,7 +1,10 @@
 """Checks on the source of src/plstm, read with stdlib `ast`."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from plstm.train import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plstm"
 
@@ -85,3 +88,49 @@ def test_every_public_function_has_a_reader():
              for qualified, name in public_functions(ast.parse(path.read_text(encoding="utf-8")))
              if name not in read]
     assert sorted(set(found) - set(UNREFERENCED_OK)) == []
+
+
+def restated_defaults(tree, defaults, owner=""):
+    """(owner.name, value) for each function parameter and class field in
+    `tree` whose default is a literal equal to defaults[name], except the
+    fields of a class named `TrainConfig`, which `defaults` is read from."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = f"{owner}{node.name}"
+        if isinstance(node, ast.ClassDef):
+            pairs = [(item.target.id, item.value) for item in node.body
+                     if isinstance(item, ast.AnnAssign) and node.name != "TrainConfig"]
+        else:
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            pairs = [(arg.arg, value) for arg, value in
+                     [*zip(positional[len(positional) - len(a.defaults):], a.defaults),
+                      *zip(a.kwonlyargs, a.kw_defaults)]]
+        found += [(f"{name}.{key}", value.value) for key, value in pairs
+                  if isinstance(value, ast.Constant) and key in defaults
+                  and value.value == defaults[key]]
+        found += restated_defaults(node, defaults, f"{name}.")
+    return found
+
+
+def test_default_checker_finds_a_restated_default():
+    tree = ast.parse("class TrainConfig:\n    seed: int = 0\n\n"
+                     "class Run:\n    seed: int = 0\n    epochs: int = 2\n"
+                     "    def __init__(self, rate, seed=0, *, epochs=1, name='x'):\n"
+                     "        def inner(seed=1, epochs=1):\n            pass\n\n"
+                     "def f(seed=SEED, epochs=1):\n    pass\n")
+    assert restated_defaults(tree, {"seed": 0, "epochs": 1}) == [
+        ("Run.seed", 0), ("Run.__init__.seed", 0), ("Run.__init__.epochs", 1),
+        ("Run.__init__.inner.epochs", 1), ("f.epochs", 1)]
+
+
+def test_no_default_restates_a_train_config_default():
+    """A `TrainConfig` default is stated once: another parameter or field of
+    the same name reads it from the constant `TrainConfig` reads, or has no
+    default, so a changed default cannot leave a stale copy behind."""
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    found = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in restated_defaults(ast.parse(path.read_text(encoding="utf-8")), defaults)]
+    assert found == []
