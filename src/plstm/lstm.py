@@ -72,6 +72,8 @@ class LSTMCellParams:
     @classmethod
     def zeros(cls, hidden: int, embed: int, gate_activation: tuple = ("sigmoid",)):
         """Zero weights of a stack of one branch per gate activation."""
+        if not isinstance(gate_activation, tuple):
+            raise TypeError(f"gate_activation must be a tuple, got {gate_activation!r}")
         n = len(gate_activation)
         return cls(np.zeros((n, 4 * hidden, embed)), np.zeros((n, 4 * hidden, hidden)),
                    np.zeros((n, 4 * hidden)), gate_activation)

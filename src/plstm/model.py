@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lstm import BidirectionalLayer, LSTMCellParams, bptt, bidirectional_encode
-from .tensor import (STACKED_ELEMS, RngStream, activate, activate_grad, dropout_mask,
-                     matmul_stacked)
+from .tensor import (RngStream, activate, activate_grad, dropout_mask, matmul_stacked,
+                     one_stack)
 
 BRANCH_NAMES = ("softmax", "sigmoid", "relu", "tanh")
 # the first gate mode and aggregation are the defaults; literal_eq9 gives
@@ -85,7 +85,6 @@ class BranchGroup:
 class ParallelModel:
     arena: np.ndarray  # every parameter, flat; the arrays below are views of it
     embedding: np.ndarray  # (vocab, embed); row 0 (pad) stays zero
-    branches: dict  # name -> Branch, iteration in BRANCH_NAMES order
     group: BranchGroup  # the four branches over the parameter stacks
     seq_len: int
     aggregation: str  # one of AGGREGATIONS
@@ -100,12 +99,17 @@ class ParallelModel:
 
     @property
     def hidden(self):
-        return self.branches["softmax"].hidden
+        return self.group.layer.hidden
+
+    @property
+    def branches(self):
+        """name -> Branch, the group's branches in BRANCH_NAMES order."""
+        return {b.name: b for b in self.group.branches}
 
     def blocks(self):
         out = [("embedding", self.embedding)]
-        for name in BRANCH_NAMES:
-            out += self.branches[name].blocks()
+        for branch in self.group.branches:
+            out += branch.blocks()
         return out
 
     def param_count(self):
@@ -121,10 +125,10 @@ class ParallelModel:
     def groups(self, batch: int):
         """The branch groups that step together on a batch: `group`, all
         four as one stack, while a step's recurrent product, 4 x batch x 4H,
-        fits `matmul_stacked`'s one stack, else each branch alone, a group
-        of one over its stack-of-one views. A shape rule, not a setting:
-        both give the same bytes, and larger stacks run per branch anyway."""
-        if len(BRANCH_NAMES) * batch * 4 * self.hidden <= STACKED_ELEMS:
+        is `one_stack`, else each branch alone, a group of one over its
+        stack-of-one views. A shape rule, not a setting: both give the same
+        bytes, and larger stacks run per branch anyway."""
+        if one_stack(len(BRANCH_NAMES), batch, 4 * self.hidden):
             return [self.group]
         return [BranchGroup((b,), b.layer, b.head_W, b.head_b) for b in self.group.branches]
 
@@ -163,8 +167,8 @@ def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: t
     branches = tuple(Branch(name, layer.branch(k), head_W[k : k + 1], head_b[k : k + 1],
                             dropout_embed, dropout_recurrent)
                      for k, name in enumerate(BRANCH_NAMES))
-    return ParallelModel(arena, embedding, dict(zip(BRANCH_NAMES, branches)),
-                         BranchGroup(branches, layer, head_W, head_b), seq_len, aggregation)
+    return ParallelModel(arena, embedding, BranchGroup(branches, layer, head_W, head_b), seq_len,
+                         aggregation)
 
 
 def init_model(
@@ -191,7 +195,7 @@ def init_model(
     model.embedding[...] = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE,
                                                       (vocab_size, embed_dim))
     model.embedding[0, :] = 0.0
-    for idx, branch in enumerate(model.branches.values()):
+    for idx, branch in enumerate(model.group.branches):
         rng = RngStream(seed, 1 + idx)  # draw order: forward, backward, head
         branch.layer.forward_params.randomize(rng, INIT_SCALE, 1.0)
         branch.layer.backward_params.randomize(rng, INIT_SCALE, 1.0)
@@ -368,13 +372,12 @@ def summary(model: ParallelModel) -> str:
     lines.append("-" * width)
     emb = model.embedding
     lines.append(f"{'embedding (shared)':<34}{str(emb.shape):<16}{emb.size:>8}")
-    for name in BRANCH_NAMES:
-        branch = model.branches[name]
+    for branch in model.group.branches:
         n_layer = sum(a.size for k, a in branch.blocks() if ".head_" not in k)
         n_head = branch.head_W.size + branch.head_b.size
-        lines.append(f"{f'branch {name}: bidirectional lstm':<34}"
+        lines.append(f"{f'branch {branch.name}: bidirectional lstm':<34}"
                      f"{f'(2x4x{branch.hidden})':<16}{n_layer:>8}")
-        lines.append(f"{f'branch {name}: dense head':<34}"
+        lines.append(f"{f'branch {branch.name}: dense head':<34}"
                      f"{str(branch.head_W.shape[1:]):<16}{n_head:>8}")
     lines.append("-" * width)
     lines.append(f"{'total parameters':<50}{model.param_count():>8}")

@@ -2,31 +2,33 @@
 inverted dropout, categorical cross-entropy, and a finite-difference
 gradient checker.
 
-Everything operates on float64 numpy arrays. The matrix product accumulates
-the inner dimension left to right so results are bitwise reproducible and
-match a scalar triple-loop evaluation exactly. Each rank-1 term a[:, k] b[k]
-is built by an `np.einsum` whose subscripts sum no index ("i,j->ij", or
-"kgi,kgj->kgij" for a block of terms): every output element receives exactly
-one product, written into a zeroed output. A fused multiply-add with a +0
-addend rounds once, like a plain multiply, so each term is the rounded
-product; at most a -0 product comes out as +0, which cannot change a running
-sum that starts at +0. A subscript that sums an index ("ik,kj->ij"), or any
-`optimize=` setting, would let einsum or BLAS reorder the sums, so neither
-is used. While the output is small the terms of a cache-sized block of inner
-indices form one (k, M, N) array, the running sum is added into the first
-term, and one numpy reduction over the outer axis adds the terms in index
-order. The running sum is the first operand of every add, as in the
+Everything operates on float64 numpy arrays. One kernel, `matmul_stacked`,
+makes every matrix product, a stack of them at a time; `matmul` is its stack
+of one. The summation contract: each output element sums the inner dimension
+left to right, so results are bitwise reproducible and match a scalar
+triple-loop evaluation exactly. Each rank-1 term a[:, k] b[k] is built by an
+`np.einsum` whose subscripts sum no index ("i,j->ij", or "kgi,kgj->kgij" for
+a block of terms): every output element receives exactly one product,
+written into a zeroed output. A fused multiply-add with a +0 addend rounds
+once, like a plain multiply, so each term is the rounded product; at most a
+-0 product comes out as +0, which cannot change a running sum that starts at
++0. A subscript that sums an index ("ik,kj->ij"), or any `optimize=`
+setting, would let einsum or BLAS reorder the sums, so neither is used, and
+no other numpy product (`@`, `np.dot` and the like) is either.
+
+Two paths keep that contract, and `one_stack` picks between them. While the
+stack's output is small, the terms of a cache-sized block of inner indices
+of every product form one (k, G, M, N) array, the running sum is added into
+the first term, and one numpy reduction over the outer axis adds the terms
+in index order, so a stack costs about the numpy calls of one product. The
+running sum is the first operand of every add, as in the
 one-index-at-a-time loop, so each output element gets that loop's sum, down
-to which of two NaNs survives an add. That loop is kept where a
-block would hold fewer than two terms, and for a 1x1 output, whose reduction
-numpy would sum pairwise. On the loop path a product of more than
-_TILE_ROWS rows runs the whole inner loop on one tile of rows at a time, so
-the term and running sum stay in cache; a row's sum does not depend on the
-tile it is in. `matmul_stacked` makes a stack of such products, one per
-branch, each bitwise its own 2-D product: while the stack is small, one
-no-sum einsum ("kgi,kgj->kgij") builds a block's terms of every product and
-one reduction adds them, so a stack costs about the numpy calls of one
-product.
+to which of two NaNs survives an add. Every other stack runs that loop, one
+product at a time: where a block would hold fewer than two terms of every
+product, and for a 1x1 output, whose reduction numpy would sum pairwise. A
+product of more than _TILE_ROWS rows runs the whole inner loop on one tile
+of rows at a time, so the term and running sum stay in cache; a row's sum
+does not depend on the tile it is in.
 """
 
 from __future__ import annotations
@@ -35,17 +37,16 @@ import numpy as np
 
 CCE_EPS = 1e-7
 
-# float64 elements in one block of matmul's rank-1 terms: 256 KB, so a block
-# stays in L2 cache while it is reduced.
+# float64 elements in one block of rank-1 terms: 256 KB, so a block stays in
+# L2 cache while it is reduced.
 _BLOCK_ELEMS = 1 << 15
 
-# output rows in one tile of matmul's one-term loop: a product with more rows
-# runs the whole inner loop on each tile in turn, so the (rows, N) term and
+# output rows in one tile of the one-term loop: a product with more rows runs
+# the whole inner loop on each tile in turn, so the (rows, N) term and
 # running sum it adds stay in cache.
 _TILE_ROWS = 512
 
-# the most output elements, G*M*N, that matmul_stacked makes as one stack: a
-# block then holds at least two terms of every product.
+# the most output elements, G*M*N, of a stack made as one (see `one_stack`).
 STACKED_ELEMS = _BLOCK_ELEMS // 2
 
 
@@ -73,92 +74,51 @@ class RngStream:
         return self.gen.permutation(n)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with a fixed left-to-right summation order.
+def one_stack(g: int, m: int, n: int) -> bool:
+    """Whether a stack of g (m, n) products is made as one, a block of terms
+    of every product at a time: each block then holds at least two terms."""
+    return m * n > 1 and 0 < g * m * n <= STACKED_ELEMS
 
-    Accumulates rank-1 terms over the inner dimension in index order, which
-    is the same floating-point order as the naive triple loop. Each term is
-    an outer product from `np.einsum` with no summed index, so it holds the
-    correctly rounded products and nothing else (see the module docstring);
-    never give it a summed index or `optimize=`. Up to _BLOCK_ELEMS // (M*N)
-    terms are built at once as a C-contiguous array (`_add_blocks`); the
-    running sum is added into its first term and `np.add.reduce` over axis
-    0 adds the rest one term after another, since the kept M*N axis is the
-    inner loop. The running sum is the first operand of every add, as in the
-    loop. Two cases keep the one-term loop, which reuses one (rows, N)
-    buffer for the term: M*N > _BLOCK_ELEMS // 2, where a block would hold
-    fewer than two terms and the reduction is slower, and M*N == 1, where
-    the reduced axis is the only one and numpy sums it pairwise, in a
-    different order. The loop runs over tiles of up to _TILE_ROWS output
-    rows, one after another, each through every inner index.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)  # a transposed b reads its rows strided
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product of 2-D a and b: a stack of one."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    (m, inner), n = a.shape, b.shape[1]
-    out = np.zeros((m, n))
-    at = np.ascontiguousarray(a.T)
-    block = _BLOCK_ELEMS // (m * n) if m * n > 1 else 0
-    if block < 2:
-        term = np.empty((min(m, _TILE_ROWS), n))
-        for r0 in range(0, m, _TILE_ROWS):
-            tile = out[r0 : r0 + _TILE_ROWS]
-            tile_term = term[: len(tile)]
-            for k in range(inner):
-                np.einsum("i,j->ij", at[k, r0 : r0 + _TILE_ROWS], b[k], out=tile_term)
-                tile += tile_term
-        return out
-    _add_blocks(at[:, None], b[:, None], out[None])
-    return out
-
-
-def _add_blocks(at, bt, out):
-    """Add into out (G, M, N) the rank-1 terms of every inner index k in
-    order, at[k, g] times bt[k, g] for each g, a block of _BLOCK_ELEMS //
-    out.size indices at a time: one no-sum einsum writes a block's terms
-    into one reused buffer, the running sum is added into the first term,
-    and `np.add.reduce` over axis 0 adds the rest one after another."""
-    block = _BLOCK_ELEMS // out.size
-    buffer = np.empty((min(block, len(at)), *out.shape))
-    for k0 in range(0, len(at), block):
-        terms = buffer[: min(block, len(at) - k0)]
-        np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=terms)
-        np.add(out, terms[0], out=terms[0])
-        np.add.reduce(terms, axis=0, out=out)
-    return out
+    return matmul_stacked(a[None], b[None])[0]
 
 
 def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A stack of matrix products: out[g] equals matmul(a[g], b[g]) bit for bit.
-
-    a is (G, M, K) and b (G, K, N). While G*M*N <= STACKED_ELEMS, one
-    `_add_blocks` makes all G products, a block of inner indices for every
-    product at a time, as in `matmul`'s blocks, so G products cost the numpy
-    calls of about one. A larger stack runs `matmul` per product into a
-    preallocated output (a stack of one returns its product as it is), as
-    do 1x1 products, whose stacked reduction can keep the other of two NaNs.
-    b's transpose (K, G, N) is read as it lies when it is C-contiguous, else
-    copied once.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    """A stack of matrix products, out[g] = a[g] b[g], each summed as the
+    module docstring states. a is (G, M, K) and b (G, K, N); each is read
+    through its (K, G, ·) transpose, copied once unless it is C-contiguous
+    as it lies."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"matmul_stacked expects (G, M, K) x (G, K, N), got {a.shape} and "
                          f"{b.shape}")
-    g, m, n = a.shape[0], a.shape[1], b.shape[2]
-    if m * n < 2 or not 0 < g * m * n <= STACKED_ELEMS:
-        if g == 1:  # the one product as it is, without a copy
-            return matmul(a[0], b[0])[None]
-        out = np.empty((g, m, n))
-        for k in range(g):
-            out[k] = matmul(a[k], b[k])
-        return out
+    (g, m, inner), n = a.shape, b.shape[2]
     at = np.ascontiguousarray(a.transpose(2, 0, 1))  # (K, G, M)
     bt = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, G, N)
-    return _add_blocks(at, bt, np.zeros((g, m, n)))
+    out = np.zeros((g, m, n))
+    if one_stack(g, m, n):
+        block = _BLOCK_ELEMS // out.size
+        buffer = np.empty((min(block, inner), g, m, n))
+        for k0 in range(0, inner, block):
+            terms = buffer[: min(block, inner - k0)]
+            np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=terms)
+            np.add(out, terms[0], out=terms[0])
+            np.add.reduce(terms, axis=0, out=out)
+        return out
+    term = np.empty((min(m, _TILE_ROWS), n))
+    for p in range(g):
+        for r0 in range(0, m, _TILE_ROWS):
+            tile = out[p, r0 : r0 + _TILE_ROWS]
+            tile_term = term[: len(tile)]
+            for k in range(inner):
+                np.einsum("i,j->ij", at[k, p, r0 : r0 + _TILE_ROWS], bt[k, p], out=tile_term)
+                tile += tile_term
+    return out
 
 
 def activate(kind: str, x: np.ndarray) -> np.ndarray:

@@ -455,6 +455,12 @@ class TestCellStep:
         with pytest.raises(Exception):
             cell_step(p, np.zeros((1, 5)), zero_state(1, 3))
 
+    @pytest.mark.parametrize("gate_activation", ["relu", ["relu"]], ids=["str", "list"])
+    def test_zeros_rejects_gate_activations_not_in_a_tuple(self, gate_activation):
+        # a string would build one branch per character
+        with pytest.raises(TypeError, match="tuple"):
+            LSTMCellParams.zeros(3, 2, gate_activation)
+
 
 class TestDirectionalPass:
     def test_single_step_direction_irrelevant(self):

@@ -339,6 +339,14 @@ class TestBranchGroups:
         for k, g in enumerate(singles):  # views of the same stacks
             assert np.shares_memory(g.layer.forward_params.W, m.group.layer.forward_params.W[k])
 
+    def test_branches_are_the_groups_branches(self):
+        m = init_model(10, 4, 3, seed=0)
+        assert list(m.branches) == list(BRANCH_NAMES)
+        assert [m.branches[name] for name in BRANCH_NAMES] == list(m.group.branches)
+        assert all(m.branches[b.name] is b for b in m.group.branches)
+        with pytest.raises(AttributeError):  # read-only: stated once, by the group
+            m.branches = {}
+
     def test_branch_parameters_are_views_of_the_stacks(self):
         m = init_model(10, 4, 3, seed=0, gate_mode="literal_eq9")
         assert m.group.layer.forward_params.W.shape == (4, 12, 4)

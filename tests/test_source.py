@@ -134,3 +134,51 @@ def test_no_default_restates_a_train_config_default():
     found = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
              for hit in restated_defaults(ast.parse(path.read_text(encoding="utf-8")), defaults)]
     assert found == []
+
+
+# numpy's products that run through BLAS, which reorders sums
+BLAS_PRODUCTS = {"np.dot", "np.matmul", "np.inner", "np.tensordot", "np.vdot"}
+# the calls that make the ordered product, allowed in its kernel alone
+KERNEL = "matmul_stacked"
+KERNEL_CALLS = {"np.einsum", "np.add.reduce"}
+
+
+def product_calls(tree, function=""):
+    """(function, product) for each BLAS product in `tree` (the `@`
+    operator, a `.dot(` call or one of BLAS_PRODUCTS) and each of
+    KERNEL_CALLS outside a function named KERNEL, by innermost function."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((inner, "@"))
+        elif isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if (callee in BLAS_PRODUCTS or callee.endswith(".dot")
+                    or callee in KERNEL_CALLS and inner != KERNEL):
+                found.append((inner, callee))
+        found += product_calls(node, inner)
+    return found
+
+
+def test_product_checker_finds_every_product_outside_the_kernel():
+    tree = ast.parse("def f(a, b):\n    c = a @ b\n    c @= b\n    return a.dot(np.inner(a, b))\n\n"
+                     "def matmul_stacked(a, b):\n    np.add.reduce(np.einsum('i,j->ij', a, b))\n"
+                     "    def g():\n        return np.einsum('i,j->ij', a, b)\n"
+                     "    return np.tensordot(a, b)\n\n"
+                     "x = np.add.reduce(np.vdot(a, np.matmul(a, b)))\n")
+    assert product_calls(tree) == [
+        ("f", "@"), ("f", "@"), ("f", "a.dot"), ("f", "np.inner"), ("g", "np.einsum"),
+        ("matmul_stacked", "np.tensordot"), ("", "np.add.reduce"), ("", "np.vdot"),
+        ("", "np.matmul")]
+
+
+def test_every_product_goes_through_the_kernel():
+    """Every matrix product in src/plstm is made by `tensor.matmul_stacked`,
+    the one kernel that keeps the summation order: a BLAS product anywhere,
+    or a product kernel's einsum or reduction outside it, could change the
+    bytes of every result."""
+    found = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
+             for hit in product_calls(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -23,6 +23,7 @@ from plstm.tensor import (
     grad_check,
     matmul,
     matmul_stacked,
+    one_stack,
 )
 
 
@@ -129,20 +130,28 @@ def _stacked_operands(gen, m, k, n, g, nonfinite=False):
     return a, b
 
 
+def _rank1_stack(a, b):
+    """matmul_rank1 of each product of a stack, an oracle independent of
+    the kernel."""
+    return np.array([matmul_rank1(x, y) for x, y in zip(a, b)]).reshape(
+        len(a), a.shape[1], b.shape[2])
+
+
 class TestMatmulStacked:
-    """matmul_stacked(a, b)[g] must be matmul(a[g], b[g]) bit for bit, on
-    both sides of STACKED_ELEMS. NaNs are compared by value: numpy's multiply
-    and add may keep a NaN of the other sign on some CPU dispatch levels."""
+    """matmul_stacked(a, b)[g] must be matmul_rank1(a[g], b[g]) bit for bit,
+    on both sides of STACKED_ELEMS. NaNs are compared by value: numpy's
+    multiply and add may keep a NaN of the other sign on some CPU dispatch
+    levels."""
 
     @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
     @pytest.mark.parametrize("g", [1, 2, 4])
     @pytest.mark.parametrize("m,k,n", MATMUL_CASES)
-    def test_equals_one_matmul_per_branch(self, m, k, n, g, nonfinite):
+    def test_equals_the_rank1_loop_per_branch(self, m, k, n, g, nonfinite):
         a, b = _stacked_operands(np.random.default_rng(m * 10007 + k * 101 + n + g), m, k, n,
                                  g, nonfinite)
         with np.errstate(all="ignore"):
             got = matmul_stacked(a, b)
-            want = np.array([matmul(a[i], b[i]) for i in range(g)]).reshape(g, m, n)
+            want = _rank1_stack(a, b)
         assert got.shape == (g, m, n)
         assert _nan_canonical(got).tobytes() == _nan_canonical(want).tobytes()
 
@@ -150,6 +159,8 @@ class TestMatmulStacked:
         sizes = [4 * m * n for m, _, n in MATMUL_CASES if m * n > 1]
         assert any(size <= STACKED_ELEMS for size in sizes)
         assert any(size > STACKED_ELEMS for size in sizes)
+        # each product would fit alone, but the stack of 4 runs the loop
+        assert any(one_stack(1, m, n) and not one_stack(4, m, n) for m, _, n in MATMUL_CASES)
 
     @given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12),
            st.integers(0, 2**32 - 1))
@@ -159,8 +170,7 @@ class TestMatmulStacked:
         a, b = _stacked_operands(gen, m, k, n, g)
         at = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)  # strided
         got = matmul_stacked(at, b)
-        assert got.tobytes() == np.array([matmul(a[i], b[i]) for i in range(g)]).reshape(
-            g, m, n).tobytes()
+        assert got.tobytes() == _rank1_stack(a, b).tobytes()
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -190,15 +200,14 @@ def _nan_canonical(x):
 # loop's, and the product's with every NaN made np.nan; then the dispatch
 # levels left on.
 _DISPATCH_CHILD = "import numpy as np\n" + "".join(
-    inspect.getsource(f) for f in (matmul_rank1, _nan_canonical, _dispatch_levels)) + """
+    inspect.getsource(f) for f in (matmul_rank1, _rank1_stack, _nan_canonical,
+                                   _dispatch_levels)) + """
 import hashlib, sys
 from plstm.tensor import matmul, matmul_stacked
 hashes = []
 for path, product, loop in (
         (sys.argv[1], matmul, matmul_rank1),
-        (sys.argv[2], matmul_stacked,
-         lambda a, b: np.array([matmul_rank1(x, y) for x, y in zip(a, b)]).reshape(
-             len(a), a.shape[1], b.shape[2]))):
+        (sys.argv[2], matmul_stacked, _rank1_stack)):
     ops = np.load(path)
     pairs = [(ops[f"arr_{i}"], ops[f"arr_{i + 1}"]) for i in range(0, len(ops.files), 2)]
     digests = [hashlib.sha256() for _ in range(3)]
