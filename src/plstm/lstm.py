@@ -1,14 +1,13 @@
-"""Bidirectional LSTM layer: per-timestep cell, directional sequence passes
-over packed steps, additive bidirectional pooling, and exact
-backpropagation through time.
+"""Bidirectional LSTM layer: per-timestep cell, one pass that runs both
+directions over packed steps, and exact backpropagation through time.
 
 All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
 booleans. Parameters always have a leading branch axis, (branches, 4H, .),
 and a single branch is a stack of one. A stack of branches that share the
-input positions and the mask runs one pass per direction together, with
-state (branches, batch, hidden), one row gather and one step record per
-step, and stacked products (`matmul_stacked`) that give each branch bitwise
-its own products; states, step records and gradients keep the branch axis.
+input positions and the mask runs each direction together, with state
+(branches, batch, hidden), one row gather and one step record per step, and
+stacked products (`matmul_stacked`) that give each branch bitwise its own
+products; states, step records and gradients keep the branch axis.
 
 Each step, forward and backward, runs the gate maths on the rows its mask
 marks and on no others: a padded row keeps its state (and its carried
@@ -16,27 +15,37 @@ gradient) as it is, gets a zero input gradient and adds nothing to the
 parameter gradients. A step whose rows are all padding is skipped. Every
 row's matmul output depends only on that row, so the packed rows compute
 bitwise what a full-batch step would. For the same reason the input
-projection x·W.T is made once per directional pass, over a token table with
-one row per distinct input vector, and each step gathers its rows from it:
-in a per-position table every unmasked position is its own token, listed
-t-major, so a step reads one contiguous run of rows; in eval the model
-passes one row per distinct token id and an index. A per-position pass
-keeps one record per step that ran, holding that step's rows and the state
-and gates BPTT reads for them, none for padded rows; a pass given an index
-is forward-only and keeps none. BPTT likewise takes the input-side products
-out of the recurrence: it keeps every step's gate gradients and makes dx
-from them, one branch at a time, in one product per gate after the time
-loop. Its parameter gradients are the arrays of a zeroed layer it adds
-into, and each branch's `blocks()` names them.
+projection x·W.T is made once per direction, over a token table with one
+row per distinct input vector, and each step gathers its rows from it: in a
+per-position table every unmasked position is its own token, listed
+t-major, so a step reads one contiguous run of rows; given a table and an
+index, the pass projects each row the unmasked positions use once. A
+per-position pass keeps one record per step that ran, holding that step's
+rows and the state and gates BPTT reads for them, none for padded rows; a
+pass given an index is forward-only and keeps none. The two directions
+share nothing until their final states are pooled, so where a step's
+recurrent product runs `matmul_stacked`'s one-term loop (numpy calls long
+enough to release the GIL for most of their time) the backward direction
+steps on a second thread while the calling thread steps the forward one;
+each direction's arithmetic, and so every byte, is the same either way.
+BPTT likewise takes the input-side products out of the recurrence: it keeps
+every step's gate gradients and makes dx from them, one branch at a time,
+in one product per gate after the time loop. Its parameter gradients are
+the arrays of a zeroed layer it adds into, and each branch's `blocks()`
+names them.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked
+from .tensor import (RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked,
+                     one_stack)
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
@@ -144,14 +153,18 @@ def _over_gates(fn, acts, gates, d_ifo=(), d_n=()):
     return gates
 
 
-def _stacked_step(UT, b, acts, xw, h_prev, c_prev):
-    """The gate maths of a stack of branches, given the input rows already
-    projected, xw (branches, rows, 4*hidden), and UT = U transposed,
-    (branches, hidden, 4*hidden). The pre-activation adds xw, then
-    h_prev·U.T, then b. A softmax gate activation normalises within each
-    gate. Returns (gates (branches, rows, 4, hidden) in GATES order, tanh(c),
-    c, h)."""
-    pre = xw + matmul_stacked(h_prev, UT) + b[:, None]
+def _stacked_step(UT, b, acts, proj, x_rows, h_prev, c_prev):
+    """The gate maths of a stack of branches, given the input projection
+    proj (branches, n, 4*hidden), the index or slice x_rows of the step's
+    rows in it, and UT = U transposed, (branches, hidden, 4*hidden). The
+    pre-activation adds h_prev·U.T and the projected rows, then b, in
+    place; the rows are gathered after the product is made, so they and
+    the product's working arrays are never held at once. A softmax gate
+    activation normalises within each gate. Returns (gates (branches, rows,
+    4, hidden) in GATES order, tanh(c), c, h)."""
+    pre = matmul_stacked(h_prev, UT)
+    pre += proj[:, x_rows]  # IEEE + is commutative: bitwise xw + h·U.T
+    pre += b[:, None]
     gates = _over_gates(activate, acts, pre.reshape(*pre.shape[:2], 4, -1))
     i, f, o, n = np.moveaxis(gates, 2, 0)
     c = f * c_prev + i * n
@@ -173,7 +186,7 @@ def cell_step(params: LSTMCellParams, x: np.ndarray, prev: LSTMState) -> LSTMSta
         raise ShapeError(f"state shape {prev.h.shape} mismatches batch/hidden")
     _, _, c, h = _stacked_step(params.U.transpose(0, 2, 1), params.b, params.gate_activation,
                                matmul_stacked(x[None], params.W.transpose(0, 2, 1)),
-                               prev.h[None], prev.c[None])
+                               slice(None), prev.h[None], prev.c[None])
     return LSTMState(h[0], c[0])
 
 
@@ -191,56 +204,117 @@ def _row_starts(mask):
     return np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
 
 
-def directional_pass(params: LSTMCellParams, sequence: np.ndarray, mask, direction: str,
-                     tokens):
-    """Run the recurrence of a stack of branches over a sequence in one
-    direction from zero state.
+def _in_parallel(first, second):
+    """(first(), second()), second run on a new thread while first runs on
+    this one. The thread runs in a copy of this thread's context, so it
+    keeps numpy's context-local `errstate`. An exception of second's is
+    raised here, and the thread has ended when this returns."""
+    outcome = {}
 
-    Returns (final_state, cache), the state (branches, batch, hidden).
-    `sequence` is read for its (L, batch) shape only, so it may be a
-    stand-in that holds no inputs; `mask` is (L, batch). `tokens` is the
-    (table, index) pair: table is (n, embed), shared by the branches, or
-    (branches, n, embed). With index None the table is per-position: it
-    lists the unmasked positions t-major. Otherwise index is (L, batch) ints
-    and step t reads row index[t, b] for position (t, b). The input
-    projection is made once per pass, as proj = matmul_stacked(table, W.T),
-    one product per branch, and step t reads its rows from it. Each step
-    runs the gate maths on the rows its mask marks only; padded rows are
-    left out and keep their state, and a step with no such rows is skipped.
-    A per-position pass returns a cache that holds `params`, the table as
-    `x`, (branches, n, embed), and `steps`: one record (t, rows, h_prev,
-    c_prev, gates, tanh_c) per step that ran, in run order, with the branch
-    axis and the state and gates of `rows` only -- what BPTT reads. A pass
-    given an index is forward-only: it keeps no records and returns a None
-    cache.
-    """
-    L, batch, mask = _sequence_mask(sequence, mask)
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"bad direction {direction!r}")
-    order = range(L) if direction == "forward" else range(L - 1, -1, -1)
-    table, index = tokens
-    records = index is None
-    starts = _row_starts(mask) if records else None
-    G, hidden = len(params.W), params.hidden
-    table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
-    proj = matmul_stacked(table, params.W.transpose(0, 2, 1))
+    def work():
+        try:
+            outcome["result"] = second()
+        except BaseException as exc:  # raised in the caller
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        result = first()
+    finally:
+        worker.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return result, outcome["result"]
+
+
+def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
+    """One direction's recurrence over the steps of `order`, from zero
+    state, reading step t's projected input rows from proj: rows
+    starts[t]:starts[t+1] of a per-position table (index None), or rows
+    index[t, rows]. Returns (final state, step records, or None given an
+    index)."""
+    G, batch, hidden = len(params.W), mask.shape[1], params.hidden
     # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
     # matmul_stacked reads without a copy
     UT = np.ascontiguousarray(params.U.transpose(2, 0, 1)).transpose(1, 0, 2)
-
     h, c = np.zeros((G, batch, hidden)), np.zeros((G, batch, hidden))  # updated in place
-    steps = []
+    steps = [] if index is None else None
     for t in order:
         rows = np.flatnonzero(mask[t])
         if not len(rows):
             continue
-        xw = proj[:, starts[t] : starts[t + 1]] if records else proj[:, index[t, rows]]
+        x_rows = slice(starts[t], starts[t + 1]) if index is None else index[t, rows]
         h_prev, c_prev = h[:, rows], c[:, rows]
         gates, tanh_c, c[:, rows], h[:, rows] = _stacked_step(
-            UT, params.b, params.gate_activation, xw, h_prev, c_prev)
-        if records:
+            UT, params.b, params.gate_activation, proj, x_rows, h_prev, c_prev)
+        if steps is not None:
             steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
-    return LSTMState(h, c), ({"params": params, "x": table, "steps": steps} if records else None)
+    return LSTMState(h, c), steps
+
+
+def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, tokens):
+    """Run both directions of a stack of branches over a sequence, each
+    from zero state: the forward recurrence over t = 0..L-1 and the
+    backward one over L-1..0.
+
+    Returns ((forward final state, backward final state), cache), each
+    state (branches, batch, hidden). `sequence` is read for its (L, batch)
+    shape only, so it may be a stand-in that holds no inputs; `mask` is (L,
+    batch). `tokens` is the (table, index) pair, read by both directions:
+    table is (n, embed), shared by the branches, or (branches, n, embed).
+    With index None the table is per-position: it lists the unmasked
+    positions t-major. Otherwise index is (L, batch) ints and position
+    (t, b) reads table row index[t, b]; the pass gathers the rows the
+    unmasked positions use, each once. Each direction's input projection
+    is made once, as proj = matmul_stacked(table, W.T), one product per
+    branch, and step t reads its rows from it. Each step runs the gate
+    maths on the rows its mask marks only; padded rows are left out and
+    keep their state, and a step with no such rows is skipped. While a
+    step's recurrent product, branches x batch x 4*hidden, is `one_stack`,
+    the directions run in turn, each projecting just before it steps.
+    Otherwise both projections are made first, the gathered rows are
+    dropped, and the backward direction steps on a second thread while
+    this one steps the forward one (see the module docstring).
+    A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
+    direction, `params`, the table as `x`, (branches, n, embed), and
+    `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per step
+    that ran, in run order, with the branch axis and the state and gates of
+    `rows` only -- what BPTT reads. A pass given an index is forward-only:
+    it keeps no records and returns a None cache.
+    """
+    L, batch, mask = _sequence_mask(sequence, mask)
+    table, index = tokens
+    G = len(layer.forward_params.W)
+    if index is None:
+        starts = _row_starts(mask)
+    else:
+        used, inverse = np.unique(index[mask], return_inverse=True)
+        table, starts = np.take(table, used, axis=-2), None
+        index = np.zeros(mask.shape, dtype=np.intp)
+        index[mask] = inverse
+    table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
+    directions = ((layer.forward_params, range(L)), (layer.backward_params, range(L - 1, -1, -1)))
+
+    def project(params):
+        return matmul_stacked(table, params.W.transpose(0, 2, 1))
+
+    if one_stack(G, batch, 4 * layer.hidden):  # in turn, each projection freed after its run
+        (final_f, steps_f), (final_b, steps_b) = (
+            _steps(params, order, mask, project(params), starts, index)
+            for params, order in directions)
+    else:
+        runs = [functools.partial(_steps, params, order, mask, project(params), starts, index)
+                for params, order in directions]
+        if index is not None:
+            table = None  # the gathered rows: not held while the directions step
+        (final_f, steps_f), (final_b, steps_b) = _in_parallel(*runs)
+    if index is not None:
+        return (final_f, final_b), None
+    return (final_f, final_b), {
+        "fwd": {"params": layer.forward_params, "x": table, "steps": steps_f},
+        "bwd": {"params": layer.backward_params, "x": table, "steps": steps_b},
+        "mask": mask}
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams):
@@ -309,23 +383,10 @@ def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
     return dx
 
 
-def bidirectional_encode(layer: BidirectionalLayer, sequence, mask, tokens):
-    """Pooled representation (branches, batch, hidden): final forward h plus
-    final backward h. Both directional passes read the one (table, index)
-    pair `tokens`. The cache is None when the passes are forward-only (given
-    an index)."""
-    final_f, cache_f = directional_pass(layer.forward_params, sequence, mask, "forward", tokens)
-    final_b, cache_b = directional_pass(layer.backward_params, sequence, mask, "backward",
-                                        tokens)
-    pooled = final_f.h + final_b.h
-    if cache_f is None:
-        return pooled, None
-    return pooled, {"fwd": cache_f, "bwd": cache_b, "mask": _sequence_mask(sequence, mask)[2]}
-
-
 def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
-    """Gradients for both directions' parameters and the input vectors. A
-    cache can be used once: BPTT pops its step records.
+    """Gradients for both directions' parameters and the input vectors,
+    from the cache of a per-position `directional_pass`. A cache can be
+    used once: BPTT pops its step records.
 
     `upstream` (branches, batch, hidden) is the gradient w.r.t. the pooled
     representation; because pooling is an elementwise sum it feeds both

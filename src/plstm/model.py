@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lstm import BidirectionalLayer, LSTMCellParams, bptt, bidirectional_encode
+from .lstm import BidirectionalLayer, LSTMCellParams, bptt, directional_pass
 from .tensor import (RngStream, activate, activate_grad, dropout_mask, matmul_stacked,
                      one_stack)
 
@@ -258,8 +258,8 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
             np.multiply(rows, m_embed[k], out=table[k])
         del rows
         tokens = table, None
-    pooled, enc_cache = bidirectional_encode(group.layer, embedded, mask, tokens)
-    dropped = pooled * m_pool
+    (final_f, final_b), enc_cache = directional_pass(group.layer, embedded, mask, tokens)
+    dropped = (final_f.h + final_b.h) * m_pool  # pooled: forward plus backward final h
     logits = matmul_stacked(dropped, group.head_W.transpose(0, 2, 1)) + group.head_b[:, None]
     scores = [activate(member.name, logits[k]) for k, member in enumerate(group.branches)]
     cache = None if enc_cache is None else {
@@ -324,28 +324,25 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     `branch_backward` takes; in eval it is None. Training inputs differ at
     every position after dropout, so each branch projects every unmasked
     position, from a per-position table of their embedding rows. In eval
-    every unmasked position's input is its token's embedding row, so one
-    token table -- the distinct unmasked ids' rows -- serves all four
-    branches, and each directional pass projects each distinct id once per
-    branch; given that table's index, the passes keep no BPTT step records.
+    every unmasked position's input is its token's embedding row, so the
+    encoder reads the embedding with the ids as its index: each group's
+    pass gathers the distinct unmasked ids' rows and projects each of them
+    once per branch and direction, and, given an index, keeps no BPTT step
+    records.
     Neither mode builds the (L, batch, embed) array: the passes and the
     dropout draws read only its shape, from a zero-memory stand-in. Every
     id, padded or not, must be in range in both modes.
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
-    used_ids = _checked_ids(model, ids).T[mask_tm]
-    tokens = None  # in training, each group gathers its own, freed once dropout is applied
-    if rngs is None:
-        uniq, inverse = np.unique(used_ids, return_inverse=True)
-        index = np.zeros(mask_tm.shape, dtype=np.intp)
-        index[mask_tm] = inverse
-        tokens = model.embedding[uniq], index
+    ids_tm = _checked_ids(model, ids).T
+    # in training, each group gathers its own table, freed once dropout is applied
+    tokens = (model.embedding, ids_tm) if rngs is None else None
     embedded = np.broadcast_to(0.0, (*mask_tm.shape, model.embed_dim))
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):
         group_rngs = None if rngs is None else [rngs[b.name] for b in group.branches]
         group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs,
-                                             tokens or (model.embedding[used_ids], None))
+                                             tokens or (model.embedding[ids_tm[mask_tm]], None))
         scores.update(zip((b.name for b in group.branches), group_scores))
         caches.append((group, cache))
     return scores, (None if rngs is None else caches)

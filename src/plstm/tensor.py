@@ -91,17 +91,20 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A stack of matrix products, out[g] = a[g] b[g], each summed as the
     module docstring states. a is (G, M, K) and b (G, K, N); each is read
-    through its (K, G, ·) transpose, copied once unless it is C-contiguous
-    as it lies."""
+    through its (K, G, ·) transpose. b's is copied once unless it is
+    C-contiguous as it lies, and so is a's on the blocked path; the loop
+    reads a's transpose as a view, since each term reads one element of a
+    per output row."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"matmul_stacked expects (G, M, K) x (G, K, N), got {a.shape} and "
                          f"{b.shape}")
     (g, m, inner), n = a.shape, b.shape[2]
-    at = np.ascontiguousarray(a.transpose(2, 0, 1))  # (K, G, M)
+    at = a.transpose(2, 0, 1)  # (K, G, M)
     bt = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, G, N)
     out = np.zeros((g, m, n))
     if one_stack(g, m, n):
+        at = np.ascontiguousarray(at)
         block = _BLOCK_ELEMS // out.size
         buffer = np.empty((min(block, inner), g, m, n))
         for k0 in range(0, inner, block):
@@ -124,8 +127,11 @@ def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def activate(kind: str, x: np.ndarray) -> np.ndarray:
     """Apply an activation; softmax is row-wise with max subtraction."""
     x = np.asarray(x, dtype=np.float64)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-x))
+    if kind == "sigmoid":  # 1 / (1 + exp(-x)), each step in place in one new array
+        y = np.negative(x)
+        np.exp(y, out=y)
+        y += 1.0
+        return np.divide(1.0, y, out=y)
     if kind == "tanh":
         return np.tanh(x)
     if kind == "relu":

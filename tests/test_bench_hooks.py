@@ -6,6 +6,7 @@ tests. They only read bench/."""
 import ast
 import inspect
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +59,8 @@ def test_every_hooked_name_is_a_plstm_function():
 def test_step_counters_read_directional_pass_arguments():
     """`--trace 1` step figures come from `directional_pass`'s positional
     sequence and mask; a reordered signature would corrupt them silently.
-    Eval-mode `forward_batch` runs 2 passes on this small batch: the four
-    branches step together, one pass per direction."""
+    Eval-mode `forward_batch` runs 1 pass on this small batch: the four
+    branches step together, and one pass runs both directions."""
     L = 5
     model = init_model(9, 4, 3, seed=0, seq_len=L)
     mask = np.arange(L) < np.array([[5], [2], [3]])  # (batch, L), ragged
@@ -67,10 +68,10 @@ def test_step_counters_read_directional_pass_arguments():
     t = tracer.Tracer()
     with t.active():
         plstm.model.forward_batch(model, ids, mask)
-    assert t.stats["lstm.directional_pass"][0] == 2
-    assert t.counts["lstm.steps"] == 2 * L
-    assert t.counts["lstm.row_steps"] == 2 * mask.size
-    assert t.counts["lstm.useful_row_steps"] == 2 * mask.sum()
+    assert t.stats["lstm.directional_pass"][0] == 1
+    assert t.counts["lstm.steps"] == L
+    assert t.counts["lstm.row_steps"] == mask.size
+    assert t.counts["lstm.useful_row_steps"] == mask.sum()
 
 
 def test_adam_counter_counts_every_parameter_once_a_batch(data_dir):
@@ -89,3 +90,30 @@ def test_adam_counter_counts_every_parameter_once_a_batch(data_dir):
         train(model, data, config)
     assert t.stats["train.adam_step"][0] == 1
     assert t.counts["train.adam_step.elems"] == model.param_count()
+
+
+def test_counter_hooked_functions_run_on_the_calling_thread():
+    """The tracer shares one `Counter` between threads, and `bench/run.py`
+    fails a traced unit whose work counts differ from the first unit's. So
+    on a batch whose directions step on two threads, every function with a
+    counter runs on the calling thread; `activate`, whose span has no
+    counter, also runs on the second thread."""
+    counted = {name for name, (_, before, after) in tracer.TRACED.items() if before or after}
+    threads = {}
+
+    def factory(fn):
+        def wrapper(*args, **kwargs):
+            threads.setdefault(fn.__name__, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    model = init_model(40, 4, 32, seed=0)  # 130 x 4H = 16,640 > STACKED_ELEMS
+    gen = np.random.default_rng(1)
+    mask = np.arange(6) < gen.integers(1, 7, 130)[:, None]
+    ids = np.where(mask, gen.integers(1, 40, mask.shape), 0)
+    with tracer.patched({name: factory for name in counted | {"activate"}}):
+        plstm.model.forward_batch(model, ids, mask)
+    assert "directional_pass" in threads
+    for name in counted & threads.keys():
+        assert threads[name] == {threading.get_ident()}, name
+    assert len(threads["activate"]) == 2

@@ -12,7 +12,6 @@ from plstm.lstm import (
     LSTMCellParams,
     LSTMState,
     _stacked_step,
-    bidirectional_encode,
     bptt,
     cell_step,
     directional_pass,
@@ -50,12 +49,21 @@ def _full(xs, mask):
     return np.ones(np.shape(xs)[:2], dtype=bool) if mask is None else mask
 
 
+def one_direction(params, xs, mask, direction, tokens):
+    """One direction's (final state, cache part) of `directional_pass` over
+    a layer with `params` in both directions."""
+    k = ("forward", "backward").index(direction)
+    finals, cache = directional_pass(BidirectionalLayer(params, params), xs, mask, tokens)
+    return finals[k], None if cache is None else cache[("fwd", "bwd")[k]]
+
+
 def pass_one(params, xs, mask, direction, tokens=None):
-    """`directional_pass` of a stack of one: (final state, cache) with 2-D
-    states and step records, or a None cache when `tokens` has an index."""
+    """One direction of `directional_pass` of a stack of one: (final state,
+    cache) with 2-D states and step records, or a None cache when `tokens`
+    has an index."""
     mask = _full(xs, mask)
-    final, cache = directional_pass(params, xs, mask, direction,
-                                    (xs[mask], None) if tokens is None else tokens)
+    final, cache = one_direction(params, xs, mask, direction,
+                                 (xs[mask], None) if tokens is None else tokens)
     final = LSTMState(final.h[0], final.c[0])
     if cache is None:
         return final, None
@@ -63,11 +71,17 @@ def pass_one(params, xs, mask, direction, tokens=None):
                                       for t, rows, *arrays in cache["steps"]]}
 
 
+def encode(layer, xs, mask, tokens):
+    """`directional_pass` pooled as the model pools it: (forward final h
+    plus backward final h, cache)."""
+    (final_f, final_b), cache = directional_pass(layer, xs, mask, tokens)
+    return final_f.h + final_b.h, cache
+
+
 def encode_one(layer, xs, mask=None):
-    """`bidirectional_encode` of a layer of one branch: (pooled (batch,
-    hidden), cache)."""
+    """`encode` of a layer of one branch: (pooled (batch, hidden), cache)."""
     mask = _full(xs, mask)
-    pooled, cache = bidirectional_encode(layer, xs, mask, (xs[mask], None))
+    pooled, cache = encode(layer, xs, mask, (xs[mask], None))
     return pooled[0], cache
 
 
@@ -140,7 +154,8 @@ def blend_pass(params, xs, mask, direction):
         m = mask[t].astype(np.float64)[:, None]
         h_prev[t], c_prev[t] = h, c
         step = _stacked_step(params.U.transpose(0, 2, 1), params.b, params.gate_activation,
-                             matmul(xs[t], params.W[0].T)[None], h[None], c[None])
+                             matmul(xs[t], params.W[0].T)[None], slice(None), h[None],
+                             c[None])
         gates[t], tanh_c[t], c_new, h_new = (a[0] for a in step)
         h, c = m * h_new + (1.0 - m) * h, m * c_new + (1.0 - m) * c
     cache = {"order": order, "mask": mask, "x": xs, "h_prev": h_prev, "c_prev": c_prev,
@@ -315,7 +330,7 @@ class TestTokenTable:
 
         monkeypatch.setattr(lstm, "matmul_stacked", recording)
         final, cache = pass_one(p, xs, mask, "forward", tokens)
-        assert products == [(1, 0, 4 * hidden)]
+        assert products == [(1, 0, 4 * hidden)] * 2  # one per direction
         if given_table:
             assert cache is None
         else:
@@ -355,14 +370,14 @@ class TestStackedBranches:
 
         for params, singles, direction in ((stack.forward_params, fwd, "forward"),
                                            (stack.backward_params, bwd, "backward")):
-            final, cache = directional_pass(params, xs[0], mask, direction, (table, None))
+            final, cache = one_direction(params, xs[0], mask, direction, (table, None))
             assert len(cache["steps"]) == int(mask.any(axis=1).sum())  # one record a step
             for k, p in enumerate(singles):
                 want, _ = pass_one(p, xs[k], mask, direction)
                 assert final.h[k].tobytes() == want.h.tobytes()
                 assert final.c[k].tobytes() == want.c.tobytes()
 
-        pooled, cache = bidirectional_encode(stack, xs[0], mask, (table, None))
+        pooled, cache = encode(stack, xs[0], mask, (table, None))
         out = stack.zeros_like()
         dx_rows = bptt(cache, upstream, out)
         for k in range(len(acts)):
@@ -401,8 +416,8 @@ class TestStackedBranches:
         table = _with_zeros(gen, (5, 2))
         index = gen.integers(0, 5, mask.shape)
         for direction in ("forward", "backward"):
-            final, cache = directional_pass(stack_params(params), table[index], mask, direction,
-                                            (table, index))
+            final, cache = one_direction(stack_params(params), table[index], mask, direction,
+                                         (table, index))
             assert cache is None
             for k, p in enumerate(params):
                 want, _ = pass_one(p, table[index], mask, direction, (table, index))

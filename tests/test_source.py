@@ -182,3 +182,56 @@ def test_every_product_goes_through_the_kernel():
     found = [(path.stem, *hit) for path in sorted(SRC.glob("*.py"))
              for hit in product_calls(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+# calls that start a thread; a pool module runs work on threads or processes
+THREAD_STARTERS = {"Thread", "Timer", "start_new_thread", "start_joinable_thread"}
+POOL_MODULES = {"concurrent", "multiprocessing"}
+
+
+def thread_starts(tree, function=""):
+    """(function, target) for each call in `tree` that starts a thread, by
+    innermost function, with the source of its `target=` argument ("" if
+    it has none)."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func).rsplit(".", 1)[-1] in THREAD_STARTERS):
+            found.append((inner, next((ast.unparse(k.value) for k in node.keywords
+                                       if k.arg == "target"), "")))
+        found += thread_starts(node, inner)
+    return found
+
+
+def pool_imports(tree):
+    """Each module name in an import of `tree` from POOL_MODULES."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] in POOL_MODULES]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in POOL_MODULES:
+            found.append(node.module)
+    return found
+
+
+def test_thread_checker_finds_every_thread_and_pool():
+    tree = ast.parse("import threading, multiprocessing.pool\nfrom concurrent import futures\n"
+                     "def f(g):\n    threading.Thread(target=copy_context().run, args=(g,))\n"
+                     "    def h():\n        return Thread(target=g)\n"
+                     "    return _thread.start_new_thread(g, ())\n")
+    assert thread_starts(tree) == [("f", "copy_context().run"), ("h", "g"), ("f", "")]
+    assert pool_imports(tree) == ["multiprocessing.pool", "concurrent"]
+
+
+def test_one_function_starts_a_thread_in_a_copied_context():
+    """`lstm._in_parallel` is the one place that starts a thread. Its target
+    runs through `contextvars.copy_context().run`: numpy's `errstate` is
+    context-local, so a plain thread would drop the caller's, `train`'s
+    all="ignore" included. No thread or process pool is imported."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    starts = [hit for tree in trees for hit in thread_starts(tree)]
+    assert len(starts) == 1
+    assert starts[0][1].endswith("copy_context().run")
+    assert [name for tree in trees for name in pool_imports(tree)] == []
