@@ -23,11 +23,13 @@ index, the pass projects each row the unmasked positions use once. A
 per-position pass keeps one record per step that ran, holding that step's
 rows and the state and gates BPTT reads for them, none for padded rows; a
 pass given an index is forward-only and keeps none. The two directions
-share nothing until their final states are pooled, so where a step's
-recurrent product runs `matmul_stacked`'s one-term loop (numpy calls long
-enough to release the GIL for most of their time) the backward direction
-steps on a second thread while the calling thread steps the forward one;
-each direction's arithmetic, and so every byte, is the same either way.
+share nothing until their final states are pooled, so each direction
+projects, then steps, as one unit of work. Where a step's recurrent product
+runs `matmul_stacked`'s one-term loop (numpy calls long enough to release
+the GIL for most of their time) the backward direction's unit runs on a
+second thread while the calling thread runs the forward one's; elsewhere
+they run in turn. Each direction's arithmetic, and so every byte, is the
+same either way.
 BPTT likewise takes the input-side products out of the recurrence: it keeps
 every step's gate gradients and makes dx from them, one branch at a time,
 in one product per gate after the time loop. Its parameter gradients are
@@ -270,12 +272,12 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     is made once, as proj = matmul_stacked(table, W.T), one product per
     branch, and step t reads its rows from it. Each step runs the gate
     maths on the rows its mask marks only; padded rows are left out and
-    keep their state, and a step with no such rows is skipped. While a
-    step's recurrent product, branches x batch x 4*hidden, is `one_stack`,
-    the directions run in turn, each projecting just before it steps.
-    Otherwise both projections are made first, the gathered rows are
-    dropped, and the backward direction steps on a second thread while
-    this one steps the forward one (see the module docstring).
+    keep their state, and a step with no such rows is skipped. Each
+    direction is one unit of work: it projects, then steps, and its
+    projection is dropped when it ends. While a step's recurrent product,
+    branches x batch x 4*hidden, is `one_stack`, the two units run in
+    turn; otherwise the backward one runs on a second thread while this
+    one runs the forward one (see the module docstring).
     A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
     direction, `params`, the table as `x`, (branches, n, embed), and
     `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per step
@@ -294,20 +296,16 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
         index = np.zeros(mask.shape, dtype=np.intp)
         index[mask] = inverse
     table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
-    directions = ((layer.forward_params, range(L)), (layer.backward_params, range(L - 1, -1, -1)))
 
-    def project(params):
-        return matmul_stacked(table, params.W.transpose(0, 2, 1))
+    def run(params, order):  # one direction: project, then step; its projection dies with it
+        proj = matmul_stacked(table, params.W.transpose(0, 2, 1))
+        return _steps(params, order, mask, proj, starts, index)
 
-    if one_stack(G, batch, 4 * layer.hidden):  # in turn, each projection freed after its run
-        (final_f, steps_f), (final_b, steps_b) = (
-            _steps(params, order, mask, project(params), starts, index)
-            for params, order in directions)
+    runs = (functools.partial(run, layer.forward_params, range(L)),
+            functools.partial(run, layer.backward_params, range(L - 1, -1, -1)))
+    if one_stack(G, batch, 4 * layer.hidden):  # in turn
+        (final_f, steps_f), (final_b, steps_b) = (unit() for unit in runs)
     else:
-        runs = [functools.partial(_steps, params, order, mask, project(params), starts, index)
-                for params, order in directions]
-        if index is not None:
-            table = None  # the gathered rows: not held while the directions step
         (final_f, steps_f), (final_b, steps_b) = _in_parallel(*runs)
     if index is not None:
         return (final_f, final_b), None

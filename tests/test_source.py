@@ -235,3 +235,33 @@ def test_one_function_starts_a_thread_in_a_copied_context():
     assert len(starts) == 1
     assert starts[0][1].endswith("copy_context().run")
     assert [name for tree in trees for name in pool_imports(tree)] == []
+
+
+def call_sites(tree, name, function=""):
+    """The innermost function of each call in `tree` to `name`, called bare
+    or as an attribute."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == name:
+            found.append(inner)
+        found += call_sites(node, name, inner)
+    return found
+
+
+def test_call_site_checker_finds_every_call():
+    tree = ast.parse("def f(a):\n    def g():\n        return lstm.run(a)\n"
+                     "    return run(run, g())\n\nrun(1)\nx = run\n")
+    assert call_sites(tree, "run") == ["g", "f", ""]
+
+
+def test_two_threads_run_only_the_directions_of_a_pass():
+    """`_in_parallel` has one caller, `directional_pass`: BPTT, `_input_grad`
+    and the product kernel run on the calling thread. On this engine's
+    train shapes, two threads there traded the GIL more than they computed
+    (ROADMAP, measured dead ends); a new call site needs its own measured
+    case."""
+    found = [(path.stem, site) for path in sorted(SRC.glob("*.py"))
+             for site in call_sites(ast.parse(path.read_text(encoding="utf-8")), "_in_parallel")]
+    assert found == [("lstm", "directional_pass")]

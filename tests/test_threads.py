@@ -1,8 +1,10 @@
 """The two-thread pass: where a step's recurrent product runs the one-term
-loop, `directional_pass` steps the backward direction on a second thread.
-Every check here runs batches on that path: 130 rows at H=32 make a
-130 x 128 product per branch, over STACKED_ELEMS, so the branches step one
-at a time and each group's two directions run on two threads."""
+loop, `directional_pass` runs the backward direction, its input projection
+and then its steps, on a second thread. Most checks here run batches on
+that path: 130 rows at H=32 make a 130 x 128 product per branch, over
+STACKED_ELEMS, so the branches step one at a time and each group's two
+directions run on two threads. One check runs epochs at the bench's train
+shapes, which stay on the calling thread."""
 
 import os
 import subprocess
@@ -114,19 +116,95 @@ def test_diverging_run_exits_3_with_one_line(tmp_path, flags):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("failing", ["worker", "caller"])
+def direction_of(model, b):
+    """"fwd" or "bwd" if b is a view of that direction's stacked W, else None."""
+    layer = model.group.layer
+    for name, params in (("fwd", layer.forward_params), ("bwd", layer.backward_params)):
+        if np.shares_memory(b, params.W):
+            return name
+    return None
+
+
+def test_each_direction_projects_on_the_thread_that_steps_it(monkeypatch):
+    """A direction's input projection, the one product whose b is its W
+    transposed, is made on the thread that steps it: the forward one on
+    the calling thread, the backward one on the second thread."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=8)
+    ids, mask = ragged(9)
+    caller, real, threads = threading.get_ident(), lstm.matmul_stacked, []
+
+    def product(a, b):
+        direction = direction_of(model, b)
+        if direction is not None:
+            threads.append((direction, threading.get_ident() == caller))
+        return real(a, b)
+
+    monkeypatch.setattr(lstm, "matmul_stacked", product)
+    forward_batch(model, ids, mask)
+    n = len(BRANCH_NAMES)  # one group, so one pass, per branch
+    assert sorted(threads) == [("bwd", False)] * n + [("fwd", True)] * n
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller", "worker's projection"])
 def test_an_exception_on_either_thread_is_raised_after_the_join(monkeypatch, failing):
+    """A failure in either thread's steps, or in the worker's projection, is
+    raised in the caller once the worker has ended. A failed projection
+    does not cut the caller's direction short: it runs to its last step."""
     model = init_model(VOCAB, EMBED, HIDDEN, seed=6)
     ids, mask = ragged(7)
-    caller, real = threading.get_ident(), lstm._stacked_step
-    baseline = threading.active_count()
+    caller, real_step, real_product = threading.get_ident(), lstm._stacked_step, lstm.matmul_stacked
+    baseline, caller_steps = threading.active_count(), []
 
     def step(*args):
-        if (threading.get_ident() == caller) == (failing == "caller"):
+        on_caller = threading.get_ident() == caller
+        if failing != "worker's projection" and on_caller == (failing == "caller"):
             raise FloatingPointError(f"a step on the {failing} thread")
-        return real(*args)
+        if on_caller:
+            caller_steps.append(args)
+        return real_step(*args)
+
+    def product(a, b):
+        if failing == "worker's projection" and direction_of(model, b) == "bwd":
+            raise FloatingPointError(f"the {failing}")
+        return real_product(a, b)
 
     monkeypatch.setattr(lstm, "_stacked_step", step)
+    monkeypatch.setattr(lstm, "matmul_stacked", product)
     with pytest.raises(FloatingPointError, match=failing):
         forward_batch(model, ids, mask)
     assert threading.active_count() == baseline  # no thread outlives the pass
+    if failing == "worker's projection":  # the first group's forward direction ran every step
+        assert len(caller_steps) == np.count_nonzero(mask.any(axis=0))
+
+
+@pytest.mark.parametrize("batch_size, hidden, embed, seq_len, docs",
+                         [(8, 16, 32, 8, 32), (16, 32, 128, 64, 16)],
+                         ids=["train_smoke", "train_long"])
+def test_training_at_the_bench_shapes_starts_no_thread(monkeypatch, batch_size, hidden, embed,
+                                                       seq_len, docs):
+    """An epoch at the bench's train shapes, its metrics pass over the whole
+    training set included, steps every pass on the calling thread: each
+    step's recurrent product is `one_stack`, where two threads trade the
+    GIL more than they compute."""
+    gen = np.random.default_rng(10)
+    mask = np.arange(seq_len) < gen.integers(1, seq_len + 1, docs)[:, None]
+    data = EncodedDataset(np.where(mask, gen.integers(1, VOCAB, (docs, seq_len)), 0), mask,
+                          np.arange(docs) % 2)
+    config = TrainConfig(epochs=1, batch_size=batch_size, seed=11, verbose=0, hidden=hidden,
+                         embed_dim=embed, seq_len=seq_len)
+    threaded, passes, real_parallel, real_steps = [], [], lstm._in_parallel, lstm._steps
+
+    def in_parallel(first, second):
+        threaded.append(first)
+        return real_parallel(first, second)
+
+    def steps(*args):
+        passes.append(threading.get_ident())
+        return real_steps(*args)
+
+    monkeypatch.setattr(lstm, "_in_parallel", in_parallel)
+    monkeypatch.setattr(lstm, "_steps", steps)
+    train(build_model(config, VOCAB, config.seed), data, config)
+    assert threaded == []
+    # two directions per pass: one pass per training batch, one for the metrics
+    assert passes == [threading.get_ident()] * 2 * (docs // batch_size + 1)
