@@ -24,8 +24,8 @@ from . import corpus
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import benchmark, classification_report, confusion, render4
 from .model import BRANCH_NAMES, expected_param_count, summary
-from .train import (ConfigError, TrainConfig, build_model, encode_dataset, predict_labels,
-                    train, write_epoch_csv)
+from .train import (ConfigError, ScoresNotFinite, TrainConfig, build_model, encode_dataset,
+                    predict_labels, train, write_epoch_csv)
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -177,7 +177,10 @@ def cmd_eval(args) -> int:
     _check_allocation(model.vocab_size, model.embed_dim, model.hidden, len(examples),
                       model.seq_len)
     data = encode_dataset(examples, vocab, model.seq_len)
-    reports = _per_branch_reports(model, data)
+    try:
+        reports = _per_branch_reports(model, data)
+    except ScoresNotFinite as exc:  # finite parameters that overflow on this data
+        raise CheckpointError(f"bad checkpoint: on {args.data}, {exc}") from None
     print(f"{'branch':<10}{'precision':>10}{'recall':>10}{'f1':>10}{'accuracy':>10}")
     rows = ["branch,precision,recall,f1,accuracy\n"]
     for name in BRANCH_NAMES:

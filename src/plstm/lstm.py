@@ -5,9 +5,9 @@ All sequence tensors are time-major: (L, batch, dim). Masks are (L, batch)
 booleans. Parameters always have a leading branch axis, (branches, 4H, .),
 and a single branch is a stack of one. A stack of branches that share the
 input positions and the mask runs each direction together, with state
-(branches, batch, hidden), one row gather and one step record per step, and
-stacked products (`matmul_stacked`) that give each branch bitwise its own
-products; states, step records and gradients keep the branch axis.
+(branches, batch, hidden), one row gather per step, and stacked products
+(`matmul_stacked`) that give each branch bitwise its own products; states,
+step records and gradients keep the branch axis.
 
 Each step, forward and backward, runs the gate maths on the rows its mask
 marks and on no others: a padded row keeps its state (and its carried
@@ -19,21 +19,26 @@ projection x·W.T is made once per direction, over a token table with one
 row per distinct input vector, and each step gathers its rows from it: in a
 per-position table every unmasked position is its own token, listed
 t-major, so a step reads one contiguous run of rows; given a table and an
-index, the pass projects each row the unmasked positions use once. A
-per-position pass keeps one record per step that ran, holding that step's
-rows and the state and gates BPTT reads for them, none for padded rows; a
-pass given an index is forward-only and keeps none. The two directions
-share nothing until their final states are pooled, so each direction
-projects, then steps, as one unit of work. Where a step's recurrent product
-runs `matmul_stacked`'s one-term loop (numpy calls long enough to release
-the GIL for most of their time) the backward direction's unit runs on a
-second thread while the calling thread runs the forward one's; elsewhere
-they run in turn. Each direction's arithmetic, and so every byte, is the
-same either way.
-BPTT likewise takes the input-side products out of the recurrence: it keeps
-every step's gate gradients and makes dx from them, one branch at a time,
-in one product per gate after the time loop. Its parameter gradients are
-the arrays of a zeroed layer it adds into, and each branch's `blocks()`
+index, the pass projects each row the unmasked positions use once, and
+drops the gathered rows once both directions have projected. A
+per-position table may also be a function that makes a range of its rows
+when asked for (training's dropped-out inputs), so it need not be held.
+A per-position pass keeps the state and gates BPTT reads of every step's
+unpadded rows, none for padded rows, in one array per kind (RECORDS) in
+table order: step t's records sit at its table rows, and a list of the
+steps that ran gives the run order. A pass given an index is forward-only
+and keeps none. The two directions share nothing until their final states
+are pooled, so each direction projects, then steps, as one unit of work.
+Where a step's recurrent product runs `matmul_stacked`'s one-term loop
+(numpy calls long enough to release the GIL for most of their time) the
+backward direction's unit runs on a second thread while the calling thread
+runs the forward one's; elsewhere they run in turn. Each direction's
+arithmetic, and so every byte, is the same either way.
+BPTT likewise takes the input-side products out of the recurrence: it
+writes every step's gate gradients over that step's gate records, so they
+end up in table order, and makes dx from views of them, one branch at a
+time, in one product per gate after the time loop. Its parameter gradients
+are the arrays of a zeroed layer it adds into, and each branch's `blocks()`
 names them.
 """
 
@@ -155,22 +160,26 @@ def _over_gates(fn, acts, gates, d_ifo=(), d_n=()):
     return gates
 
 
-def _stacked_step(UT, b, acts, proj, x_rows, h_prev, c_prev):
+def _stacked_step(UT, b, acts, proj, x_rows, h_prev, c_prev, records=None):
     """The gate maths of a stack of branches, given the input projection
     proj (branches, n, 4*hidden), the index or slice x_rows of the step's
     rows in it, and UT = U transposed, (branches, hidden, 4*hidden). The
     pre-activation adds h_prev·U.T and the projected rows, then b, in
     place; the rows are gathered after the product is made, so they and
     the product's working arrays are never held at once. A softmax gate
-    activation normalises within each gate. Returns (gates (branches, rows,
-    4, hidden) in GATES order, tanh(c), c, h)."""
+    activation normalises within each gate. Given `records`, a (branches,
+    rows, 4, hidden) gates and a (branches, rows, hidden) tanh(c) array,
+    the gates and tanh(c) are written there. Returns (gates (branches,
+    rows, 4, hidden) in GATES order, tanh(c), c, h)."""
+    gates_out, tanh_out = records or (None, None)
     pre = matmul_stacked(h_prev, UT)
-    pre += proj[:, x_rows]  # IEEE + is commutative: bitwise xw + h·U.T
+    out = pre if gates_out is None else gates_out.reshape(pre.shape)  # a view: last axes merge
+    pre = np.add(pre, proj[:, x_rows], out=out)  # IEEE + is commutative: bitwise xw + h·U.T
     pre += b[:, None]
     gates = _over_gates(activate, acts, pre.reshape(*pre.shape[:2], 4, -1))
     i, f, o, n = np.moveaxis(gates, 2, 0)
     c = f * c_prev + i * n
-    tanh_c = np.tanh(c)
+    tanh_c = np.tanh(c, out=tanh_out)
     return gates, tanh_c, c, o * tanh_c
 
 
@@ -230,29 +239,70 @@ def _in_parallel(first, second):
     return result, outcome["result"]
 
 
+# a per-position pass's step records, each (branches, n, ...) in table order
+RECORDS = ("h_prev", "c_prev", "gates", "tanh_c")
+
+
+def _record_views(records, t):
+    """The record arrays' views at step t's table rows, starts[t]:starts[t+1],
+    in RECORDS order."""
+    at = slice(records["starts"][t], records["starts"][t + 1])
+    return tuple(records[kind][:, at] for kind in RECORDS)
+
+
+def _step_records(records, last_first=False):
+    """A per-position pass's step records, one per step that ran, in run
+    order, or last step first: (t, rows, h_prev, c_prev, gates, tanh_c),
+    the arrays views of the direction's record arrays."""
+    steps = records["steps"]
+    for t, rows in reversed(steps) if last_first else steps:
+        yield (t, rows, *_record_views(records, t))
+
+
 def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     """One direction's recurrence over the steps of `order`, from zero
     state, reading step t's projected input rows from proj: rows
     starts[t]:starts[t+1] of a per-position table (index None), or rows
-    index[t, rows]. Returns (final state, step records, or None given an
-    index)."""
+    index[t, rows]. Returns (final state, records, or None given an
+    index): a per-position pass writes each step's records at its table
+    rows of one (branches, n, ...) array per kind in RECORDS, and lists
+    the (t, rows) of the steps that ran, in run order, as "steps"."""
     G, batch, hidden = len(params.W), mask.shape[1], params.hidden
     # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
     # matmul_stacked reads without a copy
     UT = np.ascontiguousarray(params.U.transpose(2, 0, 1)).transpose(1, 0, 2)
     h, c = np.zeros((G, batch, hidden)), np.zeros((G, batch, hidden))  # updated in place
-    steps = [] if index is None else None
+    records = None
+    if index is None:
+        n = starts[-1]
+        records = {"steps": [], "starts": starts, "gates": np.empty((G, n, 4, hidden)),
+                   **{kind: np.empty((G, n, hidden)) for kind in ("h_prev", "c_prev", "tanh_c")}}
     for t in order:
         rows = np.flatnonzero(mask[t])
         if not len(rows):
             continue
-        x_rows = slice(starts[t], starts[t + 1]) if index is None else index[t, rows]
-        h_prev, c_prev = h[:, rows], c[:, rows]
-        gates, tanh_c, c[:, rows], h[:, rows] = _stacked_step(
-            UT, params.b, params.gate_activation, proj, x_rows, h_prev, c_prev)
-        if steps is not None:
-            steps.append((t, rows, h_prev, c_prev, gates, tanh_c))
-    return LSTMState(h, c), steps
+        if records is None:
+            x_rows, h_prev, c_prev, out = index[t, rows], h[:, rows], c[:, rows], None
+        else:
+            records["steps"].append((t, rows))
+            x_rows = slice(starts[t], starts[t + 1])
+            h_prev, c_prev, *out = _record_views(records, t)
+            np.take(h, rows, axis=1, out=h_prev)
+            np.take(c, rows, axis=1, out=c_prev)
+        _, _, c[:, rows], h[:, rows] = _stacked_step(
+            UT, params.b, params.gate_activation, proj, x_rows, h_prev, c_prev, out)
+    return LSTMState(h, c), records
+
+
+def _token_rows(table, branches: int):
+    """A token table as a function of a row range: (lo, hi) -> the rows
+    lo:hi of every branch, (branches, hi - lo, embed). An array table,
+    (n, embed) shared by the branches or (branches, n, embed), gives views
+    of its rows; a callable table is that function already."""
+    if callable(table):
+        return table
+    table = np.broadcast_to(table, (branches, *table.shape[-2:]))  # shared: a view per branch
+    return lambda lo, hi: table[:, lo:hi]
 
 
 def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, tokens):
@@ -266,77 +316,90 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     batch). `tokens` is the (table, index) pair, read by both directions:
     table is (n, embed), shared by the branches, or (branches, n, embed).
     With index None the table is per-position: it lists the unmasked
-    positions t-major. Otherwise index is (L, batch) ints and position
-    (t, b) reads table row index[t, b]; the pass gathers the rows the
-    unmasked positions use, each once. Each direction's input projection
-    is made once, as proj = matmul_stacked(table, W.T), one product per
-    branch, and step t reads its rows from it. Each step runs the gate
-    maths on the rows its mask marks only; padded rows are left out and
-    keep their state, and a step with no such rows is skipped. Each
-    direction is one unit of work: it projects, then steps, and its
-    projection is dropped when it ends. While a step's recurrent product,
-    branches x batch x 4*hidden, is `one_stack`, the two units run in
-    turn; otherwise the backward one runs on a second thread while this
+    positions t-major, and may also be a function (lo, hi) -> (branches,
+    hi - lo, embed) that makes rows lo:hi when asked for. Otherwise index
+    is (L, batch) ints and position (t, b) reads table row index[t, b];
+    the pass gathers the rows the unmasked positions use, each once, and
+    drops them once both directions have projected. Each direction's
+    input projection is made once, as proj = matmul_stacked(table, W.T),
+    one product per branch, and step t reads its rows from it. Each step
+    runs the gate maths on the rows its mask marks only; padded rows are
+    left out and keep their state, and a step with no such rows is
+    skipped. Each direction is one unit of work: it projects, then steps,
+    and its projection is dropped when it ends. While a step's recurrent
+    product, branches x batch x 4*hidden, is `one_stack`, the two units run
+    in turn; otherwise the backward one runs on a second thread while this
     one runs the forward one (see the module docstring).
     A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
-    direction, `params`, the table as `x`, (branches, n, embed), and
-    `steps`: one record (t, rows, h_prev, c_prev, gates, tanh_c) per step
-    that ran, in run order, with the branch axis and the state and gates of
-    `rows` only -- what BPTT reads. A pass given an index is forward-only:
-    it keeps no records and returns a None cache.
+    direction, `params`, the table as `x`, a function of a row range, and
+    the step records BPTT reads: "steps", the (t, rows) of each step that
+    ran, in run order, and per kind in RECORDS one (branches, n, ...)
+    array in table order, step t's records, for its rows only, at table
+    rows starts[t]:starts[t+1] ("starts"). A pass given an index is
+    forward-only: it keeps no records and returns a None cache.
     """
     L, batch, mask = _sequence_mask(sequence, mask)
     table, index = tokens
     G = len(layer.forward_params.W)
     if index is None:
         starts = _row_starts(mask)
+        n = starts[-1]
     else:
         used, inverse = np.unique(index[mask], return_inverse=True)
-        table, starts = np.take(table, used, axis=-2), None
+        table, starts, n = np.take(table, used, axis=-2), None, len(used)
         index = np.zeros(mask.shape, dtype=np.intp)
         index[mask] = inverse
-    table = np.broadcast_to(table, (G, *table.shape[-2:]))  # a shared table: a view per branch
+    held = [_token_rows(table, G)]  # emptied once both directions have projected
+    x = held[0] if index is None else None  # BPTT reads a per-position pass's rows
+    del table
+    # list.append and len are atomic under the GIL. Whichever unit counts
+    # two has seen both projections made; if both do, the second clear is
+    # a no-op.
+    projected = []
 
     def run(params, order):  # one direction: project, then step; its projection dies with it
-        proj = matmul_stacked(table, params.W.transpose(0, 2, 1))
+        proj = matmul_stacked(held[0](0, n), params.W.transpose(0, 2, 1))
+        projected.append(order)
+        if len(projected) == 2:
+            held.clear()
         return _steps(params, order, mask, proj, starts, index)
 
     runs = (functools.partial(run, layer.forward_params, range(L)),
             functools.partial(run, layer.backward_params, range(L - 1, -1, -1)))
     if one_stack(G, batch, 4 * layer.hidden):  # in turn
-        (final_f, steps_f), (final_b, steps_b) = (unit() for unit in runs)
+        (final_f, records_f), (final_b, records_b) = (unit() for unit in runs)
     else:
-        (final_f, steps_f), (final_b, steps_b) = _in_parallel(*runs)
+        (final_f, records_f), (final_b, records_b) = _in_parallel(*runs)
     if index is not None:
         return (final_f, final_b), None
     return (final_f, final_b), {
-        "fwd": {"params": layer.forward_params, "x": table, "steps": steps_f},
-        "bwd": {"params": layer.backward_params, "x": table, "steps": steps_b},
+        "fwd": {"params": layer.forward_params, "x": x, **records_f},
+        "bwd": {"params": layer.backward_params, "x": x, **records_b},
         "mask": mask}
 
 
-def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams):
+def _directional_bptt(cache, d_final_h: np.ndarray, out: LSTMCellParams):
     """BPTT over the step records of a per-position `directional_pass`,
-    last step first, popping each record as it is used: each record's rows
-    take their gradient through the step, while a row it leaves out carries
-    dh/dc through unchanged. dW, dU and the recurrent dh products run per
-    step, stacked over the branches, and dW, dU and db add into `out`'s
-    arrays, of the cache's parameter shapes. Each step's pre-activation
-    gradients (branches, rows, 4*hidden) are written over that step's gates,
-    which nothing reads after. Returns (first table row starts[t],
-    pre-activation gradients) per step, from which `_input_grad` makes dx."""
-    params, table, steps = cache["params"], cache["x"], cache["steps"]
+    last step first: each record's rows take their gradient through the
+    step, while a row it leaves out carries dh/dc through unchanged. dW,
+    dU and the recurrent dh products run per step, stacked over the
+    branches, and dW, dU and db add into `out`'s arrays, of the cache's
+    parameter shapes; dW reads the step's rows of the token table, made
+    when asked for. Each step's pre-activation gradients are written over
+    its gates, so the cache's "gates" array ends up holding every row's,
+    in table order, from which `_input_grad` makes dx."""
+    params, x = cache["params"], cache["x"]
     G, hidden = len(params.W), params.hidden
-    gate_rows = params.gate_rows
     dW, dU, db = out.W, out.U, out.b
     dh = np.array(d_final_h, dtype=np.float64)  # a copy: rows are updated in place
     dc = np.zeros_like(dh)
-    # each gate's rows of U in the layout matmul_stacked reads without a copy
-    U_gates = [np.ascontiguousarray(params.U[:, r].transpose(1, 0, 2)).transpose(1, 0, 2)
-               for r in gate_rows.values()]
-    dpre_steps = []
-    while steps:
-        t, rows, h_prev, c_prev, gates, tanh_c = steps.pop()
+    # U's gate rows as one gate-major (4 * branches, hidden, hidden) stack,
+    # gate GATES[j] of branch k at j * branches + k, in the layout
+    # matmul_stacked reads without a copy
+    U_gates = np.ascontiguousarray(params.U.reshape(G, 4, hidden, hidden).transpose(2, 1, 0, 3))
+    U_gates = U_gates.reshape(hidden, 4 * G, hidden).transpose(1, 0, 2)
+    last = len(cache["steps"]) - 1
+    for j, (t, rows, h_prev, c_prev, gates, tanh_c) in enumerate(_step_records(cache, True)):
         i, f, o, n = np.moveaxis(gates, 2, 0)
         dh_t = dh[:, rows]
 
@@ -348,34 +411,33 @@ def _directional_bptt(cache, d_final_h: np.ndarray, starts, out: LSTMCellParams)
         dc[:, rows] = dc_t * f
 
         # the pre-activation gradients, written over the gates
-        dpre = _over_gates(activate_grad, params.gate_activation, gates,
-                           (np.stack((di, df, do), axis=2),), (dn[:, :, None],))
-        dpre = dpre.reshape(G, len(rows), 4 * hidden)
-        dpre_steps.append((starts[t], dpre))
+        _over_gates(activate_grad, params.gate_activation, gates,
+                    (np.stack((di, df, do), axis=2),), (dn[:, :, None],))
+        dpre = gates.reshape(G, len(rows), 4 * hidden)  # a view: last axes merge
         dpre_t = dpre.transpose(0, 2, 1)
-        dW += matmul_stacked(dpre_t, table[:, starts[t] : starts[t + 1]])
+        dW += matmul_stacked(dpre_t, x(cache["starts"][t], cache["starts"][t + 1]))
         dU += matmul_stacked(dpre_t, h_prev)
         db += dpre.sum(axis=1)
-        # gate by gate in GATES order: one 4H-deep product adds the same
-        # terms in another order, which changes the rounding
-        dh_rec = np.zeros_like(dh_t)
-        for r, U_gate in zip(gate_rows.values(), U_gates):
-            dh_rec += matmul_stacked(dpre[:, :, r], U_gate)
-        dh[:, rows] = dh_rec
-    return dpre_steps
+        if j == last:  # the first step run: nothing reads the dh it would make
+            break
+        # one product per gate and branch, in one stack, added gate by gate
+        # in GATES order: one 4H-deep product adds the same terms in another
+        # order, which changes the rounding. No product sums to -0 (each
+        # starts at +0), so P[0] + P[1] is bitwise 0 + P[0] + P[1].
+        per_gate = matmul_stacked(gates.transpose(2, 0, 1, 3).reshape(4 * G, len(rows), hidden),
+                                  U_gates).reshape(4, G, len(rows), hidden)
+        dh[:, rows] = per_gate[0] + per_gate[1] + per_gate[2] + per_gate[3]
 
 
-def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
-    """Branch k's input-gradient rows (n, embed), in table order: its
-    pre-activation gradient rows of every step, gathered into table order,
-    then the four per-gate products of them with W, added in GATES order
-    from zeros. Each row of a product depends on that row only, so this
-    gives every step's rows bitwise what a per-step product would."""
-    W = params.W[k]
-    dpre = np.empty((n, 4 * params.hidden))
-    for start, step_dpre in dpre_steps:
-        dpre[start : start + step_dpre.shape[1]] = step_dpre[k]
-    dx = np.zeros((n, W.shape[1]))
+def _input_grad(params: LSTMCellParams, dpre, k: int):
+    """Branch k's input-gradient rows (n, embed), in table order, from the
+    (branches, n, 4, hidden) pre-activation gradients BPTT left in a
+    direction's gates: the four per-gate products of branch k's rows with
+    W, added in GATES order from zeros. Each row of a product depends on
+    that row only, so this gives every step's rows bitwise what a per-step
+    product would."""
+    W, dpre = params.W[k], dpre[k].reshape(dpre.shape[1], 4 * params.hidden)  # a view
+    dx = np.zeros((len(dpre), W.shape[1]))
     for r in params.gate_rows.values():
         dx += matmul(dpre[:, r], W[r])
     return dx
@@ -384,7 +446,7 @@ def _input_grad(params: LSTMCellParams, dpre_steps, n: int, k: int):
 def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     """Gradients for both directions' parameters and the input vectors,
     from the cache of a per-position `directional_pass`. A cache can be
-    used once: BPTT pops its step records.
+    used once: BPTT writes the gradients over its gate records.
 
     `upstream` (branches, batch, hidden) is the gradient w.r.t. the pooled
     representation; because pooling is an elementwise sum it feeds both
@@ -394,9 +456,9 @@ def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     Returns an iterator over the branches that makes each one's (n, embed)
     input-gradient rows, in per-position table order, when it is asked for.
     """
-    starts = _row_starts(cache["mask"])
-    dpre_f = _directional_bptt(cache["fwd"], upstream, starts, out.forward_params)
-    dpre_b = _directional_bptt(cache["bwd"], upstream, starts, out.backward_params)
-    params_f, params_b, n = cache["fwd"]["params"], cache["bwd"]["params"], starts[-1]
-    return (_input_grad(params_f, dpre_f, n, k) + _input_grad(params_b, dpre_b, n, k)
+    fwd, bwd = cache["fwd"], cache["bwd"]
+    _directional_bptt(fwd, upstream, out.forward_params)
+    _directional_bptt(bwd, upstream, out.backward_params)
+    (params_f, dpre_f), (params_b, dpre_b) = ((d["params"], d["gates"]) for d in (fwd, bwd))
+    return (_input_grad(params_f, dpre_f, k) + _input_grad(params_b, dpre_b, k)
             for k in range(len(params_f.W)))

@@ -11,6 +11,12 @@ one (4, 2, H) and one (4, 2) stack, held by `ParallelModel.group`, and each
 branch's parameters are stack-of-one views into them, so the four branches
 can step together. A gradient arena has the same layout, so one
 elementwise pass can update the whole model.
+
+In training, each branch's embedding dropout gives it its own inputs. A
+group holds the inputs once, as its unmasked embedding rows, and each
+branch's dropout mask as bits, and the LSTM pass and the backward pass
+make each branch's dropped-out rows, and the mask values, when they read
+them (`_DroppedRows`), bitwise what a dense table and mask would hold.
 """
 
 from __future__ import annotations
@@ -216,6 +222,27 @@ def embed_ids(model: ParallelModel, ids: np.ndarray) -> np.ndarray:
     return model.embedding[_checked_ids(model, ids)].transpose(1, 0, 2)
 
 
+class _DroppedRows:
+    """A training pass's per-position token table: each branch's unmasked
+    inputs after its own embedding dropout, made when asked for, as
+    `lstm.directional_pass` reads a table that is a function of a row
+    range. It holds the group's unmasked embedding rows (n, embed) once,
+    each branch's keep bits (branches, n, embed) and each branch's 1 -
+    rate, and rebuilds a dropout mask value as `dropout_mask` makes it,
+    keep / (1 - rate), so every row it makes is bitwise rows * mask."""
+
+    def __init__(self, rows, keep, rates):
+        self.rows, self.keep = rows, keep
+        self.scale = np.array([1.0 - rate for rate in rates])[:, None, None]
+
+    def __call__(self, lo, hi):
+        return self.rows[lo:hi] * (self.keep[:, lo:hi] / self.scale)
+
+    def mask(self, k: int):
+        """Branch k's dropout mask values at the unmasked positions, (n, embed)."""
+        return self.keep[k] / self.scale[k]
+
+
 def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> the branch's own activation.
@@ -225,15 +252,17 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     Training mode is exactly "an rng was given": dropout masks are drawn
     from it, the embedding mask first. Returns (scores (batch, 2), cache).
     The encoder reads one per-position token table for both directions:
-    the unmasked positions' inputs, (branches, n, embed) in training, where
-    each branch's dropout makes its own. The cache holds that table and the
-    unmasked rows of the embedding dropout masks, not the dense inputs, so
-    the backward pass replays the masks exactly. `tokens` is the encoder's
-    (table, index) token table (see `lstm.directional_pass`), by default
-    the per-position table `embedded[mask]`. It describes `embedded`, which
-    may then be a stand-in of that shape, read for its shape only. Training
-    takes a per-position table (index None), the inputs before dropout. A
-    pass given an index, which fits eval mode only, is forward-only: the
+    the unmasked positions' inputs, in training each branch's through its
+    own dropout. Training holds that table as the unmasked rows and each
+    branch's embedding dropout mask as bits (`_DroppedRows`), and the
+    encoder and the backward pass make the inputs and the mask values from
+    them when they read them, bitwise as the dense table would hold them.
+    `tokens` is the encoder's (table, index) token table (see
+    `lstm.directional_pass`), by default the per-position table
+    `embedded[mask]`. It describes `embedded`, which may then be a
+    stand-in of that shape, read for its shape only. Training takes a
+    per-position table (index None), the inputs before dropout. A pass
+    given an index, which fits eval mode only, is forward-only: the
     encoder keeps no BPTT step records and the returned cache is None.
     """
     group = (branch if isinstance(branch, BranchGroup)
@@ -245,25 +274,23 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     if tokens is None:
         tokens = embedded[mask], None
     n_branches = len(group.branches)
-    m_embed, m_pool = None, np.ones((n_branches, 1, 1))
+    dropped_rows, m_pool = None, np.ones((n_branches, 1, 1))
     if rngs is not None:
         rows = tokens[0]
-        table = np.empty((n_branches, *rows.shape))
-        m_embed = np.empty_like(table)
+        keep = np.empty((n_branches, *rows.shape), dtype=bool)
         m_pool = np.empty((n_branches, batch, group.layer.hidden))
         for k, (member, member_rng) in enumerate(zip(group.branches, rngs)):
-            m_embed[k] = dropout_mask(embedded.shape, member.dropout_embed, member_rng)[mask]
+            keep[k] = dropout_mask(embedded.shape, member.dropout_embed, member_rng)[mask] != 0
             m_pool[k] = dropout_mask((batch, member.hidden), member.dropout_recurrent,
                                      member_rng)
-            np.multiply(rows, m_embed[k], out=table[k])
-        del rows
-        tokens = table, None
+        dropped_rows = _DroppedRows(rows, keep, [b.dropout_embed for b in group.branches])
+        tokens = dropped_rows, None
     (final_f, final_b), enc_cache = directional_pass(group.layer, embedded, mask, tokens)
     dropped = (final_f.h + final_b.h) * m_pool  # pooled: forward plus backward final h
     logits = matmul_stacked(dropped, group.head_W.transpose(0, 2, 1)) + group.head_b[:, None]
     scores = [activate(member.name, logits[k]) for k, member in enumerate(group.branches)]
     cache = None if enc_cache is None else {
-        "m_embed": m_embed,
+        "dropped_rows": dropped_rows,
         "m_pool": m_pool,
         "enc": enc_cache,
         "dropped": dropped,
@@ -272,13 +299,13 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     return (scores if group is branch else scores[0]), cache
 
 
-def _embedded_grads(mask, m_embed, dx_rows):
+def _embedded_grads(mask, dropped_rows, dx_rows):
     """Each branch's dense (L, batch, embed) gradient w.r.t. the shared
     embedded input, made when it is asked for: its input-gradient rows
     through its embedding dropout mask, at the unmasked positions."""
     for k, rows in enumerate(dx_rows):
         d_embedded = np.zeros((*mask.shape, rows.shape[1]))
-        d_embedded[mask] = rows if m_embed is None else rows * m_embed[k]
+        d_embedded[mask] = rows if dropped_rows is None else rows * dropped_rows.mask(k)
         yield d_embedded
 
 
@@ -308,7 +335,7 @@ def branch_backward(branch, cache, d_scores, out=None):
     d_pooled = matmul_stacked(d_logits, group.head_W) * cache["m_pool"]
     dx_rows = bptt(cache["enc"], d_pooled, out.layer)
     grads = [dict(grad.blocks()) for grad in out.branches]
-    d_embedded = _embedded_grads(cache["enc"]["mask"], cache["m_embed"], dx_rows)
+    d_embedded = _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
     if group is branch:
         return grads, d_embedded
     return grads[0], next(d_embedded)

@@ -26,6 +26,11 @@ class ConfigError(ValueError):
     """A bad config value, or a run that the config makes diverge."""
 
 
+class ScoresNotFinite(ValueError):
+    """A branch's eval-mode scores are not all finite: the model overflows
+    on the inputs it scores."""
+
+
 @dataclass
 class TrainConfig:
     """The one statement of the config keys, their value types and their
@@ -196,17 +201,27 @@ def _clip(arrays, max_norm):
 
 
 def epoch_metrics(model: ParallelModel, dataset: EncodedDataset) -> dict:
-    """Eval-mode accuracy percent per branch (argmax labels)."""
+    """Eval-mode accuracy percent per branch (argmax labels). A model just
+    trained that scores non-finite values has diverged: `ConfigError`."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    preds = predict_labels(model, dataset)
+    try:
+        preds = predict_labels(model, dataset)
+    except ScoresNotFinite as exc:
+        raise ConfigError(f"training diverged: {exc}") from None
     return {name: 100.0 * float(np.mean(preds[name] == dataset.labels))
             for name in BRANCH_NAMES}
 
 
+@np.errstate(all="ignore")  # the finiteness check decides, not numpy's warnings
 def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
-    """Eval-mode per-branch argmax labels for every example."""
+    """Eval-mode per-branch argmax labels for every example: the one path
+    behind eval and the per-epoch metrics. A branch with a non-finite
+    score, in BRANCH_NAMES order, raises `ScoresNotFinite` naming it."""
     scores, _ = forward_batch(model, dataset.ids, dataset.mask)
+    for name in BRANCH_NAMES:
+        if not np.isfinite(scores[name]).all():
+            raise ScoresNotFinite(f"the {name} branch's scores are not finite")
     return {name: np.argmax(scores[name], axis=1) for name in BRANCH_NAMES}
 
 
@@ -271,9 +286,10 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     prints a summary line every 100 epochs.
 
     Training runs with numpy's floating-point warnings off. Instead a
-    branch's non-finite batch loss, or a non-finite parameter after an
-    epoch, raises `ConfigError` ("training diverged: ..."), so a diverging
-    run ends before anything is written.
+    branch's non-finite batch loss, a non-finite parameter after an epoch,
+    or a branch's non-finite score in the epoch's metrics pass raises
+    `ConfigError` ("training diverged: ..."), so a diverging run ends
+    before anything is written.
     """
     config.validate()
     if len(dataset) == 0:

@@ -253,6 +253,22 @@ class TestTrain:
         assert err.startswith("config error: training diverged: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scores_that_overflow_exit_3_before_writing(self, data_dir, tmp_path, capsys):
+        """One batch an epoch, so one Adam step at a learning rate of 1e300:
+        the loss it reads is finite and every parameter after it is finite,
+        about 1e300 in size, so the epoch's metrics pass overflows. Without
+        the scores check the run wrote accuracies argmaxed from NaNs."""
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(SMOKE_CFG_TEXT + "batch_size=64\nepochs=1\nlearning_rate=1e300\n")
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config",
+                     str(cfg), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "config error: training diverged: the softmax branch's scores are not finite\n")
+        assert not out.exists()
+
     def test_missing_data_exit_2(self, tmp_path, smoke_cfg):
         code = main(["train", "--data", str(tmp_path / "nope.tsv"),
                      "--config", str(smoke_cfg), "--out", str(tmp_path / "run")])
@@ -350,6 +366,28 @@ class TestEval:
                      "--data", str(data_dir / "synthetic_train.tsv")])
         assert code == 2
         assert capsys.readouterr().err == "error: bad checkpoint: a parameter is not finite\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_scores_exit_2_naming_the_branch(self, data_dir, tmp_path, capsys):
+        """A 2-epoch smoke checkpoint with its softmax and relu heads at
+        +-1e308: every parameter is finite, so it loads, but the relu
+        branch's scores overflow (the softmax one's happen not to on this
+        data). No numpy warning, one line naming the branch, no report."""
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config",
+                     str(data_dir / "train_smoke.cfg"), "--epochs", "2", "--out", str(run)]) == 0
+        model = load_checkpoint(run / "model.ckpt")
+        for name in ("softmax", "relu"):
+            model.branches[name].head_W[0] = [[1e308], [-1e308]]
+        path, report = tmp_path / "m.ckpt", tmp_path / "report.csv"
+        save_checkpoint(model, path)
+        capsys.readouterr()
+        data = str(data_dir / "synthetic_train.tsv")
+        code = main(["eval", "--checkpoint", str(path), "--data", data, "--out", str(report)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: bad checkpoint: on {data}, the relu "
+                                           "branch's scores are not finite\n")
+        assert not report.exists()
 
     def test_wrong_magic_exit_2(self, data_dir, tmp_path, capsys):
         path = tmp_path / "m.ckpt"

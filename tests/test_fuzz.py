@@ -6,7 +6,9 @@ Every model dimension drawn is either tiny (<= 8) or so large that
 `cli.MAX_ALLOC_BYTES` rejects it before anything is allocated, so no
 example trains a large model. Checkpoint payload bytes are left alone: a
 v1 checkpoint has no checksum, so a flipped payload byte loads as another
-valid model, unless it makes a parameter non-finite.
+valid model, unless it makes a parameter non-finite. The one payload change
+is a head block rescaled until its largest weight is huge but finite, so
+that the scores may overflow while every parameter is finite.
 
 A huge but finite learning rate trains to finite artifacts or ends in
 exit 3, without a numpy warning.
@@ -20,6 +22,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -55,14 +58,43 @@ OTHER_KEYS = ("learning_rate", "dropout_embed", "dropout_recurrent", "gate_mode"
 
 
 def _checkpoint_bytes():
+    """A model whose LSTM biases of 10 saturate every gate, so each pooled
+    hidden unit is near 2 and a head weight near the float64 limit can
+    overflow a score."""
+    model = init_model(64, 4, 2, seed=0, seq_len=6)
+    for params in (model.group.layer.forward_params, model.group.layer.backward_params):
+        params.b[...] = 10.0
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
-        save_checkpoint(init_model(64, 4, 2, seed=0, seq_len=6), path)
+        save_checkpoint(model, path)
         return path.read_bytes()
 
 
 CHECKPOINT = _checkpoint_bytes()
 SEQ_LEN_AT = len(MAGIC) + 12  # the header's fourth field
+
+
+def _head_blocks():
+    """(payload offset, element count) of each head weight block in
+    CHECKPOINT, in payload order."""
+    at, found = SEQ_LEN_AT + 4, []
+    for name, block in init_model(64, 4, 2, seed=0, seq_len=6).blocks():
+        if name.endswith(".head_W"):
+            found.append((at, block.size))
+        at += block.nbytes
+    return found
+
+
+HEAD_BLOCKS = _head_blocks()
+
+
+def _scale_head(blob, block, top):
+    """blob with the head block at (offset, size) rescaled so that its
+    largest weight is +-top."""
+    at, size = block
+    values = np.frombuffer(blob, "<f8", size, at)
+    scaled = values / np.abs(values).max() * top
+    return blob[:at] + scaled.astype("<f8").tobytes() + blob[at + scaled.nbytes :]
 
 # one config line's worth of text: no line breaks, which would start a new line
 one_line = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=10)
@@ -124,7 +156,7 @@ def data_files(draw, suffix):
 @st.composite
 def checkpoints(draw):
     blob = CHECKPOINT
-    kind = draw(st.sampled_from(["clean", "truncate", "flip_header", "seq_len"]))
+    kind = draw(st.sampled_from(["clean", "truncate", "flip_header", "seq_len", "scale_head"]))
     if kind == "truncate":
         blob = blob[: draw(st.integers(0, len(blob) - 1))]
     elif kind == "flip_header":  # the magic or one of the three model dimensions
@@ -134,6 +166,9 @@ def checkpoints(draw):
         value = draw(st.one_of(st.integers(0, 8),
                                st.integers(cli.MAX_ALLOC_BYTES + 1, (1 << 32) - 1)))
         blob = blob[:SEQ_LEN_AT] + struct.pack("<I", value) + blob[SEQ_LEN_AT + 4 :]
+    elif kind == "scale_head":  # finite parameters whose scores may overflow
+        blob = _scale_head(blob, draw(st.sampled_from(HEAD_BLOCKS)),
+                           draw(st.floats(1e300, np.finfo(np.float64).max)))
     return blob
 
 
@@ -171,13 +206,16 @@ DEEP_JSON = DATA[".jsonl"] + b"[" * 200_000 + b"\n"
 LONG_CSV_FIELD = DATA[".csv"] + b"7," + b"x" * (csv.field_size_limit() + 1) + b",0\n"
 INFINITE_ID = DATA[".jsonl"] + b'{"id": 1e999, "text": "a b", "label": 1}\n'
 CLEAN_CONFIG = "".join(f"{k}={v}\n" for k, v in CONFIG.items()).encode()
+OVERFLOWING_HEAD = _scale_head(CHECKPOINT, HEAD_BLOCKS[0], 1e308)  # the softmax head
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @given(cases())
 @example(("train", ".jsonl", CLEAN_CONFIG, DEEP_JSON, None))
 @example(("stats", ".jsonl", None, DEEP_JSON, None))
 @example(("train", ".csv", CLEAN_CONFIG, LONG_CSV_FIELD, None))
 @example(("stats", ".csv", None, LONG_CSV_FIELD, None))
+@example(("eval", ".tsv", None, DATA[".tsv"], OVERFLOWING_HEAD))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_corrupted_inputs_end_in_a_documented_exit_code(case):
     code, err = run(*case)

@@ -12,6 +12,7 @@ from plstm.lstm import (
     LSTMCellParams,
     LSTMState,
     _stacked_step,
+    _step_records,
     bptt,
     cell_step,
     directional_pass,
@@ -58,17 +59,18 @@ def one_direction(params, xs, mask, direction, tokens):
 
 
 def pass_one(params, xs, mask, direction, tokens=None):
-    """One direction of `directional_pass` of a stack of one: (final state,
-    cache) with 2-D states and step records, or a None cache when `tokens`
-    has an index."""
+    """One direction of `directional_pass` of a stack of one: (final state
+    with 2-D states, cache), or a None cache when `tokens` has an index."""
     mask = _full(xs, mask)
     final, cache = one_direction(params, xs, mask, direction,
                                  (xs[mask], None) if tokens is None else tokens)
-    final = LSTMState(final.h[0], final.c[0])
-    if cache is None:
-        return final, None
-    return final, {**cache, "steps": [(t, rows, *(a[0] for a in arrays))
-                                      for t, rows, *arrays in cache["steps"]]}
+    return LSTMState(final.h[0], final.c[0]), cache
+
+
+def records_one(cache):
+    """A stack of one's step records, read through `_step_records` in run
+    order, with 2-D arrays: (t, rows, h_prev, c_prev, gates, tanh_c)."""
+    return [(t, rows, *(a[0] for a in arrays)) for t, rows, *arrays in _step_records(cache)]
 
 
 def encode(layer, xs, mask, tokens):
@@ -261,7 +263,7 @@ class TestPackedStepsMatchBlendOracle:
             want_h, want_c, want = blend_pass(params, xs, mask, direction)
             assert np.array_equal(final.h, want_h)
             assert np.array_equal(final.c, want_c)
-            for t, rows, h_prev, c_prev, gates, tanh_c in cache["steps"]:
+            for t, rows, h_prev, c_prev, gates, tanh_c in records_one(cache):
                 assert np.array_equal(h_prev, want["h_prev"][t, rows])
                 assert np.array_equal(c_prev, want["c_prev"][t, rows])
                 assert np.array_equal(gates, want["gates"][t, rows])
@@ -307,7 +309,7 @@ class TestTokenTable:
             want_h, want_c, want = blend_pass(params, xs, mask, direction)
             assert np.array_equal(final.h, want_h)
             assert np.array_equal(final.c, want_c)
-            for t, rows, h_prev, c_prev, gates, tanh_c in ref["steps"]:
+            for t, rows, h_prev, c_prev, gates, tanh_c in records_one(ref):
                 assert np.array_equal(h_prev, want["h_prev"][t, rows])
                 assert np.array_equal(c_prev, want["c_prev"][t, rows])
                 assert np.array_equal(gates, want["gates"][t, rows])
@@ -334,7 +336,7 @@ class TestTokenTable:
         if given_table:
             assert cache is None
         else:
-            assert cache["steps"] == []
+            assert records_one(cache) == []
         assert np.array_equal(final.h, np.zeros((2, hidden)))
         assert np.array_equal(final.c, np.zeros((2, hidden)))
 
@@ -371,7 +373,7 @@ class TestStackedBranches:
         for params, singles, direction in ((stack.forward_params, fwd, "forward"),
                                            (stack.backward_params, bwd, "backward")):
             final, cache = one_direction(params, xs[0], mask, direction, (table, None))
-            assert len(cache["steps"]) == int(mask.any(axis=1).sum())  # one record a step
+            assert len(list(_step_records(cache))) == int(mask.any(axis=1).sum())  # one a step
             for k, p in enumerate(singles):
                 want, _ = pass_one(p, xs[k], mask, direction)
                 assert final.h[k].tobytes() == want.h.tobytes()
@@ -494,7 +496,7 @@ class TestDirectionalPass:
         final, cache = pass_one(p, x, mask, "forward")
         assert np.array_equal(final.h, np.zeros((1, 3)))
         assert np.array_equal(final.c, np.zeros((1, 3)))
-        assert cache["steps"] == []
+        assert records_one(cache) == []
 
     def test_palindrome_symmetry(self):
         p = random_params(3, 2, 5)
@@ -506,7 +508,7 @@ class TestDirectionalPass:
         assert np.allclose(final_f.h, final_b.h, atol=1e-14)
         assert np.allclose(final_f.c, final_b.c, atol=1e-14)
         # step k of either run sees the same input and state
-        for rec_f, rec_b in zip(cache_f["steps"], cache_b["steps"], strict=True):
+        for rec_f, rec_b in zip(records_one(cache_f), records_one(cache_b), strict=True):
             assert rec_f[0] == 3 - rec_b[0]
             for got, want in zip(rec_f[2:], rec_b[2:]):
                 assert np.allclose(got, want, atol=1e-14)
@@ -520,7 +522,7 @@ class TestDirectionalPass:
         mask = np.array([[1, 1], [1, 0], [1, 0]], dtype=bool)
         with np.errstate(over="ignore"):
             final, cache = pass_one(p, np.zeros((3, 2, 1)), mask, "forward")
-        assert [rows.tolist() for _, rows, *_ in cache["steps"]] == [[0, 1], [0], [0]]
+        assert [rows.tolist() for _, rows, *_ in records_one(cache)] == [[0, 1], [0], [0]]
         assert final.h[1, 0] == 1.0
         assert np.isfinite(final.c[1, 0])
 
@@ -532,19 +534,29 @@ class TestDirectionalPass:
         p = random_params(hidden, embed, 25)
         xs = RngStream(26).uniform(-1, 1, (5, 3, embed))
         _, cache = pass_one(p, xs, mask, direction)
-        assert sorted(cache) == ["params", "steps", "x"]
+        assert sorted(cache) == sorted(["params", "x", "steps", "starts", *lstm.RECORDS])
         run_order = [0, 1, 2, 3] if direction == "forward" else [3, 2, 1, 0]
-        assert [rec[0] for rec in cache["steps"]] == run_order
-        float_bytes = 0
-        for t, rows, h_prev, c_prev, gates, tanh_c in cache["steps"]:
+        assert [t for t, _ in cache["steps"]] == run_order
+        assert [t for t, *_ in _step_records(cache, last_first=True)] == run_order[::-1]
+        n = int(mask.sum())
+        assert [cache[kind].shape for kind in lstm.RECORDS] == [
+            (1, n, hidden), (1, n, hidden), (1, n, 4, hidden), (1, n, hidden)]
+        covered = []
+        for t, rows, *arrays in records_one(cache):
             assert np.array_equal(rows, np.flatnonzero(mask[t]))
-            n = len(rows)
-            assert (h_prev.shape, c_prev.shape, gates.shape, tanh_c.shape) == (
-                (n, hidden), (n, hidden), (n, 4, hidden), (n, hidden))
-            float_bytes += sum(a.nbytes for a in (h_prev, c_prev, gates, tanh_c))
+            m = len(rows)
+            assert [a.shape for a in arrays] == [(m, hidden), (m, hidden), (m, 4, hidden),
+                                                 (m, hidden)]
+            # views of the record arrays at the step's table rows
+            lo = int(mask[:t].sum())
+            for kind, a in zip(lstm.RECORDS, arrays):
+                assert np.shares_memory(a, cache[kind])
+                assert a.__array_interface__["data"][0] == cache[kind][0, lo].ctypes.data
+            covered += range(lo, lo + m)
+        assert sorted(covered) == list(range(n))  # every table row, once
         # besides the rows index arrays, 7 floats per unmasked row-step:
         # h_prev, c_prev, four gates and tanh(c)
-        assert float_bytes == 7 * hidden * 8 * int(mask.sum())
+        assert sum(cache[kind].nbytes for kind in lstm.RECORDS) == 7 * hidden * 8 * n
 
     def test_empty_sequence_rejected(self):
         p = random_params(2, 2, 0)
@@ -654,6 +666,25 @@ class TestBptt:
         _, dx = bptt_one(cache, np.ones((1, 2)))
         assert np.array_equal(dx[1], np.zeros((1, 2)))
         assert not np.array_equal(dx[0], np.zeros((1, 2)))
+
+    def test_input_gradient_reads_the_gate_records_in_place(self, monkeypatch):
+        """BPTT writes each step's pre-activation gradients over its gate
+        records, and dx is made from views of that array: the per-gate
+        products' left operands share its memory, with no gather or copy."""
+        layer, x = self.make(25, L=4)
+        _, cache = encode_one(layer, x, np.array([[True], [False], [True], [True]]))
+        gates = [cache[d]["gates"] for d in ("fwd", "bwd")]
+        lefts, real = [], lstm.matmul
+
+        def recording(a, b):
+            lefts.append(a)
+            return real(a, b)
+
+        monkeypatch.setattr(lstm, "matmul", recording)
+        bptt_one(cache, np.ones((1, 2)))
+        assert len(lefts) == 2 * len(GATES)  # per direction, one product per gate
+        for a, records in zip(lefts, [gates[0]] * len(GATES) + [gates[1]] * len(GATES)):
+            assert np.shares_memory(a, records)
 
     def test_pad_append_leaves_gradients_bitwise(self):
         layer, x = self.make(24)

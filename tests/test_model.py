@@ -20,11 +20,12 @@ from plstm.model import (
     embed_ids,
     expected_param_count,
     forward_batch,
+    _DroppedRows,
     init_model,
     summary,
 )
-from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, grad_check,
-                          matmul_stacked)
+from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, dropout_mask,
+                          grad_check, matmul_stacked)
 
 
 def encoded(ids, L):
@@ -306,6 +307,57 @@ class TestForwardBatchTraining:
                                  [rngs[b.name] for b in group.branches])
         for name, row in zip(BRANCH_NAMES, want):
             assert scores[name].tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.6])
+    def test_dropped_rows_rebuild_the_masked_table_bitwise(self, rate):
+        """The training table and the mask values are made from the rows,
+        the keep bits and 1 - rate when read; each equals what the dense
+        dropout mask gives, rows * mask, at every row range."""
+        gen = np.random.default_rng(4)
+        mask = gen.random((5, 3)) < 0.7  # (L, batch)
+        rows = gen.standard_normal((int(mask.sum()), 6))
+        rows[::4] = -0.0
+        masks = [dropout_mask((5, 3, 6), rate, RngStream(10, k))[mask] for k in range(4)]
+        dropped = _DroppedRows(rows, np.stack(masks) != 0, [rate] * 4)
+        n = len(rows)
+        for lo, hi in ((0, n), (2, 5), (n - 1, n), (3, 3)):
+            table = dropped(lo, hi)
+            assert table.shape == (4, hi - lo, 6)
+            for k, m in enumerate(masks):
+                assert table[k].tobytes() == (rows * m)[lo:hi].tobytes()
+        for k, m in enumerate(masks):
+            assert dropped.mask(k).tobytes() == m.tobytes()
+
+    def test_caches_hold_each_input_row_once_and_the_masks_as_bits(self):
+        """No training cache holds a float64 (branches, n, embed) token table
+        or dropout mask: the unmasked embedding rows are held once, as (n,
+        embed), and each branch's embedding dropout mask as bits."""
+        m = init_model(10, 5, 3, seed=8)
+        _, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        n, G = int(self.MASK.sum()), len(BRANCH_NAMES)
+        arrays, seen = [], set()
+
+        def walk(obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                arrays.append(obj)
+            elif isinstance(obj, dict):
+                for value in obj.values():
+                    walk(value)
+            elif isinstance(obj, (list, tuple)):
+                for value in obj:
+                    walk(value)
+            elif hasattr(obj, "__dict__"):
+                walk(vars(obj))
+
+        walk(caches)
+        assert [(a.shape, a.dtype) for a in arrays if a.shape[-2:] == (n, 5)] == [
+            ((n, 5), np.float64), ((G, n, 5), np.bool_)]
+        (cache,) = [cache for _, cache in caches]
+        assert cache["dropped_rows"].keep.dtype == np.bool_
+        assert cache["enc"]["fwd"]["x"] is cache["enc"]["bwd"]["x"] is cache["dropped_rows"]
 
     @pytest.mark.parametrize("bad_id", [-1, 10])
     def test_out_of_range_padded_id_raises(self, bad_id):

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,41 @@ def test_each_direction_projects_on_the_thread_that_steps_it(monkeypatch):
     forward_batch(model, ids, mask)
     n = len(BRANCH_NAMES)  # one group, so one pass, per branch
     assert sorted(threads) == [("bwd", False)] * n + [("fwd", True)] * n
+
+
+@pytest.mark.parametrize("batch", [BATCH, 8], ids=["two_threads", "in_turn"])
+def test_an_eval_pass_drops_its_gathered_rows_once_both_directions_have_projected(
+        monkeypatch, batch):
+    """An eval pass gathers the token rows its unmasked positions use. Both
+    directions project from them, and the one that projects second drops
+    them before it steps, on either path: by the time the second
+    direction starts stepping, nothing holds them."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=12)
+    ids, mask = (a[:batch] for a in ragged(13))
+    real_rows, real_steps, interval = lstm._token_rows, lstm._steps, sys.getswitchinterval()
+    lock, tables, entries, dropped = threading.Lock(), [], [], []
+
+    def token_rows(table, branches):
+        tables.append(weakref.ref(table))
+        return real_rows(table, branches)
+
+    def steps(*args):
+        with lock:
+            entries.append(threading.get_ident())
+            if len(entries) % 2 == 0:  # a pass's second direction: both have projected
+                dropped.append(tables[-1]() is None)
+        return real_steps(*args)
+
+    monkeypatch.setattr(lstm, "_token_rows", token_rows)
+    monkeypatch.setattr(lstm, "_steps", steps)
+    sys.setswitchinterval(1e-6)
+    try:
+        forward_batch(model, ids, mask)
+    finally:
+        sys.setswitchinterval(interval)
+    passes = len(model.groups(batch))
+    assert (len(tables), len(set(entries))) == (passes, 2 if batch == BATCH else 1)
+    assert dropped == [True] * passes
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller", "worker's projection"])

@@ -140,6 +140,47 @@ class TestChunkedAdam:
             adam_step(AdamState(0.01), {"w": theta}, {"w": np.ones(theta.shape)})
 
 
+class TestBatchMemory:
+    """What a training batch holds at its memory peak, bounded from the
+    layout of what it must hold."""
+
+    def test_batch_holds_the_records_and_one_projection_over_the_inputs(self):
+        """One training batch at the bench's `train_long` shape (B=16, L=64,
+        E=128, H=32, dropout 0.6/0.4) peaks while the second direction
+        steps. It then holds both directions' step records (7 floats a
+        unit per unmasked position, branch and direction), that
+        direction's input projection, the unmasked embedding rows once and
+        the embedding dropout masks as bits, plus 1 MiB of slack for a
+        step's working arrays (a block of product terms alone is 256 KB),
+        the states and the step index arrays. A float64 table and a float64
+        mask of every branch's inputs, 4·n·E·8 bytes each, do not fit."""
+        batch, L, E, H, vocab = 16, 64, 128, 32, 50
+        gen = np.random.default_rng(12)
+        mask = np.arange(L) < gen.integers(1, L + 1, batch)[:, None]
+        ids = np.where(mask, gen.integers(1, vocab, (batch, L)), 0)
+        model = init_model(vocab, E, H, seed=13, seq_len=L)
+        assert (model.group.branches[0].dropout_embed,
+                model.group.branches[0].dropout_recurrent) == (0.6, 0.4)
+        targets = plstm.train._one_hot(np.arange(batch) % 2)
+
+        def one_batch():
+            rngs = {name: RngStream(14, k) for k, name in enumerate(BRANCH_NAMES)}
+            plstm.train._batch_grads(model, ids, mask, targets, rngs, 5.0)
+
+        one_batch()  # warm up numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            one_batch()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n, G = int(mask.sum()), len(BRANCH_NAMES)
+        records = 2 * G * n * 7 * H * 8
+        projection = G * n * 4 * H * 8
+        rows, bits = n * E * 8, G * n * E
+        assert peak <= records + projection + rows + bits + (1 << 20)
+
+
 def old_clip(arrays, max_norm):
     """The per-block clip that `_clip`'s rows replace."""
     total = 0.0
