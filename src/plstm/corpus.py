@@ -163,16 +163,18 @@ def _read_lines(path):
 
 
 def load_labeled_dataset(path, format: str) -> list:
-    """Read id/text/label records as TSV, CSV (headered), or JSON lines."""
+    """Read id/text/label records as TSV, CSV (headered), or JSON lines.
+    Every record has exactly the fields its format or header names; a JSON
+    text must be a string and a JSON id an integer or a string."""
     examples = []
 
     def add(rec_id, text, label, line_no):
-        text = str(text).strip()
+        text = text.strip()
         if not text:
             return
         try:
             rec_id = int(rec_id)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: a json Infinity
+        except (TypeError, ValueError):
             raise ParseError(path, line_no, f"invalid id {rec_id!r}")
         examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
                                        _parse_label(label, path, line_no)))
@@ -188,15 +190,21 @@ def load_labeled_dataset(path, format: str) -> list:
                                  f"expected 3 tab-separated fields, got {len(parts)}")
             add(parts[0], parts[1], parts[2], line_no)
     elif format == "csv":
-        reader = csv.DictReader(lines)
+        reader = csv.reader(lines)
         try:
-            if reader.fieldnames is None or not {"id", "text", "label"} <= set(reader.fieldnames):
+            header = next(reader, [])
+            if not {"id", "text", "label"} <= set(header):
                 raise ParseError(path, 1, "csv header must contain id,text,label")
             for row in reader:  # line_num: the record's last line, past blank and quoted lines
-                add(row["id"], row["text"], row["label"], reader.line_num)
+                if not row:  # a blank line
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(path, reader.line_num,
+                                     f"expected {len(header)} fields, got {len(row)}")
+                rec = dict(zip(header, row))
+                add(rec["id"], rec["text"], rec["label"], reader.line_num)
         except csv.Error as exc:  # a field over csv.field_size_limit(), say
-            # the DictReader's line_num moves only past a good record
-            raise ParseError(path, reader.reader.line_num, f"bad csv: {exc}") from None
+            raise ParseError(path, reader.line_num, f"bad csv: {exc}") from None
     elif format == "json_lines":
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
@@ -212,6 +220,10 @@ def load_labeled_dataset(path, format: str) -> list:
             for key in ("id", "text", "label"):
                 if key not in rec:
                     raise ParseError(path, line_no, f"missing field {key!r}")
+            if isinstance(rec["id"], (bool, float)):  # int() would coerce or truncate it
+                raise ParseError(path, line_no, f"invalid id {rec['id']!r}")
+            if not isinstance(rec["text"], str):
+                raise ParseError(path, line_no, f"invalid text {rec['text']!r}")
             add(rec["id"], rec["text"], rec["label"], line_no)
     else:
         raise CorpusError(f"unknown format {format!r}")

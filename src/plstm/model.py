@@ -7,10 +7,12 @@ beyond the embedding. Every parameter lives in one flat float64 buffer,
 `ParallelModel.arena`, and the arrays the maths uses are views of it (see
 `model_over`). Every parameter array is a branch stack: each direction's
 LSTM weights of all four branches are one (4, 4H, ·) stack and the heads
-one (4, 2, H) and one (4, 2) stack, held by `ParallelModel.group`, and each
-branch's parameters are stack-of-one views into them, so the four branches
-can step together. A gradient arena has the same layout, so one
-elementwise pass can update the whole model.
+one (4, 2, H) and one (4, 2) stack, so the four branches can step
+together. One form states branches, `BranchGroup`: `ParallelModel.group`
+holds all four, and a single branch is a group of one over views of the
+stacks (`BranchGroup.branch`), as a single branch's LSTM parameters are a
+stack of one. A gradient arena has the same layout, so one elementwise
+pass can update the whole model.
 
 In training, each branch's embedding dropout gives it its own inputs. A
 group holds the inputs once, as its unmasked embedding rows, and each
@@ -44,47 +46,39 @@ INIT_SCALE = 0.05
 
 
 @dataclass
-class Branch:
-    """One branch's parameters, each a stack of one: views of a group's
-    stacks. `blocks()` names them as 2-D per-gate and head blocks."""
-
-    name: str
-    layer: BidirectionalLayer
-    head_W: np.ndarray  # (1, 2, hidden)
-    head_b: np.ndarray  # (1, 2)
-    dropout_embed: float = DEFAULT_DROPOUT_EMBED
-    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
-
-    @property
-    def hidden(self):
-        return self.layer.hidden
-
-    def blocks(self):
-        out = self.layer.forward_params.blocks(f"{self.name}.fwd")
-        out += self.layer.backward_params.blocks(f"{self.name}.bwd")
-        out.append((f"{self.name}.head_W", self.head_W[0]))
-        out.append((f"{self.name}.head_b", self.head_b[0]))
-        return out
-
-
-@dataclass
 class BranchGroup:
     """Branches that step together: `layer` holds their LSTM parameters and
     head_W, head_b their heads, as stacks with a leading branch axis in
-    `branches` order."""
+    `names` order, and every branch drops out at the one pair of rates. A
+    single branch is a group of one (`branch`). `blocks()` names each
+    branch's parameters as 2-D per-gate and head blocks, in branch order."""
 
-    branches: tuple  # of Branch
+    names: tuple  # branch names, in stack order
     layer: BidirectionalLayer
     head_W: np.ndarray  # (branches, 2, hidden)
     head_b: np.ndarray  # (branches, 2)
+    dropout_embed: float = DEFAULT_DROPOUT_EMBED
+    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
+
+    def branch(self, k: int):
+        """Branch k of the group, as a group of one (views)."""
+        one = slice(k, k + 1)
+        return BranchGroup(self.names[one], self.layer.branch(k), self.head_W[one],
+                           self.head_b[one], self.dropout_embed, self.dropout_recurrent)
+
+    def blocks(self):
+        out = []
+        for k, name in enumerate(self.names):
+            layer = self.layer.branch(k)
+            out += layer.forward_params.blocks(f"{name}.fwd")
+            out += layer.backward_params.blocks(f"{name}.bwd")
+            out += [(f"{name}.head_W", self.head_W[k]), (f"{name}.head_b", self.head_b[k])]
+        return out
 
     def zeros_like(self):
         """A group of the same shapes over new zeroed arrays: a gradient."""
-        layer = self.layer.zeros_like()
-        head_W, head_b = np.zeros_like(self.head_W), np.zeros_like(self.head_b)
-        return BranchGroup(tuple(Branch(b.name, layer.branch(k), head_W[k : k + 1],
-                                        head_b[k : k + 1])
-                                 for k, b in enumerate(self.branches)), layer, head_W, head_b)
+        return BranchGroup(self.names, self.layer.zeros_like(), np.zeros_like(self.head_W),
+                           np.zeros_like(self.head_b), self.dropout_embed, self.dropout_recurrent)
 
 
 @dataclass
@@ -109,14 +103,11 @@ class ParallelModel:
 
     @property
     def branches(self):
-        """name -> Branch, the group's branches in BRANCH_NAMES order."""
-        return {b.name: b for b in self.group.branches}
+        """name -> that branch of `group`, a group of one, in BRANCH_NAMES order."""
+        return {name: self.group.branch(k) for k, name in enumerate(self.group.names)}
 
     def blocks(self):
-        out = [("embedding", self.embedding)]
-        for branch in self.group.branches:
-            out += branch.blocks()
-        return out
+        return [("embedding", self.embedding), *self.group.blocks()]
 
     def param_count(self):
         return self.arena.size
@@ -136,7 +127,7 @@ class ParallelModel:
         bytes, and larger stacks run per branch anyway."""
         if one_stack(len(BRANCH_NAMES), batch, 4 * self.hidden):
             return [self.group]
-        return [BranchGroup((b,), b.layer, b.head_W, b.head_b) for b in self.group.branches]
+        return [self.group.branch(k) for k in range(len(BRANCH_NAMES))]
 
 
 def _layout(vocab_size: int, embed_dim: int, hidden: int) -> list:
@@ -170,11 +161,8 @@ def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: t
                                          for shape, end in zip(shapes, ends))
     layer = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
                                LSTMCellParams(*views[3:], gate_acts))
-    branches = tuple(Branch(name, layer.branch(k), head_W[k : k + 1], head_b[k : k + 1],
-                            dropout_embed, dropout_recurrent)
-                     for k, name in enumerate(BRANCH_NAMES))
-    return ParallelModel(arena, embedding, BranchGroup(branches, layer, head_W, head_b), seq_len,
-                         aggregation)
+    group = BranchGroup(BRANCH_NAMES, layer, head_W, head_b, dropout_embed, dropout_recurrent)
+    return ParallelModel(arena, embedding, group, seq_len, aggregation)
 
 
 def init_model(
@@ -201,7 +189,7 @@ def init_model(
     model.embedding[...] = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE,
                                                       (vocab_size, embed_dim))
     model.embedding[0, :] = 0.0
-    for idx, branch in enumerate(model.group.branches):
+    for idx, branch in enumerate(model.branches.values()):
         rng = RngStream(seed, 1 + idx)  # draw order: forward, backward, head
         branch.layer.forward_params.randomize(rng, INIT_SCALE, 1.0)
         branch.layer.backward_params.randomize(rng, INIT_SCALE, 1.0)
@@ -227,30 +215,31 @@ class _DroppedRows:
     inputs after its own embedding dropout, made when asked for, as
     `lstm.directional_pass` reads a table that is a function of a row
     range. It holds the group's unmasked embedding rows (n, embed) once,
-    each branch's keep bits (branches, n, embed) and each branch's 1 -
-    rate, and rebuilds a dropout mask value as `dropout_mask` makes it,
-    keep / (1 - rate), so every row it makes is bitwise rows * mask."""
+    each branch's keep bits (branches, n, embed) and the group's 1 - rate,
+    and rebuilds a dropout mask value as `dropout_mask` makes it, keep /
+    (1 - rate), so every row it makes is bitwise rows * mask."""
 
-    def __init__(self, rows, keep, rates):
+    def __init__(self, rows, keep, rate):
         self.rows, self.keep = rows, keep
-        self.scale = np.array([1.0 - rate for rate in rates])[:, None, None]
+        self.scale = 1.0 - rate
 
     def __call__(self, lo, hi):
         return self.rows[lo:hi] * (self.keep[:, lo:hi] / self.scale)
 
     def mask(self, k: int):
         """Branch k's dropout mask values at the unmasked positions, (n, embed)."""
-        return self.keep[k] / self.scale[k]
+        return self.keep[k] / self.scale
 
 
-def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
+def branch_forward(group: BranchGroup, embedded: np.ndarray, mask, rngs=None, tokens=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
-    dropout -> affine head -> the branch's own activation.
+    dropout -> affine head -> each branch's own activation.
 
-    `branch` is a Branch, or a BranchGroup whose encoders run as one stack;
-    for a group, `rng` and the returned scores are lists in branch order.
-    Training mode is exactly "an rng was given": dropout masks are drawn
-    from it, the embedding mask first. Returns (scores (batch, 2), cache).
+    The group's encoders run as one stack; a single branch is a group of
+    one. Training mode is exactly "rngs were given": `rngs` lists one
+    RngStream per branch, in `group.names` order, and each branch's dropout
+    masks are drawn from its own, the embedding mask first. Returns
+    (scores, cache), scores a list of (batch, 2) arrays in branch order.
     The encoder reads one per-position token table for both directions:
     the unmasked positions' inputs, in training each branch's through its
     own dropout. Training holds that table as the unmasked rows and each
@@ -265,30 +254,26 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
     given an index, which fits eval mode only, is forward-only: the
     encoder keeps no BPTT step records and the returned cache is None.
     """
-    group = (branch if isinstance(branch, BranchGroup)
-             else BranchGroup((branch,), branch.layer, branch.head_W, branch.head_b))
-    rngs = rng if group is branch or rng is None else [rng]
     embedded = np.asarray(embedded, dtype=np.float64)
     batch = embedded.shape[1]
     mask = np.asarray(mask, dtype=bool)
     if tokens is None:
         tokens = embedded[mask], None
-    n_branches = len(group.branches)
+    n_branches = len(group.names)
     dropped_rows, m_pool = None, np.ones((n_branches, 1, 1))
     if rngs is not None:
         rows = tokens[0]
         keep = np.empty((n_branches, *rows.shape), dtype=bool)
         m_pool = np.empty((n_branches, batch, group.layer.hidden))
-        for k, (member, member_rng) in enumerate(zip(group.branches, rngs)):
-            keep[k] = dropout_mask(embedded.shape, member.dropout_embed, member_rng)[mask] != 0
-            m_pool[k] = dropout_mask((batch, member.hidden), member.dropout_recurrent,
-                                     member_rng)
-        dropped_rows = _DroppedRows(rows, keep, [b.dropout_embed for b in group.branches])
+        for k, rng in enumerate(rngs):
+            keep[k] = dropout_mask(embedded.shape, group.dropout_embed, rng)[mask] != 0
+            m_pool[k] = dropout_mask((batch, group.layer.hidden), group.dropout_recurrent, rng)
+        dropped_rows = _DroppedRows(rows, keep, group.dropout_embed)
         tokens = dropped_rows, None
     (final_f, final_b), enc_cache = directional_pass(group.layer, embedded, mask, tokens)
     dropped = (final_f.h + final_b.h) * m_pool  # pooled: forward plus backward final h
     logits = matmul_stacked(dropped, group.head_W.transpose(0, 2, 1)) + group.head_b[:, None]
-    scores = [activate(member.name, logits[k]) for k, member in enumerate(group.branches)]
+    scores = [activate(name, logits[k]) for k, name in enumerate(group.names)]
     cache = None if enc_cache is None else {
         "dropped_rows": dropped_rows,
         "m_pool": m_pool,
@@ -296,7 +281,7 @@ def branch_forward(branch, embedded: np.ndarray, mask, rng=None, tokens=None):
         "dropped": dropped,
         "scores": scores,
     }
-    return (scores if group is branch else scores[0]), cache
+    return scores, cache
 
 
 def _embedded_grads(mask, dropped_rows, dx_rows):
@@ -309,36 +294,29 @@ def _embedded_grads(mask, dropped_rows, dx_rows):
         yield d_embedded
 
 
-def branch_backward(branch, cache, d_scores, out=None):
-    """Reverse the branch pipeline; returns (param grads, d_embedded).
+def branch_backward(group: BranchGroup, cache, d_scores, out=None):
+    """Reverse the branch pipeline of `branch_forward(group, ...)`; returns
+    (param grads, d_embedded).
 
+    `d_scores` lists each branch's score gradient, in `group.names` order.
     The parameter gradients land in `out`, a BranchGroup of the group's
     shapes (a gradient arena's `groups`, say) whose encoder stacks the BPTT
     adds into and whose head stacks it overwrites; by default new zeroed
-    arrays.
-    The grads are `dict(blocks())` of `out`'s branches: views keyed by
-    block name, in `blocks()` order. For a BranchGroup,
-    `d_scores` is a list in branch order, the grads are one dict per branch,
-    and d_embedded is an iterator that makes each branch's dense gradient
-    when it is asked for, so only one is held at a time. The BPTT of all of
-    the group's branches runs in this call.
+    arrays. The grads are a list of one dict per branch, `dict(blocks())`
+    of that branch of `out`: views keyed by block name, in `blocks()` order.
+    d_embedded is an iterator that makes each branch's dense (L, batch,
+    embed) gradient when it is asked for, so only one is held at a time.
+    The BPTT of all of the group's branches runs in this call.
     """
-    group = (branch if isinstance(branch, BranchGroup)
-             else BranchGroup((branch,), branch.layer, branch.head_W, branch.head_b))
-    if group is not branch:
-        d_scores = [d_scores]
     out = group.zeros_like() if out is None else out
-    d_logits = np.stack([activate_grad(member.name, scores, d) for member, scores, d
-                         in zip(group.branches, cache["scores"], d_scores)])
+    d_logits = np.stack([activate_grad(name, scores, d) for name, scores, d
+                         in zip(group.names, cache["scores"], d_scores)])
     out.head_W[...] = matmul_stacked(d_logits.transpose(0, 2, 1), cache["dropped"])
     out.head_b[...] = d_logits.sum(axis=1)
     d_pooled = matmul_stacked(d_logits, group.head_W) * cache["m_pool"]
     dx_rows = bptt(cache["enc"], d_pooled, out.layer)
-    grads = [dict(grad.blocks()) for grad in out.branches]
-    d_embedded = _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
-    if group is branch:
-        return grads, d_embedded
-    return grads[0], next(d_embedded)
+    grads = [dict(out.branch(k).blocks()) for k in range(len(out.names))]
+    return grads, _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
 
 
 def forward_batch(model: ParallelModel, ids, mask, rngs=None):
@@ -367,10 +345,10 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     embedded = np.broadcast_to(0.0, (*mask_tm.shape, model.embed_dim))
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):
-        group_rngs = None if rngs is None else [rngs[b.name] for b in group.branches]
+        group_rngs = None if rngs is None else [rngs[name] for name in group.names]
         group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs,
                                              tokens or (model.embedding[ids_tm[mask_tm]], None))
-        scores.update(zip((b.name for b in group.branches), group_scores))
+        scores.update(zip(group.names, group_scores))
         caches.append((group, cache))
     return scores, (None if rngs is None else caches)
 
@@ -396,12 +374,12 @@ def summary(model: ParallelModel) -> str:
     lines.append("-" * width)
     emb = model.embedding
     lines.append(f"{'embedding (shared)':<34}{str(emb.shape):<16}{emb.size:>8}")
-    for branch in model.group.branches:
+    for name, branch in model.branches.items():
         n_layer = sum(a.size for k, a in branch.blocks() if ".head_" not in k)
         n_head = branch.head_W.size + branch.head_b.size
-        lines.append(f"{f'branch {branch.name}: bidirectional lstm':<34}"
-                     f"{f'(2x4x{branch.hidden})':<16}{n_layer:>8}")
-        lines.append(f"{f'branch {branch.name}: dense head':<34}"
+        lines.append(f"{f'branch {name}: bidirectional lstm':<34}"
+                     f"{f'(2x4x{model.hidden})':<16}{n_layer:>8}")
+        lines.append(f"{f'branch {name}: dense head':<34}"
                      f"{str(branch.head_W.shape[1:]):<16}{n_head:>8}")
     lines.append("-" * width)
     lines.append(f"{'total parameters':<50}{model.param_count():>8}")

@@ -226,10 +226,10 @@ def predict_labels(model: ParallelModel, dataset: EncodedDataset) -> dict:
 
 
 def _clip_rows(grad, d_embedded):
-    """A branch's gradient as `_clip` takes it, in the order the squared
-    sums of its blocks add up: its head weights and bias, then per
-    direction the W, U and b stacks, a row per gate, then its dense
-    embedded-input gradient. All are views, so the clip scales them."""
+    """A branch's gradient, a group of one, as `_clip` takes it, in the
+    order the squared sums of its blocks add up: its head weights and bias,
+    then per direction the W, U and b stacks, a row per gate, then its
+    dense embedded-input gradient. All are views, so the clip scales them."""
     stacks = [arr.reshape(len(GATES), -1) for params in (grad.layer.forward_params,
                                                          grad.layer.backward_params)
               for arr in (params.W, params.U, params.b)]
@@ -254,12 +254,11 @@ def _batch_grads(model, ids, mask, targets, rngs, clip_norm):
     grad_groups = grad.groups(len(ids))
     while caches:
         (group, cache), grad_group = caches.pop(0), grad_groups.pop(0)
-        _, d_embeddeds = branch_backward(group, cache, [d_scores[b.name] for b in group.branches],
+        _, d_embeddeds = branch_backward(group, cache, [d_scores[name] for name in group.names],
                                          grad_group)
         del cache  # its step records are spent; free its token table
-        # the dense gradients first: zip then runs their iterator to its end
-        for d_embedded, branch_grad in zip(d_embeddeds, grad_group.branches):
-            _clip(_clip_rows(branch_grad, d_embedded), clip_norm)
+        for k, d_embedded in enumerate(d_embeddeds):
+            _clip(_clip_rows(grad_group.branch(k), d_embedded), clip_norm)
             # scatter-add the unmasked positions' grads back to embedding
             # rows, t-major then batch row, so repeated ids add in step
             # order; padded positions (gradient +0) are left out

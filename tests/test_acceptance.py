@@ -2,7 +2,8 @@
 
 Each test prints a single `criterion N ...: PASS` line on success; a failure
 raises through pytest as usual. Criterion 5 trains the bundled synthetic
-corpus for the full 500 epochs and takes a couple of minutes.
+corpus for the full 500 epochs, the longest check: 12 s of a 30 s tier-1 run
+on a 2-vCPU Xeon.
 """
 
 import math
@@ -57,14 +58,12 @@ def overfit_run(tmp_path_factory):
 
 def test_criterion_1_gradient_correctness():
     seed = 3
-    model = init_model(10, 4, 3, seed=seed, seq_len=5)
+    model = init_model(10, 4, 3, seed=seed, seq_len=5, dropout_embed=0.0,
+                       dropout_recurrent=0.0)
     rng = RngStream(seed, 99)
     for _, arr in model.blocks():
         arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
     model.embedding[0, :] = 0.0
-    for b in model.branches.values():
-        b.dropout_embed = 0.0
-        b.dropout_recurrent = 0.0
 
     ids = np.array([[2, 3, 4, 9, 7], [5, 6, 8, 0, 0]])
     mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=bool)
@@ -75,7 +74,7 @@ def test_criterion_1_gradient_correctness():
         embedded = embed_ids(model, ids)
         total = 0.0
         for name in BRANCH_NAMES:
-            scores, _ = branch_forward(model.branches[name], embedded, tmask)
+            (scores,), _ = branch_forward(model.branches[name], embedded, tmask)
             total += categorical_cross_entropy(scores, targets)[0]
         return total
 
@@ -83,9 +82,9 @@ def test_criterion_1_gradient_correctness():
     analytic = {}
     d_emb = np.zeros_like(model.embedding)
     for name in BRANCH_NAMES:
-        scores, cache = branch_forward(model.branches[name], embedded, tmask)
+        (scores,), cache = branch_forward(model.branches[name], embedded, tmask)
         _, d_scores = categorical_cross_entropy(scores, targets)
-        grads, d_embedded = branch_backward(model.branches[name], cache, d_scores)
+        (grads,), (d_embedded,) = branch_backward(model.branches[name], cache, [d_scores])
         analytic.update(grads)
         for t in range(ids.shape[1]):
             np.add.at(d_emb, ids[:, t], d_embedded[t])

@@ -234,6 +234,16 @@ NAMED_INPUTS = {  # input -> (suffix, data bytes, the message after the file nam
     "json_infinite_id": (".jsonl", INFINITE_ID, "line 7: invalid id inf"),
     "csv_header_without_id": (".csv", DATA[".csv"].replace(b"id,", b"id ", 1),
                               "line 1: csv header must contain id,text,label"),
+    "json_null_text": (".jsonl", DATA[".jsonl"] + b'{"id": 7, "text": null, "label": 1}\n',
+                       "line 7: invalid text None"),
+    "json_list_text": (".jsonl", DATA[".jsonl"] + b'{"id": 7, "text": ["a", "b"], "label": 1}\n',
+                       "line 7: invalid text ['a', 'b']"),
+    "json_bool_id": (".jsonl", DATA[".jsonl"] + b'{"id": true, "text": "a b", "label": 1}\n',
+                     "line 7: invalid id True"),
+    "json_float_id": (".jsonl", DATA[".jsonl"] + b'{"id": 7.5, "text": "a b", "label": 1}\n',
+                      "line 7: invalid id 7.5"),
+    "csv_extra_field": (".csv", DATA[".csv"] + b"7,oh really,1,0\n",
+                        "line 8: expected 3 fields, got 4"),
 }
 
 

@@ -11,7 +11,6 @@ from plstm.corpus import EncodedSequence
 from plstm.lstm import BidirectionalLayer, LSTMCellParams
 from plstm.model import (
     BRANCH_NAMES,
-    Branch,
     BranchGroup,
     ParallelModel,
     aggregate,
@@ -38,7 +37,7 @@ def encoded(ids, L):
 
 def zero_branch(name, hidden=3, embed=2):
     layer = BidirectionalLayer(LSTMCellParams.zeros(hidden, embed), LSTMCellParams.zeros(hidden, embed))
-    return Branch(name, layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)), 0.0, 0.0)
+    return BranchGroup((name,), layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)), 0.0, 0.0)
 
 
 class TestInit:
@@ -165,18 +164,18 @@ class TestBranchForward:
         return RngStream(seed).uniform(-1, 1, (L, batch, embed))
 
     def test_zero_softmax_branch(self):
-        scores, _ = branch_forward(zero_branch("softmax"), self.embedded(), self.ALL_USED)
+        (scores,), _ = branch_forward(zero_branch("softmax"), self.embedded(), self.ALL_USED)
         assert np.allclose(scores, [[0.5, 0.5]])
 
     def test_zero_tanh_branch(self):
-        scores, _ = branch_forward(zero_branch("tanh"), self.embedded(), self.ALL_USED)
+        (scores,), _ = branch_forward(zero_branch("tanh"), self.embedded(), self.ALL_USED)
         assert np.array_equal(scores, [[0.0, 0.0]])
 
     def test_softmax_scores_sum_to_one(self):
         m = init_model(10, 4, 3, seed=5)
         for trial in range(20):
             ids = RngStream(trial).gen.integers(1, 10, size=(1, 5))
-            scores, _ = branch_forward(
+            (scores,), _ = branch_forward(
                 m.branches["softmax"], embed_ids(m, ids), np.ones((5, 1), bool)
             )
             assert abs(scores.sum() - 1.0) < 1e-12
@@ -187,9 +186,9 @@ class TestBranchForward:
         mask_tm = (ids != 0).T
         embedded = embed_ids(m, ids)
         branch = m.branches["relu"]
-        scores, cache = branch_forward(branch, embedded, mask_tm,
-                                       tokens=(m.embedding, ids.T))
-        want, want_cache = branch_forward(branch, embedded, mask_tm)
+        (scores,), cache = branch_forward(branch, embedded, mask_tm,
+                                          tokens=(m.embedding, ids.T))
+        (want,), want_cache = branch_forward(branch, embedded, mask_tm)
         assert cache is None
         assert want_cache is not None
         assert scores.tobytes() == want.tobytes()
@@ -208,12 +207,12 @@ class TestBranchBackward:
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
 
         def loss(_params):
-            scores, _ = branch_forward(branch, embedded, mask)
+            (scores,), _ = branch_forward(branch, embedded, mask)
             return categorical_cross_entropy(scores, targets)[0]
 
-        scores, cache = branch_forward(branch, embedded, mask)
+        (scores,), cache = branch_forward(branch, embedded, mask)
         _, d_scores = categorical_cross_entropy(scores, targets)
-        grads, _ = branch_backward(branch, cache, d_scores)
+        (grads,), _ = branch_backward(branch, cache, [d_scores])
         worst, passed = grad_check(loss, dict(branch.blocks()), grads)["all"]
         assert passed, worst
 
@@ -279,12 +278,12 @@ class TestForwardBatchTraining:
     def test_caches_feed_branch_backward(self):
         m = init_model(10, 4, 3, seed=8)
         scores, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
-        assert [b.name for group, _ in caches for b in group.branches] == list(BRANCH_NAMES)
+        assert [name for group, _ in caches for name in group.names] == list(BRANCH_NAMES)
         for group, cache in caches:
             grads, d_embedded = branch_backward(
-                group, cache, [np.ones_like(scores[b.name]) for b in group.branches])
-            for branch, branch_grads in zip(group.branches, grads):
-                assert set(branch_grads) == {key for key, _ in branch.blocks()}
+                group, cache, [np.ones_like(scores[name]) for name in group.names])
+            for k, branch_grads in enumerate(grads):
+                assert set(branch_grads) == {key for key, _ in group.branch(k).blocks()}
                 assert next(d_embedded).shape == (4, 2, 4)
 
     def test_zero_rates_match_eval_bitwise(self):
@@ -304,7 +303,7 @@ class TestForwardBatchTraining:
         rngs = branch_rngs(9)
         (group,) = m.groups(len(self.IDS))
         want, _ = branch_forward(group, embed_ids(m, self.IDS), self.MASK.T,
-                                 [rngs[b.name] for b in group.branches])
+                                 [rngs[name] for name in group.names])
         for name, row in zip(BRANCH_NAMES, want):
             assert scores[name].tobytes() == row.tobytes()
 
@@ -318,7 +317,7 @@ class TestForwardBatchTraining:
         rows = gen.standard_normal((int(mask.sum()), 6))
         rows[::4] = -0.0
         masks = [dropout_mask((5, 3, 6), rate, RngStream(10, k))[mask] for k in range(4)]
-        dropped = _DroppedRows(rows, np.stack(masks) != 0, [rate] * 4)
+        dropped = _DroppedRows(rows, np.stack(masks) != 0, rate)
         n = len(rows)
         for lo, hi in ((0, n), (2, 5), (n - 1, n), (3, 3)):
             table = dropped(lo, hi)
@@ -384,18 +383,41 @@ class TestBranchGroups:
         m = init_model(10, 4, 8, seed=0)  # 4H = 32
         largest = STACKED_ELEMS // (4 * 4 * m.hidden)
         (group,) = m.groups(largest)
-        assert [b.name for b in group.branches] == list(BRANCH_NAMES)
+        assert list(group.names) == list(BRANCH_NAMES)
         assert group is m.group
         singles = m.groups(largest + 1)
-        assert [b.name for g in singles for b in g.branches] == list(BRANCH_NAMES)
+        assert [name for g in singles for name in g.names] == list(BRANCH_NAMES)
         for k, g in enumerate(singles):  # views of the same stacks
             assert np.shares_memory(g.layer.forward_params.W, m.group.layer.forward_params.W[k])
 
     def test_branches_are_the_groups_branches(self):
+        """`branches[name]` is stack k of the group, a group of one: its
+        arrays share memory with the stacks' slice k, a write through it
+        lands in the arena, and its blocks are group k's."""
         m = init_model(10, 4, 3, seed=0)
         assert list(m.branches) == list(BRANCH_NAMES)
-        assert [m.branches[name] for name in BRANCH_NAMES] == list(m.group.branches)
-        assert all(m.branches[b.name] is b for b in m.group.branches)
+
+        def arrays(group):
+            params = (group.layer.forward_params, group.layer.backward_params)
+            return [group.head_W, group.head_b, *(getattr(p, a) for p in params for a in "WUb")]
+
+        stacks, group_blocks = arrays(m.group), m.group.blocks()
+        per_branch = len(group_blocks) // len(BRANCH_NAMES)
+        for k, name in enumerate(BRANCH_NAMES):
+            branch = m.branches[name]
+            assert branch.names == (name,)
+            for view, stack in zip(arrays(branch), stacks):
+                assert view.shape == stack[k : k + 1].shape
+                assert np.shares_memory(view, stack[k])
+            m.arena[...] = 0.0
+            for view in arrays(branch):
+                view += 1.0
+            assert all(np.all(stack[k] == 1.0) for stack in stacks)  # at stack k, and only there
+            assert m.arena.sum() == sum(stack[k].size for stack in stacks)
+            blocks = group_blocks[k * per_branch : (k + 1) * per_branch]
+            assert [key for key, _ in branch.blocks()] == [key for key, _ in blocks]
+            for (_, mine), (_, theirs) in zip(branch.blocks(), blocks):
+                assert mine.ctypes.data == theirs.ctypes.data and mine.shape == theirs.shape
         with pytest.raises(AttributeError):  # read-only: stated once, by the group
             m.branches = {}
 
@@ -426,9 +448,9 @@ class TestBranchGroups:
         out = {}
         for group, cache in caches:
             grads, d_embedded = branch_backward(
-                group, cache, [np.cos(scores[b.name]) for b in group.branches])
-            for branch, branch_grads in zip(group.branches, grads):
-                out[branch.name] = (scores[branch.name], branch_grads, next(d_embedded))
+                group, cache, [np.cos(scores[name]) for name in group.names])
+            for name, branch_grads in zip(group.names, grads):
+                out[name] = (scores[name], branch_grads, next(d_embedded))
         return out, forward_batch(model, ids, mask)[0]
 
     @pytest.mark.parametrize("gate_mode", ["standard", "literal_eq9"])
@@ -441,9 +463,8 @@ class TestBranchGroups:
         ids = np.where(mask, gen.integers(1, 30, (batch, 6)), 0)
         assert len(m.groups(batch)) == (1 if batch == 3 else 4)
         stacked = self.run(m, ids, mask, lambda model: [model.group], monkeypatch)
-        single = self.run(m, ids, mask, lambda model: [
-            BranchGroup((b,), b.layer, b.head_W, b.head_b) for b in model.branches.values()],
-            monkeypatch)
+        single = self.run(m, ids, mask, lambda model: list(model.branches.values()),
+                          monkeypatch)
         for name in BRANCH_NAMES:
             (s_scores, s_grads, s_demb), (o_scores, o_grads, o_demb) = (
                 stacked[0][name], single[0][name])

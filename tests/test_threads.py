@@ -34,7 +34,7 @@ def ragged(seed):
 
 def test_batches_here_take_the_two_thread_path():
     model = init_model(VOCAB, EMBED, HIDDEN, seed=0)
-    assert [len(g.branches) for g in model.groups(BATCH)] == [1] * len(BRANCH_NAMES)
+    assert [len(g.names) for g in model.groups(BATCH)] == [1] * len(BRANCH_NAMES)
     assert not one_stack(1, BATCH, 4 * HIDDEN)
 
 
