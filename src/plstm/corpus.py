@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from .tensor import RngStream
 UNK_ID = 1
 
 _EDGE_PUNCT = string.punctuation
+_ID = re.compile(r"[+-]?[0-9]+")  # int() also takes "1_0" and non-ASCII digits
 
 
 class CorpusError(ValueError):
@@ -164,8 +166,10 @@ def _read_lines(path):
 
 def load_labeled_dataset(path, format: str) -> list:
     """Read id/text/label records as TSV, CSV (headered), or JSON lines.
-    Every record has exactly the fields its format or header names; a JSON
-    text must be a string and a JSON id an integer or a string."""
+    Every record has exactly the fields its format or header names, and a
+    CSV header names each column once; a JSON text must be a string and a
+    JSON id an integer or a string. An id is ASCII digits with an optional
+    sign, and may have whitespace around it."""
     examples = []
 
     def add(rec_id, text, label, line_no):
@@ -173,8 +177,10 @@ def load_labeled_dataset(path, format: str) -> list:
         if not text:
             return
         try:
+            if not _ID.fullmatch(str(rec_id).strip()):
+                raise ValueError
             rec_id = int(rec_id)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ParseError(path, line_no, f"invalid id {rec_id!r}")
         examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
                                        _parse_label(label, path, line_no)))
@@ -195,6 +201,9 @@ def load_labeled_dataset(path, format: str) -> list:
             header = next(reader, [])
             if not {"id", "text", "label"} <= set(header):
                 raise ParseError(path, 1, "csv header must contain id,text,label")
+            repeated = [name for name, n in Counter(header).items() if n > 1]
+            if repeated:  # a dict of the row would keep the last such column
+                raise ParseError(path, 1, f"csv header names column {repeated[0]!r} twice")
             for row in reader:  # line_num: the record's last line, past blank and quoted lines
                 if not row:  # a blank line
                     continue

@@ -85,15 +85,6 @@ class LSTMCellParams:
         h = self.hidden
         return {g: slice(k * h, (k + 1) * h) for k, g in enumerate(GATES)}
 
-    @classmethod
-    def zeros(cls, hidden: int, embed: int, gate_activation: tuple = ("sigmoid",)):
-        """Zero weights of a stack of one branch per gate activation."""
-        if not isinstance(gate_activation, tuple):
-            raise TypeError(f"gate_activation must be a tuple, got {gate_activation!r}")
-        n = len(gate_activation)
-        return cls(np.zeros((n, 4 * hidden, embed)), np.zeros((n, 4 * hidden, hidden)),
-                   np.zeros((n, 4 * hidden)), gate_activation)
-
     def branch(self, k: int):
         """Branch k of a stack, as a stack of one (views)."""
         one = slice(k, k + 1)
@@ -140,11 +131,6 @@ class BidirectionalLayer:
     def branch(self, k: int):
         """Branch k of a stacked layer, as a stack of one (views)."""
         return BidirectionalLayer(self.forward_params.branch(k), self.backward_params.branch(k))
-
-    def zeros_like(self):
-        """A layer of the same shapes and gate activations over new zeroed arrays."""
-        return BidirectionalLayer(*(LSTMCellParams.zeros(p.hidden, p.embed, p.gate_activation)
-                                    for p in (self.forward_params, self.backward_params)))
 
 
 def _over_gates(fn, acts, gates, d_ifo=(), d_n=()):

@@ -11,8 +11,10 @@ one (4, 2, H) and one (4, 2) stack, so the four branches can step
 together. One form states branches, `BranchGroup`: `ParallelModel.group`
 holds all four, and a single branch is a group of one over views of the
 stacks (`BranchGroup.branch`), as a single branch's LSTM parameters are a
-stack of one. A gradient arena has the same layout, so one elementwise
-pass can update the whole model.
+stack of one. A gradient arena (`ParallelModel.zeros_like`, the one
+gradient constructor) has the same layout: `branch_backward` writes a
+group's gradients into the arena's group of the same branches, and one
+elementwise pass can update the whole model.
 
 In training, each branch's embedding dropout gives it its own inputs. A
 group holds the inputs once, as its unmasked embedding rows, and each
@@ -74,11 +76,6 @@ class BranchGroup:
             out += layer.backward_params.blocks(f"{name}.bwd")
             out += [(f"{name}.head_W", self.head_W[k]), (f"{name}.head_b", self.head_b[k])]
         return out
-
-    def zeros_like(self):
-        """A group of the same shapes over new zeroed arrays: a gradient."""
-        return BranchGroup(self.names, self.layer.zeros_like(), np.zeros_like(self.head_W),
-                           np.zeros_like(self.head_b), self.dropout_embed, self.dropout_recurrent)
 
 
 @dataclass
@@ -231,34 +228,31 @@ class _DroppedRows:
         return self.keep[k] / self.scale
 
 
-def branch_forward(group: BranchGroup, embedded: np.ndarray, mask, rngs=None, tokens=None):
+def branch_forward(group: BranchGroup, mask, tokens, rngs=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> each branch's own activation.
 
     The group's encoders run as one stack; a single branch is a group of
-    one. Training mode is exactly "rngs were given": `rngs` lists one
-    RngStream per branch, in `group.names` order, and each branch's dropout
-    masks are drawn from its own, the embedding mask first. Returns
+    one. `mask` is (L, batch) boolean and `tokens` the encoder's (table,
+    index) token table (see `lstm.directional_pass`). Training mode is
+    exactly "rngs were given": `rngs` lists one RngStream per branch, in
+    `group.names` order, and each branch's dropout masks are drawn from its
+    own, the embedding mask first, at the (L, batch, embed) shape. Returns
     (scores, cache), scores a list of (batch, 2) arrays in branch order.
-    The encoder reads one per-position token table for both directions:
-    the unmasked positions' inputs, in training each branch's through its
-    own dropout. Training holds that table as the unmasked rows and each
-    branch's embedding dropout mask as bits (`_DroppedRows`), and the
+    A per-position table (index None) holds the unmasked positions'
+    inputs, t-major, before dropout; a cache is kept for
+    `branch_backward`. Training holds that table as the unmasked rows and
+    each branch's embedding dropout mask as bits (`_DroppedRows`), and the
     encoder and the backward pass make the inputs and the mask values from
-    them when they read them, bitwise as the dense table would hold them.
-    `tokens` is the encoder's (table, index) token table (see
-    `lstm.directional_pass`), by default the per-position table
-    `embedded[mask]`. It describes `embedded`, which may then be a
-    stand-in of that shape, read for its shape only. Training takes a
-    per-position table (index None), the inputs before dropout. A pass
-    given an index, which fits eval mode only, is forward-only: the
+    them when they read them, bitwise as a dense table would hold them.
+    A pass given an index, which fits eval mode only, is forward-only: the
     encoder keeps no BPTT step records and the returned cache is None.
+    No (L, batch, embed) array is built: the encoder reads a zero-memory
+    stand-in of that shape.
     """
-    embedded = np.asarray(embedded, dtype=np.float64)
-    batch = embedded.shape[1]
     mask = np.asarray(mask, dtype=bool)
-    if tokens is None:
-        tokens = embedded[mask], None
+    batch = mask.shape[1]
+    embedded = np.broadcast_to(0.0, (*mask.shape, group.layer.forward_params.embed))
     n_branches = len(group.names)
     dropped_rows, m_pool = None, np.ones((n_branches, 1, 1))
     if rngs is not None:
@@ -294,29 +288,26 @@ def _embedded_grads(mask, dropped_rows, dx_rows):
         yield d_embedded
 
 
-def branch_backward(group: BranchGroup, cache, d_scores, out=None):
-    """Reverse the branch pipeline of `branch_forward(group, ...)`; returns
-    (param grads, d_embedded).
+def branch_backward(group: BranchGroup, cache, d_scores, out: BranchGroup):
+    """Reverse the branch pipeline of `branch_forward(group, ...)` into
+    `out`; returns d_embedded.
 
     `d_scores` lists each branch's score gradient, in `group.names` order.
-    The parameter gradients land in `out`, a BranchGroup of the group's
-    shapes (a gradient arena's `groups`, say) whose encoder stacks the BPTT
-    adds into and whose head stacks it overwrites; by default new zeroed
-    arrays. The grads are a list of one dict per branch, `dict(blocks())`
-    of that branch of `out`: views keyed by block name, in `blocks()` order.
-    d_embedded is an iterator that makes each branch's dense (L, batch,
-    embed) gradient when it is asked for, so only one is held at a time.
-    The BPTT of all of the group's branches runs in this call.
+    `out` is the gradient arena's group of the group's branches
+    (`ParallelModel.zeros_like`, then its `groups` or `branches`): the BPTT
+    adds into its encoder stacks and the head products overwrite its head
+    stacks, so `out.blocks()` names every parameter gradient. d_embedded
+    is an iterator that makes each branch's dense (L, batch, embed)
+    gradient when it is asked for, so only one is held at a time. The BPTT
+    of all of the group's branches runs in this call.
     """
-    out = group.zeros_like() if out is None else out
     d_logits = np.stack([activate_grad(name, scores, d) for name, scores, d
                          in zip(group.names, cache["scores"], d_scores)])
     out.head_W[...] = matmul_stacked(d_logits.transpose(0, 2, 1), cache["dropped"])
     out.head_b[...] = d_logits.sum(axis=1)
     d_pooled = matmul_stacked(d_logits, group.head_W) * cache["m_pool"]
     dx_rows = bptt(cache["enc"], d_pooled, out.layer)
-    grads = [dict(out.branch(k).blocks()) for k in range(len(out.names))]
-    return grads, _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
+    return _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
 
 
 def forward_batch(model: ParallelModel, ids, mask, rngs=None):
@@ -334,20 +325,19 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     pass gathers the distinct unmasked ids' rows and projects each of them
     once per branch and direction, and, given an index, keeps no BPTT step
     records.
-    Neither mode builds the (L, batch, embed) array: the passes and the
-    dropout draws read only its shape, from a zero-memory stand-in. Every
-    id, padded or not, must be in range in both modes.
+    Neither mode builds the (L, batch, embed) array (see `branch_forward`).
+    Every id, padded or not, must be in range in both modes.
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     ids_tm = _checked_ids(model, ids).T
     # in training, each group gathers its own table, freed once dropout is applied
     tokens = (model.embedding, ids_tm) if rngs is None else None
-    embedded = np.broadcast_to(0.0, (*mask_tm.shape, model.embed_dim))
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):
         group_rngs = None if rngs is None else [rngs[name] for name in group.names]
-        group_scores, cache = branch_forward(group, embedded, mask_tm, group_rngs,
-                                             tokens or (model.embedding[ids_tm[mask_tm]], None))
+        group_scores, cache = branch_forward(group, mask_tm,
+                                             tokens or (model.embedding[ids_tm[mask_tm]], None),
+                                             group_rngs)
         scores.update(zip(group.names, group_scores))
         caches.append((group, cache))
     return scores, (None if rngs is None else caches)

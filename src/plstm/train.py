@@ -3,8 +3,10 @@ gradient clipping, one Adam update of the whole model per batch, and
 per-epoch logging in the style of the per-100-epoch accuracy tables.
 
 The gradients of a batch land in a gradient arena, a zeroed model of the
-parameter arena's layout (`ParallelModel.zeros_like`), so one chunked,
-in-place Adam update over the two flat buffers updates every parameter."""
+parameter arena's layout (`ParallelModel.zeros_like`): each branch group's
+`branch_backward` writes into the arena's group of the same branches, and
+the embedding scatter into its embedding, so one chunked, in-place Adam
+update over the two flat buffers updates every parameter."""
 
 from __future__ import annotations
 
@@ -133,8 +135,9 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict, grads: dict):
-    """One Adam update, in place. params and grads map entry name -> array;
-    each param must be C-contiguous, as every model array is.
+    """One Adam update of `params` and `state`, in place; returns None.
+    params and grads map entry name -> array; each param must be
+    C-contiguous, as every model array is.
 
     Each entry is updated flat, _BLOCK_ELEMS elements at a time, so the
     chunk and its temporaries stay in cache; the temporaries live in one
@@ -173,7 +176,6 @@ def adam_step(state: AdamState, params: dict, grads: dict):
             np.multiply(state.lr, a, out=a)
             a /= b
             theta[chunk] -= a
-    return params, state
 
 
 def _one_hot(labels: np.ndarray) -> np.ndarray:
@@ -254,8 +256,8 @@ def _batch_grads(model, ids, mask, targets, rngs, clip_norm):
     grad_groups = grad.groups(len(ids))
     while caches:
         (group, cache), grad_group = caches.pop(0), grad_groups.pop(0)
-        _, d_embeddeds = branch_backward(group, cache, [d_scores[name] for name in group.names],
-                                         grad_group)
+        d_embeddeds = branch_backward(group, cache, [d_scores[name] for name in group.names],
+                                      grad_group)
         del cache  # its step records are spent; free its token table
         for k, d_embedded in enumerate(d_embeddeds):
             _clip(_clip_rows(grad_group.branch(k), d_embedded), clip_norm)

@@ -70,26 +70,26 @@ def test_criterion_1_gradient_correctness():
     targets = np.array([[1.0, 0.0], [0.0, 1.0]])
     tmask = mask.T  # time-major
 
+    def tokens():  # the per-position token table of the embedding as it is now
+        return embed_ids(model, ids)[tmask], None
+
     def total_loss(_params):
-        embedded = embed_ids(model, ids)
         total = 0.0
         for name in BRANCH_NAMES:
-            (scores,), _ = branch_forward(model.branches[name], embedded, tmask)
+            (scores,), _ = branch_forward(model.branches[name], tmask, tokens())
             total += categorical_cross_entropy(scores, targets)[0]
         return total
 
-    embedded = embed_ids(model, ids)
-    analytic = {}
-    d_emb = np.zeros_like(model.embedding)
+    grad = model.zeros_like()
     for name in BRANCH_NAMES:
-        (scores,), cache = branch_forward(model.branches[name], embedded, tmask)
+        (scores,), cache = branch_forward(model.branches[name], tmask, tokens())
         _, d_scores = categorical_cross_entropy(scores, targets)
-        (grads,), (d_embedded,) = branch_backward(model.branches[name], cache, [d_scores])
-        analytic.update(grads)
+        (d_embedded,) = branch_backward(model.branches[name], cache, [d_scores],
+                                        grad.branches[name])
         for t in range(ids.shape[1]):
-            np.add.at(d_emb, ids[:, t], d_embedded[t])
-    d_emb[0, :] = 0.0
-    analytic["embedding"] = d_emb
+            np.add.at(grad.embedding, ids[:, t], d_embedded[t])
+    grad.embedding[0, :] = 0.0
+    analytic = dict(grad.blocks())
 
     params = dict(model.blocks())
 

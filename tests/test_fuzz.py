@@ -244,6 +244,13 @@ NAMED_INPUTS = {  # input -> (suffix, data bytes, the message after the file nam
                       "line 7: invalid id 7.5"),
     "csv_extra_field": (".csv", DATA[".csv"] + b"7,oh really,1,0\n",
                         "line 8: expected 3 fields, got 4"),
+    "csv_repeated_column": (".csv", b"id,text,label,text\n1,hello there,1,bye\n",
+                            "line 1: csv header names column 'text' twice"),
+    "tsv_underscore_id": (".tsv", DATA[".tsv"] + b"1_0\ta b\t1\n", "line 7: invalid id '1_0'"),
+    "tsv_fullwidth_id": (".tsv", DATA[".tsv"] + "\uff12\ta b\t1\n".encode(),
+                         "line 7: invalid id '\uff12'"),
+    "json_underscore_id": (".jsonl", DATA[".jsonl"] + b'{"id": "1_0", "text": "a b", "label": 1}\n',
+                           "line 7: invalid id '1_0'"),
 }
 
 

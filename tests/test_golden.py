@@ -40,8 +40,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("gate_mode", sorted(GOLDEN))
-def test_four_epoch_smoke_run_matches_golden(data_dir, tmp_path, monkeypatch, gate_mode):
-    monkeypatch.delenv("PLSTM_SEED", raising=False)
+def test_four_epoch_smoke_run_matches_golden(data_dir, tmp_path, gate_mode):
     cfg = tmp_path / "cfg"
     cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
     out = tmp_path / "run"
@@ -79,8 +78,7 @@ def ragged_corpus() -> str:
 
 
 @pytest.mark.parametrize("gate_mode", sorted(RAGGED_GOLDEN))
-def test_four_epoch_ragged_run_matches_golden(data_dir, tmp_path, monkeypatch, gate_mode):
-    monkeypatch.delenv("PLSTM_SEED", raising=False)
+def test_four_epoch_ragged_run_matches_golden(data_dir, tmp_path, gate_mode):
     data = tmp_path / "ragged.tsv"
     data.write_text(ragged_corpus(), encoding="utf-8")
     cfg = tmp_path / "cfg"
@@ -107,12 +105,11 @@ EVAL_GOLDEN = {
 
 
 @pytest.mark.parametrize("gate_mode", sorted(EVAL_GOLDEN))
-def test_ragged_eval_matches_golden(data_dir, tmp_path, monkeypatch, gate_mode):
+def test_ragged_eval_matches_golden(data_dir, tmp_path, gate_mode):
     """`plstm eval` of a 2-epoch ragged checkpoint on its own corpus: the
     report bytes, and the per-branch eval-mode `forward_batch` scores of the
     whole ragged batch in BRANCH_NAMES order. Recorded while eval still
     built the BPTT step records and the (L, batch, embed) input array."""
-    monkeypatch.delenv("PLSTM_SEED", raising=False)
     data = tmp_path / "ragged.tsv"
     data.write_text(ragged_corpus(), encoding="utf-8")
     cfg = tmp_path / "cfg"

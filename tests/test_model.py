@@ -8,9 +8,10 @@ import pytest
 import plstm.lstm
 from plstm.checkpoint import load_checkpoint, save_checkpoint
 from plstm.corpus import EncodedSequence
-from plstm.lstm import BidirectionalLayer, LSTMCellParams
+from plstm.lstm import BidirectionalLayer
 from plstm.model import (
     BRANCH_NAMES,
+    GATE_MODES,
     BranchGroup,
     ParallelModel,
     aggregate,
@@ -26,6 +27,8 @@ from plstm.model import (
 from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, dropout_mask,
                           grad_check, matmul_stacked)
 
+from test_lstm import zero_params
+
 
 def encoded(ids, L):
     arr = np.zeros(L, dtype=np.int64)
@@ -36,7 +39,7 @@ def encoded(ids, L):
 
 
 def zero_branch(name, hidden=3, embed=2):
-    layer = BidirectionalLayer(LSTMCellParams.zeros(hidden, embed), LSTMCellParams.zeros(hidden, embed))
+    layer = BidirectionalLayer(zero_params(hidden, embed), zero_params(hidden, embed))
     return BranchGroup((name,), layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)), 0.0, 0.0)
 
 
@@ -157,38 +160,42 @@ class TestArena:
         self.check_round_trip(tmp_path, monkeypatch)
 
 
-class TestBranchForward:
-    ALL_USED = np.ones((3, 1), dtype=bool)  # every position of embedded()'s (L, batch)
+def per_position(embedded, mask):
+    """The per-position token table of a dense (L, batch, embed) input."""
+    return embedded[mask], None
 
-    def embedded(self, L=3, batch=1, embed=2, seed=0):
-        return RngStream(seed).uniform(-1, 1, (L, batch, embed))
+
+class TestBranchForward:
+    ALL_USED = np.ones((3, 1), dtype=bool)  # every position of tokens()'s (L, batch)
+
+    def tokens(self, L=3, batch=1, embed=2, seed=0):
+        return per_position(RngStream(seed).uniform(-1, 1, (L, batch, embed)), self.ALL_USED)
 
     def test_zero_softmax_branch(self):
-        (scores,), _ = branch_forward(zero_branch("softmax"), self.embedded(), self.ALL_USED)
+        (scores,), _ = branch_forward(zero_branch("softmax"), self.ALL_USED, self.tokens())
         assert np.allclose(scores, [[0.5, 0.5]])
 
     def test_zero_tanh_branch(self):
-        (scores,), _ = branch_forward(zero_branch("tanh"), self.embedded(), self.ALL_USED)
+        (scores,), _ = branch_forward(zero_branch("tanh"), self.ALL_USED, self.tokens())
         assert np.array_equal(scores, [[0.0, 0.0]])
 
     def test_softmax_scores_sum_to_one(self):
         m = init_model(10, 4, 3, seed=5)
+        mask = np.ones((5, 1), bool)
         for trial in range(20):
             ids = RngStream(trial).gen.integers(1, 10, size=(1, 5))
-            (scores,), _ = branch_forward(
-                m.branches["softmax"], embed_ids(m, ids), np.ones((5, 1), bool)
-            )
+            (scores,), _ = branch_forward(m.branches["softmax"], mask,
+                                          per_position(embed_ids(m, ids), mask))
             assert abs(scores.sum() - 1.0) < 1e-12
 
     def test_token_table_pass_returns_no_cache(self):
         m = init_model(10, 4, 3, seed=5)
         ids = np.array([[2, 3, 2], [4, 2, 0]])
         mask_tm = (ids != 0).T
-        embedded = embed_ids(m, ids)
         branch = m.branches["relu"]
-        (scores,), cache = branch_forward(branch, embedded, mask_tm,
-                                          tokens=(m.embedding, ids.T))
-        (want,), want_cache = branch_forward(branch, embedded, mask_tm)
+        (scores,), cache = branch_forward(branch, mask_tm, (m.embedding, ids.T))
+        (want,), want_cache = branch_forward(branch, mask_tm,
+                                             per_position(embed_ids(m, ids), mask_tm))
         assert cache is None
         assert want_cache is not None
         assert scores.tobytes() == want.tobytes()
@@ -198,23 +205,46 @@ class TestBranchBackward:
     @pytest.mark.parametrize("name", BRANCH_NAMES)
     def test_literal_gate_mode_matches_finite_differences(self, name):
         # each branch's i/f/o gates use its own activation, softmax per gate
-        branch = init_model(6, 2, 3, seed=1, gate_mode="literal_eq9").branches[name]
+        model = init_model(6, 2, 3, seed=1, gate_mode="literal_eq9")
+        branch = model.branches[name]
         rng = RngStream(2)
         for _, arr in branch.blocks():
             arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
-        embedded = rng.uniform(-1, 1, (3, 2, 2))
         mask = np.array([[True, True], [True, True], [True, False]])
+        tokens = per_position(rng.uniform(-1, 1, (3, 2, 2)), mask)
         targets = np.array([[1.0, 0.0], [0.0, 1.0]])
 
         def loss(_params):
-            (scores,), _ = branch_forward(branch, embedded, mask)
+            (scores,), _ = branch_forward(branch, mask, tokens)
             return categorical_cross_entropy(scores, targets)[0]
 
-        (scores,), cache = branch_forward(branch, embedded, mask)
+        (scores,), cache = branch_forward(branch, mask, tokens)
         _, d_scores = categorical_cross_entropy(scores, targets)
-        (grads,), _ = branch_backward(branch, cache, [d_scores])
-        worst, passed = grad_check(loss, dict(branch.blocks()), grads)["all"]
+        grad = model.zeros_like().branches[name]
+        branch_backward(branch, cache, [d_scores], grad)
+        worst, passed = grad_check(loss, dict(branch.blocks()), dict(grad.blocks()))["all"]
         assert passed, worst
+
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_a_branch_writes_only_its_own_blocks_of_the_arena(self, gate_mode):
+        """Branch k's backward into its group of one of a zeroed gradient
+        arena writes that branch's blocks only: every other element of the
+        arena, the embedding included, stays +0."""
+        m = init_model(10, 4, 3, seed=8, gate_mode=gate_mode)
+        ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0]])
+        mask_tm = (ids > 0).T
+        for k, name in enumerate(BRANCH_NAMES):
+            (scores,), cache = branch_forward(m.branches[name], mask_tm,
+                                              (m.embedding[ids.T[mask_tm]], None),
+                                              [RngStream(9, k)])
+            grad, own = m.zeros_like(), m.zeros_like()
+            for _, arr in own.branches[name].blocks():
+                arr[...] = 1.0
+            d_embedded = branch_backward(m.branches[name], cache, [np.cos(scores)],
+                                         grad.branches[name])
+            assert next(d_embedded).any()
+            assert grad.arena[own.arena == 1.0].any()
+            assert not grad.arena[own.arena == 0.0].view(np.uint64).any(), name  # +0 bits
 
 
 def forward_one(model, seq):
@@ -279,12 +309,13 @@ class TestForwardBatchTraining:
         m = init_model(10, 4, 3, seed=8)
         scores, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
         assert [name for group, _ in caches for name in group.names] == list(BRANCH_NAMES)
-        for group, cache in caches:
-            grads, d_embedded = branch_backward(
-                group, cache, [np.ones_like(scores[name]) for name in group.names])
-            for k, branch_grads in enumerate(grads):
-                assert set(branch_grads) == {key for key, _ in group.branch(k).blocks()}
-                assert next(d_embedded).shape == (4, 2, 4)
+        grad = m.zeros_like()
+        for (group, cache), grad_group in zip(caches, grad.groups(len(self.IDS)), strict=True):
+            assert grad_group.names == group.names
+            d_embedded = branch_backward(
+                group, cache, [np.ones_like(scores[name]) for name in group.names], grad_group)
+            assert [d.shape for d in d_embedded] == [(4, 2, 4)] * len(group.names)
+        assert grad.group.head_b.any() and not grad.embedding.any()  # the scatter is the caller's
 
     def test_zero_rates_match_eval_bitwise(self):
         m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
@@ -302,7 +333,8 @@ class TestForwardBatchTraining:
         scores, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
         rngs = branch_rngs(9)
         (group,) = m.groups(len(self.IDS))
-        want, _ = branch_forward(group, embed_ids(m, self.IDS), self.MASK.T,
+        want, _ = branch_forward(group, self.MASK.T,
+                                 per_position(embed_ids(m, self.IDS), self.MASK.T),
                                  [rngs[name] for name in group.names])
         for name, row in zip(BRANCH_NAMES, want):
             assert scores[name].tobytes() == row.tobytes()
@@ -442,15 +474,16 @@ class TestBranchGroups:
     @staticmethod
     def run(model, ids, mask, groups, monkeypatch):
         """Training scores, every gradient and d_embedded, and eval scores,
-        with `groups(model)` as the branch grouping."""
+        with `groups(model)` as the branch grouping, the gradient arena's
+        groups included."""
         monkeypatch.setattr(ParallelModel, "groups", lambda self, batch: groups(self))
         scores, caches = forward_batch(model, ids, mask, branch_rngs(9))
-        out = {}
-        for group, cache in caches:
-            grads, d_embedded = branch_backward(
-                group, cache, [np.cos(scores[name]) for name in group.names])
-            for name, branch_grads in zip(group.names, grads):
-                out[name] = (scores[name], branch_grads, next(d_embedded))
+        grad, out = model.zeros_like(), {}
+        for (group, cache), grad_group in zip(caches, grad.groups(len(ids)), strict=True):
+            d_embedded = branch_backward(
+                group, cache, [np.cos(scores[name]) for name in group.names], grad_group)
+            for k, name in enumerate(group.names):
+                out[name] = (scores[name], dict(grad_group.branch(k).blocks()), next(d_embedded))
         return out, forward_batch(model, ids, mask)[0]
 
     @pytest.mark.parametrize("gate_mode", ["standard", "literal_eq9"])

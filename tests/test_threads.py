@@ -177,7 +177,12 @@ def test_an_eval_pass_drops_its_gathered_rows_once_both_directions_have_projecte
     finally:
         sys.setswitchinterval(interval)
     passes = len(model.groups(batch))
-    assert (len(tables), len(set(entries))) == (passes, 2 if batch == BATCH else 1)
+    # each pass's two directions, on this thread and, on two threads, on its
+    # worker: a later pass's worker may or may not reuse an earlier one's ident
+    threads_per_pass = [set(entries[p : p + 2]) for p in range(0, len(entries), 2)]
+    assert len(tables) == passes
+    assert [len(t) for t in threads_per_pass] == [2 if batch == BATCH else 1] * passes
+    assert all(threading.get_ident() in t for t in threads_per_pass)
     assert dropped == [True] * passes
 
 

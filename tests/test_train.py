@@ -249,8 +249,8 @@ class TestClip:
             np.concatenate([b.ravel() for b in blocks]).tobytes())
 
     def test_clip_rows_follow_the_gradient_block_order(self):
-        """`_clip_rows` lists a branch's gradient blocks, named as in
-        `branch_backward`'s grads, in this order: head, then per direction
+        """`_clip_rows` lists a branch's gradient blocks, named as in its
+        gradient group's `blocks()`, in this order: head, then per direction
         W, U and b by gate, then the dense embedded-input gradient, each a
         view."""
         model, data = tiny_setup(seed=3)
@@ -259,9 +259,10 @@ class TestClip:
         grad = model.zeros_like()
         (group, cache), = caches
         (grad_group,) = grad.groups(4)
-        grads, d_embeddeds = branch_backward(
+        d_embeddeds = branch_backward(
             group, cache, [np.cos(scores[name]) for name in group.names], grad_group)
-        for k, (branch_grads, d_embedded) in enumerate(zip(grads, d_embeddeds)):
+        for k, d_embedded in enumerate(d_embeddeds):
+            branch_grads = dict(grad_group.branch(k).blocks())
             rows = [row for arr in _clip_rows(grad_group.branch(k), d_embedded) for row in arr]
             names = [f"{grad_group.names[k]}.{key}" for key in (
                 "head_W", "head_b",
@@ -342,7 +343,6 @@ class TestTrainLoop:
             clip(arrays, max_norm)
 
         monkeypatch.setattr(plstm.train, "_clip", counting)
-        monkeypatch.delenv("PLSTM_SEED", raising=False)
         assert main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
                      "--config", str(data_dir / "train_smoke.cfg"), "--epochs", "4",
                      "--out", str(tmp_path / "run")]) == 0
