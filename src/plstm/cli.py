@@ -71,17 +71,18 @@ def load_config(path) -> TrainConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {corpus.shown(line)}")
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
-            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            raise ConfigError(f"{path}:{line_no}: unknown key {corpus.shown(key)}")
         name, parse = _CONFIG_FIELDS[key]
         try:
             values[name] = parse(raw)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {raw!r}") from exc
+            raise ConfigError(f"{path}:{line_no}: bad value for {key}: "
+                              f"{corpus.shown(raw)}") from exc
     return TrainConfig(**values)
 
 
@@ -277,7 +278,8 @@ def main(argv=None) -> int:
             try:
                 args.seed = int(raw)
             except ValueError:
-                raise ConfigError(f"PLSTM_SEED must be an integer, got {raw!r}") from None
+                raise ConfigError(f"PLSTM_SEED must be an integer, got "
+                                  f"{corpus.shown(raw)}") from None
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import re
+import reprlib
 import string
 from collections import Counter
 from dataclasses import dataclass
@@ -20,6 +21,10 @@ UNK_ID = 1
 _EDGE_PUNCT = string.punctuation
 _ID = re.compile(r"[+-]?[0-9]+")  # int() also takes "1_0" and non-ASCII digits
 
+# the most characters a message shows of one input value (see `shown`)
+_SHOWN_CHARS = 60
+_SHOWN = reprlib.Repr()  # cuts long strings and numbers, and deep or long containers
+
 
 class CorpusError(ValueError):
     pass
@@ -28,6 +33,14 @@ class CorpusError(ValueError):
 class ParseError(CorpusError):
     def __init__(self, path, line, message):
         super().__init__(f"{path}: line {line}: {message}")
+
+
+def shown(value) -> str:
+    """repr(value), cut to at most _SHOWN_CHARS characters, for a message that
+    echoes an input value: the message stays one short line however long
+    the value is."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
 
 
 @dataclass(frozen=True)
@@ -147,7 +160,7 @@ def _parse_label(raw, path, line_no):
         return 0
     if s in ("1", "sarcastic"):
         return 1
-    raise ParseError(path, line_no, f"invalid label {raw!r}")
+    raise ParseError(path, line_no, f"invalid label {shown(raw)}")
 
 
 def _read_lines(path):
@@ -181,7 +194,7 @@ def load_labeled_dataset(path, format: str) -> list:
                 raise ValueError
             rec_id = int(rec_id)
         except ValueError:
-            raise ParseError(path, line_no, f"invalid id {rec_id!r}")
+            raise ParseError(path, line_no, f"invalid id {shown(rec_id)}")
         examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
                                        _parse_label(label, path, line_no)))
 
@@ -203,7 +216,7 @@ def load_labeled_dataset(path, format: str) -> list:
                 raise ParseError(path, 1, "csv header must contain id,text,label")
             repeated = [name for name, n in Counter(header).items() if n > 1]
             if repeated:  # a dict of the row would keep the last such column
-                raise ParseError(path, 1, f"csv header names column {repeated[0]!r} twice")
+                raise ParseError(path, 1, f"csv header names column {shown(repeated[0])} twice")
             for row in reader:  # line_num: the record's last line, past blank and quoted lines
                 if not row:  # a blank line
                     continue
@@ -220,8 +233,8 @@ def load_labeled_dataset(path, format: str) -> list:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"bad json: {exc.msg}")
+            except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
+                raise ParseError(path, line_no, f"bad json: {getattr(exc, 'msg', exc)}") from None
             except RecursionError:
                 raise ParseError(path, line_no, "bad json: nested too deeply") from None
             if not isinstance(rec, dict):
@@ -230,9 +243,9 @@ def load_labeled_dataset(path, format: str) -> list:
                 if key not in rec:
                     raise ParseError(path, line_no, f"missing field {key!r}")
             if isinstance(rec["id"], (bool, float)):  # int() would coerce or truncate it
-                raise ParseError(path, line_no, f"invalid id {rec['id']!r}")
+                raise ParseError(path, line_no, f"invalid id {shown(rec['id'])}")
             if not isinstance(rec["text"], str):
-                raise ParseError(path, line_no, f"invalid text {rec['text']!r}")
+                raise ParseError(path, line_no, f"invalid text {shown(rec['text'])}")
             add(rec["id"], rec["text"], rec["label"], line_no)
     else:
         raise CorpusError(f"unknown format {format!r}")

@@ -17,18 +17,24 @@ setting, would let einsum or BLAS reorder the sums, so neither is used, and
 no other numpy product (`@`, `np.dot` and the like) is either.
 
 Two paths keep that contract, and `one_stack` picks between them. While the
-stack's output is small, the terms of a cache-sized block of inner indices
-of every product form one (k, G, M, N) array, the running sum is added into
-the first term, and one numpy reduction over the outer axis adds the terms
-in index order, so a stack costs about the numpy calls of one product. The
-running sum is the first operand of every add, as in the
-one-index-at-a-time loop, so each output element gets that loop's sum, down
-to which of two NaNs survives an add. Every other stack runs that loop, one
-product at a time: where a block would hold fewer than two terms of every
-product, and for a 1x1 output, whose reduction numpy would sum pairwise. A
-product of more than _TILE_ROWS rows runs the whole inner loop on one tile
-of rows at a time, so the term and running sum stay in cache; a row's sum
-does not depend on the tile it is in.
+stack's output is small, the terms of a block of inner indices of every
+product form one (k, G, M, N) array of at most _BLOCK_ELEMS elements (1 MB,
+so a block stays in L2 cache), and one numpy reduction over the outer axis
+adds the terms in index order, so a stack costs about the numpy calls of one
+product; a stack `one_stack` admits gets at least 8 terms a block, and a K
+that fits one block is one einsum and one reduction. The first block's
+reduction starts from an explicit +0, as the one-index-at-a-time loop's
+running sum does; each later block adds the running sum into its first
+term. The running sum is the first operand of every add, as in that loop,
+so each output element gets that loop's sum, down to a -0 term. Which of
+two NaNs an add keeps is numpy's choice by the element's place in the
+array, so a product alone keeps the loop's NaN, and a product in a stack of
+several one of the same value. Every other stack runs that loop, one
+product at a time: where the output is over STACKED_ELEMS, and for a 1x1
+output, whose reduction numpy would sum pairwise. A product of more than
+_TILE_ROWS rows runs the whole inner loop on one tile of rows at a time, so
+the term and running sum stay in cache; a row's sum does not depend on the
+tile it is in.
 """
 
 from __future__ import annotations
@@ -37,17 +43,20 @@ import numpy as np
 
 CCE_EPS = 1e-7
 
-# float64 elements in one block of rank-1 terms: 256 KB, so a block stays in
-# L2 cache while it is reduced.
-_BLOCK_ELEMS = 1 << 15
+# float64 elements in one block of rank-1 terms: 1 MB, so a block stays in a
+# core's L2 cache while it is reduced. Adam's chunk reads it too.
+_BLOCK_ELEMS = 1 << 17
 
 # output rows in one tile of the one-term loop: a product with more rows runs
 # the whole inner loop on each tile in turn, so the (rows, N) term and
 # running sum it adds stay in cache.
 _TILE_ROWS = 512
 
-# the most output elements, G*M*N, of a stack made as one (see `one_stack`).
-STACKED_ELEMS = _BLOCK_ELEMS // 2
+# the most output elements, G*M*N, of a stack made as one (see `one_stack`);
+# its own constant, not derived from the block: it also sets the branch
+# groups and the two-thread rule, which a block size must not move. A stack
+# it admits gets _BLOCK_ELEMS // STACKED_ELEMS = 8 terms a block or more.
+STACKED_ELEMS = 1 << 14
 
 
 class ShapeError(ValueError):
@@ -76,7 +85,8 @@ class RngStream:
 
 def one_stack(g: int, m: int, n: int) -> bool:
     """Whether a stack of g (m, n) products is made as one, a block of terms
-    of every product at a time: each block then holds at least two terms."""
+    of every product at a time: its output holds at most STACKED_ELEMS
+    elements and is not 1x1."""
     return m * n > 1 and 0 < g * m * n <= STACKED_ELEMS
 
 
@@ -102,17 +112,18 @@ def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (g, m, inner), n = a.shape, b.shape[2]
     at = a.transpose(2, 0, 1)  # (K, G, M)
     bt = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, G, N)
-    out = np.zeros((g, m, n))
     if one_stack(g, m, n):
         at = np.ascontiguousarray(at)
-        block = _BLOCK_ELEMS // out.size
-        buffer = np.empty((min(block, inner), g, m, n))
-        for k0 in range(0, inner, block):
-            terms = buffer[: min(block, inner - k0)]
-            np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=terms)
-            np.add(out, terms[0], out=terms[0])
-            np.add.reduce(terms, axis=0, out=out)
+        block = _BLOCK_ELEMS // (g * m * n)
+        terms = np.einsum("kgi,kgj->kgij", at[:block], bt[:block])
+        out = np.add.reduce(terms, axis=0, initial=0.0)
+        for k0 in range(block, inner, block):
+            rest = terms[: min(block, inner - k0)]
+            np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=rest)
+            np.add(out, rest[0], out=rest[0])
+            np.add.reduce(rest, axis=0, out=out)
         return out
+    out = np.zeros((g, m, n))
     term = np.empty((min(m, _TILE_ROWS), n))
     for p in range(g):
         for r0 in range(0, m, _TILE_ROWS):

@@ -141,7 +141,7 @@ def adam_step(state: AdamState, params: dict, grads: dict):
 
     Each entry is updated flat, _BLOCK_ELEMS elements at a time, so the
     chunk and its temporaries stay in cache; the temporaries live in one
-    pair of chunk-sized scratch buffers made per entry, 2 x 256 KB at most,
+    pair of chunk-sized scratch buffers made per entry, 2 x 1 MB at most,
     not in entry-sized arrays. Per element the operations are those of
         m = B1*m + (1-B1)*g;  v = B2*v + ((1-B2)*g)*g
         theta -= (lr * (m / (1-B1**t))) / (sqrt(v / (1-B2**t)) + eps)

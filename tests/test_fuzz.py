@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from plstm import cli
+from plstm import cli, corpus
 from plstm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from plstm.model import init_model
 
@@ -206,6 +206,11 @@ DEEP_JSON = DATA[".jsonl"] + b"[" * 200_000 + b"\n"
 LONG_CSV_FIELD = DATA[".csv"] + b"7," + b"x" * (csv.field_size_limit() + 1) + b",0\n"
 INFINITE_ID = DATA[".jsonl"] + b'{"id": 1e999, "text": "a b", "label": 1}\n'
 CLEAN_CONFIG = "".join(f"{k}={v}\n" for k, v in CONFIG.items()).encode()
+# past CPython's default limit of 4,300 digits for converting a string to an
+# int, so json.loads raises a plain ValueError on it, not a JSONDecodeError
+LONG_INT = b"9" * 5000
+LONG_INT_ERROR = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
+                  "5000 digits; use sys.set_int_max_str_digits() to increase the limit")
 OVERFLOWING_HEAD = _scale_head(CHECKPOINT, HEAD_BLOCKS[0], 1e308)  # the softmax head
 
 
@@ -251,6 +256,11 @@ NAMED_INPUTS = {  # input -> (suffix, data bytes, the message after the file nam
                          "line 7: invalid id '\uff12'"),
     "json_underscore_id": (".jsonl", DATA[".jsonl"] + b'{"id": "1_0", "text": "a b", "label": 1}\n',
                            "line 7: invalid id '1_0'"),
+    "json_long_int_id": (".jsonl",
+                         DATA[".jsonl"] + b'{"id": ' + LONG_INT + b', "text": "a b", "label": 1}\n',
+                         f"line 7: bad json: {LONG_INT_ERROR}"),
+    "json_long_int_label": (".jsonl", DATA[".jsonl"] + b'{"id": 7, "text": "a b", "label": '
+                            + LONG_INT + b"}\n", f"line 7: bad json: {LONG_INT_ERROR}"),
 }
 
 
@@ -262,6 +272,74 @@ def test_named_bad_data_exits_2_naming_file_and_line(command, name):
     assert code == cli.EXIT_DATA
     assert err.startswith("error: ") and err.endswith(f"data{suffix}: {message}\n")
     assert err.count("\n") == 1
+
+
+# command -> (config bytes, data bytes) with a 5,000-digit value where the
+# message echoes it: a TSV label, and a config value
+LONG_VALUES = {
+    "stats": (None, DATA[".tsv"] + b"7\ta b\t" + LONG_INT + b"\n"),
+    "train": (CLEAN_CONFIG + b"epochs=" + LONG_INT + b"\n", DATA[".tsv"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(LONG_VALUES))
+def test_an_echoed_long_value_is_cut_to_one_short_line(command):
+    config, data = LONG_VALUES[command]
+    code, err = run(command, ".tsv", config, data, None)
+    assert code in (cli.EXIT_DATA, cli.EXIT_CONFIG)
+    assert err.count("\n") == 1 and len(err) <= 200 + 1, err
+    assert "999..." in err
+
+
+# Separators, keys, quotes and brackets of the three formats, odd values and
+# bytes that are not UTF-8, in any order
+LOADER_PIECES = [b"\t", b",", b"\n", b"\r", b" ", b'"', b"'", b"{", b"}", b"[", b"]", b":",
+                 b'"id"', b'"text"', b'"label"', b"id,text,label\n", b"0", b"1", b"-", b"+",
+                 b"_", b"7.5", b"1e999", b"NaN", b"true", b"null", b"sarcastic", b"a b",
+                 b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x00", "\uff12".encode(), LONG_INT]
+# field values of a record, most of them valid JSON
+FIELD_VALUES = [b"1", b"0", b"-3", b" 2 ", b"a b", b'"a b"', b'"1_0"', b'"sarcastic"', LONG_INT,
+                b"7.5", b"1e999", b"NaN", b"true", b"null", b"[1]", b'{"x": 1}', b"", b"\xff"]
+
+
+@st.composite
+def loader_inputs(draw):
+    """(format, file bytes): bytes at random, LOADER_PIECES in any order, or
+    records of the format whose fields are drawn from FIELD_VALUES, one to
+    four of them."""
+    fmt = draw(st.sampled_from(["tsv", "csv", "json_lines"]))
+    kind = draw(st.sampled_from(["bytes", "pieces", "records"]))
+    if kind == "bytes":
+        return fmt, draw(st.binary(max_size=300))
+    if kind == "pieces":
+        pieces = st.sampled_from(LOADER_PIECES) | st.binary(max_size=3)
+        return fmt, b"".join(draw(st.lists(pieces, max_size=40)))
+    rows = draw(st.lists(st.lists(st.sampled_from(FIELD_VALUES), min_size=1, max_size=4),
+                         max_size=5))
+    if fmt == "json_lines":
+        keys = (b'"id"', b'"text"', b'"label"', b'"x"')
+        lines = [b"{" + b", ".join(k + b": " + v for k, v in zip(keys, row)) + b"}"
+                 for row in rows]
+    else:
+        lines = [(b"\t" if fmt == "tsv" else b",").join(row) for row in rows]
+        lines = [b"id,text,label"] * (fmt == "csv") + lines
+    return fmt, b"\n".join(lines) + b"\n"
+
+
+@given(loader_inputs())
+@example(("json_lines", LONG_INT + b"\n"))
+@settings(max_examples=400, deadline=None)
+def test_the_loader_raises_only_corpus_errors(case):
+    """`load_labeled_dataset` on any bytes, in any format, returns examples
+    or raises a `CorpusError`, which `cli.main` turns into exit 2."""
+    fmt, blob = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data"
+        path.write_bytes(blob)
+        try:
+            corpus.load_labeled_dataset(path, fmt)
+        except corpus.CorpusError:
+            pass
 
 
 # config and data bytes that a diverging run starts from: the tiny fixture

@@ -4,6 +4,10 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
+from plstm.model import BRANCH_NAMES, init_model
+from plstm.tensor import one_stack
 from plstm.train import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plstm"
@@ -265,3 +269,60 @@ def test_two_threads_run_only_the_directions_of_a_pass():
     found = [(path.stem, site) for path in sorted(SRC.glob("*.py"))
              for site in call_sites(ast.parse(path.read_text(encoding="utf-8")), "_in_parallel")]
     assert found == [("lstm", "directional_pass")]
+
+
+def name_reads(tree, name, function=""):
+    """The innermost function of each read in `tree` of `name`, as a bare
+    name or as an attribute."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        if (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == name):
+            found.append(inner)
+        found += name_reads(node, name, inner)
+    return found
+
+
+def test_read_checker_finds_every_read():
+    tree = ast.parse("from t import N\nM = N // 2\n\ndef f(a):\n    N = 1\n"
+                     "    def g():\n        return t.N + a\n    return N\n")
+    assert name_reads(tree, "N") == ["", "g", "f"]
+
+
+def test_the_block_budget_does_not_set_the_stack_rule():
+    """`one_stack`, which also picks the branch groups and the two-thread
+    rule, reads STACKED_ELEMS and no block budget, and STACKED_ELEMS is not
+    made from one. The block budget `_BLOCK_ELEMS` is read by the product
+    kernel and by Adam's chunk only. So a block size can be tuned without
+    moving a group, a thread or a path."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    reads = {name: sorted({(stem, site) for stem, tree in trees.items()
+                           for site in name_reads(tree, name)})
+             for name in ("_BLOCK_ELEMS", "STACKED_ELEMS")}
+    assert reads["_BLOCK_ELEMS"] == [("tensor", "matmul_stacked"), ("train", "adam_step")]
+    assert reads["STACKED_ELEMS"] == [("tensor", "one_stack")]
+
+
+# workload -> (batch rows, hidden, branches a group, its directions on two
+# threads): the benchmark's step shapes (bench/workloads.py and
+# data/train_smoke.cfg), and how the shape rule steps them
+BENCH_STEPS = {
+    "train_smoke": (8, 16, 4, False),
+    "train_long": (16, 32, 4, False),
+    "eval_long": (512, 32, 1, True),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_STEPS))
+def test_bench_shapes_keep_their_groups_and_threads(workload):
+    """The train workloads step the four branches as one group, both
+    directions in turn; `eval_long` steps each branch alone, its two
+    directions on two threads. A change to the stack rule that moved one of
+    these would change what the benchmark measures."""
+    batch, hidden, size, two_threads = BENCH_STEPS[workload]
+    groups = init_model(10, 4, hidden, seed=0).groups(batch)
+    assert [len(group.names) for group in groups] == [size] * (len(BRANCH_NAMES) // size)
+    assert one_stack(size, batch, 4 * hidden) is not two_threads

@@ -7,9 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from plstm import tensor
 from plstm.tensor import (
     _BLOCK_ELEMS,
     _TILE_ROWS,
@@ -65,7 +66,7 @@ def _operand(gen, shape, layout, nonfinite=False):
     return x
 
 
-# (M, K, N): the benchmark's operand shapes, two terms a block with a
+# (M, K, N): the benchmark's operand shapes, blocks of 8 terms with a
 # one-term last block, single-row/column outputs, the 1x1 output that must
 # keep the loop, loop products of several row tiles with a short last tile,
 # and zero-size operands.
@@ -115,12 +116,32 @@ class TestMatmulBlocked:
         self._check(m, k, n, seed, layouts, nonfinite=True)
 
     def test_fixed_shapes_reach_every_path(self):
-        blocks = [(_BLOCK_ELEMS // (m * n), m, k) for m, k, n in MATMUL_CASES if m * n > 1]
-        assert any(block < 2 for block, _, _ in blocks)  # rank-1 loop
+        looped = [m for m, _, n in MATMUL_CASES if m * n > 1 and not one_stack(1, m, n)]
+        blocked = [(_BLOCK_ELEMS // (m * n), k) for m, k, n in MATMUL_CASES if one_stack(1, m, n)]
+        assert looped  # the rank-1 loop
         # the loop over several row tiles, the last one short
-        assert any(block < 2 and m > 2 * _TILE_ROWS and m % _TILE_ROWS for block, m, _ in blocks)
-        assert any(block == 2 and k % 2 for block, _, k in blocks)  # one-term last block
-        assert any(2 < block < k for block, _, k in blocks)  # several wide blocks
+        assert any(m > 2 * _TILE_ROWS and m % _TILE_ROWS for m in looped)
+        assert any(0 < k <= block for block, k in blocked)  # one block
+        assert any(block < k and k % block == 1 for block, k in blocked)  # one-term last block
+
+    # One to K terms a block, so every split of the inner dimension into
+    # blocks is drawn, down to one term a block; the fixed budget gives the
+    # shapes drawn above one block only. Which of two NaNs numpy's add keeps
+    # depends on the element's place in the array, so a product alone keeps
+    # the loop's NaN bits, and a stack of several NaNs of the loop's value.
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 24), st.integers(1, 9),
+           st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_block_budget_matches_rank1_loop_bitwise(self, g, m, k, n, terms, seed):
+        assume(m * n > 1)
+        a, b = _stacked_operands(np.random.default_rng(seed), m, k, n, g, nonfinite=True)
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(tensor, "_BLOCK_ELEMS", min(terms, max(k, 1)) * g * m * n)
+            got = matmul_stacked(a, b)
+            want = _rank1_stack(a, b)
+        if g > 1:
+            got, want = _nan_canonical(got), _nan_canonical(want)
+        assert got.tobytes() == want.tobytes()
 
 
 def _stacked_operands(gen, m, k, n, g, nonfinite=False):

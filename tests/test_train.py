@@ -150,10 +150,11 @@ class TestBatchMemory:
         steps. It then holds both directions' step records (7 floats a
         unit per unmasked position, branch and direction), that
         direction's input projection, the unmasked embedding rows once and
-        the embedding dropout masks as bits, plus 1 MiB of slack for a
-        step's working arrays (a block of product terms alone is 256 KB),
-        the states and the step index arrays. A float64 table and a float64
-        mask of every branch's inputs, 4·n·E·8 bytes each, do not fit."""
+        the embedding dropout masks as bits, plus slack for a step's
+        working arrays: one block of product terms, `_BLOCK_ELEMS` float64s,
+        and 768 KB for the rest of them, the states and the step index
+        arrays. A float64 table and a float64 mask of every branch's
+        inputs, 4·n·E·8 bytes each, do not fit."""
         batch, L, E, H, vocab = 16, 64, 128, 32, 50
         gen = np.random.default_rng(12)
         mask = np.arange(L) < gen.integers(1, L + 1, batch)[:, None]
@@ -177,7 +178,8 @@ class TestBatchMemory:
         records = 2 * G * n * 7 * H * 8
         projection = G * n * 4 * H * 8
         rows, bits = n * E * 8, G * n * E
-        assert peak <= records + projection + rows + bits + (1 << 20)
+        slack = _BLOCK_ELEMS * 8 + (768 << 10)
+        assert peak <= records + projection + rows + bits + slack
 
 
 class TestBatchGradients:
