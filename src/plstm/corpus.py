@@ -1,5 +1,5 @@
-"""Corpus ingestion: tokenization, vocabularies, word-frequency tables,
-fixed-length sequence encoding, and random train/test fold planning."""
+"""Corpus ingestion: loaders, tokenization, vocabularies, word-frequency
+tables, and random train/test fold planning."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ import reprlib
 import string
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .tensor import RngStream
 
@@ -47,7 +45,6 @@ def shown(value) -> str:
 class Document:
     id: int
     text: str
-    source: str = "labeled_dialogue"  # or "plain_literature"
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,10 @@ class LabeledExample:
 @dataclass
 class Vocabulary:
     word_to_id: dict
-    id_to_word: dict
-
-    def __len__(self):
-        return len(self.word_to_id) + 2  # pad + unk
 
     @property
     def size(self):
-        return len(self)
+        return len(self.word_to_id) + 2  # pad + unk
 
     def lookup(self, token: str) -> int:
         return self.word_to_id.get(token, UNK_ID)
@@ -76,13 +69,6 @@ class Vocabulary:
 class FrequencyTable:
     entries: list  # (word, count, distribution_pct)
     total_tokens: int
-
-
-@dataclass
-class EncodedSequence:
-    ids: np.ndarray  # int64, shape (L,)
-    mask: np.ndarray  # bool, shape (L,)
-    length: int
 
 
 @dataclass
@@ -126,7 +112,7 @@ def build_vocabulary(documents) -> Vocabulary:
     if total == 0:
         raise CorpusError("documents contain no tokens")
     word_to_id = {w: i + 2 for i, w in enumerate(_ranked(counts, first_seen))}
-    return Vocabulary(word_to_id, {i: w for w, i in word_to_id.items()})
+    return Vocabulary(word_to_id)
 
 
 def frequency_table(documents, top_k: int) -> FrequencyTable:
@@ -139,19 +125,6 @@ def frequency_table(documents, top_k: int) -> FrequencyTable:
         for w in _ranked(counts, first_seen)[:top_k]
     ]
     return FrequencyTable(entries, total)
-
-
-def encode(tokens, vocab: Vocabulary, L: int) -> EncodedSequence:
-    """First min(len, L) tokens to ids (unk for OOV), tail-padded with pad=0."""
-    if L < 1:
-        raise CorpusError("L must be >= 1")
-    ids = np.zeros(L, dtype=np.int64)
-    mask = np.zeros(L, dtype=bool)
-    n = min(len(tokens), L)
-    for i in range(n):
-        ids[i] = vocab.lookup(tokens[i])
-        mask[i] = True
-    return EncodedSequence(ids, mask, n)
 
 
 def _parse_label(raw, path, line_no):
@@ -195,7 +168,7 @@ def load_labeled_dataset(path, format: str) -> list:
             rec_id = int(rec_id)
         except ValueError:
             raise ParseError(path, line_no, f"invalid id {shown(rec_id)}")
-        examples.append(LabeledExample(Document(rec_id, text, "labeled_dialogue"),
+        examples.append(LabeledExample(Document(rec_id, text),
                                        _parse_label(label, path, line_no)))
 
     lines = _read_lines(path)
@@ -267,12 +240,12 @@ def guess_format(path) -> str:
 
 
 def load_plain_text(path) -> list:
-    """One Document per non-empty line, source plain_literature."""
+    """One Document per non-empty line, its id the line number; no labels."""
     docs = []
     for i, line in enumerate(_read_lines(path), start=1):
         text = line.strip()
         if text:
-            docs.append(Document(i, text, "plain_literature"))
+            docs.append(Document(i, text))
     return docs
 
 

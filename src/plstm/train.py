@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import encode, tokenize
+from .corpus import tokenize
 from .lstm import GATES
 from .model import (AGGREGATIONS, BRANCH_NAMES, DEFAULT_DROPOUT_EMBED, DEFAULT_DROPOUT_RECURRENT,
                     DEFAULT_SEQ_LEN, GATE_MODES, ParallelModel, branch_backward, forward_batch,
@@ -103,17 +103,19 @@ class EncodedDataset:
 
 
 def encode_dataset(examples, vocab, L: int) -> EncodedDataset:
-    """Tokenize and encode labeled examples into batched arrays."""
-    n = len(examples)
-    ids = np.zeros((n, L), dtype=np.int64)
-    mask = np.zeros((n, L), dtype=bool)
-    labels = np.zeros(n, dtype=np.int64)
-    for i, ex in enumerate(examples):
-        seq = encode(tokenize(ex.doc.text), vocab, L)
-        ids[i] = seq.ids
-        mask[i] = seq.mask
-        labels[i] = ex.label
-    return EncodedDataset(ids, mask, labels)
+    """The batch arrays of labeled examples, a row each in input order: the
+    ids of the first L tokens of the text (`vocab.lookup`, so `UNK_ID` for
+    a word outside the vocabulary), then the pad id 0 to length L; the mask
+    set where a token is; the label.
+
+    The mask is `ids != 0`, as no token's id is 0: `build_vocabulary`
+    numbers words from 2 and `UNK_ID` is 1."""
+    ids = np.zeros((len(examples), L), dtype=np.int64)
+    for row, ex in zip(ids, examples):
+        token_ids = [vocab.lookup(t) for t in tokenize(ex.doc.text)[:L]]
+        row[: len(token_ids)] = token_ids
+    labels = np.array([ex.label for ex in examples], dtype=np.int64)
+    return EncodedDataset(ids, ids != 0, labels)
 
 
 ADAM_BETA1 = 0.9

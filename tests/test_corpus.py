@@ -2,22 +2,24 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plstm import corpus
 from plstm.corpus import (
+    UNK_ID,
     CorpusError,
     Document,
+    LabeledExample,
     ParseError,
+    Vocabulary,
     build_vocabulary,
-    encode,
     frequency_table,
     load_labeled_dataset,
     load_plain_text,
     make_folds,
     tokenize,
 )
+from plstm.train import encode_dataset
 
 
 def docs(*texts):
@@ -48,7 +50,6 @@ class TestVocabulary:
     def test_count_order(self):
         vocab = build_vocabulary(docs("oh oh yeah"))
         assert vocab.word_to_id == {"oh": 2, "yeah": 3}
-        assert vocab.id_to_word == {2: "oh", 3: "yeah"}
 
     def test_tie_broken_by_first_occurrence(self):
         vocab = build_vocabulary(docs("b a", "a b"))
@@ -58,11 +59,6 @@ class TestVocabulary:
         vocab = build_vocabulary(docs("x y z z y x w"))
         ids = sorted(vocab.word_to_id.values())
         assert ids == list(range(2, 2 + len(ids)))
-
-    def test_inverse_maps(self):
-        vocab = build_vocabulary(docs("the quick brown fox the lazy dog"))
-        for w, i in vocab.word_to_id.items():
-            assert vocab.id_to_word[i] == w
 
 
 class TestFrequencyTable:
@@ -89,31 +85,32 @@ class TestFrequencyTable:
 
 
 class TestEncode:
-    VOCAB = corpus.Vocabulary({"oh": 2, "yeah": 3}, {2: "oh", 3: "yeah"})
+    VOCAB = Vocabulary({"oh": 2, "yeah": 3, "sure": 4})
 
-    def test_padding(self):
-        seq = encode(["oh", "yeah"], self.VOCAB, L=5)
-        assert seq.ids.tolist() == [2, 3, 0, 0, 0]
-        assert seq.mask.tolist() == [True, True, False, False, False]
-        assert seq.length == 2
-
-    def test_unknown_word(self):
-        seq = encode(["zzz"], self.VOCAB, L=2)
-        assert seq.ids.tolist() == [1, 0]
-
-    def test_truncation(self):
-        vocab = corpus.Vocabulary({"a": 2, "b": 3, "c": 4}, {2: "a", 3: "b", 4: "c"})
-        seq = encode(["a", "b", "c"], vocab, L=2)
-        assert seq.ids.tolist() == [2, 3]
-        assert seq.length == 2
-
-    def test_round_trip_in_vocab(self):
-        vocab = build_vocabulary(docs("one two three four"))
-        tokens = ["three", "one", "four"]
-        seq = encode(tokens, vocab, L=6)
-        ids = seq.ids[: seq.length].tolist()
-        assert ids == [vocab.lookup(t) for t in tokens]
-        assert [vocab.id_to_word[i] for i in ids] == tokens
+    @given(st.lists(st.tuples(st.lists(st.sampled_from(["oh", "yeah", "sure", "zzz", "qq"]),
+                                       max_size=10),
+                              st.integers(0, 1)), max_size=6),
+           st.integers(1, 12))
+    @example(rows=[], L=4)
+    @example(rows=[(["oh", "zzz"], 1), (["sure"], 0)], L=12)
+    @settings(max_examples=200)
+    def test_encode_dataset_rule(self, rows, L):
+        """Row i holds example i's first L token ids, `UNK_ID` for a word
+        outside the vocabulary, then pad 0; the mask is set exactly where a
+        token is; labels keep input order."""
+        examples = [LabeledExample(Document(i, " ".join(words) + "!"), label)
+                    for i, (words, label) in enumerate(rows)]
+        data = encode_dataset(examples, self.VOCAB, L)
+        assert (data.ids.dtype, data.mask.dtype, data.labels.dtype) == (np.int64, bool, np.int64)
+        assert data.ids.shape == data.mask.shape == (len(rows), L)
+        assert data.labels.shape == (len(rows),)
+        for (words, _), ids, mask in zip(rows, data.ids, data.mask):
+            kept = [self.VOCAB.word_to_id[w] if w in self.VOCAB.word_to_id else UNK_ID
+                    for w in words[:L]]
+            pad = L - len(kept)
+            assert ids.tolist() == kept + [0] * pad
+            assert mask.tolist() == [True] * len(kept) + [False] * pad
+        assert data.labels.tolist() == [label for _, label in rows]
 
 
 class TestLoaders:
@@ -161,7 +158,6 @@ class TestLoaders:
         p.write_text("abc\n\ndef\n")
         loaded = load_plain_text(p)
         assert [d.text for d in loaded] == ["abc", "def"]
-        assert all(d.source == "plain_literature" for d in loaded)
 
     def test_plain_text_empty_file(self, tmp_path):
         p = tmp_path / "t.txt"

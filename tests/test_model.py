@@ -7,7 +7,6 @@ import pytest
 
 import plstm.lstm
 from plstm.checkpoint import load_checkpoint, save_checkpoint
-from plstm.corpus import EncodedSequence
 from plstm.lstm import BidirectionalLayer
 from plstm.model import (
     BRANCH_NAMES,
@@ -31,11 +30,12 @@ from test_lstm import zero_params
 
 
 def encoded(ids, L):
+    """(ids, mask) of one sequence: `ids` padded with 0 to length L."""
     arr = np.zeros(L, dtype=np.int64)
     mask = np.zeros(L, dtype=bool)
     arr[: len(ids)] = ids
     mask[: len(ids)] = True
-    return EncodedSequence(arr, mask, len(ids))
+    return arr, mask
 
 
 def zero_branch(name, hidden=3, embed=2):
@@ -248,7 +248,8 @@ class TestBranchBackward:
 
 
 def forward_one(model, seq):
-    scores, _ = forward_batch(model, seq.ids[None, :], seq.mask[None, :])
+    ids, mask = seq
+    scores, _ = forward_batch(model, ids[None, :], mask[None, :])
     return {name: row[0] for name, row in scores.items()}
 
 

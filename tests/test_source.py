@@ -79,19 +79,64 @@ def test_reference_checker_finds_an_unreferenced_function():
     assert {"g", "n"} <= referenced_names(tree) and not {"f", "m"} & referenced_names(tree)
 
 
+def reader_trees():
+    """The parsed files whose reads keep a name of src/plstm in use:
+    src/plstm itself, the bench harness and the acceptance checks."""
+    readers = [*sorted(SRC.glob("*.py")), *sorted((REPO / "bench").glob("*.py")),
+               REPO / "tests" / "test_acceptance.py"]
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in readers]
+
+
 def test_every_public_function_has_a_reader():
     """No public function exists only for tests: each public function and
     method of src/plstm is read by src/plstm, the bench harness or the
     acceptance checks."""
     sources = sorted(SRC.glob("*.py"))
-    readers = [*sources, *sorted((REPO / "bench").glob("*.py")),
-               REPO / "tests" / "test_acceptance.py"]
-    read = set().union(*(referenced_names(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in readers))
+    read = set().union(*(referenced_names(tree) for tree in reader_trees()))
     found = [f"{path.stem}.{qualified}" for path in sources
              for qualified, name in public_functions(ast.parse(path.read_text(encoding="utf-8")))
              if name not in read]
     assert sorted(set(found) - set(UNREFERENCED_OK)) == []
+
+
+# module.class.field -> why it may stay without an attribute reader
+UNREAD_FIELDS_OK = {
+    "corpus.Document.id": "the loaders parse it, and that parse is how a malformed "
+                          "record id is rejected",
+}
+
+
+def class_fields(tree):
+    """(class.field, field) for each annotated field of a class in `tree`."""
+    return [(f"{node.name}.{item.target.id}", item.target.id)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
+def attribute_reads(tree):
+    """Every name `tree` reads as an attribute."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_checker_finds_an_unread_field():
+    tree = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z = 1\n"
+                     "    def f(self):\n        self.y = 2\n        return self.x\n\n"
+                     "class B:\n    w: str\n\nv = A(1).z + w\n")
+    assert class_fields(tree) == [("A.x", "x"), ("A.y", "y"), ("B.w", "w")]
+    assert attribute_reads(tree) & {"x", "y", "w"} == {"x"}
+
+
+def test_every_dataclass_field_has_a_reader():
+    """No field is carried for nothing: each annotated class field of
+    src/plstm is read as an attribute by src/plstm, the bench harness or
+    the acceptance checks."""
+    read = set().union(*(attribute_reads(tree) for tree in reader_trees()))
+    found = [f"{path.stem}.{qualified}" for path in sorted(SRC.glob("*.py"))
+             for qualified, name in class_fields(ast.parse(path.read_text(encoding="utf-8")))
+             if name not in read]
+    assert sorted(set(found) - set(UNREAD_FIELDS_OK)) == []
 
 
 def restated_defaults(tree, defaults, owner=""):
