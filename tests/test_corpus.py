@@ -112,6 +112,36 @@ class TestEncode:
             assert mask.tolist() == [True] * len(kept) + [False] * pad
         assert data.labels.tolist() == [label for _, label in rows]
 
+    @staticmethod
+    def encode_one(tokens, vocab, L):
+        data = encode_dataset([LabeledExample(Document(1, " ".join(tokens)), 0)], vocab, L)
+        return data.ids[0], data.mask[0]
+
+    def test_padding(self):
+        ids, mask = self.encode_one(["oh", "yeah"], self.VOCAB, L=5)
+        assert ids.tolist() == [2, 3, 0, 0, 0]
+        assert mask.tolist() == [True, True, False, False, False]
+
+    def test_unknown_word(self):
+        ids, mask = self.encode_one(["zzz"], self.VOCAB, L=2)
+        assert ids.tolist() == [UNK_ID, 0]
+        assert mask.tolist() == [True, False]
+
+    def test_truncation(self):
+        vocab = Vocabulary({"a": 2, "b": 3, "c": 4})
+        ids, mask = self.encode_one(["a", "b", "c"], vocab, L=2)
+        assert ids.tolist() == [2, 3]
+        assert mask.tolist() == [True, True]
+
+    def test_round_trip_in_vocab(self):
+        vocab = build_vocabulary(docs("one two three four"))
+        tokens = ["three", "one", "four"]
+        ids, mask = self.encode_one(tokens, vocab, L=6)
+        kept = ids[mask].tolist()
+        assert kept == [vocab.lookup(t) for t in tokens]
+        id_to_word = {i: w for w, i in vocab.word_to_id.items()}
+        assert [id_to_word[i] for i in kept] == tokens
+
 
 class TestLoaders:
     def test_tsv(self, tmp_path):
