@@ -1,28 +1,32 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format, version 2.
 
-Layout, all little-endian: magic "PLSTM\\x01", four uint32 header fields
-(vocab_size, embed_dim, hidden, seq_len), then the embedding matrix and
-every branch's parameter blocks in fixed order (softmax, sigmoid, relu,
-tanh; per branch: forward then backward gates i/f/o/n as W, U, b, then the
-head weights and bias), each block as row-major float64. Round trips are
-bitwise exact. The payload is in `ParallelModel.blocks()` order, not in the
-order of the parameter arena (`model.model_over`), so it is written and
-read block by block. The arena holds every parameter as a branch stack,
-the heads as one (4, 2, H) and one (4, 2) stack after the LSTM stacks, so
-its order differs from the payload's, and the v1 payload keeps its bytes
-whatever the arena's layout. A load rejects a non-finite parameter.
+Layout, all little-endian: the magic "PLSTM\\x02", whose last byte is the
+format version; a uint32 CRC-32 (`zlib.crc32`) of every byte that follows
+it; four uint32 fields (vocab_size, embed_dim, hidden, seq_len) and two
+uint8 fields, the gate mode's index in `GATE_MODES` and the aggregation's
+in `AGGREGATIONS`; then the payload, the parameter arena as float64. The
+payload is in arena order, so `model.model_over` alone says where a
+parameter lives: save writes the arena's bytes, and load builds the model
+over one copy of the payload. Round trips are bitwise exact. Before it
+builds the model, a load rejects another version (a version 1 file among
+them), a header field out of range, a payload of another size than the
+header implies, a checksum mismatch and a non-finite parameter.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
-from .model import AGGREGATIONS, BRANCH_NAMES, ParallelModel, expected_param_count, model_over
+from .model import AGGREGATIONS, GATE_MODES, ParallelModel, expected_param_count, model_over
 
-MAGIC = b"PLSTM\x01"
-_HEADER = struct.Struct("<4I")
+MAGIC = b"PLSTM\x02"
+# vocab_size, embed_dim, hidden, seq_len, then the gate mode and aggregation indices
+_FIELDS = struct.Struct("<4I2B")
+_HEADER = struct.Struct("<5sBI" + _FIELDS.format[1:])  # magic, its version byte, CRC-32, fields
+_CHECKED = _HEADER.size - _FIELDS.size  # the CRC covers every byte from here on
 
 
 class CheckpointError(ValueError):
@@ -30,12 +34,12 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: ParallelModel, path):
+    fields = _FIELDS.pack(model.vocab_size, model.embed_dim, model.hidden, model.seq_len,
+                          GATE_MODES.index(model.gate_mode), AGGREGATIONS.index(model.aggregation))
+    payload = np.ascontiguousarray(model.arena, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(model.vocab_size, model.embed_dim, model.hidden,
-                              model.seq_len))
-        for _, arr in model.blocks():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(MAGIC + struct.pack("<I", zlib.crc32(payload, zlib.crc32(fields))) + fields)
+        fh.write(payload)
 
 
 def load_checkpoint(path) -> ParallelModel:
@@ -44,30 +48,25 @@ def load_checkpoint(path) -> ParallelModel:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"bad checkpoint: cannot read {path}: {exc}") from exc
-    if blob[: len(MAGIC)] != MAGIC:
+    if blob[: len(MAGIC) - 1] != MAGIC[:-1]:
         raise CheckpointError("bad checkpoint: wrong magic")
-    off = len(MAGIC)
     try:
-        vocab_size, embed_dim, hidden, seq_len = _HEADER.unpack_from(blob, off)
+        _, version, crc, vocab, embed, hidden, seq_len, gate, agg = _HEADER.unpack_from(blob)
     except struct.error as exc:
         raise CheckpointError("bad checkpoint: truncated header") from exc
-    off += _HEADER.size
+    if version != MAGIC[-1]:
+        raise CheckpointError(f"bad checkpoint: version {version}, this build reads {MAGIC[-1]}")
     # checked before the model is built, so a corrupt header allocates nothing
-    if min(vocab_size, embed_dim, hidden, seq_len) < 1:
+    if min(vocab, embed, hidden, seq_len) < 1:
         raise CheckpointError("bad checkpoint: header has a zero dimension")
-    expected = expected_param_count(vocab_size, embed_dim, hidden) * 8
-    if len(blob) - off != expected:
-        raise CheckpointError(
-            f"bad checkpoint: payload is {len(blob) - off} bytes, header implies {expected}"
-        )
-    # every parameter is read from the payload, so the model starts from a
-    # zeroed arena, with sigmoid gates and the default aggregation: the v1
-    # header names neither
-    model = model_over(np.zeros(expected // 8), vocab_size, embed_dim, hidden,
-                       ("sigmoid",) * len(BRANCH_NAMES), seq_len, AGGREGATIONS[0])
-    for _, arr in model.blocks():
-        arr[...] = np.frombuffer(blob, "<f8", count=arr.size, offset=off).reshape(arr.shape)
-        off += arr.nbytes
-    if not np.isfinite(model.arena).all():
+    if gate >= len(GATE_MODES) or agg >= len(AGGREGATIONS):
+        raise CheckpointError("bad checkpoint: gate mode or aggregation index out of range")
+    size, expected = len(blob) - _HEADER.size, expected_param_count(vocab, embed, hidden) * 8
+    if size != expected:
+        raise CheckpointError(f"bad checkpoint: payload is {size} bytes, header says {expected}")
+    if zlib.crc32(memoryview(blob)[_CHECKED:]) != crc:
+        raise CheckpointError("bad checkpoint: checksum mismatch")
+    arena = np.frombuffer(blob, "<f8", offset=_HEADER.size).astype(np.float64)
+    if not np.isfinite(arena).all():
         raise CheckpointError("bad checkpoint: a parameter is not finite")
-    return model
+    return model_over(arena, vocab, embed, hidden, GATE_MODES[gate], seq_len, AGGREGATIONS[agg])

@@ -84,6 +84,7 @@ class ParallelModel:
     embedding: np.ndarray  # (vocab, embed); row 0 (pad) stays zero
     group: BranchGroup  # the four branches over the parameter stacks
     seq_len: int
+    gate_mode: str  # one of GATE_MODES
     aggregation: str  # one of AGGREGATIONS
 
     @property
@@ -113,8 +114,7 @@ class ParallelModel:
         """A model of the same layout and gate activations over a zeroed
         arena: the gradient arena, each gradient the view its parameter is."""
         return model_over(np.zeros_like(self.arena), self.vocab_size, self.embed_dim,
-                          self.hidden, self.group.layer.forward_params.gate_activation,
-                          self.seq_len, self.aggregation)
+                          self.hidden, self.gate_mode, self.seq_len, self.aggregation)
 
     def groups(self, batch: int):
         """The branch groups that step together on a batch: `group`, all
@@ -140,7 +140,7 @@ def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
     return sum(math.prod(shape) for shape in _layout(vocab_size, embed_dim, hidden))
 
 
-def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: tuple,
+def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_mode: str,
                seq_len: int, aggregation: str,
                dropout_embed: float = DEFAULT_DROPOUT_EMBED,
                dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT) -> ParallelModel:
@@ -149,17 +149,21 @@ def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_acts: t
     this order: the (vocab, embed) embedding; per direction, forward then
     backward, the (4, 4H, embed) W, (4, 4H, H) U and (4, 4H) b stacks of
     all four branches; then the (4, 2, H) head weight and (4, 2) head bias
-    stacks. `gate_acts` names each branch's gate activation."""
+    stacks. Under `gate_mode` literal_eq9 each branch's i/f/o gates take
+    that branch's own activation, else sigmoid."""
+    if gate_mode not in GATE_MODES:
+        raise ValueError(f"unknown gate_mode {gate_mode!r}")
     shapes = _layout(vocab_size, embed_dim, hidden)
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     if arena.shape != (ends[-1],):
         raise ValueError(f"arena shape {arena.shape} != ({ends[-1]},)")
     embedding, *views, head_W, head_b = (arena[end - math.prod(shape) : end].reshape(shape)
                                          for shape, end in zip(shapes, ends))
+    gate_acts = tuple(name if gate_mode == "literal_eq9" else "sigmoid" for name in BRANCH_NAMES)
     layer = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
                                LSTMCellParams(*views[3:], gate_acts))
     group = BranchGroup(BRANCH_NAMES, layer, head_W, head_b, dropout_embed, dropout_recurrent)
-    return ParallelModel(arena, embedding, group, seq_len, aggregation)
+    return ParallelModel(arena, embedding, group, seq_len, gate_mode, aggregation)
 
 
 def init_model(
@@ -177,11 +181,8 @@ def init_model(
     substreams, zero biases except forget bias +1, zero pad embedding row."""
     if min(vocab_size, embed_dim, hidden, seq_len) < 1:
         raise ValueError("all model dimensions must be >= 1")
-    if gate_mode not in GATE_MODES:
-        raise ValueError(f"unknown gate_mode {gate_mode!r}")
-    gate_acts = tuple(name if gate_mode == "literal_eq9" else "sigmoid" for name in BRANCH_NAMES)
     model = model_over(np.zeros(expected_param_count(vocab_size, embed_dim, hidden)),
-                       vocab_size, embed_dim, hidden, gate_acts, seq_len, aggregation,
+                       vocab_size, embed_dim, hidden, gate_mode, seq_len, aggregation,
                        dropout_embed, dropout_recurrent)
     model.embedding[...] = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE,
                                                       (vocab_size, embed_dim))

@@ -11,7 +11,6 @@ update over the two flat buffers updates every parameter."""
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +88,6 @@ class EpochLog:
     epoch: int
     loss: dict  # branch -> mean training loss over batches
     accuracy: dict  # branch -> eval-mode accuracy percent on the train set
-    seconds: float
 
 
 @dataclass
@@ -305,7 +303,6 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
     n = len(dataset)
     logs = []
     for epoch in range(1, config.epochs + 1):
-        t0 = time.perf_counter()
         order = RngStream(config.seed, 3, epoch).permutation(n)
         loss_sums = {name: 0.0 for name in BRANCH_NAMES}
         n_batches = 0
@@ -330,7 +327,7 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
 
         acc = epoch_metrics(model, dataset)
         loss_means = {name: loss_sums[name] / n_batches for name in BRANCH_NAMES}
-        logs.append(EpochLog(epoch, loss_means, acc, time.perf_counter() - t0))
+        logs.append(EpochLog(epoch, loss_means, acc))
         if config.verbose >= 1 and (epoch % 100 == 0 or epoch == config.epochs):
             for name in BRANCH_NAMES:
                 print(f"epoch {epoch}, {name}, loss {loss_means[name]:.4f}, "
@@ -340,7 +337,7 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
 
 def write_epoch_csv(logs, path):
     """Per-epoch CSV: epoch,branch,loss,accuracy. Deterministic bytes for a
-    fixed seed (wall time stays in memory only)."""
+    fixed seed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("epoch,branch,loss,accuracy\n")
         for log in logs:

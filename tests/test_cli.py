@@ -3,6 +3,7 @@ import errno
 import re
 import struct
 import tempfile
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,8 +15,11 @@ from hypothesis import strategies as st
 from plstm import cli
 from plstm.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from plstm.cli import ConfigError, dump_config, load_config, main
-from plstm.model import AGGREGATIONS, GATE_MODES, init_model
-from plstm.train import TrainConfig
+from plstm.corpus import build_vocabulary, load_labeled_dataset
+from plstm.model import AGGREGATIONS, BRANCH_NAMES, GATE_MODES, forward_batch, init_model
+from plstm.train import TrainConfig, build_model, encode_dataset, train
+
+from test_golden import ragged_corpus
 
 SMOKE_CFG_TEXT = """\
 embedding_dim=8
@@ -349,7 +353,8 @@ class TestEval:
 
         monkeypatch.setattr("plstm.checkpoint.model_over", no_model)
         path = tmp_path / "m.ckpt"
-        path.write_bytes(MAGIC + struct.pack("<4I", *dims) + b"\0" * 64)
+        # a version 2 header: CRC-32, the four dimensions, gate mode and aggregation indices
+        path.write_bytes(MAGIC + struct.pack("<I4I2B", 0, *dims, 0, 0) + b"\0" * 64)
         code = main(["eval", "--checkpoint", str(path),
                      "--data", str(data_dir / "synthetic_train.tsv")])
         assert code == 2
@@ -531,6 +536,90 @@ class TestCheckpoint:
         path.write_bytes(blob[:-8])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_round_trip_keeps_gates_aggregation_and_scores(self, data_dir, tmp_path, gate_mode,
+                                                           aggregation):
+        """A model trained for 2 epochs on the ragged corpus loads back with
+        its own gate activations and aggregation, and scores bitwise as it
+        did in memory."""
+        data = tmp_path / "ragged.tsv"
+        data.write_text(ragged_corpus(), encoding="utf-8")
+        config = load_config(data_dir / "train_smoke.cfg")
+        config.gate_mode, config.aggregation, config.epochs, config.verbose = (
+            gate_mode, aggregation, 2, 0)
+        examples = load_labeled_dataset(data, "tsv")
+        vocab = build_vocabulary([ex.doc for ex in examples])
+        encoded = encode_dataset(examples, vocab, config.seq_len)
+        model, _ = train(build_model(config, vocab.size, config.seed), encoded, config)
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt")
+        assert (loaded.gate_mode, loaded.aggregation) == (gate_mode, aggregation)
+        for params in ("forward_params", "backward_params"):
+            assert (getattr(loaded.group.layer, params).gate_activation
+                    == getattr(model.group.layer, params).gate_activation)
+        scores, _ = forward_batch(model, encoded.ids, encoded.mask)
+        loaded_scores, _ = forward_batch(loaded, encoded.ids, encoded.mask)
+        for name in BRANCH_NAMES:
+            assert loaded_scores[name].tobytes() == scores[name].tobytes()
+
+    @staticmethod
+    def tiny_checkpoint(tmp_path):
+        """The bytes of a checkpoint of the smallest model, and its path."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_model(1, 1, 1, seed=0, seq_len=1, gate_mode="literal_eq9"), path)
+        return path.read_bytes(), path
+
+    def test_every_single_byte_flip_is_rejected(self, tmp_path):
+        """The CRC-32 covers every byte after the magic, the header's and the
+        payload's, so a change to any one byte, in any of its bits, is
+        caught before the model is built."""
+        blob, path = self.tiny_checkpoint(tmp_path)
+        for at in range(len(blob)):
+            for flip in (1 << (at % 8), 0xFF):
+                path.write_bytes(blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1 :])
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+
+    @pytest.mark.parametrize("at", [0, 5, 6, 10, 26, 27, 28, -1],
+                             ids=["magic", "version", "crc", "vocab_size", "gate_mode",
+                                  "aggregation", "payload_first", "payload_last"])
+    def test_a_flipped_byte_exits_2_with_one_line(self, data_dir, tmp_path, capsys, at):
+        blob, path = self.tiny_checkpoint(tmp_path)
+        at %= len(blob)
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 0x10]) + blob[at + 1 :])
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad checkpoint: ") and err.count("\n") == 1
+
+    def test_version_1_file_exit_2_naming_the_version(self, data_dir, tmp_path, capsys):
+        """A version 1 file, four uint32 dimensions and a payload, is
+        refused with one line that names its version."""
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"PLSTM\x01" + struct.pack("<4I", 6, 4, 3, 5)
+                         + b"\0" * (8 * init_model(6, 4, 3, seed=0).param_count()))
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad checkpoint: version 1, this build reads 2\n"
+
+    @pytest.mark.parametrize("field", [4, 5], ids=["gate_mode", "aggregation"])
+    def test_mode_index_out_of_range_exit_2(self, data_dir, tmp_path, capsys, field):
+        """A header whose checksum holds but whose gate mode or aggregation
+        index names no mode."""
+        blob, path = self.tiny_checkpoint(tmp_path)
+        values = list(struct.unpack_from("<4I2B", blob, 10))  # after the magic and the CRC
+        values[field] = len(GATE_MODES if field == 4 else AGGREGATIONS)
+        checked = struct.pack("<4I2B", *values) + blob[28:]
+        path.write_bytes(MAGIC + struct.pack("<I", zlib.crc32(checked)) + checked)
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: bad checkpoint: gate mode or aggregation "
+                                           "index out of range\n")
 
 
 class TestBenchmarkCommand:

@@ -4,11 +4,13 @@ with at most one line on stderr, never in a traceback.
 
 Every model dimension drawn is either tiny (<= 8) or so large that
 `cli.MAX_ALLOC_BYTES` rejects it before anything is allocated, so no
-example trains a large model. Checkpoint payload bytes are left alone: a
-v1 checkpoint has no checksum, so a flipped payload byte loads as another
-valid model, unless it makes a parameter non-finite. The one payload change
-is a head block rescaled until its largest weight is huge but finite, so
-that the scores may overflow while every parameter is finite.
+example trains a large model. A checkpoint's CRC-32 covers its header and
+its payload, so a byte flipped anywhere, or a cut, ends in exit 2. A
+checkpoint that is valid but odd is made by changing a model and saving it
+with `save_checkpoint`, so these tests know nothing of where a parameter
+lies in the file: a `seq_len` that is 0 or huge, or one branch's head
+rescaled until its largest weight is huge but finite, so that the scores
+may overflow while every parameter is finite.
 
 A huge but finite learning rate trains to finite artifacts or ends in
 exit 3, without a numpy warning.
@@ -17,7 +19,6 @@ exit 3, without a numpy warning.
 import csv
 import io
 import json
-import struct
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -28,8 +29,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from plstm import cli, corpus
-from plstm.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from plstm.model import init_model
+from plstm.checkpoint import load_checkpoint, save_checkpoint
+from plstm.model import BRANCH_NAMES, init_model
 
 REPO_DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -57,44 +58,41 @@ OTHER_KEYS = ("learning_rate", "dropout_embed", "dropout_recurrent", "gate_mode"
               "clip_norm", "aggregation", "verbose", "seed")
 
 
-def _checkpoint_bytes():
+def _model():
     """A model whose LSTM biases of 10 saturate every gate, so each pooled
     hidden unit is near 2 and a head weight near the float64 limit can
     overflow a score."""
     model = init_model(64, 4, 2, seed=0, seq_len=6)
     for params in (model.group.layer.forward_params, model.group.layer.backward_params):
         params.b[...] = 10.0
+    return model
+
+
+def _saved(model):
+    """The bytes `save_checkpoint` writes for `model`."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.ckpt"
         save_checkpoint(model, path)
         return path.read_bytes()
 
 
-CHECKPOINT = _checkpoint_bytes()
-SEQ_LEN_AT = len(MAGIC) + 12  # the header's fourth field
+def _with_seq_len(seq_len):
+    """CHECKPOINT's model saved with another `seq_len`."""
+    model = _model()
+    model.seq_len = seq_len
+    return _saved(model)
 
 
-def _head_blocks():
-    """(payload offset, element count) of each head weight block in
-    CHECKPOINT, in payload order."""
-    at, found = SEQ_LEN_AT + 4, []
-    for name, block in init_model(64, 4, 2, seed=0, seq_len=6).blocks():
-        if name.endswith(".head_W"):
-            found.append((at, block.size))
-        at += block.nbytes
-    return found
+def _with_scaled_head(k, top):
+    """CHECKPOINT's model saved with branch k's head weights rescaled so
+    that the largest is +-top."""
+    model = _model()
+    head = model.group.head_W[k]
+    head[...] = head / np.abs(head).max() * top
+    return _saved(model)
 
 
-HEAD_BLOCKS = _head_blocks()
-
-
-def _scale_head(blob, block, top):
-    """blob with the head block at (offset, size) rescaled so that its
-    largest weight is +-top."""
-    at, size = block
-    values = np.frombuffer(blob, "<f8", size, at)
-    scaled = values / np.abs(values).max() * top
-    return blob[:at] + scaled.astype("<f8").tobytes() + blob[at + scaled.nbytes :]
+CHECKPOINT = _saved(_model())
 
 # one config line's worth of text: no line breaks, which would start a new line
 one_line = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=10)
@@ -156,19 +154,18 @@ def data_files(draw, suffix):
 @st.composite
 def checkpoints(draw):
     blob = CHECKPOINT
-    kind = draw(st.sampled_from(["clean", "truncate", "flip_header", "seq_len", "scale_head"]))
+    kind = draw(st.sampled_from(["clean", "truncate", "flip", "seq_len", "scale_head"]))
     if kind == "truncate":
         blob = blob[: draw(st.integers(0, len(blob) - 1))]
-    elif kind == "flip_header":  # the magic or one of the three model dimensions
-        at = draw(st.integers(0, SEQ_LEN_AT - 1))
+    elif kind == "flip":  # any byte: the magic, the CRC, a header field or the payload
+        at = draw(st.integers(0, len(blob) - 1))
         blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
-    elif kind == "seq_len":  # the one header field the payload size does not check
-        value = draw(st.one_of(st.integers(0, 8),
-                               st.integers(cli.MAX_ALLOC_BYTES + 1, (1 << 32) - 1)))
-        blob = blob[:SEQ_LEN_AT] + struct.pack("<I", value) + blob[SEQ_LEN_AT + 4 :]
+    elif kind == "seq_len":  # a valid checkpoint whose seq_len no payload size bounds
+        blob = _with_seq_len(draw(st.one_of(st.integers(0, 8),
+                                            st.integers(cli.MAX_ALLOC_BYTES + 1, (1 << 32) - 1))))
     elif kind == "scale_head":  # finite parameters whose scores may overflow
-        blob = _scale_head(blob, draw(st.sampled_from(HEAD_BLOCKS)),
-                           draw(st.floats(1e300, np.finfo(np.float64).max)))
+        blob = _with_scaled_head(draw(st.integers(0, len(BRANCH_NAMES) - 1)),
+                                 draw(st.floats(1e300, np.finfo(np.float64).max)))
     return blob
 
 
@@ -211,7 +208,7 @@ CLEAN_CONFIG = "".join(f"{k}={v}\n" for k, v in CONFIG.items()).encode()
 LONG_INT = b"9" * 5000
 LONG_INT_ERROR = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
                   "5000 digits; use sys.set_int_max_str_digits() to increase the limit")
-OVERFLOWING_HEAD = _scale_head(CHECKPOINT, HEAD_BLOCKS[0], 1e308)  # the softmax head
+OVERFLOWING_HEAD = _with_scaled_head(0, 1e308)  # the softmax head
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

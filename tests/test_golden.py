@@ -8,7 +8,11 @@ from the rank-1 loop that sums the inner dimension one index at a time; a
 change that moves one bit of a weight or a loss fails here. `epochs.csv`
 writes each loss with `repr` of a numpy scalar, which under numpy 2 is the
 text `np.float64(...)`, not a bare number; the `epochs.csv` hashes were
-recorded from that text, so they hold only for numpy 2.
+recorded from that text, so they hold only for numpy 2. The `model.ckpt`
+hashes are of the version 2 checkpoint, whose payload is the parameter
+arena: they were re-recorded when the format changed, from files whose
+payloads equal the arenas the version 1 reader loaded from the same runs,
+so no parameter moved.
 
 Every line of `synthetic_train.tsv` has six tokens, so that run never
 trains on a batch whose rows differ in length. The ragged run trains the
@@ -29,11 +33,11 @@ from plstm.train import encode_dataset
 
 GOLDEN = {
     "standard": {
-        "model.ckpt": "895a21b37abeb109fbeff73f70700f1406cd65347059d6e2c8b3af1285a39290",
+        "model.ckpt": "3617146549d338cb68e06b4099afffe92cd936630f6e4af327fab542dc857eb1",
         "epochs.csv": "558b101407d5907b0a66efdb4080021176d67a0c48574e89129feba23b3d4d20",
     },
     "literal_eq9": {
-        "model.ckpt": "169c4f7c398dd56d7f56c962e3f245b98bf643695bd1b94ddf05eb6221e83122",
+        "model.ckpt": "fe651cb9cb52203bde92798d4412724a646c1b2d3a71a572409eff766b8d7e15",
         "epochs.csv": "129199a317003c22bb317da55149c613004cba40bdd56855d021a1d7677d607d",
     },
 }
@@ -54,11 +58,11 @@ def test_four_epoch_smoke_run_matches_golden(data_dir, tmp_path, gate_mode):
 
 RAGGED_GOLDEN = {
     "standard": {
-        "model.ckpt": "73da1b8b0a9559b67c7fb3fd8bb5f5c559c13b805e2f98eba47cb030699218b8",
+        "model.ckpt": "338df90a29c3d5375c545921cf63893b1bbb1fe7d6fe856fd3954ceca87ef7d2",
         "epochs.csv": "dd06900447f91d9747b3bcdbdfb0721edb49449fec4d4cb3dfb07bce72ddf5bf",
     },
     "literal_eq9": {
-        "model.ckpt": "185daff31c729dad152c4fa1e933868fbd14b804f83d71d36fe53dd0478713e1",
+        "model.ckpt": "b3535c6e3f935b5ad8e8e44e3a9a6c9a33932916a1a4bdf4af890551270fe5dd",
         "epochs.csv": "81a6507b00890b81ad2bb9dfa6569f109301d269a953b2ccdd9b92b5269b2347",
     },
 }
@@ -98,8 +102,8 @@ EVAL_GOLDEN = {
         "scores": "2c4f179c9466cced74d34804d3a64944beb29e135304006254ca68f6f2ee404e",
     },
     "literal_eq9": {
-        "report.csv": "c7540c4073171be826a0dcea71137499e3c31e5890316e3ed1f6cee4891d4be7",
-        "scores": "cd9db616993f9687739ada2e2a6d142533d3743dca96aec8594d0e7ddaa22914",
+        "report.csv": "334e5913464b3b2959e281d32dceff085f87efc571974706734021556befacb0",
+        "scores": "81f1f5352ac640b95c587e7d683c82474f0933642bf4f15c08b7788b34be693f",
     },
 }
 
@@ -109,7 +113,10 @@ def test_ragged_eval_matches_golden(data_dir, tmp_path, gate_mode):
     """`plstm eval` of a 2-epoch ragged checkpoint on its own corpus: the
     report bytes, and the per-branch eval-mode `forward_batch` scores of the
     whole ragged batch in BRANCH_NAMES order. Recorded while eval still
-    built the BPTT step records and the (L, batch, embed) input array."""
+    built the BPTT step records and the (L, batch, embed) input array. The
+    literal_eq9 hashes were re-recorded when the checkpoint began to carry
+    the gate mode, which a load used to set to sigmoid: they are the bytes
+    of the trained model as it was in memory."""
     data = tmp_path / "ragged.tsv"
     data.write_text(ragged_corpus(), encoding="utf-8")
     cfg = tmp_path / "cfg"

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import tracemalloc
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 
 import plstm.lstm
-from plstm.checkpoint import load_checkpoint, save_checkpoint
+from plstm.checkpoint import _HEADER, load_checkpoint, save_checkpoint
 from plstm.lstm import BidirectionalLayer
 from plstm.model import (
     BRANCH_NAMES,
@@ -147,16 +146,16 @@ class TestArena:
         save_checkpoint(loaded, tmp_path / "b.ckpt")
         blob = (tmp_path / "b.ckpt").read_bytes()
         assert blob == (tmp_path / "a.ckpt").read_bytes()
-        # the bytes the v1 format wrote before the arena: payload in blocks() order
-        assert hashlib.sha256(blob).hexdigest() == (
-            "17c3d39d466ac50a1a678c9fd4fcd221e30036f51314c424fab1a1e85cc7d915")
+        # the payload, after the header, is the arena as it lies in memory
+        assert blob[-m.arena.nbytes :] == m.arena.astype("<f8").tobytes()
+        assert len(blob) - m.arena.nbytes == _HEADER.size
 
     def test_checkpoint_round_trip_keeps_arena_and_file_bytes(self, tmp_path):
         self.check_round_trip(tmp_path)
 
     def test_checkpoint_load_draws_no_random_init(self, tmp_path, monkeypatch):
         """A load reads every parameter from the file, so it builds its
-        model over a zeroed arena and draws nothing."""
+        model over a copy of the payload and draws nothing."""
         self.check_round_trip(tmp_path, monkeypatch)
 
 
