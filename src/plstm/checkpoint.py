@@ -7,14 +7,15 @@ uint8 fields, the gate mode's index in `GATE_MODES` and the aggregation's
 in `AGGREGATIONS`; then the payload, the parameter arena as float64. The
 payload is in arena order, so `model.model_over` alone says where a
 parameter lives: save writes the arena's bytes, and load builds the model
-over one copy of the payload. Round trips are bitwise exact. Before it
-builds the model, a load rejects another version (a version 1 file among
-them), a header field out of range, a payload of another size than the
-header implies, a checksum mismatch and a non-finite parameter.
+over the payload, read once into its arena. Round trips are bitwise exact.
+Before it builds the model, a load rejects another version (a version 1
+file among them), a header field out of range, a payload of another size
+than the header implies, a checksum mismatch and a non-finite parameter.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -43,30 +44,41 @@ def save_checkpoint(model: ParallelModel, path):
 
 
 def load_checkpoint(path) -> ParallelModel:
+    """The model a checkpoint file holds. The header is read and checked
+    first, and the payload's size against the file's; the payload is then
+    read once, straight into the arena the model is built over, and the
+    CRC taken over the header's bytes and the arena's."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            header = fh.read(_HEADER.size)
+            if header[: len(MAGIC) - 1] != MAGIC[:-1]:
+                raise CheckpointError("bad checkpoint: wrong magic")
+            try:
+                _, version, crc, vocab, embed, hidden, seq_len, gate, agg = _HEADER.unpack(header)
+            except struct.error as exc:
+                raise CheckpointError("bad checkpoint: truncated header") from exc
+            if version != MAGIC[-1]:
+                raise CheckpointError(f"bad checkpoint: version {version}, this build reads "
+                                      f"{MAGIC[-1]}")
+            # checked before the arena is allocated, so a corrupt header allocates nothing
+            if min(vocab, embed, hidden, seq_len) < 1:
+                raise CheckpointError("bad checkpoint: header has a zero dimension")
+            if gate >= len(GATE_MODES) or agg >= len(AGGREGATIONS):
+                raise CheckpointError("bad checkpoint: gate mode or aggregation index out of "
+                                      "range")
+            count = expected_param_count(vocab, embed, hidden)
+            size = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if size != count * 8:
+                raise CheckpointError(f"bad checkpoint: payload is {size} bytes, header says "
+                                      f"{count * 8}")
+            arena = np.empty(count, "<f8")
+            if fh.readinto(memoryview(arena).cast("B")) != size:
+                raise CheckpointError("bad checkpoint: the file changed while it was read")
     except OSError as exc:
         raise CheckpointError(f"bad checkpoint: cannot read {path}: {exc}") from exc
-    if blob[: len(MAGIC) - 1] != MAGIC[:-1]:
-        raise CheckpointError("bad checkpoint: wrong magic")
-    try:
-        _, version, crc, vocab, embed, hidden, seq_len, gate, agg = _HEADER.unpack_from(blob)
-    except struct.error as exc:
-        raise CheckpointError("bad checkpoint: truncated header") from exc
-    if version != MAGIC[-1]:
-        raise CheckpointError(f"bad checkpoint: version {version}, this build reads {MAGIC[-1]}")
-    # checked before the model is built, so a corrupt header allocates nothing
-    if min(vocab, embed, hidden, seq_len) < 1:
-        raise CheckpointError("bad checkpoint: header has a zero dimension")
-    if gate >= len(GATE_MODES) or agg >= len(AGGREGATIONS):
-        raise CheckpointError("bad checkpoint: gate mode or aggregation index out of range")
-    size, expected = len(blob) - _HEADER.size, expected_param_count(vocab, embed, hidden) * 8
-    if size != expected:
-        raise CheckpointError(f"bad checkpoint: payload is {size} bytes, header says {expected}")
-    if zlib.crc32(memoryview(blob)[_CHECKED:]) != crc:
+    if zlib.crc32(arena, zlib.crc32(header[_CHECKED:])) != crc:
         raise CheckpointError("bad checkpoint: checksum mismatch")
-    arena = np.frombuffer(blob, "<f8", offset=_HEADER.size).astype(np.float64)
     if not np.isfinite(arena).all():
         raise CheckpointError("bad checkpoint: a parameter is not finite")
-    return model_over(arena, vocab, embed, hidden, GATE_MODES[gate], seq_len, AGGREGATIONS[agg])
+    return model_over(arena.astype(np.float64, copy=False), vocab, embed, hidden,
+                      GATE_MODES[gate], seq_len, AGGREGATIONS[agg])

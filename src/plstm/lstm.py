@@ -28,33 +28,50 @@ unpadded rows, none for padded rows, in one array per kind (RECORDS) in
 table order: step t's records sit at its table rows, and a list of the
 steps that ran gives the run order. A pass given an index is forward-only
 and keeps none. The two directions share nothing until their final states
-are pooled, so each direction projects, then steps, as one unit of work.
-Where a step's recurrent product runs `matmul_stacked`'s one-term loop
-(numpy calls long enough to release the GIL for most of their time) the
-backward direction's unit runs on a second thread while the calling thread
-runs the forward one's; elsewhere they run in turn. Each direction's
-arithmetic, and so every byte, is the same either way.
+are pooled, and in BPTT nothing until their input-gradient rows are added,
+so each direction projects, then steps, as one unit of work, and its BPTT
+is another.
+
 BPTT likewise takes the input-side products out of the recurrence: it
 writes every step's gate gradients over that step's gate records, so they
 end up in table order, and makes dx from views of them, one branch at a
 time, in one product per gate after the time loop. Its parameter gradients
 are the arrays of a zeroed layer it adds into, and each branch's `blocks()`
 names them.
+
+Inside a `direction_worker` scope, a pass whose input projection makes at
+least WORKER_TERMS terms sends its backward direction to the direction
+worker, a process forked at the first such pass: the worker projects and
+steps that direction while this process runs the forward one, and for a
+per-position pass it keeps the step records, runs the direction's BPTT and
+makes its input-gradient rows, so those records never leave it. Smaller
+passes, and every pass outside a scope, run both directions here, in
+turn. Each direction runs the same numpy operations in the same order
+either way, so every byte is the same.
 """
 
 from __future__ import annotations
 
-import contextvars
-import functools
-import threading
+import contextlib
+import itertools
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked,
-                     one_stack)
+from .tensor import RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
+
+# the fewest input-projection terms, branches x rows x 4*hidden x embed, of a
+# pass that sends its backward direction to the direction worker. Its
+# messages cost a few hundred microseconds each; measured on training epochs
+# at E=32, H=16, the worker lost (0.90x) at 2^18.4 terms, was even to 1.36x
+# at 2^19.6 and won 1.26-1.45x from 2^20.2 up (README, "Direction worker").
+WORKER_TERMS = 1 << 20
 
 
 @dataclass
@@ -201,30 +218,6 @@ def _row_starts(mask):
     return np.concatenate(([0], np.cumsum(np.count_nonzero(mask, axis=1))))
 
 
-def _in_parallel(first, second):
-    """(first(), second()), second run on a new thread while first runs on
-    this one. The thread runs in a copy of this thread's context, so it
-    keeps numpy's context-local `errstate`. An exception of second's is
-    raised here, and the thread has ended when this returns."""
-    outcome = {}
-
-    def work():
-        try:
-            outcome["result"] = second()
-        except BaseException as exc:  # raised in the caller
-            outcome["error"] = exc
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
-    worker.start()
-    try:
-        result = first()
-    finally:
-        worker.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return result, outcome["result"]
-
-
 # a per-position pass's step records, each (branches, n, ...) in table order
 RECORDS = ("h_prev", "c_prev", "gates", "tanh_c")
 
@@ -291,6 +284,211 @@ def _token_rows(table, branches: int):
     return lambda lo, hi: table[:, lo:hi]
 
 
+def _direction(params: LSTMCellParams, order, held: list, n: int, mask, starts, index):
+    """One direction's unit of work: its input projection, one product per
+    branch of the token rows 0:n with W.T, then its steps (`_steps`), after
+    which the projection is dropped. The token table is popped from `held`,
+    a list of one reference per direction still to project, so the last
+    direction to project drops it unless another reference holds it."""
+    rows = _token_rows(held.pop(), len(params.W))
+    proj = matmul_stacked(rows(0, n), params.W.transpose(0, 2, 1))
+    del rows
+    return _steps(params, order, mask, proj, starts, index)
+
+
+class WorkerError(RuntimeError):
+    """The direction worker could not start, or ended or was stopped
+    before it replied."""
+
+
+def _write_all(fd, parts):
+    """Write each buffer of `parts` to fd, whole and in order."""
+    views = [memoryview(part).cast("B") for part in parts]
+    while views:
+        n = os.writev(fd, views)
+        while views and n >= len(views[0]):
+            n -= len(views.pop(0))
+        if n:
+            views[0] = views[0][n:]
+
+
+def _read_into(fd, buffer):
+    """Fill `buffer` from fd; EOFError if the other end closes first."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            raise EOFError("the pipe closed")
+        view = view[n:]
+
+
+def _frame(message) -> list:
+    """The buffers that carry `message` down a pipe: the count of parts and
+    their sizes, then the parts, a protocol-5 pickle and the memory of each
+    of its arrays, sent out of band from where it lies, so no pickled copy
+    is held beside an array."""
+    buffers = []
+    head = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
+    parts = [head, *(buffer.raw() for buffer in buffers)]
+    return [struct.pack(f"={len(parts) + 1}Q", len(parts), *map(len, parts)), *parts]
+
+
+def _receive(fd):
+    """The next message `_frame` framed on fd. Each array is rebuilt over a
+    buffer its memory was read straight into."""
+    count = bytearray(8)
+    _read_into(fd, count)
+    sizes = bytearray(8 * struct.unpack("=Q", count)[0])
+    _read_into(fd, sizes)
+    parts = [bytearray(size) for size in struct.unpack(f"={len(sizes) // 8}Q", sizes)]
+    for part in parts:
+        _read_into(fd, part)
+    return pickle.loads(parts[0], buffers=parts[1:])
+
+
+def _serve(requests: int, replies: int):
+    """The direction worker's loop: read a request, run it, reply, until the
+    caller's end of the pipe closes. A request is (the caller's
+    `np.geterr()`, a handler, its arguments); the handler runs under that
+    errstate, given the worker's pending passes, and the reply is (True,
+    its result) or (False, the exception it raised)."""
+    pending = {}  # a pass's key -> its backward direction's records
+    while True:
+        try:
+            errstate, handler, *args = _receive(requests)
+        except EOFError:
+            return
+        try:
+            with np.errstate(**errstate):
+                reply = True, handler(pending, *args)
+        except BaseException as exc:  # raised in the caller
+            reply = False, exc
+        try:
+            parts = _frame(reply)
+        except Exception:  # an exception that does not pickle: its type and message
+            parts = _frame((False, WorkerError(f"{type(reply[1]).__name__}: {reply[1]}")))
+        _write_all(replies, parts)
+
+
+class _Worker:
+    """The direction worker, a forked process that runs the requests
+    `alongside` sends it (`_serve`), and this process's ends of the two
+    pipes to and from it. A fork copies the calling thread alone; that is
+    safe here because the engine starts no thread and the worker calls no
+    BLAS (every product is `matmul_stacked`'s einsum)."""
+
+    def __init__(self):
+        to_worker, from_worker = os.pipe(), os.pipe()  # (read end, write end) each
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            for fd in (*to_worker, *from_worker):
+                os.close(fd)
+            raise WorkerError(f"cannot start the direction worker: {exc}") from None
+        if pid == 0:  # the worker: it never returns from here
+            code = 1
+            try:
+                os.close(to_worker[1])
+                os.close(from_worker[0])
+                _serve(to_worker[0], from_worker[1])
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(to_worker[0])
+        os.close(from_worker[1])
+        self.pid, self.requests, self.replies = pid, to_worker[1], from_worker[0]
+        self.keys = itertools.count()  # one per per-position pass, naming its records
+
+    def alongside(self, request: list, here):
+        """(here(), the worker's reply to `request`): the worker runs the
+        request, [handler, *arguments], while this process runs here(). The
+        request list is emptied once sent, so it holds nothing here while
+        here() runs. The worker's exception is raised once here() has
+        returned. If here() or the wait for the reply raises, or the worker
+        has ended, the worker is stopped, so no stale reply is read later,
+        and an ended worker raises `WorkerError`."""
+        if self.pid is None:
+            raise WorkerError("the direction worker was stopped")
+        try:
+            try:
+                _write_all(self.requests, _frame([np.geterr(), *request]))
+            except BrokenPipeError:
+                raise WorkerError("the direction worker has ended") from None
+            request.clear()
+            result = here()
+            try:
+                ok, reply = _receive(self.replies)
+            except EOFError:
+                raise WorkerError("the direction worker ended before it replied") from None
+        except BaseException:
+            self.stop()
+            raise
+        if not ok:
+            raise reply
+        return result, reply
+
+    def stop(self):
+        """Kill and reap the worker and close this process's pipe ends; a
+        stopped worker takes no more requests."""
+        if self.pid is None:
+            return
+        pid, self.pid = self.pid, None
+        os.close(self.requests)
+        os.close(self.replies)
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(pid, 0)
+
+
+_scope = None  # the open `direction_worker` scope: a list of the workers it started
+
+
+@contextlib.contextmanager
+def direction_worker():
+    """A scope in which a large pass sends its backward direction to the
+    direction worker (see the module docstring). The worker is forked at
+    the first pass of at least WORKER_TERMS projection terms, so a scope
+    that runs none starts no process, and it is killed and reaped when the
+    scope closes, however it closes. A worker that was stopped inside the
+    scope is replaced at the next such pass. A nested scope is the outer
+    one."""
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = []
+    try:
+        yield
+    finally:
+        workers, _scope = _scope, None
+        for worker in workers:
+            worker.stop()
+
+
+def _worker_for(terms: int):
+    """The direction worker, started if need be, for a pass whose input
+    projection makes `terms` terms inside a scope, if terms is at least
+    WORKER_TERMS; else None, and the pass runs in turn."""
+    if _scope is None or terms < WORKER_TERMS:
+        return None
+    if not _scope or _scope[-1].pid is None:
+        _scope.append(_Worker())
+    return _scope[-1]
+
+
+def _pass_in_worker(pending, key, params, order, held, n, mask, starts, index):
+    """The worker's part of a pass: `_direction` over its backward
+    direction. A per-position pass's records, its parameters and its token
+    rows are kept in `pending` under key for its BPTT. Returns the final
+    state."""
+    x = None if key is None else _token_rows(held[0], len(params.W))
+    final, records = _direction(params, order, held, n, mask, starts, index)
+    if key is not None:
+        pending[key] = {"params": params, "x": x, **records}
+    return final
+
+
 def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, tokens):
     """Run both directions of a stack of branches over a sequence, each
     from zero state: the forward recurrence over t = 0..L-1 and the
@@ -311,22 +509,26 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     one product per branch, and step t reads its rows from it. Each step
     runs the gate maths on the rows its mask marks only; padded rows are
     left out and keep their state, and a step with no such rows is
-    skipped. Each direction is one unit of work: it projects, then steps,
-    and its projection is dropped when it ends. While a step's recurrent
-    product, branches x batch x 4*hidden, is `one_stack`, the two units run
-    in turn; otherwise the backward one runs on a second thread while this
-    one runs the forward one (see the module docstring).
+    skipped. Each direction is one unit of work (`_direction`): it
+    projects, then steps, and its projection is dropped when it ends. In a
+    `direction_worker` scope, a pass whose projection makes at least
+    WORKER_TERMS terms, branches x n x 4*hidden x embed, runs its backward
+    unit in the worker while this process runs the forward one; otherwise
+    the two units run here in turn (see the module docstring).
     A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
     direction, `params`, the table as `x`, a function of a row range, and
     the step records BPTT reads: "steps", the (t, rows) of each step that
     ran, in run order, and per kind in RECORDS one (branches, n, ...)
     array in table order, step t's records, for its rows only, at table
-    rows starts[t]:starts[t+1] ("starts"). A pass given an index is
+    rows starts[t]:starts[t+1] ("starts"). Where the worker ran the
+    backward direction, "bwd" is {"worker", "key"} instead: the worker
+    keeps its records under that key. A pass given an index is
     forward-only: it keeps no records and returns a None cache.
     """
-    L, batch, mask = _sequence_mask(sequence, mask)
+    L, _, mask = _sequence_mask(sequence, mask)
     table, index = tokens
-    G = len(layer.forward_params.W)
+    fwd, bwd = layer.forward_params, layer.backward_params
+    G = len(fwd.W)
     if index is None:
         starts = _row_starts(mask)
         n = starts[-1]
@@ -335,32 +537,25 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
         table, starts, n = np.take(table, used, axis=-2), None, len(used)
         index = np.zeros(mask.shape, dtype=np.intp)
         index[mask] = inverse
-    held = [_token_rows(table, G)]  # emptied once both directions have projected
-    x = held[0] if index is None else None  # BPTT reads a per-position pass's rows
+    x = _token_rows(table, G) if index is None else None  # BPTT reads a per-position pass's rows
+    held = [table, table]  # one per direction still to project
     del table
-    # list.append and len are atomic under the GIL. Whichever unit counts
-    # two has seen both projections made; if both do, the second clear is
-    # a no-op.
-    projected = []
-
-    def run(params, order):  # one direction: project, then step; its projection dies with it
-        proj = matmul_stacked(held[0](0, n), params.W.transpose(0, 2, 1))
-        projected.append(order)
-        if len(projected) == 2:
-            held.clear()
-        return _steps(params, order, mask, proj, starts, index)
-
-    runs = (functools.partial(run, layer.forward_params, range(L)),
-            functools.partial(run, layer.backward_params, range(L - 1, -1, -1)))
-    if one_stack(G, batch, 4 * layer.hidden):  # in turn
-        (final_f, records_f), (final_b, records_b) = (unit() for unit in runs)
+    forward, backward = range(L), range(L - 1, -1, -1)
+    worker = _worker_for(G * n * 4 * layer.hidden * fwd.embed)
+    if worker is None:  # in turn
+        final_f, records_f = _direction(fwd, forward, held, n, mask, starts, index)
+        final_b, records_b = _direction(bwd, backward, held, n, mask, starts, index)
     else:
-        (final_f, records_f), (final_b, records_b) = _in_parallel(*runs)
+        key = None if index is not None else next(worker.keys)
+        (final_f, records_f), final_b = worker.alongside(
+            [_pass_in_worker, key, bwd, backward, [held.pop()], n, mask, starts, index],
+            lambda: _direction(fwd, forward, held, n, mask, starts, index))
     if index is not None:
         return (final_f, final_b), None
     return (final_f, final_b), {
-        "fwd": {"params": layer.forward_params, "x": x, **records_f},
-        "bwd": {"params": layer.backward_params, "x": x, **records_b},
+        "fwd": {"params": fwd, "x": x, **records_f},
+        "bwd": ({"params": bwd, "x": x, **records_b} if worker is None
+                else {"worker": worker, "key": key}),
         "mask": mask}
 
 
@@ -429,6 +624,29 @@ def _input_grad(params: LSTMCellParams, dpre, k: int):
     return dx
 
 
+def _bptt_in_worker(pending, key, upstream):
+    """The worker's BPTT of pending pass key's backward direction, into a
+    zeroed layer of its parameters' shapes. Returns that layer's (dW, dU,
+    db); the pass keeps its parameters and its pre-activation gradients
+    for `_input_grad_in_worker`."""
+    records = pending[key]
+    params = records["params"]
+    out = LSTMCellParams(*(np.zeros_like(a) for a in (params.W, params.U, params.b)),
+                         params.gate_activation)
+    _directional_bptt(records, upstream, out)
+    pending[key] = params, records["gates"]
+    return out.W, out.U, out.b
+
+
+def _input_grad_in_worker(pending, key, k: int):
+    """Branch k's backward-direction input-gradient rows of pending pass
+    key, after its BPTT; the pass is dropped with its last branch."""
+    params, dpre = pending[key]
+    if k == len(params.W) - 1:
+        del pending[key]
+    return _input_grad(params, dpre, k)
+
+
 def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     """Gradients for both directions' parameters and the input vectors,
     from the cache of a per-position `directional_pass`. A cache can be
@@ -438,13 +656,35 @@ def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     representation; because pooling is an elementwise sum it feeds both
     final states directly. The parameter gradients add into `out`, a layer
     of the encoded layer's stacked shapes; its branches' `blocks()` name
-    them.
+    them. Where the worker ran the pass's backward direction, it runs that
+    direction's BPTT into zeroed arrays while this process runs the
+    forward one's, and its sums add into `out`: into a zeroed `out`, as
+    training's gradient arena is, that is bitwise the sums BPTT here would
+    leave, since none of them is -0.
     Returns an iterator over the branches that makes each one's (n, embed)
-    input-gradient rows, in per-position table order, when it is asked for.
+    input-gradient rows, in per-position table order, when it is asked for:
+    the forward direction's rows plus the backward one's, which the worker
+    makes for one branch at a time while this process makes the forward
+    ones.
     """
     fwd, bwd = cache["fwd"], cache["bwd"]
-    _directional_bptt(fwd, upstream, out.forward_params)
-    _directional_bptt(bwd, upstream, out.backward_params)
-    (params_f, dpre_f), (params_b, dpre_b) = ((d["params"], d["gates"]) for d in (fwd, bwd))
-    return (_input_grad(params_f, dpre_f, k) + _input_grad(params_b, dpre_b, k)
-            for k in range(len(params_f.W)))
+    params_f, dpre_f = fwd["params"], fwd["gates"]
+    if "worker" not in bwd:
+        _directional_bptt(fwd, upstream, out.forward_params)
+        _directional_bptt(bwd, upstream, out.backward_params)
+        return (_input_grad(params_f, dpre_f, k) + _input_grad(bwd["params"], bwd["gates"], k)
+                for k in range(len(params_f.W)))
+    worker, key = bwd["worker"], bwd["key"]
+    _, sums = worker.alongside([_bptt_in_worker, key, upstream],
+                               lambda: _directional_bptt(fwd, upstream, out.forward_params))
+    params_b = out.backward_params
+    for total, terms in zip((params_b.W, params_b.U, params_b.b), sums):
+        total += terms
+    del sums
+
+    def rows(k):
+        rows_f, rows_b = worker.alongside([_input_grad_in_worker, key, k],
+                                          lambda: _input_grad(params_f, dpre_f, k))
+        return rows_f + rows_b
+
+    return (rows(k) for k in range(len(params_f.W)))

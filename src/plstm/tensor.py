@@ -54,8 +54,8 @@ _TILE_ROWS = 512
 
 # the most output elements, G*M*N, of a stack made as one (see `one_stack`);
 # its own constant, not derived from the block: it also sets the branch
-# groups and the two-thread rule, which a block size must not move. A stack
-# it admits gets _BLOCK_ELEMS // STACKED_ELEMS = 8 terms a block or more.
+# groups, which a block size must not move. A stack it admits gets
+# _BLOCK_ELEMS // STACKED_ELEMS = 8 terms a block or more.
 STACKED_ELEMS = 1 << 14
 
 

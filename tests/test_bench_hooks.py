@@ -5,8 +5,8 @@ tests. They only read bench/."""
 
 import ast
 import inspect
+import os
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,8 @@ sys.path.insert(0, str(BENCH))
 
 import plstm.cli  # noqa: E402,F401  loads every module the tracer rebinds
 from plstm.model import init_model  # noqa: E402
-from plstm.train import build_model, encode_dataset, train  # noqa: E402
+from plstm.train import (EncodedDataset, TrainConfig, build_model,  # noqa: E402
+                         encode_dataset, train)
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -92,28 +93,37 @@ def test_adam_counter_counts_every_parameter_once_a_batch(data_dir):
     assert t.counts["train.adam_step.elems"] == model.param_count()
 
 
-def test_counter_hooked_functions_run_on_the_calling_thread():
-    """The tracer shares one `Counter` between threads, and `bench/run.py`
-    fails a traced unit whose work counts differ from the first unit's. So
-    on a batch whose directions step on two threads, every function with a
-    counter runs on the calling thread; `activate`, whose span has no
-    counter, also runs on the second thread."""
+def test_counter_hooked_functions_run_in_the_calling_process(monkeypatch, tmp_path):
+    """The tracer counts in the process it runs in: a call in the direction
+    worker, a forked copy, never reaches the benchmark's counts. On a
+    training epoch whose every pass takes the worker, every function with a
+    counter runs in the calling process, and of them only `matmul` runs in
+    the worker too, for the backward direction's input-gradient rows: so
+    `tensor.matmul.*` count the calling process's products alone. The
+    span of `activate`, which has no counter, runs in both."""
     counted = {name for name, (_, before, after) in tracer.TRACED.items() if before or after}
-    threads = {}
+    log = tmp_path / "calls"
 
     def factory(fn):
         def wrapper(*args, **kwargs):
-            threads.setdefault(fn.__name__, set()).add(threading.get_ident())
+            with open(log, "a", encoding="utf-8") as fh:  # appends from either process
+                fh.write(f"{os.getpid()} {fn.__name__}\n")
             return fn(*args, **kwargs)
         return wrapper
 
-    model = init_model(40, 4, 32, seed=0)  # 130 x 4H = 16,640 > STACKED_ELEMS
     gen = np.random.default_rng(1)
-    mask = np.arange(6) < gen.integers(1, 7, 130)[:, None]
-    ids = np.where(mask, gen.integers(1, 40, mask.shape), 0)
-    with tracer.patched({name: factory for name in counted | {"activate"}}):
-        plstm.model.forward_batch(model, ids, mask)
-    assert "directional_pass" in threads
-    for name in counted & threads.keys():
-        assert threads[name] == {threading.get_ident()}, name
-    assert len(threads["activate"]) == 2
+    mask = np.arange(6) < gen.integers(1, 7, 16)[:, None]
+    data = EncodedDataset(np.where(mask, gen.integers(1, 40, mask.shape), 0), mask,
+                          np.arange(16) % 2)
+    config = TrainConfig(epochs=1, batch_size=16, seed=2, verbose=0, hidden=8, embed_dim=4,
+                         seq_len=6)
+    monkeypatch.setattr(plstm.lstm, "WORKER_TERMS", 0)
+    with plstm.lstm.direction_worker(), tracer.patched({name: factory
+                                                       for name in counted | {"activate"}}):
+        train(build_model(config, 40, config.seed), data, config)
+    calls = {}
+    for line in log.read_text(encoding="utf-8").splitlines():
+        pid, name = line.split()
+        calls.setdefault("here" if int(pid) == os.getpid() else "worker", set()).add(name)
+    assert calls["here"] == {"directional_pass", "matmul", "adam_step", "activate"}
+    assert calls["worker"] == {"matmul", "activate"}

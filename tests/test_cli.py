@@ -1,5 +1,6 @@
 import csv
 import errno
+import os
 import re
 import struct
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plstm import cli
+from plstm import cli, lstm
 from plstm.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from plstm.cli import ConfigError, dump_config, load_config, main
 from plstm.corpus import build_vocabulary, load_labeled_dataset
@@ -511,6 +512,50 @@ class TestFailureBoundary:
         assert code == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
 
+    @pytest.mark.parametrize("ending", ["exit_0", "exit_2", "exit_3", "base_exception"])
+    def test_no_child_outlives_main(self, data_dir, tmp_path, smoke_cfg, monkeypatch, children,
+                                    ending):
+        """Every pass takes the direction worker here, so each command
+        starts one, and `main` reaps it on every way out: exit 0, a failed
+        write's exit 2, a diverging run's exit 3, and a BaseException raised
+        in the middle of a pass, which propagates."""
+        monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+        real_rule, real_steps, running = lstm._worker_for, lstm._steps, []
+
+        def worker_for(terms):
+            worker = real_rule(terms)
+            running.append(len(children()))
+            return worker
+
+        def steps(*args):
+            if len(running) == 3 and os.getpid() == caller:  # the third pass, in the caller
+                raise Interrupted
+            return real_steps(*args)
+
+        caller, out = os.getpid(), tmp_path / "run"
+        if ending == "exit_2":
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "run"
+        if ending == "exit_3":
+            smoke_cfg.write_text(SMOKE_CFG_TEXT + "learning_rate=1e300\nclip_norm=none\n")
+        monkeypatch.setattr(lstm, "_worker_for", worker_for)
+        argv = ["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config",
+                str(smoke_cfg), "--out", str(out)]
+        if ending == "base_exception":
+            monkeypatch.setattr(lstm, "_steps", steps)
+            with pytest.raises(Interrupted):
+                main(argv)
+            assert len(running) == 3
+        else:
+            assert main(argv) == {"exit_0": 0, "exit_2": 2, "exit_3": 3}[ending]
+        assert running and set(running) == {1}  # each pass found its worker running
+        assert children() == []
+
+
+class Interrupted(BaseException):
+    """Not an `Exception`: nothing in plstm catches it."""
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = init_model(7, 5, 3, seed=9, seq_len=4)
@@ -594,6 +639,18 @@ class TestCheckpoint:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad checkpoint: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["one_byte_short", "one_byte_long"])
+    def test_a_payload_one_byte_off_exits_2_with_one_line(self, data_dir, tmp_path, capsys,
+                                                         change):
+        blob, path = self.tiny_checkpoint(tmp_path)
+        path.write_bytes(blob[:change] if change < 0 else blob + b"\0")
+        code = main(["eval", "--checkpoint", str(path),
+                     "--data", str(data_dir / "synthetic_train.tsv")])
+        assert code == 2
+        size = len(blob) - 28
+        assert capsys.readouterr().err == (f"error: bad checkpoint: payload is {size + change} "
+                                           f"bytes, header says {size}\n")
 
     def test_version_1_file_exit_2_naming_the_version(self, data_dir, tmp_path, capsys):
         """A version 1 file, four uint32 dimensions and a payload, is

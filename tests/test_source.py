@@ -1,13 +1,15 @@
 """Checks on the source of src/plstm, read with stdlib `ast`."""
 
 import ast
+import contextlib
+import io
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from plstm import cli, lstm, model
 from plstm.model import BRANCH_NAMES, init_model
-from plstm.tensor import one_stack
 from plstm.train import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "plstm"
@@ -233,9 +235,12 @@ def test_every_product_goes_through_the_kernel():
     assert found == []
 
 
-# calls that start a thread; a pool module runs work on threads or processes
+# calls that start a thread
 THREAD_STARTERS = {"Thread", "Timer", "start_new_thread", "start_joinable_thread"}
-POOL_MODULES = {"concurrent", "multiprocessing"}
+THREAD_MODULES = {"threading", "_thread", "concurrent"}
+# the modules of `multiprocessing` that start no pool, shared memory or
+# resource tracker
+PIPE_MODULES = {"multiprocessing.connection"}
 
 
 def thread_starts(tree, function=""):
@@ -254,36 +259,59 @@ def thread_starts(tree, function=""):
     return found
 
 
-def pool_imports(tree):
-    """Each module name in an import of `tree` from POOL_MODULES."""
+def imported_modules(tree):
+    """Each module an import in `tree` names: `import a.b` names a.b, and
+    `from a import b, c` names a.b and a.c, since b may be a module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] in POOL_MODULES]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in POOL_MODULES:
-            found.append(node.module)
+            found += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [f"{node.module}.{a.name}" for a in node.names]
     return found
 
 
+def pool_imports(tree):
+    """Each module `tree` imports that can run work on threads, a pool or
+    shared memory: threading and concurrent.futures, and multiprocessing
+    beyond its pipes."""
+    return [name for name in imported_modules(tree)
+            if name.split(".")[0] in THREAD_MODULES
+            or name.split(".")[0] == "multiprocessing"
+            and not any(name.startswith(ok) for ok in PIPE_MODULES)]
+
+
 def test_thread_checker_finds_every_thread_and_pool():
-    tree = ast.parse("import threading, multiprocessing.pool\nfrom concurrent import futures\n"
+    tree = ast.parse("import threading, multiprocessing.pool, os\nfrom concurrent import futures\n"
+                     "from multiprocessing import shared_memory, Pool\n"
+                     "from multiprocessing.connection import Pipe\n"
                      "def f(g):\n    threading.Thread(target=copy_context().run, args=(g,))\n"
                      "    def h():\n        return Thread(target=g)\n"
                      "    return _thread.start_new_thread(g, ())\n")
     assert thread_starts(tree) == [("f", "copy_context().run"), ("h", "g"), ("f", "")]
-    assert pool_imports(tree) == ["multiprocessing.pool", "concurrent"]
+    assert pool_imports(tree) == ["threading", "multiprocessing.pool", "concurrent.futures",
+                                  "multiprocessing.shared_memory", "multiprocessing.Pool"]
 
 
-def test_one_function_starts_a_thread_in_a_copied_context():
-    """`lstm._in_parallel` is the one place that starts a thread. Its target
-    runs through `contextvars.copy_context().run`: numpy's `errstate` is
-    context-local, so a plain thread would drop the caller's, `train`'s
-    all="ignore" included. No thread or process pool is imported."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
-    starts = [hit for tree in trees for hit in thread_starts(tree)]
-    assert len(starts) == 1
-    assert starts[0][1].endswith("copy_context().run")
-    assert [name for tree in trees for name in pool_imports(tree)] == []
+def src_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_src_starts_no_thread():
+    """The engine runs on the calling thread: numpy calls of 15-50 us trade
+    the GIL between two threads more than they compute (ROADMAP, measured
+    dead ends). Its one other worker is a process (`lstm._Worker`)."""
+    assert [(stem, hit) for stem, tree in src_trees().items()
+            for hit in thread_starts(tree)] == []
+
+
+def test_nothing_imports_a_pool_or_shared_memory():
+    """No thread or process pool, shared memory, queue or semaphore: the
+    pool modules and shared memory start a resource tracker, and the worker
+    needs only `os.fork` and a pipe."""
+    assert [(stem, name) for stem, tree in src_trees().items()
+            for name in pool_imports(tree)] == []
 
 
 def call_sites(tree, name, function=""):
@@ -305,15 +333,12 @@ def test_call_site_checker_finds_every_call():
     assert call_sites(tree, "run") == ["g", "f", ""]
 
 
-def test_two_threads_run_only_the_directions_of_a_pass():
-    """`_in_parallel` has one caller, `directional_pass`: BPTT, `_input_grad`
-    and the product kernel run on the calling thread. On this engine's
-    train shapes, two threads there traded the GIL more than they computed
-    (ROADMAP, measured dead ends); a new call site needs its own measured
-    case."""
-    found = [(path.stem, site) for path in sorted(SRC.glob("*.py"))
-             for site in call_sites(ast.parse(path.read_text(encoding="utf-8")), "_in_parallel")]
-    assert found == [("lstm", "directional_pass")]
+def test_one_function_forks():
+    """`lstm._Worker.__init__` is the one place that starts a process: the
+    direction worker, forked inside `lstm.direction_worker`'s scope, which
+    reaps it."""
+    assert [(stem, site) for stem, tree in src_trees().items()
+            for site in call_sites(tree, "fork")] == [("lstm", "__init__")]
 
 
 def name_reads(tree, name, function=""):
@@ -337,13 +362,11 @@ def test_read_checker_finds_every_read():
 
 
 def test_the_block_budget_does_not_set_the_stack_rule():
-    """`one_stack`, which also picks the branch groups and the two-thread
-    rule, reads STACKED_ELEMS and no block budget, and STACKED_ELEMS is not
-    made from one. The block budget `_BLOCK_ELEMS` is read by the product
-    kernel and by Adam's chunk only. So a block size can be tuned without
-    moving a group, a thread or a path."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    """`one_stack`, which also picks the branch groups, reads STACKED_ELEMS
+    and no block budget, and STACKED_ELEMS is not made from one. The block
+    budget `_BLOCK_ELEMS` is read by the product kernel and by Adam's chunk
+    only. So a block size can be tuned without moving a group or a path."""
+    trees = src_trees()
     reads = {name: sorted({(stem, site) for stem, tree in trees.items()
                            for site in name_reads(tree, name)})
              for name in ("_BLOCK_ELEMS", "STACKED_ELEMS")}
@@ -351,23 +374,61 @@ def test_the_block_budget_does_not_set_the_stack_rule():
     assert reads["STACKED_ELEMS"] == [("tensor", "one_stack")]
 
 
-# workload -> (batch rows, hidden, branches a group, its directions on two
-# threads): the benchmark's step shapes (bench/workloads.py and
-# data/train_smoke.cfg), and how the shape rule steps them
+def test_the_worker_rule_has_one_reader():
+    """`lstm._worker_for` alone reads WORKER_TERMS: one rule decides
+    whether a pass runs its backward direction in the worker or in turn."""
+    assert sorted({(stem, site) for stem, tree in src_trees().items()
+                   for site in name_reads(tree, "WORKER_TERMS")}) == [("lstm", "_worker_for")]
+
+
+# workload -> (batch rows, hidden, branches a group, {kind of pass: whether
+# its backward direction runs in the worker}): the benchmark's step shapes
+# (bench/workloads.py and data/train_smoke.cfg), how the shape rule groups
+# them, and how the worker rule runs a training pass (its per-position
+# table) and an eval or metrics pass (a token table and an index)
 BENCH_STEPS = {
-    "train_smoke": (8, 16, 4, False),
-    "train_long": (16, 32, 4, False),
-    "eval_long": (512, 32, 1, True),
+    "train_smoke": (8, 16, 4, {"train": False, "eval": False}),
+    "train_long": (16, 32, 4, {"train": True, "eval": True}),
+    "eval_long": (512, 32, 1, {"eval": True}),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_STEPS))
-def test_bench_shapes_keep_their_groups_and_threads(workload):
-    """The train workloads step the four branches as one group, both
-    directions in turn; `eval_long` steps each branch alone, its two
-    directions on two threads. A change to the stack rule that moved one of
-    these would change what the benchmark measures."""
-    batch, hidden, size, two_threads = BENCH_STEPS[workload]
+def test_bench_shapes_keep_their_groups_and_worker_rule(workload, tmp_path, monkeypatch):
+    """The train workloads step the four branches as one group, `eval_long`
+    each branch alone. `train_smoke`'s passes run both directions in turn;
+    `train_long`'s training and metrics passes, and each `eval_long`
+    group's, run the backward one in the worker. One unit of the workload,
+    at seed 0, run as the benchmark runs it, checks every pass, and that
+    its projection terms sit well away from WORKER_TERMS: a change to the
+    stack rule or the worker rule that moved one would change what the
+    benchmark measures."""
+    batch, hidden, size, uses_worker = BENCH_STEPS[workload]
     groups = init_model(10, 4, hidden, seed=0).groups(batch)
     assert [len(group.names) for group in groups] == [size] * (len(BRANCH_NAMES) // size)
-    assert one_stack(size, batch, 4 * hidden) is not two_threads
+
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    import workloads
+
+    inputs = workloads.prepare(workload, 0, tmp_path)
+    real_pass, real_rule, kinds, decisions = model.directional_pass, lstm._worker_for, [], []
+
+    def directional_pass(layer, sequence, mask, tokens):
+        kinds.append("train" if tokens[1] is None else "eval")
+        return real_pass(layer, sequence, mask, tokens)
+
+    def worker_for(terms):
+        worker = real_rule(terms)
+        decisions.append((worker is not None, terms / lstm.WORKER_TERMS))
+        return worker
+
+    monkeypatch.setattr(model, "directional_pass", directional_pass)
+    monkeypatch.setattr(lstm, "_worker_for", worker_for)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(inputs.argv) == 0
+    assert sorted({(kind, used) for kind, (used, _) in zip(kinds, decisions)}) == sorted(
+        uses_worker.items())
+    # a factor of 2 or more from the rule: over the 16 input seeds of the
+    # benchmark's pool the nearest pass sat 2.7x below it (train_smoke)
+    # and 13.8x above it (train_long's metrics pass)
+    assert all(ratio >= 2 if used else ratio <= 0.5 for used, ratio in decisions)

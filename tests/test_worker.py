@@ -1,0 +1,330 @@
+"""The direction worker: inside a `lstm.direction_worker` scope, a pass of at
+least WORKER_TERMS projection terms runs its backward direction, forward and
+BPTT, in a forked process. Most checks here set WORKER_TERMS to 0, so every
+pass in a scope takes the worker, and compare with the same work run in
+turn. 130 rows at H=32 make a 130 x 128 product per branch, over
+STACKED_ELEMS, so the branches step one at a time: a training batch leaves
+four passes pending in the worker. 8 rows step the four branches as one
+group."""
+
+import os
+import signal
+import subprocess
+import sys
+import warnings
+import weakref
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from plstm import lstm
+from plstm.model import BRANCH_NAMES, forward_batch, init_model
+from plstm.tensor import RngStream
+from plstm.train import EncodedDataset, TrainConfig, build_model, train, write_epoch_csv
+
+BATCH, L, HIDDEN, EMBED, VOCAB = 130, 6, 32, 4, 40
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def ragged(seed, batch=BATCH):
+    """(ids, mask), each (batch, L): lengths 0..L with holes punched in."""
+    gen = np.random.default_rng(seed)
+    mask = (np.arange(L) < gen.integers(0, L + 1, batch)[:, None]) & (gen.random((batch, L)) > 0.2)
+    return np.where(mask, gen.integers(1, VOCAB, (batch, L)), 0), mask
+
+
+@contextmanager
+def deadline(seconds=60):
+    """Raise TimeoutError in the block if it runs longer than `seconds`, so
+    a hang fails the test instead of stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def worker_passes(monkeypatch):
+    """Every pass in a scope takes the worker from here on; returns a list
+    that gains one entry per pass that sent its backward direction there."""
+    real, sent = lstm._worker_for, []
+
+    def counting(terms):
+        worker = real(terms)
+        if worker is not None:
+            sent.append(terms)
+        return worker
+
+    monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+    monkeypatch.setattr(lstm, "_worker_for", counting)
+    return sent
+
+
+def in_worker_and_in_turn(monkeypatch, run):
+    """(passes the worker ran, run() in a scope where every pass takes the
+    worker, run() outside any scope, both directions in turn)."""
+    sent = worker_passes(monkeypatch)
+    with deadline(), lstm.direction_worker():
+        by_worker = run()
+    return len(sent), by_worker, run()
+
+
+@pytest.mark.parametrize("batch", [BATCH, 8], ids=["groups_of_one", "one_group"])
+@pytest.mark.parametrize("gate_mode", ["standard", "literal_eq9"])
+def test_eval_scores_match_in_turn_bitwise(monkeypatch, gate_mode, batch):
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=1, gate_mode=gate_mode)
+    ids, mask = ragged(2, batch)
+    passes, by_worker, in_turn = in_worker_and_in_turn(
+        monkeypatch, lambda: forward_batch(model, ids, mask)[0])
+    assert passes == len(model.groups(batch))
+    for name in BRANCH_NAMES:
+        assert by_worker[name].tobytes() == in_turn[name].tobytes(), name
+
+
+@pytest.mark.parametrize("batch", [BATCH, 8], ids=["groups_of_one", "one_group"])
+@pytest.mark.parametrize("gate_mode", ["standard", "literal_eq9"])
+def test_one_epoch_matches_in_turn_bitwise(monkeypatch, tmp_path, gate_mode, batch):
+    """Dropout on (the defaults) and masks with gaps. In groups of one the
+    worker holds four passes' records until their BPTT; one group of four
+    sends each branch's input-gradient rows in turn."""
+    ids, mask = ragged(3, batch)
+    data = EncodedDataset(ids, mask, np.arange(batch) % 2)
+    config = TrainConfig(epochs=1, batch_size=batch, seed=4, verbose=0, hidden=HIDDEN,
+                         embed_dim=EMBED, seq_len=L, gate_mode=gate_mode)
+
+    def run():
+        model, logs = train(build_model(config, VOCAB, config.seed), data, config)
+        write_epoch_csv(logs, tmp_path / "epochs.csv")
+        return (tmp_path / "epochs.csv").read_bytes(), model.arena.tobytes()
+
+    passes, by_worker, in_turn = in_worker_and_in_turn(monkeypatch, run)
+    assert passes == 2 * len(build_model(config, VOCAB, 0).groups(batch))  # batch and metrics
+    assert by_worker == in_turn
+
+
+def test_a_training_pass_keeps_its_backward_records_in_the_worker(monkeypatch):
+    """The cache of a pass the worker ran names the worker and a key, and
+    holds none of the backward direction's records."""
+    worker_passes(monkeypatch)
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=5)
+    ids, mask = ragged(6)
+    rngs = {name: RngStream(5, k) for k, name in enumerate(BRANCH_NAMES)}
+    with deadline(), lstm.direction_worker():
+        _, caches = forward_batch(model, ids, mask, rngs)
+        keys = [cache["enc"]["bwd"] for _, cache in caches]
+    assert [sorted(bwd) for bwd in keys] == [["key", "worker"]] * len(BRANCH_NAMES)
+    assert [bwd["key"] for bwd in keys] == list(range(len(BRANCH_NAMES)))
+
+
+def diverging_run(tmp_path):
+    """argv of a `plstm train` that diverges, and its --out directory."""
+    gen = np.random.default_rng(5)
+    words = [f"w{k}" for k in range(VOCAB)]
+    (tmp_path / "docs.tsv").write_text("".join(
+        f"{d}\t{' '.join(gen.choice(words, gen.integers(1, L + 3)))}\t{d % 2}\n"
+        for d in range(BATCH)), encoding="utf-8")
+    (tmp_path / "diverge.cfg").write_text(
+        f"embedding_dim={EMBED}\nhidden={HIDDEN}\nseq_len={L}\nbatch_size={BATCH}\nepochs=2\n"
+        "learning_rate=1e300\nclip_norm=none\nverbose=0\n", encoding="utf-8")
+    out = tmp_path / "run"
+    return ["train", "--data", str(tmp_path / "docs.tsv"), "--config",
+            str(tmp_path / "diverge.cfg"), "--out", str(out)], out
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error::RuntimeWarning"]], ids=["default", "error"])
+def test_diverging_run_exits_3_with_one_line(tmp_path, flags):
+    """`plstm train`, every pass on the worker: the worker keeps `train`'s
+    errstate(all="ignore"), so numpy's warnings on overflow neither print
+    from either process nor, as errors, end the run in a traceback."""
+    argv, out = diverging_run(tmp_path)
+    code = ("import sys; from plstm import cli, lstm; lstm.WORKER_TERMS = 0; "
+            f"sys.exit(cli.main({argv!r}))")
+    child = subprocess.run([sys.executable, *flags, "-c", code],
+                           env=dict(os.environ, PYTHONPATH=str(SRC)),
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 3, child.stderr
+    assert child.stderr.startswith("config error: training diverged: ")
+    assert child.stderr.count("\n") == 1 and "Warning" not in child.stderr
+    assert not out.exists()
+
+
+def direction_of(model, b):
+    """"fwd" or "bwd" if b is a view of that direction's stacked W, else None."""
+    layer = model.group.layer
+    for name, params in (("fwd", layer.forward_params), ("bwd", layer.backward_params)):
+        if np.shares_memory(b, params.W):
+            return name
+    return None
+
+
+def test_the_backward_direction_projects_in_the_worker(monkeypatch):
+    """Of the two input projections, the products whose b is a direction's
+    W transposed, the calling process makes the forward one's only."""
+    worker_passes(monkeypatch)
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=8)
+    ids, mask = ragged(9)
+    caller, real, here = os.getpid(), lstm.matmul_stacked, []
+
+    def product(a, b):
+        if os.getpid() == caller and direction_of(model, b) is not None:
+            here.append(direction_of(model, b))
+        return real(a, b)
+
+    monkeypatch.setattr(lstm, "matmul_stacked", product)
+    with deadline(), lstm.direction_worker():
+        forward_batch(model, ids, mask)
+    assert here == ["fwd"] * len(BRANCH_NAMES)  # one group, so one pass, per branch
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in_turn"])
+def test_an_eval_pass_drops_its_gathered_rows_once_both_directions_have_them(monkeypatch,
+                                                                             worker):
+    """An eval pass gathers the token rows its unmasked positions use. In
+    turn, the backward direction projects second and steps without them.
+    With the worker, each process steps without them: this one once it has
+    sent them and projected, the worker once it has projected."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=12)
+    ids, mask = ragged(13)
+    caller, real_rows, real_steps = os.getpid(), lstm._token_rows, lstm._steps
+    tables, held = [], []
+
+    def token_rows(table, branches):
+        tables.append(weakref.ref(table))
+        return real_rows(table, branches)
+
+    def steps(*args):
+        if os.getpid() != caller and tables[-1]() is not None:
+            raise AssertionError("the worker steps while it holds the gathered rows")
+        held.append(tables[-1]() is not None)
+        return real_steps(*args)
+
+    monkeypatch.setattr(lstm, "_token_rows", token_rows)
+    monkeypatch.setattr(lstm, "_steps", steps)
+    if worker:
+        worker_passes(monkeypatch)
+    with deadline(), lstm.direction_worker():
+        forward_batch(model, ids, mask)
+    passes = len(model.groups(BATCH))
+    assert held == ([False] if worker else [True, False]) * passes
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller", "worker's projection"])
+def test_an_exception_on_either_side_is_raised_once_the_other_has_finished(monkeypatch,
+                                                                           children, failing):
+    """A failure in either process's steps, or in the worker's projection,
+    is raised in the caller with its type. A failure in the worker does not
+    cut the caller's direction short: it runs to its last step first. A
+    failure in the caller stops the worker, which is reaped at once."""
+    worker_passes(monkeypatch)
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=6)
+    ids, mask = ragged(7)
+    caller, real_step, real_product = os.getpid(), lstm._stacked_step, lstm.matmul_stacked
+    caller_steps = []
+
+    def step(*args):
+        here = os.getpid() == caller
+        if failing != "worker's projection" and here == (failing == "caller"):
+            raise FloatingPointError(f"a step in the {failing}")
+        if here:
+            caller_steps.append(args)
+        return real_step(*args)
+
+    def product(a, b):
+        if failing == "worker's projection" and os.getpid() != caller and b.shape[1] == EMBED:
+            raise FloatingPointError(f"the {failing}")
+        return real_product(a, b)
+
+    monkeypatch.setattr(lstm, "_stacked_step", step)
+    monkeypatch.setattr(lstm, "matmul_stacked", product)
+    with deadline(), lstm.direction_worker():
+        with pytest.raises(FloatingPointError, match=failing):
+            forward_batch(model, ids, mask)
+        # the worker reported its failure and lives on; a failing caller stopped it
+        assert len(children()) == (failing != "caller")
+    if failing != "caller":  # the first group's forward direction ran every step
+        assert len(caller_steps) == np.count_nonzero(mask.any(axis=0))
+
+
+@pytest.mark.parametrize("when", ["idle", "mid_pass"])
+def test_a_killed_worker_raises_and_does_not_hang(monkeypatch, children, when):
+    """A worker killed between passes, or while the caller steps its own
+    direction, ends the pass in one `WorkerError`; the scope reaps it, and
+    a later pass starts a new worker."""
+    worker_passes(monkeypatch)
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=10)
+    ids, mask = ragged(11, 8)
+    caller, real_step = os.getpid(), lstm._stacked_step
+
+    def kill_the_worker():
+        os.kill(children()[0], signal.SIGKILL)
+
+    def step(*args):
+        if os.getpid() == caller and when == "mid_pass" and not killed:
+            killed.append(kill_the_worker())
+        return real_step(*args)
+
+    killed = [None]  # nothing to kill before the first pass has started the worker
+    monkeypatch.setattr(lstm, "_stacked_step", step)
+    with deadline(), lstm.direction_worker():
+        scores = forward_batch(model, ids, mask)[0]
+        first = children()
+        killed.clear()
+        if when == "idle":
+            kill_the_worker()
+        with pytest.raises(lstm.WorkerError):
+            forward_batch(model, ids, mask)
+        assert children() == []
+        again = forward_batch(model, ids, mask)[0]
+        assert len(children()) == 1 and children() != first
+    for name in BRANCH_NAMES:
+        assert again[name].tobytes() == scores[name].tobytes()
+
+
+def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
+    """Each request carries the caller's `np.geterr()`. Only the backward
+    direction overflows here. The worker, started under
+    errstate(all="ignore") with warnings as errors, neither warns nor
+    raises; asked again under all="raise", it raises FloatingPointError in
+    the caller."""
+    worker_passes(monkeypatch)
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=14)
+    model.embedding[...] *= 400.0  # |x| up to 20: a term x * 1e308 overflows
+    model.group.layer.backward_params.W[...] = 1e308
+    ids, mask = ragged(15, 8)
+    with deadline(), lstm.direction_worker():
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            forward_batch(model, ids, mask)
+            with np.errstate(all="raise"):
+                with pytest.raises(FloatingPointError):
+                    forward_batch(model, ids, mask)
+
+
+def test_a_scope_starts_its_worker_at_the_first_large_pass_and_reaps_it(monkeypatch,
+                                                                        children):
+    """A pass under WORKER_TERMS starts nothing. The first pass over it
+    forks the worker; later passes and a nested scope reuse it; the scope
+    reaps it when it closes, also on an exception."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=16)
+    ids, mask = ragged(17, 8)
+    with deadline(), pytest.raises(KeyError, match="leaving"), lstm.direction_worker():
+        forward_batch(model, ids, mask)
+        assert children() == []
+        monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+        forward_batch(model, ids, mask)
+        worker = children()
+        assert len(worker) == 1
+        with lstm.direction_worker():
+            forward_batch(model, ids, mask)
+        assert children() == worker
+        raise KeyError("leaving the scope")
+    assert children() == []
+    forward_batch(model, ids, mask)  # outside a scope: in turn
+    assert children() == []
