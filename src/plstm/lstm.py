@@ -410,16 +410,18 @@ class _Worker:
         if self.pid is None:
             raise WorkerError("the direction worker was stopped")
         try:
-            try:
-                _write_all(self.requests, _frame([np.geterr(), *request]))
-            except BrokenPipeError:
-                raise WorkerError("the direction worker has ended") from None
+            message = _frame([np.geterr(), *request])
             request.clear()
+            try:
+                _write_all(self.requests, message)
+            except OSError as exc:  # a broken pipe: the worker has ended
+                raise WorkerError(f"cannot send to the direction worker: {exc}") from None
+            del message
             result = here()
             try:
                 ok, reply = _receive(self.replies)
-            except EOFError:
-                raise WorkerError("the direction worker ended before it replied") from None
+            except (EOFError, OSError) as exc:
+                raise WorkerError(f"no reply from the direction worker: {exc}") from None
         except BaseException:
             self.stop()
             raise
