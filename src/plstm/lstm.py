@@ -19,10 +19,13 @@ projection x·W.T is made once per direction, over a token table with one
 row per distinct input vector, and each step gathers its rows from it: in a
 per-position table every unmasked position is its own token, listed
 t-major, so a step reads one contiguous run of rows; given a table and an
-index, the pass projects each row the unmasked positions use once, and
-drops the gathered rows once both directions have projected. A
+index, the pass projects each row the unmasked positions use once. A
 per-position table may also be a function that makes a range of its rows
 when asked for (training's dropped-out inputs), so it need not be held.
+Either way a direction asks the pass's row source for _TILE_ROWS rows at
+a time and projects each tile into one projection array, so no pass makes
+or holds its whole table of inputs to project it: a tile's product is
+bitwise that of the same rows in one product over the table.
 A per-position pass keeps the state and gates BPTT reads of every step's
 unpadded rows, none for padded rows, in one array per kind (RECORDS) in
 table order: step t's records sit at its table rows, and a list of the
@@ -46,8 +49,9 @@ steps that direction while this process runs the forward one, and for a
 per-position pass it keeps the step records, runs the direction's BPTT and
 makes its input-gradient rows, so those records never leave it. Smaller
 passes, and every pass outside a scope, run both directions here, in
-turn. Each direction runs the same numpy operations in the same order
-either way, so every byte is the same.
+turn, as do the rest of a scope's passes once its worker could not start.
+Each direction runs the same numpy operations in the same order either
+way, so every byte is the same.
 """
 
 from __future__ import annotations
@@ -58,11 +62,13 @@ import os
 import pickle
 import signal
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import RngStream, ShapeError, activate, activate_grad, matmul, matmul_stacked
+from .tensor import (_TILE_ROWS, RngStream, ShapeError, activate, activate_grad, matmul,
+                     matmul_stacked)
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
 
@@ -242,7 +248,8 @@ def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     """One direction's recurrence over the steps of `order`, from zero
     state, reading step t's projected input rows from proj: rows
     starts[t]:starts[t+1] of a per-position table (index None), or rows
-    index[t, rows]. Returns (final state, records, or None given an
+    index[starts[t]:starts[t+1]], index listing each unmasked position's
+    table row, t-major. Returns (final state, records, or None given an
     index): a per-position pass writes each step's records at its table
     rows of one (branches, n, ...) array per kind in RECORDS, and lists
     the (t, rows) of the steps that ran, in run order, as "steps"."""
@@ -260,11 +267,11 @@ def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
         rows = np.flatnonzero(mask[t])
         if not len(rows):
             continue
+        x_rows = slice(starts[t], starts[t + 1])
         if records is None:
-            x_rows, h_prev, c_prev, out = index[t, rows], h[:, rows], c[:, rows], None
+            x_rows, h_prev, c_prev, out = index[x_rows], h[:, rows], c[:, rows], None
         else:
             records["steps"].append((t, rows))
-            x_rows = slice(starts[t], starts[t + 1])
             h_prev, c_prev, *out = _record_views(records, t)
             np.take(h, rows, axis=1, out=h_prev)
             np.take(c, rows, axis=1, out=c_prev)
@@ -273,25 +280,47 @@ def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     return LSTMState(h, c), records
 
 
-def _token_rows(table, branches: int):
-    """A token table as a function of a row range: (lo, hi) -> the rows
-    lo:hi of every branch, (branches, hi - lo, embed). An array table,
-    (n, embed) shared by the branches or (branches, n, embed), gives views
-    of its rows; a callable table is that function already."""
+def _token_rows(table, branches: int, used=None):
+    """A pass's row source: (lo, hi) -> the token rows lo:hi of every
+    branch, (branches, hi - lo, embed). A callable table is one already
+    (training's dropped-out inputs). An array table, (n, embed) shared by
+    the branches or (branches, n, embed), gives views of its rows lo:hi, or,
+    given `used`, gathers its rows used[lo:hi] when they are asked for."""
     if callable(table):
         return table
-    table = np.broadcast_to(table, (branches, *table.shape[-2:]))  # shared: a view per branch
-    return lambda lo, hi: table[:, lo:hi]
+
+    def rows(lo, hi):
+        picked = table[..., lo:hi, :] if used is None else np.take(table, used[lo:hi], axis=-2)
+        return np.broadcast_to(picked, (branches, hi - lo, table.shape[-1]))  # shared: a view
+
+    return rows
 
 
-def _direction(params: LSTMCellParams, order, held: list, n: int, mask, starts, index):
-    """One direction's unit of work: its input projection, one product per
-    branch of the token rows 0:n with W.T, then its steps (`_steps`), after
-    which the projection is dropped. The token table is popped from `held`,
-    a list of one reference per direction still to project, so the last
-    direction to project drops it unless another reference holds it."""
-    rows = _token_rows(held.pop(), len(params.W))
-    proj = matmul_stacked(rows(0, n), params.W.transpose(0, 2, 1))
+def _projection(params: LSTMCellParams, rows, n: int):
+    """The input projection of the token rows 0:n, (branches, n, 4*hidden):
+    one product per branch with W.T, made _TILE_ROWS rows at a time from
+    the row source `rows` and written into one array, so only one tile of
+    rows is made at a time. Each row's product depends on that row only, so
+    the tiles give bitwise one product over the table. At most one tile of
+    rows, an empty table included, is one product, whose output is the
+    projection."""
+    WT = params.W.transpose(0, 2, 1)
+    if n <= _TILE_ROWS:
+        return matmul_stacked(rows(0, n), WT)
+    proj = np.empty((len(params.W), n, 4 * params.hidden))
+    for lo in range(0, n, _TILE_ROWS):
+        hi = min(lo + _TILE_ROWS, n)
+        matmul_stacked(rows(lo, hi), WT, out=proj[:, lo:hi])
+    return proj
+
+
+def _direction(params: LSTMCellParams, order, rows, n: int, mask, starts, index):
+    """One direction's unit of work: its input projection of the token rows
+    0:n, made tile by tile from the row source `rows` (`_projection`), then
+    its steps (`_steps`), after which the projection is dropped. The source
+    is dropped before the steps, so a table only it holds, such as one the
+    worker received, is not held while the direction steps."""
+    proj = _projection(params, rows, n)
     del rows
     return _steps(params, order, mask, proj, starts, index)
 
@@ -378,13 +407,16 @@ class _Worker:
     BLAS (every product is `matmul_stacked`'s einsum)."""
 
     def __init__(self):
-        to_worker, from_worker = os.pipe(), os.pipe()  # (read end, write end) each
+        fds = []  # (read end, write end) of the pipe to the worker, then of the one from it
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             pid = os.fork()
         except OSError as exc:
-            for fd in (*to_worker, *from_worker):
+            for fd in fds:
                 os.close(fd)
             raise WorkerError(f"cannot start the direction worker: {exc}") from None
+        to_worker, from_worker = fds[:2], fds[2:]
         if pid == 0:  # the worker: it never returns from here
             code = 1
             try:
@@ -443,7 +475,8 @@ class _Worker:
             os.waitpid(pid, 0)
 
 
-_scope = None  # the open `direction_worker` scope: a list of the workers it started
+# the open `direction_worker` scope: the workers it started, and None once one could not start
+_scope = None
 
 
 @contextlib.contextmanager
@@ -453,8 +486,10 @@ def direction_worker():
     the first pass of at least WORKER_TERMS projection terms, so a scope
     that runs none starts no process, and it is killed and reaped when the
     scope closes, however it closes. A worker that was stopped inside the
-    scope is replaced at the next such pass. A nested scope is the outer
-    one."""
+    scope is replaced at the next such pass. A worker that cannot start,
+    say because no process can be forked, is not asked for again: the
+    scope's passes run in turn, with the same bytes, and one line on
+    stderr says so. A nested scope is the outer one."""
     global _scope
     if _scope is not None:
         yield
@@ -464,30 +499,40 @@ def direction_worker():
         yield
     finally:
         workers, _scope = _scope, None
-        for worker in workers:
+        for worker in filter(None, workers):
             worker.stop()
 
 
 def _worker_for(terms: int):
     """The direction worker, started if need be, for a pass whose input
     projection makes `terms` terms inside a scope, if terms is at least
-    WORKER_TERMS; else None, and the pass runs in turn."""
-    if _scope is None or terms < WORKER_TERMS:
+    WORKER_TERMS and no worker of the scope has failed to start; else
+    None, and the pass runs in turn."""
+    if _scope is None or terms < WORKER_TERMS or None in _scope:
         return None
     if not _scope or _scope[-1].pid is None:
-        _scope.append(_Worker())
+        try:
+            _scope.append(_Worker())
+        except WorkerError as exc:
+            _scope.append(None)
+            print(f"warning: {exc}; passes run in turn", file=sys.stderr)
+            return None
     return _scope[-1]
 
 
-def _pass_in_worker(pending, key, params, order, held, n, mask, starts, index):
+def _pass_in_worker(pending, key, params, order, box, n, mask, starts, index):
     """The worker's part of a pass: `_direction` over its backward
-    direction. A per-position pass's records, its parameters and its token
-    rows are kept in `pending` under key for its BPTT. Returns the final
+    direction, from the token table popped from `box`, a list of one, so
+    that a forward-only pass drops the table it received once it has
+    projected. A per-position pass's records, its parameters and its row
+    source are kept in `pending` under key for its BPTT. Returns the final
     state."""
-    x = None if key is None else _token_rows(held[0], len(params.W))
-    final, records = _direction(params, order, held, n, mask, starts, index)
-    if key is not None:
-        pending[key] = {"params": params, "x": x, **records}
+    if key is None:
+        return _direction(params, order, _token_rows(box.pop(), len(params.W)), n, mask, starts,
+                          index)[0]
+    x = _token_rows(box.pop(), len(params.W))
+    final, records = _direction(params, order, x, n, mask, starts, index)
+    pending[key] = {"params": params, "x": x, **records}
     return final
 
 
@@ -504,19 +549,23 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     With index None the table is per-position: it lists the unmasked
     positions t-major, and may also be a function (lo, hi) -> (branches,
     hi - lo, embed) that makes rows lo:hi when asked for. Otherwise index
-    is (L, batch) ints and position (t, b) reads table row index[t, b];
-    the pass gathers the rows the unmasked positions use, each once, and
-    drops them once both directions have projected. Each direction's
-    input projection is made once, as proj = matmul_stacked(table, W.T),
-    one product per branch, and step t reads its rows from it. Each step
-    runs the gate maths on the rows its mask marks only; padded rows are
-    left out and keep their state, and a step with no such rows is
-    skipped. Each direction is one unit of work (`_direction`): it
-    projects, then steps, and its projection is dropped when it ends. In a
-    `direction_worker` scope, a pass whose projection makes at least
-    WORKER_TERMS terms, branches x n x 4*hidden x embed, runs its backward
-    unit in the worker while this process runs the forward one; otherwise
-    the two units run here in turn (see the module docstring).
+    is (L, batch) ints and position (t, b) reads table row index[t, b]:
+    the pass lists the distinct rows the unmasked positions use, each once,
+    and gathers them from the table when a direction asks for them. Each
+    direction's input projection is made once, one product per branch of
+    the rows with W.T, _TILE_ROWS rows at a time from the pass's row
+    source (`_projection`), so no gathered table is held beside it, and
+    step t reads its rows from it. Each step runs the gate maths on the
+    rows its mask marks only; padded rows are left out and keep their
+    state, and a step with no such rows is skipped. Each direction is one
+    unit of work (`_direction`): it projects, then steps, and its
+    projection is dropped when it ends. In a `direction_worker` scope, a
+    pass whose projection makes at least WORKER_TERMS terms, branches x n
+    x 4*hidden x embed, runs its backward unit in the worker while this
+    process runs the forward one; otherwise the two units run here in turn
+    (see the module docstring). A pass given an index gathers its rows
+    once, as one (n, embed) array, only to send them to the worker, and
+    drops them before its own direction projects.
     A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
     direction, `params`, the table as `x`, a function of a row range, and
     the step records BPTT reads: "steps", the (t, rows) of each step that
@@ -531,32 +580,32 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     table, index = tokens
     fwd, bwd = layer.forward_params, layer.backward_params
     G = len(fwd.W)
+    starts, used = _row_starts(mask), None
     if index is None:
-        starts = _row_starts(mask)
         n = starts[-1]
-    else:
-        used, inverse = np.unique(index[mask], return_inverse=True)
-        table, starts, n = np.take(table, used, axis=-2), None, len(used)
-        index = np.zeros(mask.shape, dtype=np.intp)
-        index[mask] = inverse
-    x = _token_rows(table, G) if index is None else None  # BPTT reads a per-position pass's rows
-    held = [table, table]  # one per direction still to project
-    del table
+    else:  # each unmasked position's row of the distinct rows used, t-major
+        used, index = np.unique(index[mask], return_inverse=True)
+        n = len(used)
+    rows = _token_rows(table, G, used)
     forward, backward = range(L), range(L - 1, -1, -1)
     worker = _worker_for(G * n * 4 * layer.hidden * fwd.embed)
     if worker is None:  # in turn
-        final_f, records_f = _direction(fwd, forward, held, n, mask, starts, index)
-        final_b, records_b = _direction(bwd, backward, held, n, mask, starts, index)
+        final_f, records_f = _direction(fwd, forward, rows, n, mask, starts, index)
+        final_b, records_b = _direction(bwd, backward, rows, n, mask, starts, index)
     else:
         key = None if index is not None else next(worker.keys)
+        # the table itself is sent, or the rows used, gathered only to be
+        # sent, never a per-branch broadcast view; the request is emptied
+        # once sent, so this process holds no gathered table as it projects
         (final_f, records_f), final_b = worker.alongside(
-            [_pass_in_worker, key, bwd, backward, [held.pop()], n, mask, starts, index],
-            lambda: _direction(fwd, forward, held, n, mask, starts, index))
+            [_pass_in_worker, key, bwd, backward,
+             [table if used is None else np.take(table, used, axis=-2)], n, mask, starts, index],
+            lambda: _direction(fwd, forward, rows, n, mask, starts, index))
     if index is not None:
         return (final_f, final_b), None
     return (final_f, final_b), {
-        "fwd": {"params": fwd, "x": x, **records_f},
-        "bwd": ({"params": bwd, "x": x, **records_b} if worker is None
+        "fwd": {"params": fwd, "x": rows, **records_f},
+        "bwd": ({"params": bwd, "x": rows, **records_b} if worker is None
                 else {"worker": worker, "key": key}),
         "mask": mask}
 

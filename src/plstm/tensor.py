@@ -98,32 +98,43 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return matmul_stacked(a[None], b[None])[0]
 
 
-def matmul_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul_stacked(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A stack of matrix products, out[g] = a[g] b[g], each summed as the
     module docstring states. a is (G, M, K) and b (G, K, N); each is read
     through its (K, G, ·) transpose. b's is copied once unless it is
     C-contiguous as it lies, and so is a's on the blocked path; the loop
     reads a's transpose as a view, since each term reads one element of a
-    per output row."""
+    per output row. Given `out`, a float64 (G, M, N) array or view, the loop
+    sums into it from +0 and the blocked path copies its sums there, so it
+    holds the bytes a new output would; it is returned."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
         raise ShapeError(f"matmul_stacked expects (G, M, K) x (G, K, N), got {a.shape} and "
                          f"{b.shape}")
     (g, m, inner), n = a.shape, b.shape[2]
+    if out is not None and (out.shape != (g, m, n) or out.dtype != np.float64):
+        raise ShapeError(f"matmul_stacked writes a float64 {(g, m, n)} out, got {out.dtype} "
+                         f"{out.shape}")
     at = a.transpose(2, 0, 1)  # (K, G, M)
     bt = np.ascontiguousarray(b.transpose(1, 0, 2))  # (K, G, N)
     if one_stack(g, m, n):
         at = np.ascontiguousarray(at)
         block = _BLOCK_ELEMS // (g * m * n)
         terms = np.einsum("kgi,kgj->kgij", at[:block], bt[:block])
-        out = np.add.reduce(terms, axis=0, initial=0.0)
+        total = np.add.reduce(terms, axis=0, initial=0.0)
         for k0 in range(block, inner, block):
             rest = terms[: min(block, inner - k0)]
             np.einsum("kgi,kgj->kgij", at[k0 : k0 + block], bt[k0 : k0 + block], out=rest)
-            np.add(out, rest[0], out=rest[0])
-            np.add.reduce(rest, axis=0, out=out)
+            np.add(total, rest[0], out=rest[0])
+            np.add.reduce(rest, axis=0, out=total)
+        if out is None:
+            return total
+        out[...] = total  # a copy: a strided `out` could reorder the reduction
         return out
-    out = np.zeros((g, m, n))
+    if out is None:
+        out = np.zeros((g, m, n))
+    else:
+        out[...] = 0.0
     term = np.empty((min(m, _TILE_ROWS), n))
     for p in range(g):
         for r0 in range(0, m, _TILE_ROWS):

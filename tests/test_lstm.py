@@ -338,8 +338,8 @@ class TestTokenTable:
         tokens = (np.zeros((0, embed)), np.zeros((4, 2), dtype=int)) if given_table else None
         products = []
 
-        def recording(a, b):
-            out = matmul_stacked(a, b)
+        def recording(a, b, out=None):
+            out = matmul_stacked(a, b, out)
             if a.shape[2] == embed:  # an input projection, not a recurrent product
                 products.append(out.shape)
             return out
@@ -353,6 +353,78 @@ class TestTokenTable:
             assert records_one(cache) == []
         assert np.array_equal(final.h, np.zeros((2, hidden)))
         assert np.array_equal(final.c, np.zeros((2, hidden)))
+
+
+# projections of no rows, one row, and either side of one and two tiles
+TILE_ROW_COUNTS = (0, 1, lstm._TILE_ROWS - 1, lstm._TILE_ROWS, lstm._TILE_ROWS + 1,
+                   2 * lstm._TILE_ROWS + 1)
+
+
+def tiled_case(n, form, seed=0):
+    """(layer, sequence stand-in, mask, tokens, upstream) of a pass of a
+    stack of two branches whose input projection has n rows: the first n
+    of 3 x 400 positions, t-major, are unmasked. Per-position, the table
+    holds each branch's inputs at them, (2, n, embed); given, a shared
+    table of n + 2 rows and an index that uses each of rows 0..n-1 once,
+    in a shuffled order, and rows past the table where it is masked. At
+    H = 8 a whole tile, 2 x 512 x 32, is over STACKED_ELEMS and runs the
+    kernel's loop, while the last, short tile of 513 or 1025 rows runs its
+    blocked path."""
+    L, batch, hidden, embed = 3, 400, 8, 3
+    gen = np.random.default_rng(seed)
+    mask = (np.arange(L * batch) < n).reshape(L, batch)
+    layer = BidirectionalLayer(
+        *(stack_params([random_params(hidden, embed, seed + k, 1.0, act)
+                        for k, act in enumerate(("sigmoid", "relu"), start)])
+          for start in (0, 2)))
+    if form == "per_position":
+        tokens = (_with_zeros(gen, (2, n, embed)), None)
+    else:
+        index = np.full((L, batch), n + 2)
+        index[mask] = gen.permutation(n)
+        tokens = (_with_zeros(gen, (n + 2, embed)), index)
+    upstream = _with_zeros(gen, (2, batch, hidden))
+    return layer, np.broadcast_to(0.0, (L, batch, embed)), mask, tokens, upstream
+
+
+def pass_bytes(layer, sequence, mask, tokens, upstream):
+    """The bytes of everything a pass gives: both final states and, for a
+    per-position pass, its BPTT's parameter gradients and each branch's
+    input-gradient rows."""
+    (final_f, final_b), cache = directional_pass(layer, sequence, mask, tokens)
+    out = [final_f.h, final_f.c, final_b.h, final_b.c]
+    if cache is not None:
+        grads = zero_layer(layer.forward_params, layer.backward_params)
+        out += list(bptt(cache, upstream, grads))
+        out += [grads.forward_params.W, grads.forward_params.U, grads.forward_params.b,
+                grads.backward_params.W, grads.backward_params.U, grads.backward_params.b]
+    return [a.tobytes() for a in out]
+
+
+class TestTiledProjection:
+    """A direction projects its token rows _TILE_ROWS at a time from the
+    pass's row source. Each row's product depends on that row only, so the
+    tiles give bitwise one product over the whole table, and the pass gives
+    bitwise what it gives with the projection made in one product."""
+
+    @pytest.mark.parametrize("form", ["per_position", "given"])
+    @pytest.mark.parametrize("n", TILE_ROW_COUNTS)
+    def test_tiles_equal_one_product_over_the_table(self, n, form):
+        layer, _, mask, (table, index), _ = tiled_case(n, form)
+        params = layer.forward_params
+        used = None if index is None else np.unique(index[mask])
+        rows = lstm._token_rows(table, len(params.W), used)
+        whole = np.broadcast_to(table if used is None else table[used], (2, n, params.embed))
+        want = matmul_stacked(whole, params.W.transpose(0, 2, 1))
+        assert lstm._projection(params, rows, n).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("form", ["per_position", "given"])
+    @pytest.mark.parametrize("n", TILE_ROW_COUNTS)
+    def test_pass_outputs_equal_an_untiled_projection(self, monkeypatch, n, form):
+        case = tiled_case(n, form)
+        tiled = pass_bytes(*case)
+        monkeypatch.setattr(lstm, "_TILE_ROWS", 1 << 30)  # one tile: one product
+        assert pass_bytes(*case) == tiled
 
 
 def stack_params(params):

@@ -517,10 +517,10 @@ class TestEvalTokenTable:
         m = init_model(10, 4, 3, seed=8)  # embed 4 != hidden 3 tells W from U
         w_rows = []
 
-        def recording(a, b):
+        def recording(a, b, out=None):
             if a.shape[2] == m.embed_dim:
                 w_rows.extend([a.shape[1]] * len(a))  # each branch's projected rows
-            return matmul_stacked(a, b)
+            return matmul_stacked(a, b, out)
 
         monkeypatch.setattr(plstm.lstm, "matmul_stacked", recording)
         forward_batch(m, self.IDS, self.MASK)

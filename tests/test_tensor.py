@@ -160,20 +160,24 @@ def _rank1_stack(a, b):
 
 class TestMatmulStacked:
     """matmul_stacked(a, b)[g] must be matmul_rank1(a[g], b[g]) bit for bit,
-    on both sides of STACKED_ELEMS. NaNs are compared by value: numpy's
-    multiply and add may keep a NaN of the other sign on some CPU dispatch
-    levels."""
+    on both sides of STACKED_ELEMS, in a new output or written into a given
+    one. NaNs are compared by value: numpy's multiply and add may keep a NaN
+    of the other sign on some CPU dispatch levels."""
 
+    @pytest.mark.parametrize("into", ["new", "out"])
     @pytest.mark.parametrize("nonfinite", [False, True], ids=["finite", "nonfinite"])
     @pytest.mark.parametrize("g", [1, 2, 4])
     @pytest.mark.parametrize("m,k,n", MATMUL_CASES)
-    def test_equals_the_rank1_loop_per_branch(self, m, k, n, g, nonfinite):
+    def test_equals_the_rank1_loop_per_branch(self, m, k, n, g, nonfinite, into):
         a, b = _stacked_operands(np.random.default_rng(m * 10007 + k * 101 + n + g), m, k, n,
                                  g, nonfinite)
+        # a given output: a strided view of NaN-filled rows, all overwritten
+        out = None if into == "new" else np.full((g, m + 2, n), np.nan)[:, 1 : m + 1]
         with np.errstate(all="ignore"):
-            got = matmul_stacked(a, b)
+            got = matmul_stacked(a, b, out)
             want = _rank1_stack(a, b)
         assert got.shape == (g, m, n)
+        assert out is None or got is out
         assert _nan_canonical(got).tobytes() == _nan_canonical(want).tobytes()
 
     def test_cases_reach_both_paths(self):
@@ -198,6 +202,10 @@ class TestMatmulStacked:
             matmul_stacked(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
         with pytest.raises(ShapeError):
             matmul_stacked(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeError):
+            matmul_stacked(np.zeros((2, 3, 4)), np.zeros((2, 4, 5)), np.zeros((2, 5, 3)))
+        with pytest.raises(ShapeError):
+            matmul_stacked(np.zeros((2, 3, 4)), np.zeros((2, 4, 5)), np.zeros((2, 3, 5), "f4"))
         with pytest.raises(ShapeError):
             matmul_stacked(np.zeros((3, 4)), np.zeros((4, 5)))
 

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 import plstm.train
 from plstm.cli import main
 from plstm.corpus import Document, LabeledExample, build_vocabulary
-from plstm.lstm import GATES
+from plstm.lstm import GATES, direction_worker
 from plstm.model import BRANCH_NAMES, branch_backward, forward_batch, init_model
-from plstm.tensor import _BLOCK_ELEMS, RngStream, categorical_cross_entropy, grad_check
+from plstm.tensor import _BLOCK_ELEMS, _TILE_ROWS, RngStream, categorical_cross_entropy, grad_check
 from plstm.train import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -181,6 +182,40 @@ class TestBatchMemory:
         slack = _BLOCK_ELEMS * 8 + (768 << 10)
         assert peak <= records + projection + rows + bits + slack
 
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["in_turn", "worker"])
+    def test_an_eval_batch_holds_one_projection_and_two_tiles(self, worker):
+        """One eval `forward_batch` at the bench's `eval_long` shape (512
+        rows, L=64, E=128, H=32, so groups of one) peaks while a direction
+        projects or steps. It then holds that direction's input projection
+        and two tiles of _TILE_ROWS rows: the gathered rows being projected
+        and the product's running term, or a step's pre-activation and its
+        term or its projected rows (E = 4H here, so each is a tile of E
+        floats a row). The slack covers both directions' states and a
+        step's gathered state rows, 6 · batch · H floats, the pass's index
+        arrays, 2 ints a position, and 512 KB for the rest of a step's
+        working arrays. A gathered table beside the projection does not
+        fit. With the worker this process gathers the table only to send
+        it, before it projects; the worker's memory is not counted here."""
+        batch, L, E, H, vocab = 512, 64, 128, 32, 3000
+        gen = np.random.default_rng(21)
+        mask = np.arange(L) < gen.integers(5, L + 1, batch)[:, None]
+        ids = np.where(mask, gen.integers(1, vocab, (batch, L)), 0)
+        model = init_model(vocab, E, H, seed=22, seq_len=L)
+        assert [len(group.names) for group in model.groups(batch)] == [1] * len(BRANCH_NAMES)
+        with direction_worker() if worker else contextlib.nullcontext():
+            forward_batch(model, ids, mask)  # warm up numpy, and start the worker
+            tracemalloc.start()
+            try:
+                forward_batch(model, ids, mask)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        n, positions = len(np.unique(ids[mask])), int(mask.sum())
+        projection, tile = n * 4 * H * 8, _TILE_ROWS * E * 8
+        slack = 6 * batch * H * 8 + 2 * positions * 8 + (512 << 10)
+        assert 2 * tile + slack < n * E * 8  # less than a gathered table
+        assert peak <= projection + 2 * tile + slack
 
 class TestBatchGradients:
     def test_training_gradient_matches_finite_differences(self):

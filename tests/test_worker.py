@@ -7,6 +7,8 @@ STACKED_ELEMS, so the branches step one at a time: a training batch leaves
 four passes pending in the worker. 8 rows step the four branches as one
 group."""
 
+import errno
+import hashlib
 import os
 import signal
 import subprocess
@@ -20,9 +22,12 @@ import numpy as np
 import pytest
 
 from plstm import lstm
+from plstm.cli import main
 from plstm.model import BRANCH_NAMES, forward_batch, init_model
 from plstm.tensor import RngStream
 from plstm.train import EncodedDataset, TrainConfig, build_model, train, write_epoch_csv
+from test_golden import EVAL_GOLDEN, GOLDEN, ragged_corpus
+from test_lstm import TILE_ROW_COUNTS, pass_bytes, tiled_case
 
 BATCH, L, HIDDEN, EMBED, VOCAB = 130, 6, 32, 4, 40
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -172,10 +177,10 @@ def test_the_backward_direction_projects_in_the_worker(monkeypatch):
     ids, mask = ragged(9)
     caller, real, here = os.getpid(), lstm.matmul_stacked, []
 
-    def product(a, b):
+    def product(a, b, out=None):
         if os.getpid() == caller and direction_of(model, b) is not None:
             here.append(direction_of(model, b))
-        return real(a, b)
+        return real(a, b, out)
 
     monkeypatch.setattr(lstm, "matmul_stacked", product)
     with deadline(), lstm.direction_worker():
@@ -183,36 +188,134 @@ def test_the_backward_direction_projects_in_the_worker(monkeypatch):
     assert here == ["fwd"] * len(BRANCH_NAMES)  # one group, so one pass, per branch
 
 
-@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in_turn"])
-def test_an_eval_pass_drops_its_gathered_rows_once_both_directions_have_them(monkeypatch,
-                                                                             worker):
-    """An eval pass gathers the token rows its unmasked positions use. In
-    turn, the backward direction projects second and steps without them.
-    With the worker, each process steps without them: this one once it has
-    sent them and projected, the worker once it has projected."""
-    model = init_model(VOCAB, EMBED, HIDDEN, seed=12)
-    ids, mask = ragged(13)
-    caller, real_rows, real_steps = os.getpid(), lstm._token_rows, lstm._steps
-    tables, held = [], []
+@pytest.mark.parametrize("form", ["per_position", "given"])
+@pytest.mark.parametrize("n", TILE_ROW_COUNTS)
+def test_tiled_passes_match_an_untiled_projection_in_turn_bitwise(monkeypatch, n, form):
+    """A pass of n projection rows on the worker, both directions projected
+    _TILE_ROWS at a time, gives the bytes of the same pass run in turn with
+    each projection made in one product: its final states and, per
+    position, its BPTT's gradients and input-gradient rows."""
+    case = tiled_case(n, form)
+    sent = worker_passes(monkeypatch)
+    with deadline(), lstm.direction_worker():
+        by_worker = pass_bytes(*case)
+    assert len(sent) == 1
+    monkeypatch.setattr(lstm, "_TILE_ROWS", 1 << 30)  # one tile: one product
+    assert by_worker == pass_bytes(*case)
 
-    def token_rows(table, branches):
-        tables.append(weakref.ref(table))
-        return real_rows(table, branches)
+
+def eval_batch(seed, vocab=4000, batch=300):
+    """(model, ids, mask) of an eval batch whose passes each use more than
+    two tiles of distinct ids, in groups of one."""
+    model = init_model(vocab, EMBED, HIDDEN, seed=seed)
+    gen = np.random.default_rng(seed)
+    mask = gen.random((batch, L)) > 0.1
+    ids = np.where(mask, gen.integers(1, vocab, (batch, L)), 0)
+    assert len(np.unique(ids[mask])) > 2 * lstm._TILE_ROWS
+    return model, ids, mask
+
+
+def gathered(array):
+    """The array a view's memory belongs to."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in_turn"])
+def test_the_caller_never_projects_or_steps_with_a_whole_table_alive(monkeypatch, worker):
+    """An eval pass asks its row source for one tile of gathered rows at a
+    time. Each projection product in this process reads one tile of at most
+    _TILE_ROWS rows while no other tile is alive, and no tile is alive while
+    a direction steps. With the worker this process gathers the whole table
+    once, only to send it, and it is gone before this process projects or
+    steps; the worker has dropped the table it received before it steps."""
+    model, ids, mask = eval_batch(12)
+    caller = os.getpid()
+    real_rows, real_frame, real_steps, real_product = (
+        lstm._token_rows, lstm._frame, lstm._steps, lstm.matmul_stacked)
+    tiles, sent, received, products = [], [], [], []
+
+    def alive(refs):
+        return sum(ref() is not None for ref in refs)
+
+    def token_rows(table, branches, used=None):
+        if os.getpid() != caller:
+            received.append(weakref.ref(table))
+        source = real_rows(table, branches, used)
+
+        def rows(lo, hi):
+            tile = source(lo, hi)
+            tiles.append(weakref.ref(gathered(tile)))
+            return tile
+        return rows
+
+    def frame(message):
+        if os.getpid() == caller and message[1] is lstm._pass_in_worker:
+            sent.append(weakref.ref(message[5][0]))  # the table in its box
+        return real_frame(message)
+
+    def product(a, b, out=None):
+        if os.getpid() == caller and direction_of(model, b) is not None:
+            products.append(a.shape[1])
+            assert a.shape[1] <= lstm._TILE_ROWS and alive(tiles) == 1
+            assert alive(sent) == 0
+        return real_product(a, b, out)
 
     def steps(*args):
-        if os.getpid() != caller and tables[-1]() is not None:
-            raise AssertionError("the worker steps while it holds the gathered rows")
-        held.append(tables[-1]() is not None)
+        if os.getpid() == caller:
+            assert alive(tiles) == 0 and alive(sent) == 0
+        elif alive(received):
+            raise AssertionError("the worker steps while it holds the table it received")
         return real_steps(*args)
 
-    monkeypatch.setattr(lstm, "_token_rows", token_rows)
-    monkeypatch.setattr(lstm, "_steps", steps)
+    for name, fake in (("_token_rows", token_rows), ("_frame", frame), ("_steps", steps),
+                       ("matmul_stacked", product)):
+        monkeypatch.setattr(lstm, name, fake)
     if worker:
         worker_passes(monkeypatch)
     with deadline(), lstm.direction_worker():
         forward_batch(model, ids, mask)
-    passes = len(model.groups(BATCH))
-    assert held == ([False] if worker else [True, False]) * passes
+    passes = len(model.groups(len(ids)))
+    assert len(sent) == (passes if worker else 0)
+    assert sum(products) == (1 if worker else 2) * passes * len(np.unique(ids[mask]))
+
+
+@pytest.mark.parametrize("batch", [BATCH, 8], ids=["groups_of_one", "one_group"])
+def test_an_eval_pass_sends_its_gathered_rows_once(monkeypatch, batch):
+    """The request of an eval pass carries its (n, embed) gathered rows as
+    one array, not a per-branch broadcast view, which a pickle would write
+    once per branch: the bytes it writes to the worker are those rows, the
+    pass's other arrays and a few KB of pickle."""
+    embed = 64  # n x embed x 8 bytes, far over the slack
+    model = init_model(VOCAB, embed, HIDDEN, seed=18)
+    ids, mask = ragged(19, batch)
+    n = len(np.unique(ids[mask]))
+    caller, real_write, real_frame = os.getpid(), lstm._write_all, lstm._frame
+    requests, writes = [], []
+
+    def frame(message):
+        if os.getpid() == caller and message[1] is lstm._pass_in_worker:
+            requests.append(message)
+        return real_frame(message)
+
+    def write_all(fd, parts):
+        if os.getpid() == caller:
+            writes.append(sum(memoryview(part).nbytes for part in parts))
+        return real_write(fd, parts)
+
+    monkeypatch.setattr(lstm, "_frame", frame)
+    monkeypatch.setattr(lstm, "_write_all", write_all)
+    worker_passes(monkeypatch)
+    with deadline(), lstm.direction_worker():
+        forward_batch(model, ids, mask)
+    assert len(requests) == len(writes) == len(model.groups(batch))
+    for message, written in zip(requests, writes):
+        (table,) = message[5]
+        assert table.shape == (n, embed) and table.flags.c_contiguous
+        params = message[3]
+        others = sum(a.nbytes for a in (params.W, params.U, params.b, *message[7:]))
+        assert n * embed * 8 <= written - others <= n * embed * 8 + 4096
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller", "worker's projection"])
@@ -236,10 +339,10 @@ def test_an_exception_on_either_side_is_raised_once_the_other_has_finished(monke
             caller_steps.append(args)
         return real_step(*args)
 
-    def product(a, b):
+    def product(a, b, out=None):
         if failing == "worker's projection" and os.getpid() != caller and b.shape[1] == EMBED:
             raise FloatingPointError(f"the {failing}")
-        return real_product(a, b)
+        return real_product(a, b, out)
 
     monkeypatch.setattr(lstm, "_stacked_step", step)
     monkeypatch.setattr(lstm, "matmul_stacked", product)
@@ -285,6 +388,55 @@ def test_a_killed_worker_raises_and_does_not_hang(monkeypatch, children, when):
         assert len(children()) == 1 and children() != first
     for name in BRANCH_NAMES:
         assert again[name].tobytes() == scores[name].tobytes()
+
+
+@pytest.mark.parametrize("failing", ["fork", "pipe"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_worker_that_cannot_start_leaves_the_command_in_turn_with_the_golden_bytes(
+        monkeypatch, tmp_path, data_dir, capsys, children, command, failing):
+    """Every pass would take the worker, but it cannot start: `os.fork`
+    fails, as it does when no process can be started, or its second
+    `os.pipe`, as when no file can be opened. The command tries once, closes
+    the pipe it opened, says so in one stderr line, runs every pass in turn,
+    exits 0, writes the golden bytes and leaves no child."""
+    real_pipe, tries, opened = os.pipe, [], []
+
+    def fork():
+        tries.append("fork")
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def pipe():
+        if opened:
+            tries.append("pipe")
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        opened.extend(real_pipe())
+        return tuple(opened)
+
+    cfg, out = data_dir / "train_smoke.cfg", tmp_path / "run"
+    if command == "eval":  # a ragged checkpoint, trained before the start fails
+        data = tmp_path / "ragged.tsv"
+        data.write_text(ragged_corpus(), encoding="utf-8")
+        assert main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "2",
+                     "--out", str(out)]) == 0
+        argv = ["eval", "--checkpoint", str(out / "model.ckpt"), "--data", str(data), "--out",
+                str(out / "report.csv")]
+        want = {"report.csv": EVAL_GOLDEN["standard"]["report.csv"]}
+    else:
+        argv = ["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config", str(cfg),
+                "--epochs", "4", "--out", str(out)]
+        want = GOLDEN["standard"]
+    capsys.readouterr()
+    monkeypatch.setattr(os, failing, {"fork": fork, "pipe": pipe}[failing])
+    monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: cannot start the direction worker: ") and err.count("\n") == 1
+    assert tries == [failing]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want} == want
+    assert children() == []
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
