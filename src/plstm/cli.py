@@ -20,10 +20,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from . import corpus
+from . import corpus, worker
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .evaluation import benchmark, classification_report, confusion, render4
-from .lstm import direction_worker
 from .model import BRANCH_NAMES, expected_param_count, summary
 from .train import (ConfigError, ScoresNotFinite, TrainConfig, build_model, encode_dataset,
                     predict_labels, train, write_epoch_csv)
@@ -270,8 +269,9 @@ def main(argv=None) -> int:
     exits 2, each with its message as one line on stderr. Reads convert
     their own failures into those classes, so an `OSError` that gets here
     is a failed write: it exits 2 naming the file. Anything else is a bug
-    and propagates. The command runs in a `lstm.direction_worker` scope, so
-    a worker process it starts is reaped before `main` returns or raises.
+    and propagates. The command runs in a `worker.scope()`, in which its
+    large passes run their backward direction in the direction worker, and
+    which reaps that process before `main` returns or raises.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -282,7 +282,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigError(f"PLSTM_SEED must be an integer, got "
                                   f"{corpus.shown(raw)}") from None
-        with direction_worker():  # reaped on every way out of the command
+        with worker.scope():  # reaped on every way out of the command
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,42 +42,29 @@ time, in one product per gate after the time loop. Its parameter gradients
 are the arrays of a zeroed layer it adds into, and each branch's `blocks()`
 names them.
 
-Inside a `direction_worker` scope, a pass whose input projection makes at
-least WORKER_TERMS terms sends its backward direction to the direction
-worker, a process forked at the first such pass: the worker projects and
-steps that direction while this process runs the forward one, and for a
-per-position pass it keeps the step records, runs the direction's BPTT and
-makes its input-gradient rows, so those records never leave it. Smaller
-passes, and every pass outside a scope, run both directions here, in
-turn, as do the rest of a scope's passes once its worker could not start.
-Each direction runs the same numpy operations in the same order either
-way, so every byte is the same.
+Each pass runs its backward direction through an executor that
+`worker.worker_for` picks by the size of the pass's input projection: the
+direction worker, a forked process, for a large pass inside a
+`worker.scope()`, or this process. Either way it runs the same three
+requests: `_pass_in_worker` projects and steps the direction while this
+process runs the forward one, and for a per-position pass keeps its step
+records on the executor, under the pass's key; `_bptt_in_worker` runs that
+direction's BPTT and `_input_grad_in_worker` makes its input-gradient rows,
+so those records never come back. Each direction runs the same numpy
+operations in the same order wherever it runs, so every byte is the same.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-import os
-import pickle
-import signal
-import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import worker
 from .tensor import (_TILE_ROWS, RngStream, ShapeError, activate, activate_grad, matmul,
                      matmul_stacked)
 
 GATES = ("i", "f", "o", "n")  # input, forget, output, candidate
-
-# the fewest input-projection terms, branches x rows x 4*hidden x embed, of a
-# pass that sends its backward direction to the direction worker. Its
-# messages cost a few hundred microseconds each; measured on training epochs
-# at E=32, H=16, the worker lost (0.90x) at 2^18.4 terms, was even to 1.36x
-# at 2^19.6 and won 1.26-1.45x from 2^20.2 up (README, "Direction worker").
-WORKER_TERMS = 1 << 20
 
 
 @dataclass
@@ -235,12 +222,11 @@ def _record_views(records, t):
     return tuple(records[kind][:, at] for kind in RECORDS)
 
 
-def _step_records(records, last_first=False):
-    """A per-position pass's step records, one per step that ran, in run
-    order, or last step first: (t, rows, h_prev, c_prev, gates, tanh_c),
-    the arrays views of the direction's record arrays."""
-    steps = records["steps"]
-    for t, rows in reversed(steps) if last_first else steps:
+def _step_records(records):
+    """A per-position pass's step records, one per step that ran, last step
+    first: (t, rows, h_prev, c_prev, gates, tanh_c), the arrays views of the
+    direction's record arrays."""
+    for t, rows in reversed(records["steps"]):
         yield (t, rows, *_record_views(records, t))
 
 
@@ -280,20 +266,26 @@ def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     return LSTMState(h, c), records
 
 
-def _token_rows(table, branches: int, used=None):
-    """A pass's row source: (lo, hi) -> the token rows lo:hi of every
-    branch, (branches, hi - lo, embed). A callable table is one already
-    (training's dropped-out inputs). An array table, (n, embed) shared by
-    the branches or (branches, n, embed), gives views of its rows lo:hi, or,
-    given `used`, gathers its rows used[lo:hi] when they are asked for."""
-    if callable(table):
-        return table
+class _TokenRows:
+    """A pass's row source over an array token table, (n, embed) shared by
+    the branches or (branches, n, embed): (lo, hi) -> the token rows lo:hi
+    of every branch, (branches, hi - lo, embed), views of the table's rows
+    lo:hi or, given `used`, its rows used[lo:hi], gathered when they are
+    asked for. (A callable table, training's dropped-out inputs, is a row
+    source already.) It pickles as the table, or as the rows it uses,
+    gathered then, never as a per-branch broadcast view."""
 
-    def rows(lo, hi):
+    def __init__(self, table, branches: int, used=None):
+        self.table, self.branches, self.used = table, branches, used
+
+    def __call__(self, lo, hi):
+        table, used = self.table, self.used
         picked = table[..., lo:hi, :] if used is None else np.take(table, used[lo:hi], axis=-2)
-        return np.broadcast_to(picked, (branches, hi - lo, table.shape[-1]))  # shared: a view
+        return np.broadcast_to(picked, (self.branches, hi - lo, table.shape[-1]))  # shared: a view
 
-    return rows
+    def __reduce__(self):
+        table = self.table if self.used is None else np.take(self.table, self.used, axis=-2)
+        return _TokenRows, (table, self.branches)
 
 
 def _projection(params: LSTMCellParams, rows, n: int):
@@ -325,212 +317,16 @@ def _direction(params: LSTMCellParams, order, rows, n: int, mask, starts, index)
     return _steps(params, order, mask, proj, starts, index)
 
 
-class WorkerError(RuntimeError):
-    """The direction worker could not start, or ended or was stopped
-    before it replied."""
-
-
-def _write_all(fd, parts):
-    """Write each buffer of `parts` to fd, whole and in order."""
-    views = [memoryview(part).cast("B") for part in parts]
-    while views:
-        n = os.writev(fd, views)
-        while views and n >= len(views[0]):
-            n -= len(views.pop(0))
-        if n:
-            views[0] = views[0][n:]
-
-
-def _read_into(fd, buffer):
-    """Fill `buffer` from fd; EOFError if the other end closes first."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            raise EOFError("the pipe closed")
-        view = view[n:]
-
-
-def _frame(message) -> list:
-    """The buffers that carry `message` down a pipe: the count of parts and
-    their sizes, then the parts, a protocol-5 pickle and the memory of each
-    of its arrays, sent out of band from where it lies, so no pickled copy
-    is held beside an array."""
-    buffers = []
-    head = pickle.dumps(message, protocol=5, buffer_callback=buffers.append)
-    parts = [head, *(buffer.raw() for buffer in buffers)]
-    return [struct.pack(f"={len(parts) + 1}Q", len(parts), *map(len, parts)), *parts]
-
-
-def _receive(fd):
-    """The next message `_frame` framed on fd. Each array is rebuilt over a
-    buffer its memory was read straight into."""
-    count = bytearray(8)
-    _read_into(fd, count)
-    sizes = bytearray(8 * struct.unpack("=Q", count)[0])
-    _read_into(fd, sizes)
-    parts = [bytearray(size) for size in struct.unpack(f"={len(sizes) // 8}Q", sizes)]
-    for part in parts:
-        _read_into(fd, part)
-    return pickle.loads(parts[0], buffers=parts[1:])
-
-
-def _serve(requests: int, replies: int):
-    """The direction worker's loop: read a request, run it, reply, until the
-    caller's end of the pipe closes. A request is (the caller's
-    `np.geterr()`, a handler, its arguments); the handler runs under that
-    errstate, given the worker's pending passes, and the reply is (True,
-    its result) or (False, the exception it raised)."""
-    pending = {}  # a pass's key -> its backward direction's records
-    while True:
-        try:
-            errstate, handler, *args = _receive(requests)
-        except EOFError:
-            return
-        try:
-            with np.errstate(**errstate):
-                reply = True, handler(pending, *args)
-        except BaseException as exc:  # raised in the caller
-            reply = False, exc
-        try:
-            parts = _frame(reply)
-        except Exception:  # an exception that does not pickle: its type and message
-            parts = _frame((False, WorkerError(f"{type(reply[1]).__name__}: {reply[1]}")))
-        _write_all(replies, parts)
-
-
-class _Worker:
-    """The direction worker, a forked process that runs the requests
-    `alongside` sends it (`_serve`), and this process's ends of the two
-    pipes to and from it. A fork copies the calling thread alone; that is
-    safe here because the engine starts no thread and the worker calls no
-    BLAS (every product is `matmul_stacked`'s einsum)."""
-
-    def __init__(self):
-        fds = []  # (read end, write end) of the pipe to the worker, then of the one from it
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except OSError as exc:
-            for fd in fds:
-                os.close(fd)
-            raise WorkerError(f"cannot start the direction worker: {exc}") from None
-        to_worker, from_worker = fds[:2], fds[2:]
-        if pid == 0:  # the worker: it never returns from here
-            code = 1
-            try:
-                os.close(to_worker[1])
-                os.close(from_worker[0])
-                _serve(to_worker[0], from_worker[1])
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(to_worker[0])
-        os.close(from_worker[1])
-        self.pid, self.requests, self.replies = pid, to_worker[1], from_worker[0]
-        self.keys = itertools.count()  # one per per-position pass, naming its records
-
-    def alongside(self, request: list, here):
-        """(here(), the worker's reply to `request`): the worker runs the
-        request, [handler, *arguments], while this process runs here(). The
-        request list is emptied once sent, so it holds nothing here while
-        here() runs. The worker's exception is raised once here() has
-        returned. If here() or the wait for the reply raises, or the worker
-        has ended, the worker is stopped, so no stale reply is read later,
-        and an ended worker raises `WorkerError`."""
-        if self.pid is None:
-            raise WorkerError("the direction worker was stopped")
-        try:
-            message = _frame([np.geterr(), *request])
-            request.clear()
-            try:
-                _write_all(self.requests, message)
-            except OSError as exc:  # a broken pipe: the worker has ended
-                raise WorkerError(f"cannot send to the direction worker: {exc}") from None
-            del message
-            result = here()
-            try:
-                ok, reply = _receive(self.replies)
-            except (EOFError, OSError) as exc:
-                raise WorkerError(f"no reply from the direction worker: {exc}") from None
-        except BaseException:
-            self.stop()
-            raise
-        if not ok:
-            raise reply
-        return result, reply
-
-    def stop(self):
-        """Kill and reap the worker and close this process's pipe ends; a
-        stopped worker takes no more requests."""
-        if self.pid is None:
-            return
-        pid, self.pid = self.pid, None
-        os.close(self.requests)
-        os.close(self.replies)
-        with contextlib.suppress(ProcessLookupError):
-            os.kill(pid, signal.SIGKILL)
-        with contextlib.suppress(ChildProcessError):
-            os.waitpid(pid, 0)
-
-
-# the open `direction_worker` scope: the workers it started, and None once one could not start
-_scope = None
-
-
-@contextlib.contextmanager
-def direction_worker():
-    """A scope in which a large pass sends its backward direction to the
-    direction worker (see the module docstring). The worker is forked at
-    the first pass of at least WORKER_TERMS projection terms, so a scope
-    that runs none starts no process, and it is killed and reaped when the
-    scope closes, however it closes. A worker that was stopped inside the
-    scope is replaced at the next such pass. A worker that cannot start,
-    say because no process can be forked, is not asked for again: the
-    scope's passes run in turn, with the same bytes, and one line on
-    stderr says so. A nested scope is the outer one."""
-    global _scope
-    if _scope is not None:
-        yield
-        return
-    _scope = []
-    try:
-        yield
-    finally:
-        workers, _scope = _scope, None
-        for worker in filter(None, workers):
-            worker.stop()
-
-
-def _worker_for(terms: int):
-    """The direction worker, started if need be, for a pass whose input
-    projection makes `terms` terms inside a scope, if terms is at least
-    WORKER_TERMS and no worker of the scope has failed to start; else
-    None, and the pass runs in turn."""
-    if _scope is None or terms < WORKER_TERMS or None in _scope:
-        return None
-    if not _scope or _scope[-1].pid is None:
-        try:
-            _scope.append(_Worker())
-        except WorkerError as exc:
-            _scope.append(None)
-            print(f"warning: {exc}; passes run in turn", file=sys.stderr)
-            return None
-    return _scope[-1]
-
-
 def _pass_in_worker(pending, key, params, order, box, n, mask, starts, index):
-    """The worker's part of a pass: `_direction` over its backward
-    direction, from the token table popped from `box`, a list of one, so
-    that a forward-only pass drops the table it received once it has
-    projected. A per-position pass's records, its parameters and its row
-    source are kept in `pending` under key for its BPTT. Returns the final
-    state."""
+    """The executor's part of a pass: `_direction` over its backward
+    direction, from the row source popped from `box`, a list of one, so
+    that a forward-only pass in the worker drops the table it received once
+    it has projected. A per-position pass's records, its parameters and its
+    row source are kept in `pending` under key for its BPTT. Returns the
+    final state."""
     if key is None:
-        return _direction(params, order, _token_rows(box.pop(), len(params.W)), n, mask, starts,
-                          index)[0]
-    x = _token_rows(box.pop(), len(params.W))
+        return _direction(params, order, box.pop(), n, mask, starts, index)[0]
+    x = box.pop()
     final, records = _direction(params, order, x, n, mask, starts, index)
     pending[key] = {"params": params, "x": x, **records}
     return final
@@ -559,21 +355,20 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     rows its mask marks only; padded rows are left out and keep their
     state, and a step with no such rows is skipped. Each direction is one
     unit of work (`_direction`): it projects, then steps, and its
-    projection is dropped when it ends. In a `direction_worker` scope, a
-    pass whose projection makes at least WORKER_TERMS terms, branches x n
-    x 4*hidden x embed, runs its backward unit in the worker while this
-    process runs the forward one; otherwise the two units run here in turn
-    (see the module docstring). A pass given an index gathers its rows
-    once, as one (n, embed) array, only to send them to the worker, and
-    drops them before its own direction projects.
-    A per-position pass returns a cache {"fwd", "bwd", "mask"}: per
-    direction, `params`, the table as `x`, a function of a row range, and
-    the step records BPTT reads: "steps", the (t, rows) of each step that
-    ran, in run order, and per kind in RECORDS one (branches, n, ...)
-    array in table order, step t's records, for its rows only, at table
-    rows starts[t]:starts[t+1] ("starts"). Where the worker ran the
-    backward direction, "bwd" is {"worker", "key"} instead: the worker
-    keeps its records under that key. A pass given an index is
+    projection is dropped when it ends. This process runs the forward unit
+    and the executor `worker.worker_for` picks for the pass's projection
+    terms, branches x n x 4*hidden x embed, runs the backward one (see the
+    module docstring). A pass given an index that the direction worker
+    runs gathers its rows once, as one (n, embed) array, only to send them,
+    and drops them before its own direction projects.
+    A per-position pass returns a cache {"fwd", "bwd", "mask"}. "fwd" holds
+    the forward direction's `params`, the table as `x`, a function of a
+    row range, and the step records BPTT reads: "steps", the (t, rows) of
+    each step that ran, in run order, and per kind in RECORDS one
+    (branches, n, ...) array in table order, step t's records, for its
+    rows only, at table rows starts[t]:starts[t+1] ("starts"). "bwd" is
+    {"executor", "key"}: the executor keeps the backward direction's
+    records, of the same form, under that key. A pass given an index is
     forward-only: it keeps no records and returns a None cache.
     """
     L, _, mask = _sequence_mask(sequence, mask)
@@ -586,28 +381,17 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     else:  # each unmasked position's row of the distinct rows used, t-major
         used, index = np.unique(index[mask], return_inverse=True)
         n = len(used)
-    rows = _token_rows(table, G, used)
+    rows = table if callable(table) else _TokenRows(table, G, used)
     forward, backward = range(L), range(L - 1, -1, -1)
-    worker = _worker_for(G * n * 4 * layer.hidden * fwd.embed)
-    if worker is None:  # in turn
-        final_f, records_f = _direction(fwd, forward, rows, n, mask, starts, index)
-        final_b, records_b = _direction(bwd, backward, rows, n, mask, starts, index)
-    else:
-        key = None if index is not None else next(worker.keys)
-        # the table itself is sent, or the rows used, gathered only to be
-        # sent, never a per-branch broadcast view; the request is emptied
-        # once sent, so this process holds no gathered table as it projects
-        (final_f, records_f), final_b = worker.alongside(
-            [_pass_in_worker, key, bwd, backward,
-             [table if used is None else np.take(table, used, axis=-2)], n, mask, starts, index],
-            lambda: _direction(fwd, forward, rows, n, mask, starts, index))
+    executor = worker.worker_for(G * n * 4 * layer.hidden * fwd.embed)
+    key = None if index is not None else next(executor.keys)
+    (final_f, records_f), final_b = executor.alongside(
+        [_pass_in_worker, key, bwd, backward, [rows], n, mask, starts, index],
+        lambda: _direction(fwd, forward, rows, n, mask, starts, index))
     if index is not None:
         return (final_f, final_b), None
-    return (final_f, final_b), {
-        "fwd": {"params": fwd, "x": rows, **records_f},
-        "bwd": ({"params": bwd, "x": rows, **records_b} if worker is None
-                else {"worker": worker, "key": key}),
-        "mask": mask}
+    return (final_f, final_b), {"fwd": {"params": fwd, "x": rows, **records_f},
+                                "bwd": {"executor": executor, "key": key}, "mask": mask}
 
 
 def _directional_bptt(cache, d_final_h: np.ndarray, out: LSTMCellParams):
@@ -631,7 +415,7 @@ def _directional_bptt(cache, d_final_h: np.ndarray, out: LSTMCellParams):
     U_gates = np.ascontiguousarray(params.U.reshape(G, 4, hidden, hidden).transpose(2, 1, 0, 3))
     U_gates = U_gates.reshape(hidden, 4 * G, hidden).transpose(1, 0, 2)
     last = len(cache["steps"]) - 1
-    for j, (t, rows, h_prev, c_prev, gates, tanh_c) in enumerate(_step_records(cache, True)):
+    for j, (t, rows, h_prev, c_prev, gates, tanh_c) in enumerate(_step_records(cache)):
         i, f, o, n = np.moveaxis(gates, 2, 0)
         dh_t = dh[:, rows]
 
@@ -676,7 +460,7 @@ def _input_grad(params: LSTMCellParams, dpre, k: int):
 
 
 def _bptt_in_worker(pending, key, upstream):
-    """The worker's BPTT of pending pass key's backward direction, into a
+    """The executor's BPTT of pending pass key's backward direction, into a
     zeroed layer of its parameters' shapes. Returns that layer's (dW, dU,
     db); the pass keeps its parameters and its pre-activation gradients
     for `_input_grad_in_worker`."""
@@ -705,37 +489,31 @@ def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
 
     `upstream` (branches, batch, hidden) is the gradient w.r.t. the pooled
     representation; because pooling is an elementwise sum it feeds both
-    final states directly. The parameter gradients add into `out`, a layer
-    of the encoded layer's stacked shapes; its branches' `blocks()` name
-    them. Where the worker ran the pass's backward direction, it runs that
-    direction's BPTT into zeroed arrays while this process runs the
-    forward one's, and its sums add into `out`: into a zeroed `out`, as
-    training's gradient arena is, that is bitwise the sums BPTT here would
-    leave, since none of them is -0.
+    final states directly. The parameter gradients add into `out`, a
+    zeroed layer of the encoded layer's stacked shapes, as training's
+    gradient arena is; its branches' `blocks()` name them. The pass's
+    executor runs the backward direction's BPTT into zeroed arrays while
+    this process runs the forward one's into `out`, and its sums then add
+    into `out`: bitwise the sums BPTT into `out` itself would leave, since
+    no sum is -0.
     Returns an iterator over the branches that makes each one's (n, embed)
     input-gradient rows, in per-position table order, when it is asked for:
-    the forward direction's rows plus the backward one's, which the worker
-    makes for one branch at a time while this process makes the forward
-    ones.
+    the forward direction's rows plus the backward one's, which the
+    executor makes for one branch at a time while this process makes the
+    forward ones.
     """
-    fwd, bwd = cache["fwd"], cache["bwd"]
+    fwd, executor, key = cache["fwd"], cache["bwd"]["executor"], cache["bwd"]["key"]
     params_f, dpre_f = fwd["params"], fwd["gates"]
-    if "worker" not in bwd:
-        _directional_bptt(fwd, upstream, out.forward_params)
-        _directional_bptt(bwd, upstream, out.backward_params)
-        return (_input_grad(params_f, dpre_f, k) + _input_grad(bwd["params"], bwd["gates"], k)
-                for k in range(len(params_f.W)))
-    worker, key = bwd["worker"], bwd["key"]
-    _, sums = worker.alongside([_bptt_in_worker, key, upstream],
-                               lambda: _directional_bptt(fwd, upstream, out.forward_params))
+    _, sums = executor.alongside([_bptt_in_worker, key, upstream],
+                                 lambda: _directional_bptt(fwd, upstream, out.forward_params))
     params_b = out.backward_params
     for total, terms in zip((params_b.W, params_b.U, params_b.b), sums):
         total += terms
     del sums
 
     def rows(k):
-        rows_f, rows_b = worker.alongside([_input_grad_in_worker, key, k],
-                                          lambda: _input_grad(params_f, dpre_f, k))
+        rows_f, rows_b = executor.alongside([_input_grad_in_worker, key, k],
+                                            lambda: _input_grad(params_f, dpre_f, k))
         return rows_f + rows_b
 
     return (rows(k) for k in range(len(params_f.W)))

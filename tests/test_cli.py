@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plstm import cli, lstm
+from plstm import cli, lstm, worker
 from plstm.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from plstm.cli import ConfigError, dump_config, load_config, main
 from plstm.corpus import build_vocabulary, load_labeled_dataset
@@ -519,13 +519,13 @@ class TestFailureBoundary:
         starts one, and `main` reaps it on every way out: exit 0, a failed
         write's exit 2, a diverging run's exit 3, and a BaseException raised
         in the middle of a pass, which propagates."""
-        monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
-        real_rule, real_steps, running = lstm._worker_for, lstm._steps, []
+        monkeypatch.setattr(worker, "WORKER_TERMS", 0)
+        real_rule, real_steps, running = worker.worker_for, lstm._steps, []
 
         def worker_for(terms):
-            worker = real_rule(terms)
+            executor = real_rule(terms)
             running.append(len(children()))
-            return worker
+            return executor
 
         def steps(*args):
             if len(running) == 3 and os.getpid() == caller:  # the third pass, in the caller
@@ -538,7 +538,7 @@ class TestFailureBoundary:
             out = tmp_path / "file" / "run"
         if ending == "exit_3":
             smoke_cfg.write_text(SMOKE_CFG_TEXT + "learning_rate=1e300\nclip_norm=none\n")
-        monkeypatch.setattr(lstm, "_worker_for", worker_for)
+        monkeypatch.setattr(worker, "worker_for", worker_for)
         argv = ["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config",
                 str(smoke_cfg), "--out", str(out)]
         if ending == "base_exception":

@@ -64,12 +64,22 @@ def _full(xs, mask):
     return np.ones(np.shape(xs)[:2], dtype=bool) if mask is None else mask
 
 
+def direction_cache(cache, direction):
+    """A per-position pass's part of one direction, "fwd" or "bwd": its
+    params, row source and step records. The forward one is in the cache;
+    the backward one is pending on the pass's executor, an `InProcess` here,
+    under the cache's key until its BPTT."""
+    if direction == "fwd":
+        return cache["fwd"]
+    return cache["bwd"]["executor"].pending[cache["bwd"]["key"]]
+
+
 def one_direction(params, xs, mask, direction, tokens):
     """One direction's (final state, cache part) of `directional_pass` over
     a layer with `params` in both directions."""
     k = ("forward", "backward").index(direction)
     finals, cache = directional_pass(BidirectionalLayer(params, params), xs, mask, tokens)
-    return finals[k], None if cache is None else cache[("fwd", "bwd")[k]]
+    return finals[k], None if cache is None else direction_cache(cache, ("fwd", "bwd")[k])
 
 
 def pass_one(params, xs, mask, direction, tokens=None):
@@ -82,9 +92,11 @@ def pass_one(params, xs, mask, direction, tokens=None):
 
 
 def records_one(cache):
-    """A stack of one's step records, read through `_step_records` in run
-    order, with 2-D arrays: (t, rows, h_prev, c_prev, gates, tanh_c)."""
-    return [(t, rows, *(a[0] for a in arrays)) for t, rows, *arrays in _step_records(cache)]
+    """A stack of one's step records, read through `_step_records` (last
+    step first) and put in run order, with 2-D arrays: (t, rows, h_prev,
+    c_prev, gates, tanh_c)."""
+    return [(t, rows, *(a[0] for a in arrays))
+            for t, rows, *arrays in reversed(list(_step_records(cache)))]
 
 
 def encode(layer, xs, mask, tokens):
@@ -105,7 +117,7 @@ def bptt_one(cache, upstream):
     """`bptt` of `encode_one`'s cache: (grads by block name, read from the
     zeroed `out` it added into, dense (L, batch, embed) dx)."""
     mask = cache["mask"]
-    out = zero_layer(cache["fwd"]["params"], cache["bwd"]["params"])
+    out = zero_layer(*(direction_cache(cache, d)["params"] for d in ("fwd", "bwd")))
     dx_rows = bptt(cache, upstream[None], out)
     dx = np.zeros((*mask.shape, out.forward_params.embed))
     dx[mask] = next(dx_rows)
@@ -413,7 +425,7 @@ class TestTiledProjection:
         layer, _, mask, (table, index), _ = tiled_case(n, form)
         params = layer.forward_params
         used = None if index is None else np.unique(index[mask])
-        rows = lstm._token_rows(table, len(params.W), used)
+        rows = lstm._TokenRows(table, len(params.W), used)
         whole = np.broadcast_to(table if used is None else table[used], (2, n, params.embed))
         want = matmul_stacked(whole, params.W.transpose(0, 2, 1))
         assert lstm._projection(params, rows, n).tobytes() == want.tobytes()
@@ -617,7 +629,7 @@ class TestDirectionalPass:
         assert sorted(cache) == sorted(["params", "x", "steps", "starts", *lstm.RECORDS])
         run_order = [0, 1, 2, 3] if direction == "forward" else [3, 2, 1, 0]
         assert [t for t, _ in cache["steps"]] == run_order
-        assert [t for t, *_ in _step_records(cache, last_first=True)] == run_order[::-1]
+        assert [t for t, *_ in _step_records(cache)] == run_order[::-1]
         n = int(mask.sum())
         assert [cache[kind].shape for kind in lstm.RECORDS] == [
             (1, n, hidden), (1, n, hidden), (1, n, 4, hidden), (1, n, hidden)]
@@ -753,7 +765,7 @@ class TestBptt:
         products' left operands share its memory, with no gather or copy."""
         layer, x = self.make(25, L=4)
         _, cache = encode_one(layer, x, np.array([[True], [False], [True], [True]]))
-        gates = [cache[d]["gates"] for d in ("fwd", "bwd")]
+        gates = [direction_cache(cache, d)["gates"] for d in ("fwd", "bwd")]
         lefts, real = [], lstm.matmul
 
         def recording(a, b):

@@ -25,7 +25,7 @@ from plstm.model import (
 from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, dropout_mask,
                           grad_check, matmul_stacked)
 
-from test_lstm import zero_params
+from test_lstm import direction_cache, zero_params
 
 
 def encoded(ids, L):
@@ -388,7 +388,8 @@ class TestForwardBatchTraining:
             ((n, 5), np.float64), ((G, n, 5), np.bool_)]
         (cache,) = [cache for _, cache in caches]
         assert cache["dropped_rows"].keep.dtype == np.bool_
-        assert cache["enc"]["fwd"]["x"] is cache["enc"]["bwd"]["x"] is cache["dropped_rows"]
+        assert (direction_cache(cache["enc"], "fwd")["x"] is direction_cache(cache["enc"], "bwd")["x"]
+                is cache["dropped_rows"])
 
     @pytest.mark.parametrize("bad_id", [-1, 10])
     def test_out_of_range_padded_id_raises(self, bad_id):

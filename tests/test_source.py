@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from plstm import cli, lstm, model
+from plstm import cli, model, worker
 from plstm.model import BRANCH_NAMES, init_model
 from plstm.train import TrainConfig
 
@@ -301,7 +301,7 @@ def src_trees():
 def test_src_starts_no_thread():
     """The engine runs on the calling thread: numpy calls of 15-50 us trade
     the GIL between two threads more than they compute (ROADMAP, measured
-    dead ends). Its one other worker is a process (`lstm._Worker`)."""
+    dead ends). Its one other worker is a process (`worker.Worker`)."""
     assert [(stem, hit) for stem, tree in src_trees().items()
             for hit in thread_starts(tree)] == []
 
@@ -334,11 +334,52 @@ def test_call_site_checker_finds_every_call():
 
 
 def test_one_function_forks():
-    """`lstm._Worker.__init__` is the one place that starts a process: the
-    direction worker, forked inside `lstm.direction_worker`'s scope, which
-    reaps it."""
+    """`worker.Worker.__init__` is the one place that starts a process: the
+    direction worker, forked inside a `worker.scope()`, which reaps it."""
     assert [(stem, site) for stem, tree in src_trees().items()
-            for site in call_sites(tree, "fork")] == [("lstm", "__init__")]
+            for site in call_sites(tree, "fork")] == [("worker", "__init__")]
+
+
+# the calls that fork, open or use a pipe, or stop a process
+PROCESS_CALLS = ("fork", "pipe", "readv", "writev", "kill", "waitpid", "_exit")
+
+
+def test_only_the_worker_module_touches_processes_or_pickles():
+    """How work reaches another process is one module's business: only
+    `worker.py` forks, opens or uses a pipe, kills or reaps a process, or
+    imports `pickle`, which it must to call it. So `lstm.py` cannot grow an
+    in-turn fork of its own unnoticed."""
+    trees = src_trees()
+    assert sorted({(stem, name) for stem, tree in trees.items() for name in PROCESS_CALLS
+                   if call_sites(tree, name)}) == sorted(
+        ("worker", name) for name in PROCESS_CALLS)
+    assert [stem for stem, tree in trees.items()
+            if "pickle" in {name.split(".")[0] for name in imported_modules(tree)}] == ["worker"]
+
+
+def test_the_worker_module_imports_no_plstm_module():
+    """`worker.py` knows nothing of LSTMs: it imports the standard library
+    and numpy alone, and no module of the package."""
+    tree = src_trees()["worker"]
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert relative == []
+    assert {name.split(".")[0] for name in imported_modules(tree)} <= {
+        "__future__", "contextlib", "itertools", "os", "pickle", "signal", "struct", "sys",
+        "numpy"}
+
+
+@pytest.mark.parametrize("unit, callers", [
+    ("_direction", ["_pass_in_worker", "_pass_in_worker", "directional_pass"]),
+    ("_directional_bptt", ["_bptt_in_worker", "bptt"]),
+])
+def test_each_direction_runs_one_way(unit, callers):
+    """`directional_pass` and `bptt` each run the forward direction once,
+    and the executor's handler runs the backward one (a forward-only pass
+    and a per-position one, for `_pass_in_worker`): there is no second path
+    that runs both directions in turn."""
+    assert sorted(site for tree in src_trees().values()
+                  for site in call_sites(tree, unit)) == callers
 
 
 def name_reads(tree, name, function=""):
@@ -375,10 +416,11 @@ def test_the_block_budget_does_not_set_the_stack_rule():
 
 
 def test_the_worker_rule_has_one_reader():
-    """`lstm._worker_for` alone reads WORKER_TERMS: one rule decides
-    whether a pass runs its backward direction in the worker or in turn."""
+    """`worker.worker_for` alone reads WORKER_TERMS: one rule decides
+    whether a pass runs its backward direction in the worker or in
+    process."""
     assert sorted({(stem, site) for stem, tree in src_trees().items()
-                   for site in name_reads(tree, "WORKER_TERMS")}) == [("lstm", "_worker_for")]
+                   for site in name_reads(tree, "WORKER_TERMS")}) == [("worker", "worker_for")]
 
 
 # workload -> (batch rows, hidden, branches a group, {kind of pass: whether
@@ -396,9 +438,9 @@ BENCH_STEPS = {
 @pytest.mark.parametrize("workload", sorted(BENCH_STEPS))
 def test_bench_shapes_keep_their_groups_and_worker_rule(workload, tmp_path, monkeypatch):
     """The train workloads step the four branches as one group, `eval_long`
-    each branch alone. `train_smoke`'s passes run both directions in turn;
-    `train_long`'s training and metrics passes, and each `eval_long`
-    group's, run the backward one in the worker. One unit of the workload,
+    each branch alone. `train_smoke`'s passes run their backward direction
+    in process; `train_long`'s training and metrics passes, and each
+    `eval_long` group's, run it in the worker. One unit of the workload,
     at seed 0, run as the benchmark runs it, checks every pass, and that
     its projection terms sit well away from WORKER_TERMS: a change to the
     stack rule or the worker rule that moved one would change what the
@@ -411,19 +453,19 @@ def test_bench_shapes_keep_their_groups_and_worker_rule(workload, tmp_path, monk
     import workloads
 
     inputs = workloads.prepare(workload, 0, tmp_path)
-    real_pass, real_rule, kinds, decisions = model.directional_pass, lstm._worker_for, [], []
+    real_pass, real_rule, kinds, decisions = model.directional_pass, worker.worker_for, [], []
 
     def directional_pass(layer, sequence, mask, tokens):
         kinds.append("train" if tokens[1] is None else "eval")
         return real_pass(layer, sequence, mask, tokens)
 
     def worker_for(terms):
-        worker = real_rule(terms)
-        decisions.append((worker is not None, terms / lstm.WORKER_TERMS))
-        return worker
+        executor = real_rule(terms)
+        decisions.append((isinstance(executor, worker.Worker), terms / worker.WORKER_TERMS))
+        return executor
 
     monkeypatch.setattr(model, "directional_pass", directional_pass)
-    monkeypatch.setattr(lstm, "_worker_for", worker_for)
+    monkeypatch.setattr(worker, "worker_for", worker_for)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(inputs.argv) == 0
     assert sorted({(kind, used) for kind, (used, _) in zip(kinds, decisions)}) == sorted(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import plstm.train
 from plstm.cli import main
 from plstm.corpus import Document, LabeledExample, build_vocabulary
-from plstm.lstm import GATES, direction_worker
+from plstm.lstm import GATES
 from plstm.model import BRANCH_NAMES, branch_backward, forward_batch, init_model
 from plstm.tensor import _BLOCK_ELEMS, _TILE_ROWS, RngStream, categorical_cross_entropy, grad_check
 from plstm.train import (
@@ -26,6 +26,7 @@ from plstm.train import (
     epoch_metrics,
     train,
 )
+from plstm.worker import scope as worker_scope
 
 
 def tiny_corpus(n=12):
@@ -203,7 +204,7 @@ class TestBatchMemory:
         ids = np.where(mask, gen.integers(1, vocab, (batch, L)), 0)
         model = init_model(vocab, E, H, seed=22, seq_len=L)
         assert [len(group.names) for group in model.groups(batch)] == [1] * len(BRANCH_NAMES)
-        with direction_worker() if worker else contextlib.nullcontext():
+        with worker_scope() if worker else contextlib.nullcontext():
             forward_batch(model, ids, mask)  # warm up numpy, and start the worker
             tracemalloc.start()
             try:

@@ -1,11 +1,11 @@
-"""The direction worker: inside a `lstm.direction_worker` scope, a pass of at
-least WORKER_TERMS projection terms runs its backward direction, forward and
-BPTT, in a forked process. Most checks here set WORKER_TERMS to 0, so every
-pass in a scope takes the worker, and compare with the same work run in
-turn. 130 rows at H=32 make a 130 x 128 product per branch, over
-STACKED_ELEMS, so the branches step one at a time: a training batch leaves
-four passes pending in the worker. 8 rows step the four branches as one
-group."""
+"""The direction worker: inside a `worker.scope()`, a pass of at least
+WORKER_TERMS projection terms runs its backward direction, forward and BPTT,
+in a forked process. Most checks here set WORKER_TERMS to 0, so every pass
+in a scope takes the worker, and compare with the same requests run in
+process, after the forward direction. 130 rows at H=32 make a 130 x 128
+product per branch, over STACKED_ELEMS, so the branches step one at a time:
+a training batch leaves four passes pending in the worker. 8 rows step the
+four branches as one group."""
 
 import errno
 import hashlib
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plstm import lstm
+from plstm import lstm, worker
 from plstm.cli import main
 from plstm.model import BRANCH_NAMES, forward_batch, init_model
 from plstm.tensor import RngStream
@@ -59,24 +59,24 @@ def deadline(seconds=60):
 def worker_passes(monkeypatch):
     """Every pass in a scope takes the worker from here on; returns a list
     that gains one entry per pass that sent its backward direction there."""
-    real, sent = lstm._worker_for, []
+    real, sent = worker.worker_for, []
 
     def counting(terms):
-        worker = real(terms)
-        if worker is not None:
+        executor = real(terms)
+        if isinstance(executor, worker.Worker):
             sent.append(terms)
-        return worker
+        return executor
 
-    monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
-    monkeypatch.setattr(lstm, "_worker_for", counting)
+    monkeypatch.setattr(worker, "WORKER_TERMS", 0)
+    monkeypatch.setattr(worker, "worker_for", counting)
     return sent
 
 
 def in_worker_and_in_turn(monkeypatch, run):
     """(passes the worker ran, run() in a scope where every pass takes the
-    worker, run() outside any scope, both directions in turn)."""
+    worker, run() outside any scope, where every pass runs in process)."""
     sent = worker_passes(monkeypatch)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         by_worker = run()
     return len(sent), by_worker, run()
 
@@ -114,18 +114,31 @@ def test_one_epoch_matches_in_turn_bitwise(monkeypatch, tmp_path, gate_mode, bat
     assert by_worker == in_turn
 
 
-def test_a_training_pass_keeps_its_backward_records_in_the_worker(monkeypatch):
-    """The cache of a pass the worker ran names the worker and a key, and
-    holds none of the backward direction's records."""
-    worker_passes(monkeypatch)
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "in_process"])
+def test_a_training_pass_keeps_its_backward_records_in_the_worker(monkeypatch, in_worker):
+    """The cache of a training pass names the executor that ran its
+    backward direction and a key, and holds none of that direction's
+    records: the scope's one worker keeps every pass's, or each pass has an
+    in-process executor of its own, which keeps that pass's alone."""
+    if in_worker:
+        worker_passes(monkeypatch)
     model = init_model(VOCAB, EMBED, HIDDEN, seed=5)
     ids, mask = ragged(6)
     rngs = {name: RngStream(5, k) for k, name in enumerate(BRANCH_NAMES)}
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         _, caches = forward_batch(model, ids, mask, rngs)
-        keys = [cache["enc"]["bwd"] for _, cache in caches]
-    assert [sorted(bwd) for bwd in keys] == [["key", "worker"]] * len(BRANCH_NAMES)
-    assert [bwd["key"] for bwd in keys] == list(range(len(BRANCH_NAMES)))
+        bwds = [cache["enc"]["bwd"] for _, cache in caches]
+    assert [sorted(bwd) for bwd in bwds] == [["executor", "key"]] * len(BRANCH_NAMES)
+    executors = [bwd["executor"] for bwd in bwds]
+    if in_worker:
+        assert all(executor is executors[0] for executor in executors)
+        assert isinstance(executors[0], worker.Worker)
+        assert [bwd["key"] for bwd in bwds] == list(range(len(BRANCH_NAMES)))
+    else:
+        assert all(isinstance(executor, worker.InProcess) for executor in executors)
+        assert len({id(executor) for executor in executors}) == len(BRANCH_NAMES)
+        assert [list(executor.pending) for executor in executors] == [
+            [bwd["key"]] for bwd in bwds]
 
 
 def diverging_run(tmp_path):
@@ -149,7 +162,7 @@ def test_diverging_run_exits_3_with_one_line(tmp_path, flags):
     errstate(all="ignore"), so numpy's warnings on overflow neither print
     from either process nor, as errors, end the run in a traceback."""
     argv, out = diverging_run(tmp_path)
-    code = ("import sys; from plstm import cli, lstm; lstm.WORKER_TERMS = 0; "
+    code = ("import sys; from plstm import cli, worker; worker.WORKER_TERMS = 0; "
             f"sys.exit(cli.main({argv!r}))")
     child = subprocess.run([sys.executable, *flags, "-c", code],
                            env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -183,7 +196,7 @@ def test_the_backward_direction_projects_in_the_worker(monkeypatch):
         return real(a, b, out)
 
     monkeypatch.setattr(lstm, "matmul_stacked", product)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         forward_batch(model, ids, mask)
     assert here == ["fwd"] * len(BRANCH_NAMES)  # one group, so one pass, per branch
 
@@ -192,12 +205,12 @@ def test_the_backward_direction_projects_in_the_worker(monkeypatch):
 @pytest.mark.parametrize("n", TILE_ROW_COUNTS)
 def test_tiled_passes_match_an_untiled_projection_in_turn_bitwise(monkeypatch, n, form):
     """A pass of n projection rows on the worker, both directions projected
-    _TILE_ROWS at a time, gives the bytes of the same pass run in turn with
+    _TILE_ROWS at a time, gives the bytes of the same pass run in process with
     each projection made in one product: its final states and, per
     position, its BPTT's gradients and input-gradient rows."""
     case = tiled_case(n, form)
     sent = worker_passes(monkeypatch)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         by_worker = pass_bytes(*case)
     assert len(sent) == 1
     monkeypatch.setattr(lstm, "_TILE_ROWS", 1 << 30)  # one tile: one product
@@ -222,38 +235,38 @@ def gathered(array):
     return array
 
 
-@pytest.mark.parametrize("worker", [True, False], ids=["worker", "in_turn"])
-def test_the_caller_never_projects_or_steps_with_a_whole_table_alive(monkeypatch, worker):
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "in_turn"])
+def test_the_caller_never_projects_or_steps_with_a_whole_table_alive(monkeypatch, in_worker):
     """An eval pass asks its row source for one tile of gathered rows at a
     time. Each projection product in this process reads one tile of at most
     _TILE_ROWS rows while no other tile is alive, and no tile is alive while
-    a direction steps. With the worker this process gathers the whole table
-    once, only to send it, and it is gone before this process projects or
-    steps; the worker has dropped the table it received before it steps."""
+    a direction steps. With the worker, pickling the request gathers the
+    whole table once, only to send it, and it is gone before this process
+    projects or steps; the worker has dropped the table it received before
+    it steps. In process nothing is gathered or pickled."""
     model, ids, mask = eval_batch(12)
-    caller = os.getpid()
-    real_rows, real_frame, real_steps, real_product = (
-        lstm._token_rows, lstm._frame, lstm._steps, lstm.matmul_stacked)
+    caller, rows = os.getpid(), lstm._TokenRows
+    real_init, real_call, real_reduce = rows.__init__, rows.__call__, rows.__reduce__
+    real_steps, real_product = lstm._steps, lstm.matmul_stacked
     tiles, sent, received, products = [], [], [], []
 
     def alive(refs):
         return sum(ref() is not None for ref in refs)
 
-    def token_rows(table, branches, used=None):
-        if os.getpid() != caller:
+    def init(self, table, branches, used=None):
+        if os.getpid() != caller:  # unpickled in the worker
             received.append(weakref.ref(table))
-        source = real_rows(table, branches, used)
+        real_init(self, table, branches, used)
 
-        def rows(lo, hi):
-            tile = source(lo, hi)
-            tiles.append(weakref.ref(gathered(tile)))
-            return tile
-        return rows
+    def call(self, lo, hi):
+        tile = real_call(self, lo, hi)
+        tiles.append(weakref.ref(gathered(tile)))
+        return tile
 
-    def frame(message):
-        if os.getpid() == caller and message[1] is lstm._pass_in_worker:
-            sent.append(weakref.ref(message[5][0]))  # the table in its box
-        return real_frame(message)
+    def reduce(self):
+        reduced = real_reduce(self)
+        sent.append(weakref.ref(reduced[1][0]))  # the table the pickle holds
+        return reduced
 
     def product(a, b, out=None):
         if os.getpid() == caller and direction_of(model, b) is not None:
@@ -269,49 +282,56 @@ def test_the_caller_never_projects_or_steps_with_a_whole_table_alive(monkeypatch
             raise AssertionError("the worker steps while it holds the table it received")
         return real_steps(*args)
 
-    for name, fake in (("_token_rows", token_rows), ("_frame", frame), ("_steps", steps),
-                       ("matmul_stacked", product)):
-        monkeypatch.setattr(lstm, name, fake)
-    if worker:
+    for name, fake in (("__init__", init), ("__call__", call), ("__reduce__", reduce)):
+        monkeypatch.setattr(rows, name, fake)
+    monkeypatch.setattr(lstm, "_steps", steps)
+    monkeypatch.setattr(lstm, "matmul_stacked", product)
+    if in_worker:
         worker_passes(monkeypatch)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         forward_batch(model, ids, mask)
     passes = len(model.groups(len(ids)))
-    assert len(sent) == (passes if worker else 0)
-    assert sum(products) == (1 if worker else 2) * passes * len(np.unique(ids[mask]))
+    assert len(sent) == (passes if in_worker else 0)
+    assert sum(products) == (1 if in_worker else 2) * passes * len(np.unique(ids[mask]))
 
 
 @pytest.mark.parametrize("batch", [BATCH, 8], ids=["groups_of_one", "one_group"])
 def test_an_eval_pass_sends_its_gathered_rows_once(monkeypatch, batch):
-    """The request of an eval pass carries its (n, embed) gathered rows as
-    one array, not a per-branch broadcast view, which a pickle would write
-    once per branch: the bytes it writes to the worker are those rows, the
-    pass's other arrays and a few KB of pickle."""
+    """The request of an eval pass pickles its row source as its (n, embed)
+    gathered rows, one array, not a per-branch broadcast view, which a
+    pickle would write once per branch: the bytes it writes to the worker
+    are those rows, the pass's other arrays and a few KB of pickle."""
     embed = 64  # n x embed x 8 bytes, far over the slack
     model = init_model(VOCAB, embed, HIDDEN, seed=18)
     ids, mask = ragged(19, batch)
     n = len(np.unique(ids[mask]))
-    caller, real_write, real_frame = os.getpid(), lstm._write_all, lstm._frame
-    requests, writes = [], []
+    caller, real_write, real_frame = os.getpid(), worker._write_all, worker._frame
+    real_reduce = lstm._TokenRows.__reduce__
+    requests, tables, writes = [], [], []
 
     def frame(message):
         if os.getpid() == caller and message[1] is lstm._pass_in_worker:
             requests.append(message)
         return real_frame(message)
 
+    def reduce(self):
+        reduced = real_reduce(self)
+        tables.append(reduced[1][0])
+        return reduced
+
     def write_all(fd, parts):
         if os.getpid() == caller:
             writes.append(sum(memoryview(part).nbytes for part in parts))
         return real_write(fd, parts)
 
-    monkeypatch.setattr(lstm, "_frame", frame)
-    monkeypatch.setattr(lstm, "_write_all", write_all)
+    monkeypatch.setattr(worker, "_frame", frame)
+    monkeypatch.setattr(worker, "_write_all", write_all)
+    monkeypatch.setattr(lstm._TokenRows, "__reduce__", reduce)
     worker_passes(monkeypatch)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         forward_batch(model, ids, mask)
-    assert len(requests) == len(writes) == len(model.groups(batch))
-    for message, written in zip(requests, writes):
-        (table,) = message[5]
+    assert len(requests) == len(tables) == len(writes) == len(model.groups(batch))
+    for message, table, written in zip(requests, tables, writes):
         assert table.shape == (n, embed) and table.flags.c_contiguous
         params = message[3]
         others = sum(a.nbytes for a in (params.W, params.U, params.b, *message[7:]))
@@ -346,7 +366,7 @@ def test_an_exception_on_either_side_is_raised_once_the_other_has_finished(monke
 
     monkeypatch.setattr(lstm, "_stacked_step", step)
     monkeypatch.setattr(lstm, "matmul_stacked", product)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         with pytest.raises(FloatingPointError, match=failing):
             forward_batch(model, ids, mask)
         # the worker reported its failure and lives on; a failing caller stopped it
@@ -375,13 +395,13 @@ def test_a_killed_worker_raises_and_does_not_hang(monkeypatch, children, when):
 
     killed = [None]  # nothing to kill before the first pass has started the worker
     monkeypatch.setattr(lstm, "_stacked_step", step)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         scores = forward_batch(model, ids, mask)[0]
         first = children()
         killed.clear()
         if when == "idle":
             kill_the_worker()
-        with pytest.raises(lstm.WorkerError):
+        with pytest.raises(worker.WorkerError):
             forward_batch(model, ids, mask)
         assert children() == []
         again = forward_batch(model, ids, mask)[0]
@@ -397,7 +417,7 @@ def test_a_worker_that_cannot_start_leaves_the_command_in_turn_with_the_golden_b
     """Every pass would take the worker, but it cannot start: `os.fork`
     fails, as it does when no process can be started, or its second
     `os.pipe`, as when no file can be opened. The command tries once, closes
-    the pipe it opened, says so in one stderr line, runs every pass in turn,
+    the pipe it opened, says so in one stderr line, runs every pass in process,
     exits 0, writes the golden bytes and leaves no child."""
     real_pipe, tries, opened = os.pipe, [], []
 
@@ -427,7 +447,7 @@ def test_a_worker_that_cannot_start_leaves_the_command_in_turn_with_the_golden_b
         want = GOLDEN["standard"]
     capsys.readouterr()
     monkeypatch.setattr(os, failing, {"fork": fork, "pipe": pipe}[failing])
-    monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+    monkeypatch.setattr(worker, "WORKER_TERMS", 0)
     assert main(argv) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: cannot start the direction worker: ") and err.count("\n") == 1
@@ -450,7 +470,7 @@ def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
     model.embedding[...] *= 400.0  # |x| up to 20: a term x * 1e308 overflows
     model.group.layer.backward_params.W[...] = 1e308
     ids, mask = ragged(15, 8)
-    with deadline(), lstm.direction_worker():
+    with deadline(), worker.scope():
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("error")
             forward_batch(model, ids, mask)
@@ -466,17 +486,17 @@ def test_a_scope_starts_its_worker_at_the_first_large_pass_and_reaps_it(monkeypa
     reaps it when it closes, also on an exception."""
     model = init_model(VOCAB, EMBED, HIDDEN, seed=16)
     ids, mask = ragged(17, 8)
-    with deadline(), pytest.raises(KeyError, match="leaving"), lstm.direction_worker():
+    with deadline(), pytest.raises(KeyError, match="leaving"), worker.scope():
         forward_batch(model, ids, mask)
         assert children() == []
-        monkeypatch.setattr(lstm, "WORKER_TERMS", 0)
+        monkeypatch.setattr(worker, "WORKER_TERMS", 0)
         forward_batch(model, ids, mask)
-        worker = children()
-        assert len(worker) == 1
-        with lstm.direction_worker():
+        started = children()
+        assert len(started) == 1
+        with worker.scope():
             forward_batch(model, ids, mask)
-        assert children() == worker
+        assert children() == started
         raise KeyError("leaving the scope")
     assert children() == []
-    forward_batch(model, ids, mask)  # outside a scope: in turn
+    forward_batch(model, ids, mask)  # outside a scope: in process
     assert children() == []
