@@ -60,8 +60,9 @@ def load_config(path) -> TrainConfig:
     """key=value config, one line each, with the keys and value types of
     `_CONFIG_FIELDS`, which are read off `TrainConfig`. Blank lines and `#`
     comments are skipped, and a leading UTF-8 byte-order mark is ignored.
+    A key set twice is refused, as a last-wins read would hide the first.
     The values are not validated here; `_config` validates them."""
-    values = {}
+    values, key_lines = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
@@ -77,6 +78,10 @@ def load_config(path) -> TrainConfig:
         raw = raw.strip()
         if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{line_no}: unknown key {corpus.shown(key)}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{line_no}: key {key} is already set on line "
+                              f"{key_lines[key]}")
+        key_lines[key] = line_no
         name, parse = _CONFIG_FIELDS[key]
         try:
             values[name] = parse(raw)

@@ -42,8 +42,6 @@ AGGREGATIONS = ("primary_branch", "majority_vote")
 N_CLASSES = 2
 
 DEFAULT_SEQ_LEN = 65
-DEFAULT_DROPOUT_EMBED = 0.6
-DEFAULT_DROPOUT_RECURRENT = 0.4
 INIT_SCALE = 0.05
 
 
@@ -51,22 +49,21 @@ INIT_SCALE = 0.05
 class BranchGroup:
     """Branches that step together: `layer` holds their LSTM parameters and
     head_W, head_b their heads, as stacks with a leading branch axis in
-    `names` order, and every branch drops out at the one pair of rates. A
-    single branch is a group of one (`branch`). `blocks()` names each
-    branch's parameters as 2-D per-gate and head blocks, in branch order."""
+    `names` order. A single branch is a group of one (`branch`).
+    `blocks()` names each branch's parameters as 2-D per-gate and head
+    blocks, in branch order. A group holds no dropout rate: a training
+    pass is given its rates (`branch_forward`)."""
 
     names: tuple  # branch names, in stack order
     layer: BidirectionalLayer
     head_W: np.ndarray  # (branches, 2, hidden)
     head_b: np.ndarray  # (branches, 2)
-    dropout_embed: float = DEFAULT_DROPOUT_EMBED
-    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
 
     def branch(self, k: int):
         """Branch k of the group, as a group of one (views)."""
         one = slice(k, k + 1)
         return BranchGroup(self.names[one], self.layer.branch(k), self.head_W[one],
-                           self.head_b[one], self.dropout_embed, self.dropout_recurrent)
+                           self.head_b[one])
 
     def blocks(self):
         out = []
@@ -141,9 +138,7 @@ def expected_param_count(vocab_size: int, embed_dim: int, hidden: int) -> int:
 
 
 def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_mode: str,
-               seq_len: int, aggregation: str,
-               dropout_embed: float = DEFAULT_DROPOUT_EMBED,
-               dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT) -> ParallelModel:
+               seq_len: int, aggregation: str) -> ParallelModel:
     """The arena layout: a model whose parameters are views of `arena`, a
     flat float64 buffer of expected_param_count() elements, tiled once in
     this order: the (vocab, embed) embedding; per direction, forward then
@@ -162,28 +157,19 @@ def model_over(arena, vocab_size: int, embed_dim: int, hidden: int, gate_mode: s
     gate_acts = tuple(name if gate_mode == "literal_eq9" else "sigmoid" for name in BRANCH_NAMES)
     layer = BidirectionalLayer(LSTMCellParams(*views[:3], gate_acts),
                                LSTMCellParams(*views[3:], gate_acts))
-    group = BranchGroup(BRANCH_NAMES, layer, head_W, head_b, dropout_embed, dropout_recurrent)
+    group = BranchGroup(BRANCH_NAMES, layer, head_W, head_b)
     return ParallelModel(arena, embedding, group, seq_len, gate_mode, aggregation)
 
 
-def init_model(
-    vocab_size: int,
-    embed_dim: int,
-    hidden: int,
-    seed: int,
-    seq_len: int = DEFAULT_SEQ_LEN,
-    aggregation: str = AGGREGATIONS[0],
-    gate_mode: str = GATE_MODES[0],
-    dropout_embed: float = DEFAULT_DROPOUT_EMBED,
-    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT,
-) -> ParallelModel:
+def init_model(vocab_size: int, embed_dim: int, hidden: int, seed: int,
+               seq_len: int = DEFAULT_SEQ_LEN, aggregation: str = AGGREGATIONS[0],
+               gate_mode: str = GATE_MODES[0]) -> ParallelModel:
     """Deterministic init: uniform(-0.05, 0.05) weights from per-branch
     substreams, zero biases except forget bias +1, zero pad embedding row."""
     if min(vocab_size, embed_dim, hidden, seq_len) < 1:
         raise ValueError("all model dimensions must be >= 1")
     model = model_over(np.zeros(expected_param_count(vocab_size, embed_dim, hidden)),
-                       vocab_size, embed_dim, hidden, gate_mode, seq_len, aggregation,
-                       dropout_embed, dropout_recurrent)
+                       vocab_size, embed_dim, hidden, gate_mode, seq_len, aggregation)
     model.embedding[...] = RngStream(seed, 0).uniform(-INIT_SCALE, INIT_SCALE,
                                                       (vocab_size, embed_dim))
     model.embedding[0, :] = 0.0
@@ -229,16 +215,17 @@ class _DroppedRows:
         return self.keep[k] / self.scale
 
 
-def branch_forward(group: BranchGroup, mask, tokens, rngs=None):
+def branch_forward(group: BranchGroup, mask, tokens, dropout=None):
     """Branch pipeline: embed dropout -> bidirectional encode -> pooled
     dropout -> affine head -> each branch's own activation.
 
     The group's encoders run as one stack; a single branch is a group of
     one. `mask` is (L, batch) boolean and `tokens` the encoder's (table,
     index) token table (see `lstm.directional_pass`). Training mode is
-    exactly "rngs were given": `rngs` lists one RngStream per branch, in
-    `group.names` order, and each branch's dropout masks are drawn from its
-    own, the embedding mask first, at the (L, batch, embed) shape. Returns
+    exactly "dropout was given": `dropout` is (embed_rate, recurrent_rate,
+    rngs), `rngs` one RngStream per branch, in `group.names` order, and
+    each branch's dropout masks are drawn from its own at those rates, the
+    embedding mask first, at the (L, batch, embed) shape. Returns
     (scores, cache), scores a list of (batch, 2) arrays in branch order.
     A per-position table (index None) holds the unmasked positions'
     inputs, t-major, before dropout; a cache is kept for
@@ -256,14 +243,15 @@ def branch_forward(group: BranchGroup, mask, tokens, rngs=None):
     embedded = np.broadcast_to(0.0, (*mask.shape, group.layer.forward_params.embed))
     n_branches = len(group.names)
     dropped_rows, m_pool = None, np.ones((n_branches, 1, 1))
-    if rngs is not None:
+    if dropout is not None:
+        embed_rate, recurrent_rate, rngs = dropout
         rows = tokens[0]
         keep = np.empty((n_branches, *rows.shape), dtype=bool)
         m_pool = np.empty((n_branches, batch, group.layer.hidden))
         for k, rng in enumerate(rngs):
-            keep[k] = dropout_mask(embedded.shape, group.dropout_embed, rng)[mask] != 0
-            m_pool[k] = dropout_mask((batch, group.layer.hidden), group.dropout_recurrent, rng)
-        dropped_rows = _DroppedRows(rows, keep, group.dropout_embed)
+            keep[k] = dropout_mask(embedded.shape, embed_rate, rng)[mask] != 0
+            m_pool[k] = dropout_mask((batch, group.layer.hidden), recurrent_rate, rng)
+        dropped_rows = _DroppedRows(rows, keep, embed_rate)
         tokens = dropped_rows, None
     (final_f, final_b), enc_cache = directional_pass(group.layer, embedded, mask, tokens)
     dropped = (final_f.h + final_b.h) * m_pool  # pooled: forward plus backward final h
@@ -311,12 +299,13 @@ def branch_backward(group: BranchGroup, cache, d_scores, out: BranchGroup):
     return _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
 
 
-def forward_batch(model: ParallelModel, ids, mask, rngs=None):
+def forward_batch(model: ParallelModel, ids, mask, dropout=None):
     """Shared embedding lookup, then the four branches in `model.groups`:
     the one forward pass behind training, eval and the per-epoch metrics.
 
-    mask is (batch, L) boolean. rngs maps branch name -> RngStream and
-    selects training mode. Returns ({branch: scores (batch, 2)}, caches):
+    mask is (batch, L) boolean. `dropout`, (embed_rate, recurrent_rate,
+    rngs) with rngs mapping branch name -> RngStream, selects training
+    mode. Returns ({branch: scores (batch, 2)}, caches):
     in training, caches lists (group, cache) pairs in branch order, which
     `branch_backward` takes; in eval it is None. Training inputs differ at
     every position after dropout, so each branch projects every unmasked
@@ -332,16 +321,17 @@ def forward_batch(model: ParallelModel, ids, mask, rngs=None):
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     ids_tm = _checked_ids(model, ids).T
     # in training, each group gathers its own table, freed once dropout is applied
-    tokens = (model.embedding, ids_tm) if rngs is None else None
+    tokens = (model.embedding, ids_tm) if dropout is None else None
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):
-        group_rngs = None if rngs is None else [rngs[name] for name in group.names]
+        group_dropout = None if dropout is None else (
+            *dropout[:2], [dropout[2][name] for name in group.names])
         group_scores, cache = branch_forward(group, mask_tm,
                                              tokens or (model.embedding[ids_tm[mask_tm]], None),
-                                             group_rngs)
+                                             group_dropout)
         scores.update(zip(group.names, group_scores))
         caches.append((group, cache))
-    return scores, (None if rngs is None else caches)
+    return scores, (None if dropout is None else caches)
 
 
 def aggregate(per_branch_labels: dict, aggregation: str) -> int:

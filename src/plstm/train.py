@@ -17,9 +17,8 @@ import numpy as np
 
 from .corpus import tokenize
 from .lstm import GATES
-from .model import (AGGREGATIONS, BRANCH_NAMES, DEFAULT_DROPOUT_EMBED, DEFAULT_DROPOUT_RECURRENT,
-                    DEFAULT_SEQ_LEN, GATE_MODES, ParallelModel, branch_backward, forward_batch,
-                    init_model)
+from .model import (AGGREGATIONS, BRANCH_NAMES, DEFAULT_SEQ_LEN, GATE_MODES, ParallelModel,
+                    branch_backward, forward_batch, init_model)
 from .tensor import _BLOCK_ELEMS, RngStream, ShapeError, categorical_cross_entropy
 
 
@@ -46,8 +45,8 @@ class TrainConfig:
     embed_dim: int = field(default=400, metadata={"key": "embedding_dim"})
     seq_len: int = DEFAULT_SEQ_LEN
     learning_rate: float = 0.01
-    dropout_embed: float = DEFAULT_DROPOUT_EMBED
-    dropout_recurrent: float = DEFAULT_DROPOUT_RECURRENT
+    dropout_embed: float = 0.6  # training's rates: a model holds none
+    dropout_recurrent: float = 0.4
     gate_mode: str = GATE_MODES[0]
     clip_norm: float | None = 5.0  # None disables clipping
     aggregation: str = AGGREGATIONS[0]
@@ -74,13 +73,11 @@ class TrainConfig:
 
 
 def build_model(config: TrainConfig, vocab_size: int, seed: int) -> ParallelModel:
-    """A fresh model with `config`'s dimensions, gate mode, aggregation and
-    dropout rates, initialised from `seed`."""
-    return init_model(
-        vocab_size, config.embed_dim, config.hidden, seed=seed, seq_len=config.seq_len,
-        aggregation=config.aggregation, gate_mode=config.gate_mode,
-        dropout_embed=config.dropout_embed, dropout_recurrent=config.dropout_recurrent,
-    )
+    """A fresh model with `config`'s dimensions, gate mode and aggregation,
+    initialised from `seed`."""
+    return init_model(vocab_size, config.embed_dim, config.hidden, seed=seed,
+                      seq_len=config.seq_len, aggregation=config.aggregation,
+                      gate_mode=config.gate_mode)
 
 
 @dataclass
@@ -239,14 +236,14 @@ def _clip_rows(grad, d_embedded):
             d_embedded.reshape(1, -1)]
 
 
-def _batch_grads(model, ids, mask, targets, rngs, clip_norm):
+def _batch_grads(model, ids, mask, targets, dropout, clip_norm):
     """One batch's (losses by branch, clipped gradient of every parameter
-    as a gradient arena): a training-mode `forward_batch`, each branch's
+    as a gradient arena): a `forward_batch` under `dropout`, each branch's
     loss, then a zeroed gradient arena, made once the forward pass's memory
     peak is over, each branch group's backward into its views, and each
     branch's clip and embedding scatter in BRANCH_NAMES order. The caches
     of the batch are freed when this returns."""
-    scores, caches = forward_batch(model, ids, mask, rngs)
+    scores, caches = forward_batch(model, ids, mask, dropout)
     losses, d_scores = {}, {}
     for name in BRANCH_NAMES:
         losses[name], d_scores[name] = categorical_cross_entropy(scores[name], targets)
@@ -275,16 +272,16 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
 
     Each epoch: one seeded shuffle (a pure function of seed and epoch),
     mini-batches, and per batch (`_batch_grads`) one training-mode
-    `forward_batch` (each branch's dropout stream keyed by seed, branch,
-    epoch and batch), each branch's loss, one `branch_backward` per branch
-    group of `ParallelModel.groups` -- the four branches' BPTT at once when
-    they step together -- then each branch's clip and embedding scatter in
-    BRANCH_NAMES order, all into a new zeroed gradient arena, and one
-    `adam_step` over the whole parameter arena. No backward reads
-    another branch's parameters or the embedding, so that equals updating
-    each branch after its own backward. The embedding's gradient sums the
-    branches' in that order; its pad row never moves. Verbose level 1
-    prints a summary line every 100 epochs.
+    `forward_batch` (at the config's dropout rates, each branch's dropout
+    stream keyed by seed, branch, epoch and batch), each branch's loss, one
+    `branch_backward` per branch group of `ParallelModel.groups` -- the
+    four branches' BPTT at once when they step together -- then each
+    branch's clip and embedding scatter in BRANCH_NAMES order, all into a
+    new zeroed gradient arena, and one `adam_step` over the whole
+    parameter arena. No backward reads another branch's parameters or the
+    embedding, so that equals updating each branch after its own backward.
+    The embedding's gradient sums the branches' in that order; its pad row
+    never moves. Verbose level 1 prints a summary line every 100 epochs.
 
     Training runs with numpy's floating-point warnings off. Instead a
     branch's non-finite batch loss, a non-finite parameter after an epoch,
@@ -313,7 +310,8 @@ def train(model: ParallelModel, dataset: EncodedDataset, config: TrainConfig):
             targets = _one_hot(dataset.labels[batch])
             rngs = {name: RngStream(config.seed, 7, b_idx, epoch, n_batches)
                     for b_idx, name in enumerate(BRANCH_NAMES)}
-            losses, grad = _batch_grads(model, ids, mask, targets, rngs, config.clip_norm)
+            dropout = (config.dropout_embed, config.dropout_recurrent, rngs)
+            losses, grad = _batch_grads(model, ids, mask, targets, dropout, config.clip_norm)
             for name, loss in losses.items():
                 if not np.isfinite(loss):
                     raise ConfigError(f"training diverged: {name} loss is {loss} at epoch "

@@ -20,7 +20,7 @@ from plstm.corpus import build_vocabulary, load_labeled_dataset
 from plstm.model import AGGREGATIONS, BRANCH_NAMES, GATE_MODES, forward_batch, init_model
 from plstm.train import TrainConfig, build_model, encode_dataset, train
 
-from test_golden import ragged_corpus
+from test_golden import ragged_corpus, with_lines
 
 SMOKE_CFG_TEXT = """\
 embedding_dim=8
@@ -161,7 +161,7 @@ class TestAllocationBound:
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_huge_hidden_exit_3(self, data_dir, tmp_path, command, no_allocation, capsys):
         cfg = tmp_path / "cfg"
-        cfg.write_text(SMOKE_CFG_TEXT + "hidden=1000000\n")
+        cfg.write_text(with_lines(SMOKE_CFG_TEXT, "hidden=1000000"))
         data = str(data_dir / "synthetic_train.tsv")
         argv = (["train", "--data", data] if command == "train"
                 else ["benchmark", "--datasets", data])
@@ -218,11 +218,23 @@ class TestTrain:
     ])
     def test_bad_config_value_exit_3(self, data_dir, tmp_path, line, capsys):
         cfg = tmp_path / "cfg"
-        cfg.write_text(SMOKE_CFG_TEXT + line + "\n")
+        cfg.write_text(with_lines(SMOKE_CFG_TEXT, line))
         code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
                      "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 3
         assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_key_exit_3_naming_both_lines(self, data_dir, tmp_path, capsys):
+        """A key set twice is refused, not read last-wins: `hidden=4` on
+        line 2, then `hidden=8` on line 8."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE_CFG_TEXT + "hidden=8\n")
+        code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
+                     "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:8: key hidden is already set on line 2\n")
         assert not (tmp_path / "run").exists()
 
     def test_negative_seed_exit_3(self, data_dir, tmp_path, smoke_cfg, capsys):
@@ -246,8 +258,8 @@ class TestTrain:
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_diverging_run_exit_3_before_writing(self, data_dir, tmp_path, capsys, command):
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text((data_dir / "train_smoke.cfg").read_text()
-                       + "learning_rate=1e300\nclip_norm=none\nepochs=3\n")
+        cfg.write_text(with_lines((data_dir / "train_smoke.cfg").read_text(),
+                                  "learning_rate=1e300", "clip_norm=none", "epochs=3"))
         data = str(data_dir / "synthetic_train.tsv")
         out = tmp_path / "run"
         argv = (["train", "--data", data] if command == "train"
@@ -265,7 +277,8 @@ class TestTrain:
         about 1e300 in size, so the epoch's metrics pass overflows. Without
         the scores check the run wrote accuracies argmaxed from NaNs."""
         cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(SMOKE_CFG_TEXT + "batch_size=64\nepochs=1\nlearning_rate=1e300\n")
+        cfg.write_text(with_lines(SMOKE_CFG_TEXT, "batch_size=64", "epochs=1",
+                                  "learning_rate=1e300"))
         out = tmp_path / "run"
         code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"), "--config",
                      str(cfg), "--out", str(out)])

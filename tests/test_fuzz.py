@@ -32,6 +32,8 @@ from plstm import cli, corpus
 from plstm.checkpoint import load_checkpoint, save_checkpoint
 from plstm.model import BRANCH_NAMES, init_model
 
+from test_golden import with_lines
+
 REPO_DATA = Path(__file__).resolve().parents[1] / "data"
 
 ROWS = [
@@ -356,7 +358,8 @@ DIVERGING = {
 def test_huge_learning_rate_ends_in_finite_artifacts_or_exit_3(fixture, learning_rate,
                                                                 clip_norm, epochs):
     config, data = DIVERGING[fixture]
-    config += f"\nlearning_rate={learning_rate!r}\nclip_norm={clip_norm}\n".encode()
+    config = with_lines(config.decode(), f"learning_rate={learning_rate!r}",
+                        f"clip_norm={clip_norm}").encode()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "run.cfg").write_bytes(config)

@@ -46,7 +46,8 @@ GOLDEN = {
 @pytest.mark.parametrize("gate_mode", sorted(GOLDEN))
 def test_four_epoch_smoke_run_matches_golden(data_dir, tmp_path, gate_mode):
     cfg = tmp_path / "cfg"
-    cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
+    cfg.write_text(with_lines((data_dir / "train_smoke.cfg").read_text(),
+                              f"gate_mode={gate_mode}"))
     out = tmp_path / "run"
     code = main(["train", "--data", str(data_dir / "synthetic_train.tsv"),
                  "--config", str(cfg), "--epochs", "4", "--out", str(out)])
@@ -71,6 +72,15 @@ SARCASTIC = ("sure", "brilliant", "great", "totally", "fantastic", "wow", "oh", 
 PLAIN = ("the", "report", "train", "invoice", "garden", "bridge", "meeting", "lovely")
 
 
+def with_lines(config: str, *lines: str) -> str:
+    """Config text `config` with each `key=value` line of `lines` in place
+    of the line that sets its key, else appended, as a config sets a key
+    once."""
+    keys = {line.partition("=")[0] for line in lines}
+    kept = [line for line in config.splitlines() if line.partition("=")[0] not in keys]
+    return "".join(f"{line}\n" for line in [*kept, *lines])
+
+
 def ragged_corpus() -> str:
     """20 labelled lines of 1 + 7d mod 12 tokens (line d from 0)."""
     lines = []
@@ -86,7 +96,8 @@ def test_four_epoch_ragged_run_matches_golden(data_dir, tmp_path, gate_mode):
     data = tmp_path / "ragged.tsv"
     data.write_text(ragged_corpus(), encoding="utf-8")
     cfg = tmp_path / "cfg"
-    cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
+    cfg.write_text(with_lines((data_dir / "train_smoke.cfg").read_text(),
+                              f"gate_mode={gate_mode}"))
     out = tmp_path / "run"
     code = main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "4",
                  "--out", str(out)])
@@ -120,7 +131,8 @@ def test_ragged_eval_matches_golden(data_dir, tmp_path, gate_mode):
     data = tmp_path / "ragged.tsv"
     data.write_text(ragged_corpus(), encoding="utf-8")
     cfg = tmp_path / "cfg"
-    cfg.write_text((data_dir / "train_smoke.cfg").read_text() + f"gate_mode={gate_mode}\n")
+    cfg.write_text(with_lines((data_dir / "train_smoke.cfg").read_text(),
+                              f"gate_mode={gate_mode}"))
     out = tmp_path / "run"
     assert main(["train", "--data", str(data), "--config", str(cfg), "--epochs", "2",
                  "--out", str(out)]) == 0

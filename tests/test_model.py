@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from plstm.model import (
 )
 from plstm.tensor import (STACKED_ELEMS, RngStream, categorical_cross_entropy, dropout_mask,
                           grad_check, matmul_stacked)
+from plstm.train import TrainConfig, build_model
 
 from test_lstm import direction_cache, zero_params
 
@@ -39,7 +41,7 @@ def encoded(ids, L):
 
 def zero_branch(name, hidden=3, embed=2):
     layer = BidirectionalLayer(zero_params(hidden, embed), zero_params(hidden, embed))
-    return BranchGroup((name,), layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)), 0.0, 0.0)
+    return BranchGroup((name,), layer, np.zeros((1, 2, hidden)), np.zeros((1, 2)))
 
 
 class TestInit:
@@ -158,6 +160,29 @@ class TestArena:
         model over a copy of the payload and draws nothing."""
         self.check_round_trip(tmp_path, monkeypatch)
 
+    @staticmethod
+    def field_values(obj, path="model"):
+        """(path, value) of every dataclass field under `obj`, recursively,
+        each array as its dtype, shape and bytes."""
+        if is_dataclass(obj):
+            return [pair for f in fields(obj)
+                    for pair in TestArena.field_values(getattr(obj, f.name), f"{path}.{f.name}")]
+        if isinstance(obj, np.ndarray):
+            return [(path, (obj.dtype.str, obj.shape, obj.tobytes()))]
+        return [(path, obj)]
+
+    @pytest.mark.parametrize("gate_mode", GATE_MODES)
+    def test_a_loaded_model_is_the_saved_one_in_every_field(self, tmp_path, gate_mode):
+        """A model that training built at rates other than the defaults
+        loads back equal to the saved one in every dataclass field, arrays
+        bitwise: the checkpoint holds all that a model is."""
+        config = TrainConfig(embed_dim=8, hidden=5, seq_len=7, dropout_embed=0.5,
+                             dropout_recurrent=0.3, gate_mode=gate_mode,
+                             aggregation="majority_vote")
+        m = build_model(config, 30, seed=11)
+        save_checkpoint(m, tmp_path / "m.ckpt")
+        assert self.field_values(load_checkpoint(tmp_path / "m.ckpt")) == self.field_values(m)
+
 
 def per_position(embedded, mask):
     """The per-position token table of a dense (L, batch, embed) input."""
@@ -235,7 +260,7 @@ class TestBranchBackward:
         for k, name in enumerate(BRANCH_NAMES):
             (scores,), cache = branch_forward(m.branches[name], mask_tm,
                                               (m.embedding[ids.T[mask_tm]], None),
-                                              [RngStream(9, k)])
+                                              (0.6, 0.4, [RngStream(9, k)]))
             grad, own = m.zeros_like(), m.zeros_like()
             for _, arr in own.branches[name].blocks():
                 arr[...] = 1.0
@@ -252,8 +277,12 @@ def forward_one(model, seq):
     return {name: row[0] for name, row in scores.items()}
 
 
-def branch_rngs(seed):
-    return {name: RngStream(seed, b_idx) for b_idx, name in enumerate(BRANCH_NAMES)}
+def branch_dropout(seed, embed_rate=TrainConfig.dropout_embed,
+                   recurrent_rate=TrainConfig.dropout_recurrent):
+    """A training pass's `dropout` argument: the rates, training's defaults
+    unless given, and one RngStream per branch from `seed`."""
+    return embed_rate, recurrent_rate, {name: RngStream(seed, b_idx)
+                                        for b_idx, name in enumerate(BRANCH_NAMES)}
 
 
 class TestModelForward:
@@ -307,7 +336,7 @@ class TestForwardBatchTraining:
 
     def test_caches_feed_branch_backward(self):
         m = init_model(10, 4, 3, seed=8)
-        scores, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        scores, caches = forward_batch(m, self.IDS, self.MASK, branch_dropout(9))
         assert [name for group, _ in caches for name in group.names] == list(BRANCH_NAMES)
         grad = m.zeros_like()
         for (group, cache), grad_group in zip(caches, grad.groups(len(self.IDS)), strict=True):
@@ -318,8 +347,8 @@ class TestForwardBatchTraining:
         assert grad.group.head_b.any() and not grad.embedding.any()  # the scatter is the caller's
 
     def test_zero_rates_match_eval_bitwise(self):
-        m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
-        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        m = init_model(10, 4, 3, seed=8)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_dropout(9, 0.0, 0.0))
         evaluated, caches = forward_batch(m, self.IDS, self.MASK)
         assert caches is None
         for name in BRANCH_NAMES:
@@ -330,12 +359,12 @@ class TestForwardBatchTraining:
         and draws each dropout mask at the (L, batch, embed) shape, so it
         gives what a dense embedded input gives."""
         m = init_model(10, 4, 3, seed=8)
-        scores, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
-        rngs = branch_rngs(9)
+        scores, _ = forward_batch(m, self.IDS, self.MASK, branch_dropout(9))
+        embed_rate, recurrent_rate, rngs = branch_dropout(9)
         (group,) = m.groups(len(self.IDS))
         want, _ = branch_forward(group, self.MASK.T,
                                  per_position(embed_ids(m, self.IDS), self.MASK.T),
-                                 [rngs[name] for name in group.names])
+                                 (embed_rate, recurrent_rate, [rngs[name] for name in group.names]))
         for name, row in zip(BRANCH_NAMES, want):
             assert scores[name].tobytes() == row.tobytes()
 
@@ -364,7 +393,7 @@ class TestForwardBatchTraining:
         or dropout mask: the unmasked embedding rows are held once, as (n,
         embed), and each branch's embedding dropout mask as bits."""
         m = init_model(10, 5, 3, seed=8)
-        _, caches = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        _, caches = forward_batch(m, self.IDS, self.MASK, branch_dropout(9))
         n, G = int(self.MASK.sum()), len(BRANCH_NAMES)
         arrays, seen = [], set()
 
@@ -397,11 +426,11 @@ class TestForwardBatchTraining:
         ids = self.IDS.copy()
         ids[1, -1] = bad_id  # a padded position
         with pytest.raises(ValueError, match="out of range"):
-            forward_batch(m, ids, self.MASK, branch_rngs(9))
+            forward_batch(m, ids, self.MASK, branch_dropout(9))
 
     def test_nonzero_rates_change_scores(self):
-        m = init_model(10, 4, 3, seed=8, dropout_embed=0.5, dropout_recurrent=0.5)
-        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        m = init_model(10, 4, 3, seed=8)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_dropout(9, 0.5, 0.5))
         evaluated, _ = forward_batch(m, self.IDS, self.MASK)
         for name in BRANCH_NAMES:
             assert not np.array_equal(trained[name], evaluated[name])
@@ -478,7 +507,7 @@ class TestBranchGroups:
         with `groups(model)` as the branch grouping, the gradient arena's
         groups included."""
         monkeypatch.setattr(ParallelModel, "groups", lambda self, batch: groups(self))
-        scores, caches = forward_batch(model, ids, mask, branch_rngs(9))
+        scores, caches = forward_batch(model, ids, mask, branch_dropout(9))
         grad, out = model.zeros_like(), {}
         for (group, cache), grad_group in zip(caches, grad.groups(len(ids)), strict=True):
             d_embedded = branch_backward(
@@ -528,8 +557,8 @@ class TestEvalTokenTable:
         assert w_rows == [len(np.unique(self.IDS[self.MASK]))] * 8  # 4 branches x 2 directions
 
     def test_repeated_ids_match_per_position_training_bitwise(self):
-        m = init_model(10, 4, 3, seed=8, dropout_embed=0.0, dropout_recurrent=0.0)
-        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_rngs(9))
+        m = init_model(10, 4, 3, seed=8)
+        trained, _ = forward_batch(m, self.IDS, self.MASK, branch_dropout(9, 0.0, 0.0))
         evaluated, _ = forward_batch(m, self.IDS, self.MASK)
         for name in BRANCH_NAMES:
             assert trained[name].tobytes() == evaluated[name].tobytes()

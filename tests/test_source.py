@@ -117,17 +117,20 @@ def class_fields(tree):
 
 
 def attribute_reads(tree):
-    """Every name `tree` reads as an attribute."""
+    """Every name `tree` reads as an attribute, except of the bare name
+    `args`: the argparse namespaces of `cli.py` and `bench/run.py` read an
+    option, not a field."""
     return {node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id == "args")}
 
 
 def test_field_checker_finds_an_unread_field():
     tree = ast.parse("@dataclass\nclass A:\n    x: int\n    y: int = 0\n    z = 1\n"
                      "    def f(self):\n        self.y = 2\n        return self.x\n\n"
-                     "class B:\n    w: str\n\nv = A(1).z + w\n")
-    assert class_fields(tree) == [("A.x", "x"), ("A.y", "y"), ("B.w", "w")]
-    assert attribute_reads(tree) & {"x", "y", "w"} == {"x"}
+                     "class B:\n    w: str\n    s: float\n\nv = A(1).z + w + args.s\n")
+    assert class_fields(tree) == [("A.x", "x"), ("A.y", "y"), ("B.w", "w"), ("B.s", "s")]
+    assert attribute_reads(tree) & {"x", "y", "w", "s"} == {"x"}
 
 
 def test_every_dataclass_field_has_a_reader():
@@ -315,22 +318,28 @@ def test_nothing_imports_a_pool_or_shared_memory():
 
 
 def call_sites(tree, name, function=""):
-    """The innermost function of each call in `tree` to `name`, called bare
-    or as an attribute."""
+    """The innermost function of each call in `tree` to `name`: a dotted
+    name (`pickle.loads`) is the whole callee, a bare one (`fork`) its last
+    part, so it is called bare or as an attribute."""
     found = []
     for node in ast.iter_child_nodes(tree):
         inner = (node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  else function)
-        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == name:
-            found.append(inner)
+        if isinstance(node, ast.Call):
+            callee = ast.unparse(node.func)
+            if (callee if "." in name else callee.rsplit(".", 1)[-1]) == name:
+                found.append(inner)
         found += call_sites(node, name, inner)
     return found
 
 
 def test_call_site_checker_finds_every_call():
     tree = ast.parse("def f(a):\n    def g():\n        return lstm.run(a)\n"
-                     "    return run(run, g())\n\nrun(1)\nx = run\n")
+                     "    return run(run, g())\n\nrun(1)\nx = run\n\n"
+                     "def h(b):\n    return json.loads(pickle.loads(b))\n")
     assert call_sites(tree, "run") == ["g", "f", ""]
+    assert call_sites(tree, "pickle.loads") == ["h"]
+    assert call_sites(tree, "loads") == ["h", "h"]
 
 
 def test_one_function_forks():
@@ -340,14 +349,15 @@ def test_one_function_forks():
             for site in call_sites(tree, "fork")] == [("worker", "__init__")]
 
 
-# the calls that fork, open or use a pipe, or stop a process
-PROCESS_CALLS = ("fork", "pipe", "readv", "writev", "kill", "waitpid", "_exit")
+# the calls that fork, open or use a pipe, stop a process, or pickle
+PROCESS_CALLS = ("fork", "pipe", "readv", "writev", "kill", "waitpid", "_exit", "pickle.dumps",
+                 "pickle.loads")
 
 
 def test_only_the_worker_module_touches_processes_or_pickles():
     """How work reaches another process is one module's business: only
     `worker.py` forks, opens or uses a pipe, kills or reaps a process, or
-    imports `pickle`, which it must to call it. So `lstm.py` cannot grow an
+    imports or calls `pickle`. So `lstm.py` cannot grow an
     in-turn fork of its own unnoticed."""
     trees = src_trees()
     assert sorted({(stem, name) for stem, tree in trees.items() for name in PROCESS_CALLS

@@ -162,12 +162,14 @@ class TestBatchMemory:
         mask = np.arange(L) < gen.integers(1, L + 1, batch)[:, None]
         ids = np.where(mask, gen.integers(1, vocab, (batch, L)), 0)
         model = init_model(vocab, E, H, seed=13, seq_len=L)
-        assert (model.group.dropout_embed, model.group.dropout_recurrent) == (0.6, 0.4)
+        config = TrainConfig()
+        assert (config.dropout_embed, config.dropout_recurrent) == (0.6, 0.4)
         targets = plstm.train._one_hot(np.arange(batch) % 2)
 
         def one_batch():
             rngs = {name: RngStream(14, k) for k, name in enumerate(BRANCH_NAMES)}
-            plstm.train._batch_grads(model, ids, mask, targets, rngs, 5.0)
+            dropout = (config.dropout_embed, config.dropout_recurrent, rngs)
+            plstm.train._batch_grads(model, ids, mask, targets, dropout, 5.0)
 
         one_batch()  # warm up numpy's first-call allocations
         tracemalloc.start()
@@ -227,8 +229,7 @@ class TestBatchGradients:
         The parameters are drawn up to 0.8, as in criterion 1. The step is
         h=1e-4: at h=1e-5 the differences' own rounding reaches 1.7e-4 of a
         gradient element near 8e-7 here."""
-        model = init_model(10, 4, 3, seed=5, seq_len=5, dropout_embed=0.5,
-                           dropout_recurrent=0.4)
+        model = init_model(10, 4, 3, seed=5, seq_len=5)
         rng = RngStream(5, 99)
         for _, arr in model.blocks():
             arr[...] = rng.uniform(-0.8, 0.8, arr.shape)
@@ -237,15 +238,15 @@ class TestBatchGradients:
         mask = ids > 0
         targets = plstm.train._one_hot(np.array([1, 0, 1]))
 
-        def rngs():
-            return {name: RngStream(6, k) for k, name in enumerate(BRANCH_NAMES)}
+        def dropout():
+            return 0.5, 0.4, {name: RngStream(6, k) for k, name in enumerate(BRANCH_NAMES)}
 
         def total_loss(_params):
-            scores, _ = forward_batch(model, ids, mask, rngs())
+            scores, _ = forward_batch(model, ids, mask, dropout())
             return sum(categorical_cross_entropy(scores[name], targets)[0]
                        for name in BRANCH_NAMES)
 
-        _, grad = plstm.train._batch_grads(model, ids, mask, targets, rngs(), None)
+        _, grad = plstm.train._batch_grads(model, ids, mask, targets, dropout(), None)
         worst, passed = grad_check(total_loss, dict(model.blocks()), dict(grad.blocks()),
                                    h=1e-4, tol=1e-4)["all"]
         assert passed, worst
@@ -293,7 +294,7 @@ class TestClip:
         view."""
         model, data = tiny_setup(seed=3)
         rngs = {name: RngStream(3, k) for k, name in enumerate(BRANCH_NAMES)}
-        scores, caches = forward_batch(model, data.ids[:4], data.mask[:4], rngs)
+        scores, caches = forward_batch(model, data.ids[:4], data.mask[:4], (0.6, 0.4, rngs))
         grad = model.zeros_like()
         (group, cache), = caches
         (grad_group,) = grad.groups(4)

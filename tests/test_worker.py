@@ -126,7 +126,7 @@ def test_a_training_pass_keeps_its_backward_records_in_the_worker(monkeypatch, i
     ids, mask = ragged(6)
     rngs = {name: RngStream(5, k) for k, name in enumerate(BRANCH_NAMES)}
     with deadline(), worker.scope():
-        _, caches = forward_batch(model, ids, mask, rngs)
+        _, caches = forward_batch(model, ids, mask, (0.6, 0.4, rngs))
         bwds = [cache["enc"]["bwd"] for _, cache in caches]
     assert [sorted(bwd) for bwd in bwds] == [["executor", "key"]] * len(BRANCH_NAMES)
     executors = [bwd["executor"] for bwd in bwds]
