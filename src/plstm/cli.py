@@ -39,18 +39,20 @@ _CONFIG_FIELDS = {f.metadata.get("key", f.name): (f.name, _PARSERS[f.type])
                   for f in fields(TrainConfig)}
 
 
-# The most bytes a command may ask for up front: the parameters (8 bytes
-# each) plus the encoded data (9 bytes a position: an int64 id and a bool
-# mask). Training adds about three times the parameter bytes (the gradients
-# and Adam's two moments) and per-batch working memory on top.
+# The most bytes a command may ask for up front: its parameter-sized arenas
+# (8 bytes a parameter each) plus the encoded data (9 bytes a position: an
+# int64 id and a bool mask). Eval holds one arena, the parameters; training
+# holds TRAIN_ARENAS. Per-batch working memory comes on top.
 MAX_ALLOC_BYTES = 1 << 30
+TRAIN_ARENAS = 4  # the parameters, the gradient arena, and Adam's m and v
 
 
 def _check_allocation(vocab_size: int, embed_dim: int, hidden: int, n_docs: int,
-                      seq_len: int):
-    """Raise ConfigError, before anything is allocated, if the model and the
-    encoded data would take more than MAX_ALLOC_BYTES."""
-    need = expected_param_count(vocab_size, embed_dim, hidden) * 8 + n_docs * seq_len * 9
+                      seq_len: int, arenas: int = 1):
+    """Raise ConfigError, before anything is allocated, if `arenas` copies
+    of the parameters and the encoded data would take more than
+    MAX_ALLOC_BYTES."""
+    need = arenas * expected_param_count(vocab_size, embed_dim, hidden) * 8 + n_docs * seq_len * 9
     if need > MAX_ALLOC_BYTES:
         raise ConfigError(f"the model and encoded data need {need} bytes, more than the "
                           f"limit of {MAX_ALLOC_BYTES}")
@@ -153,7 +155,7 @@ def cmd_train(args) -> int:
     config = _config(args)
     examples, vocab = _labeled(args.data)
     _check_allocation(vocab.size, config.embed_dim, config.hidden, len(examples),
-                      config.seq_len)
+                      config.seq_len, TRAIN_ARENAS)
     data = encode_dataset(examples, vocab, config.seq_len)
     model, logs = train(build_model(config, vocab.size, config.seed), data, config)
     out = Path(args.out)
@@ -213,7 +215,7 @@ def cmd_benchmark(args) -> int:
         try:
             examples, vocab = _labeled(path)
             _check_allocation(vocab.size, config.embed_dim, config.hidden, len(examples),
-                              config.seq_len)
+                              config.seq_len, TRAIN_ARENAS)
             r = benchmark(examples, vocab, config)
         except corpus.CorpusError as exc:
             csv_rows.append([name, "", "", f"skipped: {exc}", ""])

@@ -89,41 +89,27 @@ def tokenize(text: str) -> list:
     return out
 
 
-def _counts_with_order(documents) -> tuple:
-    counts = Counter()
-    first_seen = {}
-    total = 0
-    for doc in documents:
-        for tok in tokenize(doc.text):
-            if tok not in first_seen:
-                first_seen[tok] = total
-            counts[tok] += 1
-            total += 1
-    return counts, first_seen, total
-
-
-def _ranked(counts, first_seen):
-    return sorted(counts, key=lambda w: (-counts[w], first_seen[w]))
+def _counts(documents) -> Counter:
+    """Token counts, the tokens in first-occurrence order, so that
+    `most_common` breaks ties by first occurrence."""
+    return Counter(tok for doc in documents for tok in tokenize(doc.text))
 
 
 def build_vocabulary(documents) -> Vocabulary:
     """Ids in descending count order (ties by first occurrence); pad=0, unk=1."""
-    counts, first_seen, total = _counts_with_order(documents)
-    if total == 0:
+    counts = _counts(documents)
+    if not counts:
         raise CorpusError("documents contain no tokens")
-    word_to_id = {w: i + 2 for i, w in enumerate(_ranked(counts, first_seen))}
-    return Vocabulary(word_to_id)
+    return Vocabulary({w: i for i, (w, _) in enumerate(counts.most_common(), start=2)})
 
 
 def frequency_table(documents, top_k: int) -> FrequencyTable:
     """Top-k words by count, percentages as 100*count/total_tokens."""
     if top_k < 1:
         raise CorpusError("top_k must be >= 1")
-    counts, first_seen, total = _counts_with_order(documents)
-    entries = [
-        (w, counts[w], 100.0 * counts[w] / total if total else 0.0)
-        for w in _ranked(counts, first_seen)[:top_k]
-    ]
+    counts = _counts(documents)
+    total = counts.total()
+    entries = [(w, n, 100.0 * n / total) for w, n in counts.most_common(top_k)]
     return FrequencyTable(entries, total)
 
 

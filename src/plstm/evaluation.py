@@ -11,6 +11,7 @@ over datasets and skipping those is `plstm benchmark`'s job.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -60,17 +61,9 @@ def confusion(predictions, truths) -> ConfusionCounts:
         raise ValueError("predictions and truths differ in length")
     if not predictions:
         raise ValueError("empty input")
-    tp = fp = fn = tn = 0
-    for p, t in zip(predictions, truths):
-        if p == 1 and t == 1:
-            tp += 1
-        elif p == 1 and t == 0:
-            fp += 1
-        elif p == 0 and t == 1:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, fp, fn, tn)
+    pairs = Counter(zip(predictions, truths))  # (prediction, truth) -> count
+    tp, fp, fn = pairs[1, 1], pairs[1, 0], pairs[0, 1]
+    return ConfusionCounts(tp, fp, fn, len(predictions) - tp - fp - fn)
 
 
 def classification_report(counts: ConfusionCounts) -> ClassificationReport:

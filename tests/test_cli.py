@@ -157,6 +157,9 @@ class TestAllocationBound:
         with pytest.raises(ConfigError, match="limit"):
             _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - params) // 54 + 1, 6)
         _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - params) // 54, 6)
+        with pytest.raises(ConfigError, match="limit"):
+            _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - params) // 54, 6, arenas=4)
+        _check_allocation(100, 8, 4, (MAX_ALLOC_BYTES - 4 * params) // 54, 6, arenas=4)
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_huge_hidden_exit_3(self, data_dir, tmp_path, command, no_allocation, capsys):
@@ -165,6 +168,37 @@ class TestAllocationBound:
         data = str(data_dir / "synthetic_train.tsv")
         argv = (["train", "--data", data] if command == "train"
                 else ["benchmark", "--datasets", data])
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the model and encoded data need ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_training_counts_four_arenas(self, data_dir, tmp_path, command, monkeypatch,
+                                         capsys):
+        """A bound that holds the parameters once, but not the four arenas
+        training holds (the parameters, their gradients and Adam's m and
+        v), stops train and benchmark with exit 3; eval, which holds one
+        arena, runs under the same bound."""
+        data = data_dir / "synthetic_train.tsv"
+        examples = load_labeled_dataset(data, "tsv")
+        vocab = build_vocabulary([ex.doc for ex in examples])
+        model = init_model(vocab.size, 8, 4, seed=0, seq_len=6)  # SMOKE_CFG_TEXT's shape
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(model, ckpt)
+        monkeypatch.setattr("plstm.cli.MAX_ALLOC_BYTES",
+                            2 * model.param_count() * 8 + len(examples) * 6 * 9)
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 0
+        capsys.readouterr()
+
+        for name in ("build_model", "encode_dataset", "benchmark"):
+            monkeypatch.setattr(f"plstm.cli.{name}", lambda *a, **k: pytest.fail("allocated"))
+        cfg = tmp_path / "cfg"
+        cfg.write_text(SMOKE_CFG_TEXT)
+        argv = (["train", "--data", str(data)] if command == "train"
+                else ["benchmark", "--datasets", str(data)])
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code == 3
         err = capsys.readouterr().err

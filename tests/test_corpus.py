@@ -84,6 +84,32 @@ class TestFrequencyTable:
         assert sum(c for _, c, _ in table.entries) == table.total_tokens == len(all_tokens)
 
 
+class TestRanking:
+    """The vocabulary and the frequency table share one ranking: count
+    descending, ties by first position in the whole token stream, across
+    documents."""
+
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "B", "c!", "d", "...", "e"]),
+                             max_size=8).map(" ".join), min_size=1, max_size=6),
+           st.integers(1, 8))
+    @example(["b a", "a b"], 1)
+    @example(["c d", "d c e", "e"], 3)
+    @settings(max_examples=200)
+    def test_ranking_matches_brute_force(self, texts, top_k):
+        stream = [tok for text in texts for tok in tokenize(text)]
+        if not stream:
+            with pytest.raises(CorpusError):
+                build_vocabulary(docs(*texts))
+            return
+        ranked = sorted(set(stream), key=lambda w: (-stream.count(w), stream.index(w)))
+        vocab = build_vocabulary(docs(*texts))
+        assert list(vocab.word_to_id.items()) == [(w, i + 2) for i, w in enumerate(ranked)]
+        table = frequency_table(docs(*texts), top_k)
+        assert [(w, n) for w, n, _ in table.entries] == [(w, stream.count(w))
+                                                         for w in ranked[:top_k]]
+        assert table.total_tokens == len(stream)
+
+
 class TestEncode:
     VOCAB = Vocabulary({"oh": 2, "yeah": 3, "sure": 4})
 

@@ -36,6 +36,14 @@ class TestConfusion:
         assert c.tn == int(np.sum((preds == 0) & (truths == 0)))
         assert c.total == 10000
 
+    def test_numpy_ints_count_as_their_lists(self):
+        rng = np.random.default_rng(1)
+        preds = rng.integers(0, 2, 200)
+        truths = rng.integers(0, 2, 200)
+        assert confusion(preds, truths) == confusion(preds.tolist(), truths.tolist())
+        assert confusion(preds.astype(np.int8), truths) == confusion(preds.tolist(),
+                                                                     truths.tolist())
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             confusion([1, 0], [1])
