@@ -29,11 +29,14 @@ bitwise that of the same rows in one product over the table.
 A per-position pass keeps the state and gates BPTT reads of every step's
 unpadded rows, none for padded rows, in one array per kind (RECORDS) in
 table order: step t's records sit at its table rows, and a list of the
-steps that ran gives the run order. A pass given an index is forward-only
-and keeps none. The two directions share nothing until their final states
-are pooled, and in BPTT nothing until their input-gradient rows are added,
-so each direction projects, then steps, as one unit of work, and its BPTT
-is another.
+steps that ran, each with its slice of table rows, gives the run order.
+The gates array is the projection itself: each projected row is read once,
+by the step that writes that row's gates over it, from the same operands
+in the same order. A pass given an index is forward-only and keeps none.
+The two directions share nothing until their final states are pooled, and
+in BPTT nothing until their input-gradient rows are added, so each
+direction projects, then steps, as one unit of work, and its BPTT is
+another.
 
 BPTT likewise takes the input-side products out of the recurrence: it
 writes every step's gate gradients over that step's gate records, so they
@@ -165,8 +168,10 @@ def _stacked_step(UT, b, acts, proj, x_rows, h_prev, c_prev, records=None):
     the product's working arrays are never held at once. A softmax gate
     activation normalises within each gate. Given `records`, a (branches,
     rows, 4, hidden) gates and a (branches, rows, hidden) tanh(c) array,
-    the gates and tanh(c) are written there. Returns (gates (branches,
-    rows, 4, hidden) in GATES order, tanh(c), c, h)."""
+    the gates and tanh(c) are written there; the gates may be the step's
+    projected rows themselves, as an elementwise add reads each element
+    before it writes it. Returns (gates (branches, rows, 4, hidden) in
+    GATES order, tanh(c), c, h)."""
     gates_out, tanh_out = records or (None, None)
     pre = matmul_stacked(h_prev, UT)
     out = pre if gates_out is None else gates_out.reshape(pre.shape)  # a view: last axes merge
@@ -215,21 +220,6 @@ def _row_starts(mask):
 RECORDS = ("h_prev", "c_prev", "gates", "tanh_c")
 
 
-def _record_views(records, t):
-    """The record arrays' views at step t's table rows, starts[t]:starts[t+1],
-    in RECORDS order."""
-    at = slice(records["starts"][t], records["starts"][t + 1])
-    return tuple(records[kind][:, at] for kind in RECORDS)
-
-
-def _step_records(records):
-    """A per-position pass's step records, one per step that ran, last step
-    first: (t, rows, h_prev, c_prev, gates, tanh_c), the arrays views of the
-    direction's record arrays."""
-    for t, rows in reversed(records["steps"]):
-        yield (t, rows, *_record_views(records, t))
-
-
 def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     """One direction's recurrence over the steps of `order`, from zero
     state, reading step t's projected input rows from proj: rows
@@ -237,28 +227,29 @@ def _steps(params: LSTMCellParams, order, mask, proj, starts, index):
     index[starts[t]:starts[t+1]], index listing each unmasked position's
     table row, t-major. Returns (final state, records, or None given an
     index): a per-position pass writes each step's records at its table
-    rows of one (branches, n, ...) array per kind in RECORDS, and lists
-    the (t, rows) of the steps that ran, in run order, as "steps"."""
+    rows of one (branches, n, ...) array per kind in RECORDS, its gates
+    over its own rows of proj, which "gates" views, and lists the (t, rows,
+    table rows slice) of the steps that ran, in run order, as "steps"."""
     G, batch, hidden = len(params.W), mask.shape[1], params.hidden
     # U.T as a view of a (hidden, branches, 4*hidden) array, the layout
     # matmul_stacked reads without a copy
     UT = np.ascontiguousarray(params.U.transpose(2, 0, 1)).transpose(1, 0, 2)
     h, c = np.zeros((G, batch, hidden)), np.zeros((G, batch, hidden))  # updated in place
     records = None
-    if index is None:
+    if index is None:  # each projected row is read once, by the step that writes its gates
         n = starts[-1]
-        records = {"steps": [], "starts": starts, "gates": np.empty((G, n, 4, hidden)),
+        records = {"steps": [], "gates": proj.reshape(G, n, 4, hidden),
                    **{kind: np.empty((G, n, hidden)) for kind in ("h_prev", "c_prev", "tanh_c")}}
     for t in order:
         rows = np.flatnonzero(mask[t])
         if not len(rows):
             continue
-        x_rows = slice(starts[t], starts[t + 1])
+        at = x_rows = slice(starts[t], starts[t + 1])
         if records is None:
-            x_rows, h_prev, c_prev, out = index[x_rows], h[:, rows], c[:, rows], None
+            x_rows, h_prev, c_prev, out = index[at], h[:, rows], c[:, rows], None
         else:
-            records["steps"].append((t, rows))
-            h_prev, c_prev, *out = _record_views(records, t)
+            records["steps"].append((t, rows, at))
+            h_prev, c_prev, *out = (records[kind][:, at] for kind in RECORDS)
             np.take(h, rows, axis=1, out=h_prev)
             np.take(c, rows, axis=1, out=c_prev)
         _, _, c[:, rows], h[:, rows] = _stacked_step(
@@ -309,7 +300,8 @@ def _projection(params: LSTMCellParams, rows, n: int):
 def _direction(params: LSTMCellParams, order, rows, n: int, mask, starts, index):
     """One direction's unit of work: its input projection of the token rows
     0:n, made tile by tile from the row source `rows` (`_projection`), then
-    its steps (`_steps`), after which the projection is dropped. The source
+    its steps (`_steps`). A forward-only pass drops the projection when it
+    ends; a per-position one keeps it as its gate records. The source
     is dropped before the steps, so a table only it holds, such as one the
     worker received, is not held while the direction steps."""
     proj = _projection(params, rows, n)
@@ -354,19 +346,21 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     step t reads its rows from it. Each step runs the gate maths on the
     rows its mask marks only; padded rows are left out and keep their
     state, and a step with no such rows is skipped. Each direction is one
-    unit of work (`_direction`): it projects, then steps, and its
-    projection is dropped when it ends. This process runs the forward unit
-    and the executor `worker.worker_for` picks for the pass's projection
-    terms, branches x n x 4*hidden x embed, runs the backward one (see the
-    module docstring). A pass given an index that the direction worker
-    runs gathers its rows once, as one (n, embed) array, only to send them,
-    and drops them before its own direction projects.
+    unit of work (`_direction`): it projects, then steps, and a
+    forward-only pass's projection is dropped when it ends. This process
+    runs the forward unit and the executor `worker.worker_for` picks for
+    the pass's projection terms, branches x n x 4*hidden x embed, runs the
+    backward one (see the module docstring). A pass given an index that
+    the direction worker runs gathers its rows once, as one (n, embed)
+    array, only to send them, and drops them before its own direction
+    projects.
     A per-position pass returns a cache {"fwd", "bwd", "mask"}. "fwd" holds
     the forward direction's `params`, the table as `x`, a function of a
-    row range, and the step records BPTT reads: "steps", the (t, rows) of
-    each step that ran, in run order, and per kind in RECORDS one
-    (branches, n, ...) array in table order, step t's records, for its
-    rows only, at table rows starts[t]:starts[t+1] ("starts"). "bwd" is
+    row range, and the step records BPTT reads: "steps", the (t, rows,
+    table rows) of each step that ran, in run order, the table rows a
+    slice, and per kind in RECORDS one (branches, n, ...) array in table
+    order, step t's records, for its rows only, at its table rows; "gates"
+    is a view of the direction's projection. "bwd" is
     {"executor", "key"}: the executor keeps the backward direction's
     records, of the same form, under that key. A pass given an index is
     forward-only: it keeps no records and returns a None cache.
@@ -415,7 +409,8 @@ def _directional_bptt(cache, d_final_h: np.ndarray, out: LSTMCellParams):
     U_gates = np.ascontiguousarray(params.U.reshape(G, 4, hidden, hidden).transpose(2, 1, 0, 3))
     U_gates = U_gates.reshape(hidden, 4 * G, hidden).transpose(1, 0, 2)
     last = len(cache["steps"]) - 1
-    for j, (t, rows, h_prev, c_prev, gates, tanh_c) in enumerate(_step_records(cache)):
+    for j, (_, rows, at) in enumerate(reversed(cache["steps"])):
+        h_prev, c_prev, gates, tanh_c = (cache[kind][:, at] for kind in RECORDS)
         i, f, o, n = np.moveaxis(gates, 2, 0)
         dh_t = dh[:, rows]
 
@@ -431,7 +426,7 @@ def _directional_bptt(cache, d_final_h: np.ndarray, out: LSTMCellParams):
                     (np.stack((di, df, do), axis=2),), (dn[:, :, None],))
         dpre = gates.reshape(G, len(rows), 4 * hidden)  # a view: last axes merge
         dpre_t = dpre.transpose(0, 2, 1)
-        dW += matmul_stacked(dpre_t, x(cache["starts"][t], cache["starts"][t + 1]))
+        dW += matmul_stacked(dpre_t, x(at.start, at.stop))
         dU += matmul_stacked(dpre_t, h_prev)
         db += dpre.sum(axis=1)
         if j == last:  # the first step run: nothing reads the dh it would make
@@ -514,6 +509,7 @@ def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     def rows(k):
         rows_f, rows_b = executor.alongside([_input_grad_in_worker, key, k],
                                             lambda: _input_grad(params_f, dpre_f, k))
-        return rows_f + rows_b
+        rows_f += rows_b
+        return rows_f
 
     return (rows(k) for k in range(len(params_f.W)))

@@ -208,7 +208,8 @@ class _DroppedRows:
         self.scale = 1.0 - rate
 
     def __call__(self, lo, hi):
-        return self.rows[lo:hi] * (self.keep[:, lo:hi] / self.scale)
+        tile = np.divide(self.keep[:, lo:hi], self.scale)  # the product is written over it
+        return np.multiply(self.rows[lo:hi], tile, out=tile)
 
     def mask(self, k: int):
         """Branch k's dropout mask values at the unmasked positions, (n, embed)."""
@@ -267,14 +268,21 @@ def branch_forward(group: BranchGroup, mask, tokens, dropout=None):
     return scores, cache
 
 
-def _embedded_grads(mask, dropped_rows, dx_rows):
+def _embedded_grads(mask, dropped_rows, dx_rows, branches: int):
     """Each branch's dense (L, batch, embed) gradient w.r.t. the shared
     embedded input, made when it is asked for: its input-gradient rows
-    through its embedding dropout mask, at the unmasked positions."""
-    for k, rows in enumerate(dx_rows):
+    through its embedding dropout mask, at the unmasked positions. Neither
+    a branch's rows nor its gradient is held here once it is yielded, so
+    the next branch's are made beside what the caller still holds only."""
+    for k in range(branches):
+        rows = next(dx_rows)
+        if dropped_rows is not None:
+            rows *= dropped_rows.mask(k)
         d_embedded = np.zeros((*mask.shape, rows.shape[1]))
-        d_embedded[mask] = rows if dropped_rows is None else rows * dropped_rows.mask(k)
+        d_embedded[mask] = rows
+        del rows
         yield d_embedded
+        del d_embedded
 
 
 def branch_backward(group: BranchGroup, cache, d_scores, out: BranchGroup):
@@ -287,7 +295,8 @@ def branch_backward(group: BranchGroup, cache, d_scores, out: BranchGroup):
     adds into its encoder stacks and the head products overwrite its head
     stacks, so `out.blocks()` names every parameter gradient. d_embedded
     is an iterator that makes each branch's dense (L, batch, embed)
-    gradient when it is asked for, so only one is held at a time. The BPTT
+    gradient when it is asked for, so only one is held at a time if the
+    caller drops each before it asks for the next. The BPTT
     of all of the group's branches runs in this call.
     """
     d_logits = np.stack([activate_grad(name, scores, d) for name, scores, d
@@ -296,7 +305,8 @@ def branch_backward(group: BranchGroup, cache, d_scores, out: BranchGroup):
     out.head_b[...] = d_logits.sum(axis=1)
     d_pooled = matmul_stacked(d_logits, group.head_W) * cache["m_pool"]
     dx_rows = bptt(cache["enc"], d_pooled, out.layer)
-    return _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows)
+    return _embedded_grads(cache["enc"]["mask"], cache["dropped_rows"], dx_rows,
+                           len(group.names))
 
 
 def forward_batch(model: ParallelModel, ids, mask, dropout=None):
@@ -320,7 +330,8 @@ def forward_batch(model: ParallelModel, ids, mask, dropout=None):
     """
     mask_tm = np.atleast_2d(np.asarray(mask, dtype=bool)).T  # (L, batch)
     ids_tm = _checked_ids(model, ids).T
-    # in training, each group gathers its own table, freed once dropout is applied
+    # in training, each group gathers its own table of unmasked rows, which
+    # its `_DroppedRows` holds until the group's backward pass is done
     tokens = (model.embedding, ids_tm) if dropout is None else None
     scores, caches = {}, []
     for group in model.groups(mask_tm.shape[1]):

@@ -255,13 +255,15 @@ def _batch_grads(model, ids, mask, targets, dropout, clip_norm):
         (group, cache), grad_group = caches.pop(0), grad_groups.pop(0)
         d_embeddeds = branch_backward(group, cache, [d_scores[name] for name in group.names],
                                       grad_group)
-        del cache  # its step records are spent; free its token table
-        for k, d_embedded in enumerate(d_embeddeds):
+        del cache  # BPTT is done: free the records the input gradients do not read
+        for k in range(len(group.names)):
+            d_embedded = next(d_embeddeds)
             _clip(_clip_rows(grad_group.branch(k), d_embedded), clip_norm)
             # scatter-add the unmasked positions' grads back to embedding
             # rows, t-major then batch row, so repeated ids add in step
             # order; padded positions (gradient +0) are left out
             np.add.at(grad.embedding, used_ids, d_embedded[used])
+            del d_embedded  # freed before the next branch's is made
     grad.embedding[0, :] = 0.0  # pad row frozen: its Adam update is exactly 0
     return losses, grad
 

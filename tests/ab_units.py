@@ -11,10 +11,12 @@ unit that is not counted.
 
 Every unit's fingerprint is checked against its checkout's golden.json; the
 script exits 1 on a mismatch. It prints each side's median rate, the median
-of the per-round ratios (CHANGE over PARENT, higher is faster) and the
-number of rounds CHANGE won. The rates are wall clock, not speed-scaled.
-This resolves effects of a few percent that separate-process pairs of
-bench/run.py cannot; acceptance still uses bench/run.py.
+of the per-round ratios (CHANGE over PARENT, higher is faster) beside their
+quartiles, so a change's ratio can be read against the spread of an A/A run
+(one checkout as both sides), and the number of rounds CHANGE won. The
+rates are wall clock, not speed-scaled. This resolves effects of a few
+percent that separate-process pairs of bench/run.py cannot; acceptance
+still uses bench/run.py.
 """
 
 from __future__ import annotations
@@ -85,9 +87,12 @@ def summary(parent: list, change: list) -> list:
     """The report lines for per-round rates of the two sides."""
     ratios = [c / p for p, c in zip(parent, change)]
     wins = sum(r > 1.0 for r in ratios)
+    q1, _, q3 = (statistics.quantiles(ratios, method="inclusive") if len(ratios) > 1
+                 else ratios * 3)
     return [f"parent median {statistics.median(parent):.6g} seq/s",
             f"change median {statistics.median(change):.6g} seq/s",
-            f"median ratio  {statistics.median(ratios):.4f} (change / parent)",
+            f"median ratio  {statistics.median(ratios):.4f} (change / parent), "
+            f"quartiles {q1:.4f} to {q3:.4f}",
             f"change faster in {wins} of {len(ratios)} rounds"]
 
 

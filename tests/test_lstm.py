@@ -12,7 +12,6 @@ from plstm.lstm import (
     LSTMCellParams,
     LSTMState,
     _stacked_step,
-    _step_records,
     bptt,
     cell_step,
     directional_pass,
@@ -92,11 +91,11 @@ def pass_one(params, xs, mask, direction, tokens=None):
 
 
 def records_one(cache):
-    """A stack of one's step records, read through `_step_records` (last
-    step first) and put in run order, with 2-D arrays: (t, rows, h_prev,
-    c_prev, gates, tanh_c)."""
-    return [(t, rows, *(a[0] for a in arrays))
-            for t, rows, *arrays in reversed(list(_step_records(cache)))]
+    """A stack of one's step records in run order, with 2-D arrays: (t,
+    rows, h_prev, c_prev, gates, tanh_c), each array its record array's
+    view at the step's table rows."""
+    return [(t, rows, *(cache[kind][0, at] for kind in lstm.RECORDS))
+            for t, rows, at in cache["steps"]]
 
 
 def encode(layer, xs, mask, tokens):
@@ -471,7 +470,7 @@ class TestStackedBranches:
         for params, singles, direction in ((stack.forward_params, fwd, "forward"),
                                            (stack.backward_params, bwd, "backward")):
             final, cache = one_direction(params, xs[0], mask, direction, (table, None))
-            assert len(list(_step_records(cache))) == int(mask.any(axis=1).sum())  # one a step
+            assert len(cache["steps"]) == int(mask.any(axis=1).sum())  # one a step
             for k, p in enumerate(singles):
                 want, _ = pass_one(p, xs[k], mask, direction)
                 assert final.h[k].tobytes() == want.h.tobytes()
@@ -619,28 +618,38 @@ class TestDirectionalPass:
         assert np.isfinite(final.c[1, 0])
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_one_record_per_step_that_runs_holding_its_rows_only(self, direction):
+    def test_one_record_per_step_that_runs_holding_its_rows_only(self, monkeypatch, direction):
         # ragged: tail padding, a hole (step 2, row 0) and an all-pad step 4
         mask = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool)
         hidden, embed = 3, 2
         p = random_params(hidden, embed, 25)
         xs = RngStream(26).uniform(-1, 1, (5, 3, embed))
+        projections, real = [], lstm._projection
+
+        def recording(*args):
+            projections.append(real(*args))
+            return projections[-1]
+
+        monkeypatch.setattr(lstm, "_projection", recording)
         _, cache = pass_one(p, xs, mask, direction)
-        assert sorted(cache) == sorted(["params", "x", "steps", "starts", *lstm.RECORDS])
+        assert sorted(cache) == sorted(["params", "x", "steps", *lstm.RECORDS])
         run_order = [0, 1, 2, 3] if direction == "forward" else [3, 2, 1, 0]
-        assert [t for t, _ in cache["steps"]] == run_order
-        assert [t for t, *_ in _step_records(cache)] == run_order[::-1]
+        assert [t for t, *_ in cache["steps"]] == run_order
         n = int(mask.sum())
         assert [cache[kind].shape for kind in lstm.RECORDS] == [
             (1, n, hidden), (1, n, hidden), (1, n, 4, hidden), (1, n, hidden)]
+        # the gate records are the direction's projection, not an array of their own
+        proj = projections[("forward", "backward").index(direction)]
+        assert cache["gates"].base is proj and cache["gates"].nbytes == proj.nbytes
         covered = []
-        for t, rows, *arrays in records_one(cache):
+        for (t, rows, *arrays), (_, _, at) in zip(records_one(cache), cache["steps"]):
             assert np.array_equal(rows, np.flatnonzero(mask[t]))
             m = len(rows)
             assert [a.shape for a in arrays] == [(m, hidden), (m, hidden), (m, 4, hidden),
                                                  (m, hidden)]
             # views of the record arrays at the step's table rows
             lo = int(mask[:t].sum())
+            assert (at.start, at.stop) == (lo, lo + m)
             for kind, a in zip(lstm.RECORDS, arrays):
                 assert np.shares_memory(a, cache[kind])
                 assert a.__array_interface__["data"][0] == cache[kind][0, lo].ctypes.data

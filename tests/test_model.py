@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -345,6 +346,33 @@ class TestForwardBatchTraining:
                 group, cache, [np.ones_like(scores[name]) for name in group.names], grad_group)
             assert [d.shape for d in d_embedded] == [(4, 2, 4)] * len(group.names)
         assert grad.group.head_b.any() and not grad.embedding.any()  # the scatter is the caller's
+
+    def test_the_backward_holds_one_branch_at_a_time(self, monkeypatch):
+        """A caller that drops each branch's dense gradient before it asks
+        for the next holds one branch at a time: while branch k's
+        input-gradient rows are made, in either direction, no array of
+        branch k-1's, neither its rows nor its dense gradient, is alive."""
+        m = init_model(10, 4, 3, seed=8)
+        scores, caches = forward_batch(m, self.IDS, self.MASK, branch_dropout(9))
+        ((group, cache),) = caches  # the four branches as one stack
+        refs, held, real = [], [], plstm.lstm._input_grad  # refs: (branch, weakref)
+
+        def spying(params, dpre, k):
+            held.append(sorted({b for b, ref in refs if b < k and ref() is not None}))
+            rows = real(params, dpre, k)
+            refs.append((k, weakref.ref(rows)))
+            return rows
+
+        monkeypatch.setattr(plstm.lstm, "_input_grad", spying)
+        k = 0
+        for d_embedded in branch_backward(group, cache, [np.ones_like(scores[name])
+                                                         for name in group.names],
+                                          m.zeros_like().group):
+            refs.append((k, weakref.ref(d_embedded)))
+            del d_embedded
+            k += 1
+        assert k == len(BRANCH_NAMES)
+        assert held == [[]] * (2 * len(BRANCH_NAMES))  # both directions' calls, every branch
 
     def test_zero_rates_match_eval_bitwise(self):
         m = init_model(10, 4, 3, seed=8)

@@ -1,5 +1,6 @@
 import contextlib
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,17 +147,11 @@ class TestBatchMemory:
     """What a training batch holds at its memory peak, bounded from the
     layout of what it must hold."""
 
-    def test_batch_holds_the_records_and_one_projection_over_the_inputs(self):
-        """One training batch at the bench's `train_long` shape (B=16, L=64,
-        E=128, H=32, dropout 0.6/0.4) peaks while the second direction
-        steps. It then holds both directions' step records (7 floats a
-        unit per unmasked position, branch and direction), that
-        direction's input projection, the unmasked embedding rows once and
-        the embedding dropout masks as bits, plus slack for a step's
-        working arrays: one block of product terms, `_BLOCK_ELEMS` float64s,
-        and 768 KB for the rest of them, the states and the step index
-        arrays. A float64 table and a float64 mask of every branch's
-        inputs, 4·n·E·8 bytes each, do not fit."""
+    @staticmethod
+    def train_long_batch():
+        """A training batch at the bench's `train_long` shape (B=16, L=64,
+        E=128, H=32, dropout 0.6/0.4): (model, ids, mask, a function that
+        makes the batch's `dropout` argument, n unmasked positions)."""
         batch, L, E, H, vocab = 16, 64, 128, 32, 50
         gen = np.random.default_rng(12)
         mask = np.arange(L) < gen.integers(1, L + 1, batch)[:, None]
@@ -164,27 +159,63 @@ class TestBatchMemory:
         model = init_model(vocab, E, H, seed=13, seq_len=L)
         config = TrainConfig()
         assert (config.dropout_embed, config.dropout_recurrent) == (0.6, 0.4)
-        targets = plstm.train._one_hot(np.arange(batch) % 2)
 
-        def one_batch():
+        def dropout():
             rngs = {name: RngStream(14, k) for k, name in enumerate(BRANCH_NAMES)}
-            dropout = (config.dropout_embed, config.dropout_recurrent, rngs)
-            plstm.train._batch_grads(model, ids, mask, targets, dropout, 5.0)
+            return config.dropout_embed, config.dropout_recurrent, rngs
 
-        one_batch()  # warm up numpy's first-call allocations
+        return model, ids, mask, dropout, int(mask.sum())
+
+    @staticmethod
+    def traced_peak(run):
+        """The traced memory peak of run(), after one untraced run that
+        warms up numpy's first-call allocations."""
+        run()
         tracemalloc.start()
         try:
-            one_batch()
-            _, peak = tracemalloc.get_traced_memory()
+            run()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        n, G = int(mask.sum()), len(BRANCH_NAMES)
+
+    def test_batch_holds_the_records_and_one_projection_over_the_inputs(self):
+        """One training batch at the `train_long` shape peaks in the
+        second direction's BPTT. It then holds both directions' step
+        records (7 floats a unit per unmasked position, branch and
+        direction), the unmasked embedding rows once, the embedding dropout
+        masks as bits, the gradient arena and that direction's zeroed
+        gradients, and a step's working arrays. The bound gives the arena,
+        the zeroed gradients and a step's product outputs one projection's
+        worth of floats (4 a unit), and slack for the rest: one block of
+        product terms, `_BLOCK_ELEMS` float64s, and 768 KB for the states
+        and the step index arrays. A float64 table and a float64 mask of
+        every branch's inputs, 4·n·E·8 bytes each, do not fit."""
+        model, ids, mask, dropout, n = self.train_long_batch()
+        targets = plstm.train._one_hot(np.arange(len(ids)) % 2)
+        peak = self.traced_peak(
+            lambda: plstm.train._batch_grads(model, ids, mask, targets, dropout(), 5.0))
+        G, E, H = len(BRANCH_NAMES), model.embed_dim, model.hidden
         records = 2 * G * n * 7 * H * 8
         projection = G * n * 4 * H * 8
         rows, bits = n * E * 8, G * n * E
         slack = _BLOCK_ELEMS * 8 + (768 << 10)
         assert peak <= records + projection + rows + bits + slack
 
+    def test_a_training_forward_pass_holds_the_records_and_the_inputs_only(self):
+        """One training `forward_batch` at the `train_long` shape, in this
+        process, peaks while its second direction projects or steps. Each
+        direction's gate records are its input projection, written over by
+        the steps, so it holds at most both directions' step records, the
+        unmasked embedding rows once and the dropout masks as bits, plus
+        `test_batch_holds_the_records_and_one_projection_over_the_inputs`'s
+        slack: no projection beside the records."""
+        model, ids, mask, dropout, n = self.train_long_batch()
+        peak = self.traced_peak(lambda: forward_batch(model, ids, mask, dropout()))
+        G, E, H = len(BRANCH_NAMES), model.embed_dim, model.hidden
+        records = 2 * G * n * 7 * H * 8
+        rows, bits = n * E * 8, G * n * E
+        slack = _BLOCK_ELEMS * 8 + (768 << 10)
+        assert peak <= records + rows + bits + slack
 
     @pytest.mark.parametrize("worker", [False, True], ids=["in_turn", "worker"])
     def test_an_eval_batch_holds_one_projection_and_two_tiles(self, worker):
@@ -221,6 +252,33 @@ class TestBatchMemory:
         assert peak <= projection + 2 * tile + slack
 
 class TestBatchGradients:
+    def test_each_branch_s_input_gradient_is_dropped_before_the_next_is_made(
+            self, monkeypatch):
+        """`_batch_grads` clips and scatters each branch's dense input
+        gradient and drops it before it asks for the next branch's: while
+        any branch's input-gradient rows are made, in either direction, no
+        earlier branch's dense gradient is alive."""
+        model = init_model(10, 4, 3, seed=8)
+        ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0]])
+        rngs = {name: RngStream(9, k) for k, name in enumerate(BRANCH_NAMES)}
+        dense, alive = [], []
+        real_clip_rows, real_input_grad = plstm.train._clip_rows, plstm.lstm._input_grad
+
+        def clip_rows(grad, d_embedded):
+            dense.append(weakref.ref(d_embedded))
+            return real_clip_rows(grad, d_embedded)
+
+        def input_grad(params, dpre, k):
+            alive.append(sum(ref() is not None for ref in dense))
+            return real_input_grad(params, dpre, k)
+
+        monkeypatch.setattr(plstm.train, "_clip_rows", clip_rows)
+        monkeypatch.setattr(plstm.lstm, "_input_grad", input_grad)
+        plstm.train._batch_grads(model, ids, ids > 0, plstm.train._one_hot(np.array([0, 1])),
+                                 (0.5, 0.5, rngs), 5.0)
+        assert len(dense) == len(BRANCH_NAMES)
+        assert alive == [0] * (2 * len(BRANCH_NAMES))  # both directions, every branch
+
     def test_training_gradient_matches_finite_differences(self):
         """The gradient one training batch takes, `_batch_grads` with
         dropout on and clipping off, embedding scatter included, is the
