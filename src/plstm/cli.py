@@ -276,9 +276,9 @@ def main(argv=None) -> int:
     exits 2, each with its message as one line on stderr. Reads convert
     their own failures into those classes, so an `OSError` that gets here
     is a failed write: it exits 2 naming the file. Anything else is a bug
-    and propagates. The command runs in a `worker.scope()`, in which its
-    large passes run their backward direction in the direction worker, and
-    which reaps that process before `main` returns or raises.
+    and propagates. The command runs in a `worker.scope()`, in which every
+    pass runs its backward direction in the direction worker, and which
+    reaps that process before `main` returns or raises.
     """
     args = build_parser().parse_args(argv)
     try:

@@ -45,16 +45,18 @@ time, in one product per gate after the time loop. Its parameter gradients
 are the arrays of a zeroed layer it adds into, and each branch's `blocks()`
 names them.
 
-Each pass runs its backward direction through an executor that
-`worker.worker_for` picks by the size of the pass's input projection: the
-direction worker, a forked process, for a large pass inside a
-`worker.scope()`, or this process. Either way it runs the same three
-requests: `_pass_in_worker` projects and steps the direction while this
-process runs the forward one, and for a per-position pass keeps its step
-records on the executor, under the pass's key; `_bptt_in_worker` runs that
-direction's BPTT and `_input_grad_in_worker` makes its input-gradient rows,
-so those records never come back. Each direction runs the same numpy
-operations in the same order wherever it runs, so every byte is the same.
+Each pass runs its backward direction through the executor
+`worker.worker_for` gives it: the direction worker, a forked process,
+inside a `worker.scope()`, or this process. Either way it runs the same
+three requests: `_pass_in_worker` projects and steps the direction while
+this process runs the forward one, and for a per-position pass keeps its
+step records on the executor, under the pass's key; `_bptt_in_worker` runs
+that direction's BPTT and `_input_grad_in_worker` makes its input-gradient
+rows, so those records never come back. BPTT sends all of its requests
+before it runs the forward direction, so the worker makes each branch's
+rows while this process uses the branch before. Each direction runs the
+same numpy operations in the same order wherever it runs, so every byte is
+the same.
 """
 
 from __future__ import annotations
@@ -348,9 +350,8 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
     state, and a step with no such rows is skipped. Each direction is one
     unit of work (`_direction`): it projects, then steps, and a
     forward-only pass's projection is dropped when it ends. This process
-    runs the forward unit and the executor `worker.worker_for` picks for
-    the pass's projection terms, branches x n x 4*hidden x embed, runs the
-    backward one (see the module docstring). A pass given an index that
+    runs the forward unit and the executor `worker.worker_for` gives the
+    pass runs the backward one (see the module docstring). A pass given an index that
     the direction worker runs gathers its rows once, as one (n, embed)
     array, only to send them, and drops them before its own direction
     projects.
@@ -377,7 +378,7 @@ def directional_pass(layer: BidirectionalLayer, sequence: np.ndarray, mask, toke
         n = len(used)
     rows = table if callable(table) else _TokenRows(table, G, used)
     forward, backward = range(L), range(L - 1, -1, -1)
-    executor = worker.worker_for(G * n * 4 * layer.hidden * fwd.embed)
+    executor = worker.worker_for()
     key = None if index is not None else next(executor.keys)
     (final_f, records_f), final_b = executor.alongside(
         [_pass_in_worker, key, bwd, backward, [rows], n, mask, starts, index],
@@ -493,23 +494,34 @@ def bptt(cache, upstream: np.ndarray, out: BidirectionalLayer):
     no sum is -0.
     Returns an iterator over the branches that makes each one's (n, embed)
     input-gradient rows, in per-position table order, when it is asked for:
-    the forward direction's rows plus the backward one's, which the
-    executor makes for one branch at a time while this process makes the
-    forward ones.
+    the forward direction's rows plus the backward one's. The BPTT request
+    and every branch's rows request are sent before this process's BPTT
+    runs, after any replies a dropped caller left are drained, so the
+    pass's executor waits for nothing between them: the direction worker
+    makes the backward rows of one branch after another, each held until
+    this process receives it, while this process makes the forward rows
+    and its caller uses the branch before. Any exception between the sends
+    and the last receive stops the executor.
     """
     fwd, executor, key = cache["fwd"], cache["bwd"]["executor"], cache["bwd"]["key"]
     params_f, dpre_f = fwd["params"], fwd["gates"]
-    _, sums = executor.alongside([_bptt_in_worker, key, upstream],
-                                 lambda: _directional_bptt(fwd, upstream, out.forward_params))
+    branches = range(len(params_f.W))
+    executor.drain()
+    executor.send([_bptt_in_worker, key, upstream])
+    for k in branches:
+        executor.send([_input_grad_in_worker, key, k])
+    with executor.stopped_on_error():
+        _directional_bptt(fwd, upstream, out.forward_params)
+        sums = executor.receive()
     params_b = out.backward_params
     for total, terms in zip((params_b.W, params_b.U, params_b.b), sums):
         total += terms
     del sums
 
     def rows(k):
-        rows_f, rows_b = executor.alongside([_input_grad_in_worker, key, k],
-                                            lambda: _input_grad(params_f, dpre_f, k))
-        rows_f += rows_b
+        with executor.stopped_on_error():
+            rows_f = _input_grad(params_f, dpre_f, k)
+            rows_f += executor.receive()
         return rows_f
 
-    return (rows(k) for k in range(len(params_f.W)))
+    return (rows(k) for k in branches)

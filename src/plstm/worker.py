@@ -1,20 +1,24 @@
 """Where a pass's backward direction runs: in a forked process, the direction
 worker, or in this process.
 
-An executor runs requests, each [handler, *arguments]. Its one method,
-`alongside(request, here)`, runs here() in this process and the request
-beside it, and returns (here()'s result, the handler's). A handler is called
-with the executor's pending dict first, where a pass keeps what its later
-requests read, under a key the executor's `keys` hands out. `Worker` runs
-the request in its process while this one runs here(); `InProcess` runs
-here() and then the request, in this process. Each runs the same numpy
-operations in the same order, so every byte is the same either way.
+An executor runs requests, each [handler, *arguments], in the order they
+are sent. `send(request)` hands it one; `receive()` returns the result of
+the oldest one not yet received, or raises its handler's exception; and
+`alongside(request, here)`, written once on those two, sends the request,
+runs here() in this process and receives, returning (here()'s result, the
+handler's). A handler is called with the executor's pending dict first,
+where a pass keeps what its later requests read, under a key the
+executor's `keys` hands out, and runs under the errstate in force when its
+request was sent. `Worker` runs each request in its process as soon as it
+arrives, so whatever this process does between a send and its receive runs
+beside it; `InProcess` queues each request and runs it in this process when
+it is received. Each runs the same numpy operations in the same order, so
+every byte is the same either way.
 
-Inside a `scope()`, a pass whose input projection makes at least
-WORKER_TERMS terms gets the scope's worker, forked at the first such pass
-(`worker_for`). Smaller passes, every pass outside a scope, and the rest of
-a scope's passes once its worker could not start get a new `InProcess`, so
-what a pass leaves pending goes when the pass's cache goes.
+Inside a `scope()`, every pass gets the scope's worker, forked at the first
+pass (`worker_for`). Every pass outside a scope, and the rest of a scope's
+passes once its worker could not start, get a new `InProcess`, so what a
+pass leaves pending goes when the pass's cache goes.
 """
 
 from __future__ import annotations
@@ -28,14 +32,6 @@ import struct
 import sys
 
 import numpy as np
-
-# the fewest input-projection terms, branches x rows x 4*hidden x embed, of a
-# pass that sends its backward direction to the direction worker. Its
-# messages cost a few hundred microseconds each; measured on training epochs
-# at E=32, H=16, the worker lost (0.90x) at 2^18.4 terms, was even to 1.36x
-# at 2^19.6 and won 1.26-1.45x from 2^20.2 up (README, "Direction worker").
-WORKER_TERMS = 1 << 20
-
 
 class WorkerError(RuntimeError):
     """The direction worker could not start, or ended or was stopped
@@ -90,18 +86,18 @@ def _receive(fd):
 def _serve(requests: int, replies: int):
     """The direction worker's loop: read a request, run it, reply, until the
     caller's end of the pipe closes. A request is (the caller's
-    `np.geterr()`, a handler, its arguments); the handler runs under that
-    errstate, given the worker's pending dict, and the reply is (True, its
+    `np.geterr()`, [handler, *arguments]), as `InProcess` queues it, and
+    runs as `InProcess.receive` runs it, on an `InProcess` that holds what
+    the passes keep for their later requests. The reply is (True, its
     result) or (False, the exception it raised)."""
-    pending = {}  # a pass's key -> what it keeps for its later requests
+    here = InProcess()
     while True:
         try:
-            errstate, handler, *args = _receive(requests)
+            here.queue.append(_receive(requests))
         except EOFError:
             return
         try:
-            with np.errstate(**errstate):
-                reply = True, handler(pending, *args)
+            reply = True, here.receive()
         except BaseException as exc:  # raised in the caller
             reply = False, exc
         try:
@@ -111,12 +107,48 @@ def _serve(requests: int, replies: int):
         _write_all(replies, parts)
 
 
-class Worker:
-    """The direction worker, a forked process that runs the requests
-    `alongside` sends it (`_serve`), and this process's ends of the two
-    pipes to and from it. A fork copies the calling thread alone; that is
-    safe here because the engine starts no thread and the worker calls no
-    BLAS (every product is `matmul_stacked`'s einsum)."""
+class _Executor:
+    """What both executors share: `alongside`, on their own `send`,
+    `receive`, `drain` and `stop`."""
+
+    def alongside(self, request: list, here):
+        """(here(), the handler's result for `request`): drop the replies a
+        dropped caller left outstanding (`drain`), send the request, run
+        here() and receive. If here() raises, the executor is stopped."""
+        self.drain()
+        self.send(request)
+        with self.stopped_on_error():
+            result = here()
+        return result, self.receive()
+
+    def drain(self):
+        """Drop the replies a caller left outstanding. An `InProcess` has
+        none to drop: it serves one pass, whose requests it runs only when
+        they are received, and no later pass reads it."""
+
+    stop = drain  # an `InProcess` has nothing to stop
+
+    @contextlib.contextmanager
+    def stopped_on_error(self):
+        """Stop the executor if the block raises, so that no reply the
+        block leaves outstanding is read later."""
+        try:
+            yield
+        except BaseException:
+            self.stop()
+            raise
+
+
+class Worker(_Executor):
+    """The direction worker, a forked process that runs the requests `send`
+    writes to it (`_serve`), and this process's ends of the two pipes to
+    and from it. The worker runs each request as it arrives and blocks on
+    writing its reply until `receive` reads it. So a request that may not
+    fit the pipe's buffer is sent only when no reply is outstanding, and
+    the worker holds at most one reply a request behind. A fork copies the
+    calling thread alone; that is safe here because the engine starts no
+    thread and the worker calls no BLAS (every product is
+    `matmul_stacked`'s einsum)."""
 
     def __init__(self):
         fds = []  # (read end, write end) of the pipe to the worker, then of the one from it
@@ -141,37 +173,46 @@ class Worker:
         os.close(to_worker[0])
         os.close(from_worker[1])
         self.pid, self.requests, self.replies = pid, to_worker[1], from_worker[0]
-        self.keys = itertools.count()
+        self.keys, self.outstanding = itertools.count(), 0  # replies sent for, not yet read
 
-    def alongside(self, request: list, here):
-        """(here(), the worker's reply to `request`): the worker runs the
-        request, [handler, *arguments], while this process runs here(). The
-        sent frame is dropped before here() runs, so what pickling the
-        request gathered is not held here meanwhile. The worker's exception
-        is raised once here() has returned. If here() or the wait for the
-        reply raises, or the worker has ended, the worker is stopped, so no
-        stale reply is read later, and an ended worker raises
-        `WorkerError`."""
+    @contextlib.contextmanager
+    def _talking(self, failed: str):
+        """Stop the worker if the block, a send or a receive, raises; a
+        pipe that fails or closes, or a stopped worker, is a `WorkerError`."""
         if self.pid is None:
             raise WorkerError("the direction worker was stopped")
-        try:
-            message = _frame([np.geterr(), *request])
+        with self.stopped_on_error():
             try:
-                _write_all(self.requests, message)
-            except OSError as exc:  # a broken pipe: the worker has ended
-                raise WorkerError(f"cannot send to the direction worker: {exc}") from None
-            del message
-            result = here()
-            try:
-                ok, reply = _receive(self.replies)
-            except (EOFError, OSError) as exc:
-                raise WorkerError(f"no reply from the direction worker: {exc}") from None
-        except BaseException:
-            self.stop()
-            raise
+                yield
+            except (EOFError, OSError) as exc:  # a broken or closed pipe: the worker has ended
+                raise WorkerError(f"{failed} the direction worker: {exc}") from None
+
+    def send(self, request: list):
+        """Frame `request`, [handler, *arguments], with the caller's
+        `np.geterr()` and write it to the worker. The frame is dropped when
+        this returns, so what pickling gathered is not held here."""
+        with self._talking("cannot send to"):
+            _write_all(self.requests, _frame((np.geterr(), request)))
+        self.outstanding += 1
+
+    def receive(self):
+        """The worker's reply to the oldest request not yet received: the
+        handler's result, or its exception, raised here."""
+        with self._talking("no reply from"):
+            ok, reply = _receive(self.replies)
+        self.outstanding -= 1
         if not ok:
             raise reply
-        return result, reply
+        return reply
+
+    def drain(self):
+        """Read and drop every outstanding reply, those of a caller that
+        dropped its requests before receiving them all, so that the next
+        reply read answers the next request sent."""
+        while self.outstanding:
+            with self._talking("no reply from"):
+                _receive(self.replies)
+            self.outstanding -= 1
 
     def stop(self):
         """Kill and reap the worker and close this process's pipe ends; a
@@ -187,18 +228,24 @@ class Worker:
             os.waitpid(pid, 0)
 
 
-class InProcess:
-    """An executor with `Worker.alongside`'s contract that runs each request
-    in this process, after here(), on the very objects it names: nothing is
+class InProcess(_Executor):
+    """An executor with `Worker`'s contract that runs each request in this
+    process when it is received, on the very objects it names: nothing is
     pickled or copied. What its passes leave pending lives on it."""
 
     def __init__(self):
-        self.pending, self.keys = {}, itertools.count()
+        self.pending, self.keys, self.queue = {}, itertools.count(), []
 
-    def alongside(self, request: list, here):
-        """(here(), the request's result), run in that order."""
-        handler, *args = request
-        return here(), handler(self.pending, *args)
+    def send(self, request: list):
+        """Queue `request` with the caller's `np.geterr()`."""
+        self.queue.append((np.geterr(), request))
+
+    def receive(self):
+        """The result of the oldest queued request, run now under the
+        errstate it was sent with."""
+        errstate, (handler, *args) = self.queue.pop(0)
+        with np.errstate(**errstate):
+            return handler(self.pending, *args)
 
 
 # the open `scope`: the workers it started, and None once one could not start
@@ -207,12 +254,12 @@ _scope = None
 
 @contextlib.contextmanager
 def scope():
-    """A scope in which a large pass sends its backward direction to the
+    """A scope in which every pass sends its backward direction to the
     direction worker (see the module docstring). The worker is forked at
-    the first pass of at least WORKER_TERMS projection terms, so a scope
-    that runs none starts no process, and it is killed and reaped when the
-    scope closes, however it closes. A worker that was stopped inside the
-    scope is replaced at the next such pass. A worker that cannot start,
+    the scope's first pass, so a scope that runs none starts no process,
+    and it is killed and reaped when the scope closes, however it closes.
+    A worker that was stopped inside the scope is replaced at the next
+    pass. A worker that cannot start,
     say because no process can be forked, is not asked for again: the
     scope's passes run in process, with the same bytes, and one line on
     stderr says so. A nested scope is the outer one."""
@@ -229,12 +276,11 @@ def scope():
             worker.stop()
 
 
-def worker_for(terms: int):
-    """The executor of a pass whose input projection makes `terms` terms:
-    inside a scope, if terms is at least WORKER_TERMS and no worker of the
-    scope has failed to start, the scope's worker, started if need be;
-    else a new `InProcess`."""
-    if _scope is None or terms < WORKER_TERMS or None in _scope:
+def worker_for():
+    """The executor of a pass: inside a scope, if no worker of the scope
+    has failed to start, the scope's worker, started if need be; else a
+    new `InProcess`."""
+    if _scope is None or None in _scope:
         return InProcess()
     if not _scope or _scope[-1].pid is None:
         try:

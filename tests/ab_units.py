@@ -13,8 +13,11 @@ Every unit's fingerprint is checked against its checkout's golden.json; the
 script exits 1 on a mismatch. It prints each side's median rate, the median
 of the per-round ratios (CHANGE over PARENT, higher is faster) beside their
 quartiles, so a change's ratio can be read against the spread of an A/A run
-(one checkout as both sides), and the number of rounds CHANGE won. The
-rates are wall clock, not speed-scaled. This resolves effects of a few
+(one checkout as both sides), the number of rounds CHANGE won, and each
+side's median CPU time a unit: the process's own (RUSAGE_SELF) and that of
+the children it reaped during the unit (RUSAGE_CHILDREN), such as the
+direction worker, so work moved to another process is not judged on wall
+clock alone. The rates are wall clock, not speed-scaled. This resolves effects of a few
 percent that separate-process pairs of bench/run.py cannot; acceptance
 still uses bench/run.py.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -53,11 +57,21 @@ def serve(root: Path, workload: str, seed: int) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = wl.prepare(workload, seed, Path(tmp))
         for _ in sys.stdin:
+            before = cpu_ms()
             unit = wl.run_unit(inputs)
-            protocol.write(json.dumps({"rate": inputs.sequences / unit.work_s,
+            cpu = [after - b for after, b in zip(cpu_ms(), before)]
+            protocol.write(json.dumps({"rate": inputs.sequences / unit.work_s, "cpu_ms": cpu,
                                        "correct": unit.fingerprint == golden}) + "\n")
             protocol.flush()
     return 0
+
+
+def cpu_ms() -> tuple:
+    """(this process's CPU time, that of its reaped children), user plus
+    system, in ms."""
+    return tuple(1000.0 * (usage.ru_utime + usage.ru_stime)
+                 for usage in map(resource.getrusage, (resource.RUSAGE_SELF,
+                                                       resource.RUSAGE_CHILDREN)))
 
 
 def start(root: Path, workload: str, seed: int) -> subprocess.Popen:
@@ -67,8 +81,9 @@ def start(root: Path, workload: str, seed: int) -> subprocess.Popen:
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
 
 
-def run_one(proc: subprocess.Popen, name: str) -> float:
-    """One unit in `proc`; its rate in sequences a second."""
+def run_one(proc: subprocess.Popen, name: str) -> tuple:
+    """One unit in `proc`: (its rate in sequences a second, [its CPU ms in
+    the process, in reaped children])."""
     try:
         proc.stdin.write("run\n")
         proc.stdin.flush()
@@ -80,11 +95,12 @@ def run_one(proc: subprocess.Popen, name: str) -> float:
     result = json.loads(line)
     if not result["correct"]:
         raise UnitError(f"a {name} unit's fingerprint does not match golden.json")
-    return result["rate"]
+    return result["rate"], result["cpu_ms"]
 
 
-def summary(parent: list, change: list) -> list:
-    """The report lines for per-round rates of the two sides."""
+def summary(parent: list, change: list, cpu: dict) -> list:
+    """The report lines for per-round rates of the two sides, and `cpu`,
+    side -> per-round [process, children] CPU ms."""
     ratios = [c / p for p, c in zip(parent, change)]
     wins = sum(r > 1.0 for r in ratios)
     q1, _, q3 = (statistics.quantiles(ratios, method="inclusive") if len(ratios) > 1
@@ -93,7 +109,11 @@ def summary(parent: list, change: list) -> list:
             f"change median {statistics.median(change):.6g} seq/s",
             f"median ratio  {statistics.median(ratios):.4f} (change / parent), "
             f"quartiles {q1:.4f} to {q3:.4f}",
-            f"change faster in {wins} of {len(ratios)} rounds"]
+            f"change faster in {wins} of {len(ratios)} rounds",
+            *(f"{side} median cpu {statistics.median(map(sum, units)):.1f} ms a unit: "
+              f"{statistics.median(u[0] for u in units):.1f} in the process, "
+              f"{statistics.median(u[1] for u in units):.1f} in children"
+              for side, units in cpu.items())]
 
 
 def main(argv=None) -> int:
@@ -112,13 +132,15 @@ def main(argv=None) -> int:
         parser.error("give PARENT and CHANGE, and --rounds >= 1")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     procs = {name: start(root, args.workload, args.seed) for name, root in sides.items()}
-    rates = {name: [] for name in sides}
+    rates, cpu = {name: [] for name in sides}, {name: [] for name in sides}
     try:
         for name, proc in procs.items():
             run_one(proc, name)  # warm-up, not counted
         for r in range(args.rounds):
             for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-                rates[name].append(run_one(procs[name], name))
+                rate, unit_cpu = run_one(procs[name], name)
+                rates[name].append(rate)
+                cpu[name].append(unit_cpu)
             print(f"round {r + 1}: parent {rates['parent'][-1]:.6g} "
                   f"change {rates['change'][-1]:.6g} seq/s", flush=True)
     except UnitError as exc:
@@ -131,7 +153,7 @@ def main(argv=None) -> int:
             except BrokenPipeError:
                 pass
             proc.wait()
-    print("\n".join(summary(rates["parent"], rates["change"])))
+    print("\n".join(summary(rates["parent"], rates["change"], cpu)))
     return 0
 
 

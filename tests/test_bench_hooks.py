@@ -117,7 +117,6 @@ def test_counter_hooked_functions_run_in_the_calling_process(monkeypatch, tmp_pa
                           np.arange(16) % 2)
     config = TrainConfig(epochs=1, batch_size=16, seed=2, verbose=0, hidden=8, embed_dim=4,
                          seq_len=6)
-    monkeypatch.setattr(plstm.worker, "WORKER_TERMS", 0)
     with plstm.worker.scope(), tracer.patched({name: factory
                                                        for name in counted | {"activate"}}):
         train(build_model(config, 40, config.seed), data, config)

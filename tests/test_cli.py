@@ -566,11 +566,10 @@ class TestFailureBoundary:
         starts one, and `main` reaps it on every way out: exit 0, a failed
         write's exit 2, a diverging run's exit 3, and a BaseException raised
         in the middle of a pass, which propagates."""
-        monkeypatch.setattr(worker, "WORKER_TERMS", 0)
         real_rule, real_steps, running = worker.worker_for, lstm._steps, []
 
-        def worker_for(terms):
-            executor = real_rule(terms)
+        def worker_for():
+            executor = real_rule()
             running.append(len(children()))
             return executor
 

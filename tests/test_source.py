@@ -425,37 +425,42 @@ def test_the_block_budget_does_not_set_the_stack_rule():
     assert reads["STACKED_ELEMS"] == [("tensor", "one_stack")]
 
 
-def test_the_worker_rule_has_one_reader():
-    """`worker.worker_for` alone reads WORKER_TERMS: one rule decides
-    whether a pass runs its backward direction in the worker or in
-    process."""
-    assert sorted({(stem, site) for stem, tree in src_trees().items()
-                   for site in name_reads(tree, "WORKER_TERMS")}) == [("worker", "worker_for")]
+def test_only_worker_for_picks_an_executor():
+    """`worker.worker_for` alone makes a pass's executor, and
+    `directional_pass` alone asks for one: a pass's cache hands its
+    executor to its BPTT, so one function decides where every request of a
+    pass runs. (The worker's loop, `_serve`, runs what it receives on an
+    `InProcess` of its own.)"""
+    trees = src_trees()
+    sites = {name: sorted({(stem, site) for stem, tree in trees.items()
+                           for site in call_sites(tree, name)})
+             for name in ("Worker", "InProcess", "worker_for")}
+    assert sites == {"Worker": [("worker", "worker_for")],
+                     "InProcess": [("worker", "_serve"), ("worker", "worker_for")],
+                     "worker_for": [("lstm", "directional_pass")]}
 
 
-# workload -> (batch rows, hidden, branches a group, {kind of pass: whether
-# its backward direction runs in the worker}): the benchmark's step shapes
-# (bench/workloads.py and data/train_smoke.cfg), how the shape rule groups
-# them, and how the worker rule runs a training pass (its per-position
-# table) and an eval or metrics pass (a token table and an index)
+# workload -> (batch rows, hidden, branches a group, kinds of pass): the
+# benchmark's step shapes (bench/workloads.py and data/train_smoke.cfg),
+# how the shape rule groups them, and the kinds of pass a unit runs, a
+# training pass (its per-position table) or an eval or metrics pass (a
+# token table and an index)
 BENCH_STEPS = {
-    "train_smoke": (8, 16, 4, {"train": False, "eval": False}),
-    "train_long": (16, 32, 4, {"train": True, "eval": True}),
-    "eval_long": (512, 32, 1, {"eval": True}),
+    "train_smoke": (8, 16, 4, ["eval", "train"]),
+    "train_long": (16, 32, 4, ["eval", "train"]),
+    "eval_long": (512, 32, 1, ["eval"]),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(BENCH_STEPS))
-def test_bench_shapes_keep_their_groups_and_worker_rule(workload, tmp_path, monkeypatch):
+def test_bench_shapes_keep_their_groups_and_use_the_worker(workload, tmp_path, monkeypatch):
     """The train workloads step the four branches as one group, `eval_long`
-    each branch alone. `train_smoke`'s passes run their backward direction
-    in process; `train_long`'s training and metrics passes, and each
-    `eval_long` group's, run it in the worker. One unit of the workload,
-    at seed 0, run as the benchmark runs it, checks every pass, and that
-    its projection terms sit well away from WORKER_TERMS: a change to the
-    stack rule or the worker rule that moved one would change what the
-    benchmark measures."""
-    batch, hidden, size, uses_worker = BENCH_STEPS[workload]
+    each branch alone. One unit of the workload, at seed 0, run as the
+    benchmark runs it, sends every pass's backward direction, training,
+    metrics and eval passes alike, to the command's one direction worker:
+    a change to the stack rule, or one that ran a pass in process, would
+    change what the benchmark measures."""
+    batch, hidden, size, kinds_run = BENCH_STEPS[workload]
     groups = init_model(10, 4, hidden, seed=0).groups(batch)
     assert [len(group.names) for group in groups] == [size] * (len(BRANCH_NAMES) // size)
 
@@ -463,24 +468,20 @@ def test_bench_shapes_keep_their_groups_and_worker_rule(workload, tmp_path, monk
     import workloads
 
     inputs = workloads.prepare(workload, 0, tmp_path)
-    real_pass, real_rule, kinds, decisions = model.directional_pass, worker.worker_for, [], []
+    real_pass, real_rule, kinds, executors = model.directional_pass, worker.worker_for, [], []
 
     def directional_pass(layer, sequence, mask, tokens):
         kinds.append("train" if tokens[1] is None else "eval")
         return real_pass(layer, sequence, mask, tokens)
 
-    def worker_for(terms):
-        executor = real_rule(terms)
-        decisions.append((isinstance(executor, worker.Worker), terms / worker.WORKER_TERMS))
-        return executor
+    def worker_for():
+        executors.append(real_rule())
+        return executors[-1]
 
     monkeypatch.setattr(model, "directional_pass", directional_pass)
     monkeypatch.setattr(worker, "worker_for", worker_for)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(inputs.argv) == 0
-    assert sorted({(kind, used) for kind, (used, _) in zip(kinds, decisions)}) == sorted(
-        uses_worker.items())
-    # a factor of 2 or more from the rule: over the 16 input seeds of the
-    # benchmark's pool the nearest pass sat 2.7x below it (train_smoke)
-    # and 13.8x above it (train_long's metrics pass)
-    assert all(ratio >= 2 if used else ratio <= 0.5 for used, ratio in decisions)
+    assert sorted(set(kinds)) == kinds_run and len(executors) == len(kinds)
+    assert isinstance(executors[0], worker.Worker)
+    assert all(executor is executors[0] for executor in executors)

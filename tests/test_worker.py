@@ -1,11 +1,11 @@
-"""The direction worker: inside a `worker.scope()`, a pass of at least
-WORKER_TERMS projection terms runs its backward direction, forward and BPTT,
-in a forked process. Most checks here set WORKER_TERMS to 0, so every pass
-in a scope takes the worker, and compare with the same requests run in
-process, after the forward direction. 130 rows at H=32 make a 130 x 128
-product per branch, over STACKED_ELEMS, so the branches step one at a time:
-a training batch leaves four passes pending in the worker. 8 rows step the
-four branches as one group."""
+"""The direction worker: inside a `worker.scope()`, every pass runs its
+backward direction, forward and BPTT, in a forked process. Most checks here
+compare that with the same requests run in process outside any scope, each
+when it is received: a pass's after the forward direction, a backward's
+input-gradient rows when the caller asks for them. 130 rows at H=32 make a
+130 x 128 product per branch, over STACKED_ELEMS, so the branches step one
+at a time: a training batch leaves four passes pending in the worker. 8
+rows step the four branches as one group."""
 
 import errno
 import hashlib
@@ -15,7 +15,7 @@ import subprocess
 import sys
 import warnings
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +23,10 @@ import pytest
 
 from plstm import lstm, worker
 from plstm.cli import main
-from plstm.model import BRANCH_NAMES, forward_batch, init_model
+from plstm.model import BRANCH_NAMES, branch_backward, forward_batch, init_model
 from plstm.tensor import RngStream
-from plstm.train import EncodedDataset, TrainConfig, build_model, train, write_epoch_csv
+from plstm.train import (EncodedDataset, TrainConfig, _batch_grads, _one_hot, build_model, train,
+                         write_epoch_csv)
 from test_golden import EVAL_GOLDEN, GOLDEN, ragged_corpus
 from test_lstm import TILE_ROW_COUNTS, pass_bytes, tiled_case
 
@@ -57,17 +58,16 @@ def deadline(seconds=60):
 
 
 def worker_passes(monkeypatch):
-    """Every pass in a scope takes the worker from here on; returns a list
-    that gains one entry per pass that sent its backward direction there."""
+    """A list that gains one entry per pass that sends its backward
+    direction to the worker from here on."""
     real, sent = worker.worker_for, []
 
-    def counting(terms):
-        executor = real(terms)
+    def counting():
+        executor = real()
         if isinstance(executor, worker.Worker):
-            sent.append(terms)
+            sent.append(executor)
         return executor
 
-    monkeypatch.setattr(worker, "WORKER_TERMS", 0)
     monkeypatch.setattr(worker, "worker_for", counting)
     return sent
 
@@ -115,17 +115,16 @@ def test_one_epoch_matches_in_turn_bitwise(monkeypatch, tmp_path, gate_mode, bat
 
 
 @pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "in_process"])
-def test_a_training_pass_keeps_its_backward_records_in_the_worker(monkeypatch, in_worker):
+def test_a_training_pass_keeps_its_backward_records_in_the_worker(in_worker):
     """The cache of a training pass names the executor that ran its
     backward direction and a key, and holds none of that direction's
-    records: the scope's one worker keeps every pass's, or each pass has an
-    in-process executor of its own, which keeps that pass's alone."""
-    if in_worker:
-        worker_passes(monkeypatch)
+    records: in a scope its one worker keeps every pass's, and outside one
+    each pass has an in-process executor of its own, which keeps that
+    pass's alone."""
     model = init_model(VOCAB, EMBED, HIDDEN, seed=5)
     ids, mask = ragged(6)
     rngs = {name: RngStream(5, k) for k, name in enumerate(BRANCH_NAMES)}
-    with deadline(), worker.scope():
+    with deadline(), worker.scope() if in_worker else nullcontext():
         _, caches = forward_batch(model, ids, mask, (0.6, 0.4, rngs))
         bwds = [cache["enc"]["bwd"] for _, cache in caches]
     assert [sorted(bwd) for bwd in bwds] == [["executor", "key"]] * len(BRANCH_NAMES)
@@ -162,8 +161,7 @@ def test_diverging_run_exits_3_with_one_line(tmp_path, flags):
     errstate(all="ignore"), so numpy's warnings on overflow neither print
     from either process nor, as errors, end the run in a traceback."""
     argv, out = diverging_run(tmp_path)
-    code = ("import sys; from plstm import cli, worker; worker.WORKER_TERMS = 0; "
-            f"sys.exit(cli.main({argv!r}))")
+    code = f"import sys; from plstm import cli; sys.exit(cli.main({argv!r}))"
     child = subprocess.run([sys.executable, *flags, "-c", code],
                            env=dict(os.environ, PYTHONPATH=str(SRC)),
                            capture_output=True, text=True, timeout=120)
@@ -286,9 +284,7 @@ def test_the_caller_never_projects_or_steps_with_a_whole_table_alive(monkeypatch
         monkeypatch.setattr(rows, name, fake)
     monkeypatch.setattr(lstm, "_steps", steps)
     monkeypatch.setattr(lstm, "matmul_stacked", product)
-    if in_worker:
-        worker_passes(monkeypatch)
-    with deadline(), worker.scope():
+    with deadline(), worker.scope() if in_worker else nullcontext():
         forward_batch(model, ids, mask)
     passes = len(model.groups(len(ids)))
     assert len(sent) == (passes if in_worker else 0)
@@ -310,8 +306,8 @@ def test_an_eval_pass_sends_its_gathered_rows_once(monkeypatch, batch):
     requests, tables, writes = [], [], []
 
     def frame(message):
-        if os.getpid() == caller and message[1] is lstm._pass_in_worker:
-            requests.append(message)
+        if os.getpid() == caller and message[1][0] is lstm._pass_in_worker:
+            requests.append(message[1])
         return real_frame(message)
 
     def reduce(self):
@@ -331,10 +327,10 @@ def test_an_eval_pass_sends_its_gathered_rows_once(monkeypatch, batch):
     with deadline(), worker.scope():
         forward_batch(model, ids, mask)
     assert len(requests) == len(tables) == len(writes) == len(model.groups(batch))
-    for message, table, written in zip(requests, tables, writes):
+    for request, table, written in zip(requests, tables, writes):
         assert table.shape == (n, embed) and table.flags.c_contiguous
-        params = message[3]
-        others = sum(a.nbytes for a in (params.W, params.U, params.b, *message[7:]))
+        params = request[2]
+        others = sum(a.nbytes for a in (params.W, params.U, params.b, *request[6:]))
         assert n * embed * 8 <= written - others <= n * embed * 8 + 4096
 
 
@@ -447,7 +443,6 @@ def test_a_worker_that_cannot_start_leaves_the_command_in_turn_with_the_golden_b
         want = GOLDEN["standard"]
     capsys.readouterr()
     monkeypatch.setattr(os, failing, {"fork": fork, "pipe": pipe}[failing])
-    monkeypatch.setattr(worker, "WORKER_TERMS", 0)
     assert main(argv) == 0
     err = capsys.readouterr().err
     assert err.startswith("warning: cannot start the direction worker: ") and err.count("\n") == 1
@@ -479,17 +474,14 @@ def test_the_worker_runs_under_the_callers_errstate(monkeypatch):
                     forward_batch(model, ids, mask)
 
 
-def test_a_scope_starts_its_worker_at_the_first_large_pass_and_reaps_it(monkeypatch,
-                                                                        children):
-    """A pass under WORKER_TERMS starts nothing. The first pass over it
-    forks the worker; later passes and a nested scope reuse it; the scope
-    reaps it when it closes, also on an exception."""
+def test_a_scope_starts_its_worker_at_its_first_pass_and_reaps_it(children):
+    """A scope starts nothing until its first pass, which forks the worker;
+    later passes and a nested scope reuse it; the scope reaps it when it
+    closes, also on an exception."""
     model = init_model(VOCAB, EMBED, HIDDEN, seed=16)
     ids, mask = ragged(17, 8)
     with deadline(), pytest.raises(KeyError, match="leaving"), worker.scope():
-        forward_batch(model, ids, mask)
         assert children() == []
-        monkeypatch.setattr(worker, "WORKER_TERMS", 0)
         forward_batch(model, ids, mask)
         started = children()
         assert len(started) == 1
@@ -500,3 +492,177 @@ def test_a_scope_starts_its_worker_at_the_first_large_pass_and_reaps_it(monkeypa
     assert children() == []
     forward_batch(model, ids, mask)  # outside a scope: in process
     assert children() == []
+
+
+def training_batch(seed, batch=8, length=L, embed=EMBED, hidden=HIDDEN, vocab=VOCAB):
+    """A function that runs one training batch, `train._batch_grads` at the
+    default dropout rates, on a ragged batch with gaps and returns its
+    losses and gradient arena as bytes; its model; and its number of
+    unmasked positions."""
+    gen = np.random.default_rng(seed)
+    mask = (np.arange(length) < gen.integers(1, length + 1, batch)[:, None]) & (
+        gen.random((batch, length)) > 0.2)
+    ids = np.where(mask, gen.integers(1, vocab, (batch, length)), 0)
+    model = init_model(vocab, embed, hidden, seed=seed, seq_len=length)
+    config = TrainConfig()
+
+    def run():
+        rngs = {name: RngStream(seed, k) for k, name in enumerate(BRANCH_NAMES)}
+        losses, grad = _batch_grads(model, ids, mask, _one_hot(np.arange(batch) % 2),
+                                    (config.dropout_embed, config.dropout_recurrent, rngs), 5.0)
+        return repr(losses), grad.arena.tobytes()
+
+    return run, model, int(mask.sum())
+
+
+def test_a_training_backward_waits_for_the_worker_once(monkeypatch):
+    """One training batch of one branch group in a scope: the pass sends
+    its backward direction and receives its final state; the backward
+    then sends its BPTT and all four branches' input-gradient rows before
+    it runs the forward direction's BPTT, and receives the five replies,
+    the sums first and then each branch's rows when the caller asks for
+    them. The bytes are those of the batch run in process."""
+    run, model, _ = training_batch(20)
+    assert len(model.groups(8)) == 1
+    calls, real_send, real_receive = [], worker.Worker.send, worker.Worker.receive
+
+    def send(self, request):
+        calls.append(("send", request[0].__name__))
+        return real_send(self, request)
+
+    def receive(self):
+        calls.append(("receive",))
+        return real_receive(self)
+
+    monkeypatch.setattr(worker.Worker, "send", send)
+    monkeypatch.setattr(worker.Worker, "receive", receive)
+    with deadline(), worker.scope():
+        by_worker = run()
+    assert calls == [("send", "_pass_in_worker"), ("receive",),
+                     ("send", "_bptt_in_worker"),
+                     *[("send", "_input_grad_in_worker")] * len(BRANCH_NAMES),
+                     *[("receive",)] * (1 + len(BRANCH_NAMES))]
+    assert by_worker == run()
+
+
+def test_replies_over_the_pipe_buffer_do_not_deadlock(children):
+    """A training batch at the bench's `train_long` shape (B=16, L=64,
+    E=128, H=32): its parameter sums and each branch's input-gradient rows
+    are each larger than a pipe's 64 KiB buffer, so the worker blocks on
+    each reply until it is read, while its later requests wait in the
+    pipe. The batch finishes, with the bytes of the batch run in
+    process."""
+    run, model, n = training_batch(21, batch=16, length=64, embed=128, hidden=32, vocab=50)
+    G, E, H = len(BRANCH_NAMES), model.embed_dim, model.hidden
+    assert min(G * 4 * H * (E + H + 1) * 8, n * E * 8) > 1 << 16
+    with deadline(), worker.scope():
+        by_worker = run()
+        assert len(children()) == 1
+    assert by_worker == run()
+
+
+@pytest.mark.parametrize("read", [1, 0], ids=["one_branch_read", "none_read"])
+def test_a_dropped_backward_leaves_no_stale_reply(children, read):
+    """A caller that drops a training backward's iterator after one of its
+    four branches, or before any, leaves replies outstanding in the
+    worker. The next conversation drains them: an eval pass after one
+    dropped backward, and the backward of a pass made before, right after
+    another, read their own replies. Their bytes are those of the same
+    calls in process, nothing hangs, and no worker outlives the scope."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=22)
+    ids, mask = ragged(23, 8)
+    d_scores = [np.full((8, 2), 0.1)] * len(BRANCH_NAMES)
+
+    def backward(pass_, read):
+        grad = model.zeros_like()
+        d_embedded = branch_backward(model.group, pass_, d_scores, grad.group)
+        rows = [next(d_embedded).tobytes() for _ in range(read)]
+        return rows, grad.arena.tobytes()
+
+    def run():
+        rngs = {name: RngStream(22, k) for k, name in enumerate(BRANCH_NAMES)}
+        passes = [forward_batch(model, ids, mask, (0.6, 0.4, rngs))[1][0][1] for _ in range(3)]
+        backward(passes[0], read)
+        scores = forward_batch(model, ids, mask)[0]
+        backward(passes[1], read)
+        return [scores[name].tobytes() for name in BRANCH_NAMES], backward(passes[2], 4)
+
+    with deadline(), worker.scope():
+        by_worker = run()
+    assert children() == []
+    assert by_worker == run()
+
+
+def test_a_failing_branch_raises_at_its_rows_and_stops_the_worker(monkeypatch, children):
+    """A handler that raises while the worker makes branch 2's
+    input-gradient rows: branches 0 and 1 arrive, the exception is raised,
+    with its type, when the caller asks for branch 2, and the worker,
+    which has branch 3's reply outstanding, is stopped and reaped."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=24)
+    ids, mask = ragged(25, 8)
+    rngs = {name: RngStream(24, k) for k, name in enumerate(BRANCH_NAMES)}
+    caller, real_input_grad = os.getpid(), lstm._input_grad
+
+    def input_grad(params, dpre, k):
+        if os.getpid() != caller and k == 2:
+            raise FloatingPointError("branch 2 in the worker")
+        return real_input_grad(params, dpre, k)
+
+    monkeypatch.setattr(lstm, "_input_grad", input_grad)
+    with deadline(), worker.scope():
+        (group, cache), = forward_batch(model, ids, mask, (0.6, 0.4, rngs))[1]
+        d_embedded = branch_backward(group, cache, [np.full((8, 2), 0.1)] * len(BRANCH_NAMES),
+                                     model.zeros_like().group)
+        next(d_embedded)
+        next(d_embedded)
+        assert len(children()) == 1
+        with pytest.raises(FloatingPointError, match="branch 2 in the worker"):
+            next(d_embedded)
+        assert children() == []
+        assert cache["enc"]["bwd"]["executor"].pid is None
+
+
+def test_a_killed_worker_with_replies_outstanding_raises_and_does_not_hang(children):
+    """A worker killed while a dropped backward's replies are outstanding:
+    the next pass, which would drain them, ends in one `WorkerError`, and
+    the pass after it starts a new worker and gives the bytes of the
+    first."""
+    model = init_model(VOCAB, EMBED, HIDDEN, seed=26)
+    ids, mask = ragged(27, 8)
+    rngs = {name: RngStream(26, k) for k, name in enumerate(BRANCH_NAMES)}
+    with deadline(), worker.scope():
+        scores = forward_batch(model, ids, mask)[0]
+        (group, cache), = forward_batch(model, ids, mask, (0.6, 0.4, rngs))[1]
+        branch_backward(group, cache, [np.full((8, 2), 0.1)] * len(BRANCH_NAMES),
+                        model.zeros_like().group)
+        first = children()
+        os.kill(first[0], signal.SIGKILL)
+        with pytest.raises(worker.WorkerError):
+            forward_batch(model, ids, mask)
+        assert children() == []
+        again = forward_batch(model, ids, mask)[0]
+        assert len(children()) == 1 and children() != first
+    for name in BRANCH_NAMES:
+        assert again[name].tobytes() == scores[name].tobytes()
+
+
+def errstate_now(pending):
+    """A handler: the errstate it runs under."""
+    return np.geterr()
+
+
+@pytest.mark.parametrize("in_worker", [True, False], ids=["worker", "in_process"])
+def test_a_request_runs_under_the_errstate_it_was_sent_with(in_worker):
+    """Two requests sent under different errstates and received under a
+    third run each under its own, in the worker and in process alike, as a
+    backward's rows requests, received later, must."""
+    with deadline(), worker.scope() if in_worker else nullcontext():
+        executor = worker.worker_for()
+        assert isinstance(executor, worker.Worker) == in_worker
+        for mode in ("raise", "warn"):
+            with np.errstate(all=mode):
+                executor.send([errstate_now])
+        with np.errstate(all="ignore"):
+            assert [executor.receive() for _ in range(2)] == [
+                dict.fromkeys(("divide", "over", "under", "invalid"), mode)
+                for mode in ("raise", "warn")]
